@@ -23,7 +23,6 @@ from .dso import (
     Segment,
     build_bid_curve,
     feasible_range,
-    marginal_curve,
     value_at,
 )
 from .iso import IsoOutcome, clear

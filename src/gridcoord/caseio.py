@@ -13,6 +13,9 @@ package and can be named in place of a path: ``paper_reference``,
       "firm_load", "sweep_step", "tolerance"
     }
 
+``sweep_step`` is accepted and round-tripped but ignored: the bid curve is
+built exactly, with no step to tune.
+
 Parse errors come in three distinct flavors: CaseSyntaxError (bad JSON,
 with line/column), CaseSchemaError (wrong shape, with the JSON path), and
 model.ValidationError (structurally sound but invariant-breaking scenario).

@@ -112,8 +112,6 @@ def _load_scenario(args) -> Scenario:
             scenario = replace(scenario, tolerance=float(tol_env))
         except ValueError:
             raise CaseFileError(f"GRIDCOORD_TOL is not a number: {tol_env!r}")
-    if getattr(args, "step", None) is not None:
-        scenario = replace(scenario, sweep_step=args.step)
     return scenario
 
 
@@ -220,7 +218,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("dso-bid", help="build and export the bid curve")
     common(p)
-    p.add_argument("--step", type=float, help="override the sweep step (MW)")
     p.set_defaults(func=_cmd_dso_bid)
 
     p = sub.add_parser("iso-clear", help="clear the wholesale market against a saved curve")

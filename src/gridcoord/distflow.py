@@ -33,16 +33,6 @@ class DistFlowVars:
     q_exchange: str                            # substation MVAr exchange, free
     p_exchange: str | None                     # substation MW exchange var, None if pinned
     balance_p: tuple[str, ...]                 # active balance constraint per node
-    balance_q: tuple[str, ...]
-    voltage_rows: tuple[str, ...]              # recursion constraint per branch
-
-    def block_vars(self) -> list[str]:
-        out = []
-        for names in self.gen_blocks.values():
-            out.extend(names)
-        for names in self.demand_blocks.values():
-            out.extend(names)
-        return out
 
 
 def build_constraints(
@@ -135,7 +125,6 @@ def build_constraints(
         p_coeffs[network.substation][p_exchange] = -1.0
 
     balance_p = []
-    balance_q = []
     for i in range(n):
         rhs_p = network.load_p[i] - reag_p[i]
         if net_export is not None and i == network.substation:
@@ -143,27 +132,22 @@ def build_constraints(
         balance_p.append(
             lp.add_constraint(f"{prefix}bal_p[{i}]", p_coeffs[i], lpmod.EQ, rhs_p)
         )
-        balance_q.append(
-            lp.add_constraint(
-                f"{prefix}bal_q[{i}]", q_coeffs[i], lpmod.EQ, network.load_q[i] - reag_q[i]
-            )
+        lp.add_constraint(
+            f"{prefix}bal_q[{i}]", q_coeffs[i], lpmod.EQ, network.load_q[i] - reag_q[i]
         )
 
-    voltage_rows = []
     base = network.base_mva
     for j, br in enumerate(network.branches):
-        voltage_rows.append(
-            lp.add_constraint(
-                f"{prefix}volt[{j}]",
-                {
-                    voltage_sq[inc.child[j]]: 1.0,
-                    voltage_sq[inc.parent[j]]: -1.0,
-                    p_flow[j]: 2.0 * br.r / base,
-                    q_flow[j]: 2.0 * br.x / base,
-                },
-                lpmod.EQ,
-                0.0,
-            )
+        lp.add_constraint(
+            f"{prefix}volt[{j}]",
+            {
+                voltage_sq[inc.child[j]]: 1.0,
+                voltage_sq[inc.parent[j]]: -1.0,
+                p_flow[j]: 2.0 * br.r / base,
+                q_flow[j]: 2.0 * br.x / base,
+            },
+            lpmod.EQ,
+            0.0,
         )
 
     return lp, DistFlowVars(
@@ -175,8 +159,6 @@ def build_constraints(
         q_exchange=q_exchange,
         p_exchange=p_exchange,
         balance_p=tuple(balance_p),
-        balance_q=tuple(balance_q),
-        voltage_rows=tuple(voltage_rows),
     )
 
 

@@ -3,10 +3,10 @@
 The operating cost of serving a given net export is the optimal value of a
 small LP over the aggregator blocks and network constraints. As a function
 of the export parameter it is convex piecewise linear, so the curve is
-recovered by sweeping the parameter, grouping sweep points that share a
-marginal price (the dual of the export coupling), bracketing each price
-change by bisection, and placing the kink exactly where the two segment
-lines intersect.
+recovered exactly by chord-slope probing (the NISE / sandwich method of
+Eisner & Severance and Cohon): each probe minimizes cost minus a chord's
+slope times export over one free-export LP, and either certifies the chord
+as a segment or returns an LP vertex that is a breakpoint.
 """
 
 from __future__ import annotations
@@ -14,12 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import lp as lpmod
-from .distflow import DistFlowVars, build_constraints, dispatch_cost_coeffs
+from .distflow import build_constraints, dispatch_cost_coeffs
 from .lp import InfeasibleError
 from .model import DRAG, REAG, Scenario, require_valid
-
-EQUALITY = "equality"    # export pinned to the parameter (default)
-AT_LEAST = "at-least"    # export allowed to exceed the parameter
 
 
 @dataclass(frozen=True)
@@ -108,23 +105,6 @@ class DsoDispatch:
     reactive_exchange: float
 
 
-def _solve_pinned(
-    scenario: Scenario, q: float, coupling: str
-) -> tuple[lpmod.LpSolution, DistFlowVars, str]:
-    """Solve the dispatch LP at export q; returns (solution, vars, coupling row)."""
-    if coupling == EQUALITY:
-        prog, dvars = build_constraints(scenario.network, scenario.aggregators, net_export=q)
-        coupling_row = dvars.balance_p[scenario.network.substation]
-    elif coupling == AT_LEAST:
-        prog, dvars = build_constraints(scenario.network, scenario.aggregators, net_export=None)
-        coupling_row = prog.add_constraint("coupling", {dvars.p_exchange: 1.0}, lpmod.GEQ, q)
-    else:
-        raise ValueError(f"unknown coupling mode {coupling!r}")
-    prog.set_objective(dispatch_cost_coeffs(scenario.aggregators, dvars))
-    sol = lpmod.solve(prog)
-    return sol, dvars, coupling_row
-
-
 def feasible_range(scenario: Scenario) -> tuple[float, float]:
     """Extreme feasible net exports of the network-plus-blocks polytope."""
     require_valid(scenario)
@@ -139,10 +119,12 @@ def feasible_range(scenario: Scenario) -> tuple[float, float]:
     return out[0], out[1]
 
 
-def value_at(scenario: Scenario, net_export: float, coupling: str = EQUALITY) -> DsoDispatch:
+def value_at(scenario: Scenario, net_export: float) -> DsoDispatch:
     """Minimum-cost aggregator dispatch serving the given net export."""
     require_valid(scenario)
-    sol, dvars, coupling_row = _solve_pinned(scenario, net_export, coupling)
+    prog, dvars = build_constraints(scenario.network, scenario.aggregators, net_export=net_export)
+    prog.set_objective(dispatch_cost_coeffs(scenario.aggregators, dvars))
+    sol = lpmod.solve(prog)
     if sol.status != lpmod.OPTIMAL:
         raise InfeasibleError(f"net export {net_export} MW is {sol.status} for this network")
 
@@ -161,7 +143,7 @@ def value_at(scenario: Scenario, net_export: float, coupling: str = EQUALITY) ->
     return DsoDispatch(
         net_export=net_export,
         cost=sol.objective,
-        marginal_price=sol.dual[coupling_row],
+        marginal_price=sol.dual[dvars.balance_p[scenario.network.substation]],
         by_aggregator=by_aggregator,
         block_dispatch=block_dispatch,
         retail_prices={
@@ -174,143 +156,55 @@ def value_at(scenario: Scenario, net_export: float, coupling: str = EQUALITY) ->
     )
 
 
-@dataclass
-class _Group:
-    """Probes sharing one marginal price: a witness point on the segment line."""
+def build_bid_curve(scenario: Scenario) -> BidCurve:
+    """Recover the exact convex bid curve by chord-slope probing.
 
-    price: float
-    q: float
-    cost: float
-    span_lo: float
-    span_hi: float
-
-    def absorb(self, q: float) -> None:
-        self.span_lo = min(self.span_lo, q)
-        self.span_hi = max(self.span_hi, q)
-
-    @property
-    def is_point(self) -> bool:
-        return self.span_hi - self.span_lo <= 0.0
-
-    def line(self, q: float) -> float:
-        return self.cost + self.price * (q - self.q)
-
-
-def _probe(scenario: Scenario, q: float, coupling: str) -> tuple[float, float]:
-    sol, dvars, coupling_row = _solve_pinned(scenario, q, coupling)
-    if sol.status != lpmod.OPTIMAL:
-        raise InfeasibleError(f"sweep point {q} MW is {sol.status}")
-    return sol.objective, sol.dual[coupling_row]
-
-
-def build_bid_curve(scenario: Scenario, coupling: str = EQUALITY) -> BidCurve:
-    """Sweep the export parameter and assemble the convex bid curve.
-
-    Probes sit at step midpoints (plus two just inside the range ends, so
-    boundary segments are always witnessed), which keeps them off the kinks
-    where the dual is set-valued. Probes landing on a kink anyway are
-    detected afterwards: their witness lies on the envelope of the
-    neighboring segment lines, and such groups are dropped. Each remaining
-    price change is bracketed by bisection to within sweep_step/100 and the
-    breakpoint placed at the intersection of the two segment lines.
+    Each interval (a, b) between known points of the value function is
+    probed with the slope m of its chord: the free-export LP minimizes
+    dispatch cost - m * export. An optimum on the chord means [a, b] is one
+    segment with price m; one below it is an LP vertex strictly inside
+    (a, b), a breakpoint to split at. k segments take 2k - 1 probes, plus
+    two for each probe that lands inside a segment of tied block prices.
     """
     require_valid(scenario)
     q_min, q_max = feasible_range(scenario)
-    width = q_max - q_min
-    dual_tol = max(scenario.tolerance, 1e-9)
+    lo = (q_min, value_at(scenario, q_min).cost)
+    if q_max - q_min <= max(1e-12, 1e-9 * max(abs(q_min), 1.0)):
+        return BidCurve(breakpoints=(lo,), prices=())
+    hi = (q_max, value_at(scenario, q_max).cost)
 
-    if width <= max(1e-12, 1e-9 * max(abs(q_min), 1.0)):
-        dispatch = value_at(scenario, q_min, coupling)
-        return BidCurve(breakpoints=((q_min, dispatch.cost),), prices=())
+    prog, dvars = build_constraints(scenario.network, scenario.aggregators, net_export=None)
+    cost = dispatch_cost_coeffs(scenario.aggregators, dvars)
+    tol = max(scenario.tolerance, 1e-9)
 
-    step = min(scenario.sweep_step, width)
-    refine_tol = step / 100.0
-    edge = min(step, width) / 1000.0
-
-    probe_qs = [q_min + edge]
-    q = q_min + step / 2.0
-    while q < q_max - edge:
-        probe_qs.append(q)
-        q += step
-    probe_qs.append(q_max - edge)
-
-    groups: list[_Group] = []
-    for pq in probe_qs:
-        cost, dual = _probe(scenario, pq, coupling)
-        if groups and abs(dual - groups[-1].price) <= dual_tol:
-            groups[-1].absorb(pq)
-        else:
-            groups.append(_Group(price=dual, q=pq, cost=cost, span_lo=pq, span_hi=pq))
-
-    def refine(left: _Group, right: _Group) -> list[_Group]:
-        """Bisect (left.span_hi, right.span_lo) for price changes; returns
-        any newly discovered segments strictly between the two."""
-        lo, hi = left.span_hi, right.span_lo
-        while hi - lo > refine_tol:
-            mid = 0.5 * (lo + hi)
-            cost, dual = _probe(scenario, mid, coupling)
-            if abs(dual - left.price) <= dual_tol:
-                left.absorb(mid)
-                lo = mid
-            elif abs(dual - right.price) <= dual_tol:
-                right.absorb(mid)
-                hi = mid
-            else:
-                inner = _Group(price=dual, q=mid, cost=cost, span_lo=mid, span_hi=mid)
-                return refine(left, inner) + [inner] + refine(inner, right)
-        return []
-
-    refined: list[_Group] = [groups[0]]
-    for nxt in groups[1:]:
-        refined.extend(refine(refined[-1], nxt))
-        refined.append(nxt)
-
-    # Drop zero-span groups whose witness sits on the neighbors' envelope:
-    # that point is the kink itself, its dual an artifact of the LP basis.
-    cleaned = list(refined)
-    i = 1
-    while i < len(cleaned) - 1:
-        g = cleaned[i]
-        if g.is_point:
-            envelope = max(cleaned[i - 1].line(g.q), cleaned[i + 1].line(g.q))
-            if abs(envelope - g.cost) <= 1e-7 * max(1.0, abs(g.cost)):
-                del cleaned[i]
-                continue
-        i += 1
-
-    # Fold neighbors whose duals agree to tolerance; a near-zero price gap
-    # would otherwise blow up the line intersection below.
-    i = 1
-    while i < len(cleaned):
-        if abs(cleaned[i].price - cleaned[i - 1].price) <= dual_tol:
-            cleaned[i - 1].absorb(cleaned[i].span_hi)
-            del cleaned[i]
+    breakpoints, prices = [lo], []
+    stack = [(lo, hi)]  # intervals still to probe, leftmost on top
+    while stack:
+        a, b = stack.pop()
+        (qa, ca), (qb, cb) = a, b
+        slope = (cb - ca) / (qb - qa)
+        prog.set_objective({**cost, dvars.p_exchange: -slope})
+        sol = lpmod.solve(prog)
+        if sol.status != lpmod.OPTIMAL:
+            raise InfeasibleError(f"chord probe on [{qa}, {qb}] MW is {sol.status}")
+        if sol.objective >= ca - slope * qa - tol * max(1.0, abs(ca), abs(cb)):
+            # Blocks tied at the chord slope can put an earlier probe's vertex
+            # inside a segment; a collinear neighbor is then extended, not split.
+            if prices and abs(slope - prices[-1]) <= tol:
+                del breakpoints[-1], prices[-1]
+                qa, ca = breakpoints[-1]
+                slope = (cb - ca) / (qb - qa)
+            breakpoints.append(b)
+            prices.append(slope)
             continue
-        i += 1
+        q = sol.primal[dvars.p_exchange]
+        if not qa < q < qb:
+            raise lpmod.SolverError(f"chord probe on [{qa}, {qb}] MW returned export {q}")
+        mid = (q, sol.objective + slope * q)
+        stack += [(mid, b), (a, mid)]
 
-    end_cost_lo = value_at(scenario, q_min, coupling).cost
-    end_cost_hi = value_at(scenario, q_max, coupling).cost
-
-    breakpoints = [(q_min, end_cost_lo)]
-    for left, right in zip(cleaned, cleaned[1:]):
-        q_star = (right.cost - right.price * right.q - left.cost + left.price * left.q) / (
-            left.price - right.price
-        )
-        breakpoints.append((q_star, left.line(q_star)))
-    breakpoints.append((q_max, end_cost_hi))
-
-    curve = BidCurve(breakpoints=tuple(breakpoints), prices=tuple(g.price for g in cleaned))
+    curve = BidCurve(breakpoints=tuple(breakpoints), prices=tuple(prices))
     problems = curve.violations()
     if problems:
         raise lpmod.SolverError("assembled bid curve is inconsistent: " + "; ".join(problems))
     return curve
-
-
-def marginal_curve(curve: BidCurve) -> list[tuple[float, float]]:
-    """Stepwise marginal offer: (cumulative export, price) per segment.
-
-    Each pair means "the marginal price is ``price`` for exports up to
-    ``quantity``, starting where the previous step ended"; the first step
-    starts at the curve's minimum export.
-    """
-    return [(seg.q_hi, seg.price) for seg in curve.segments]

@@ -126,7 +126,7 @@ class Scenario:
     aggregators: tuple[Aggregator, ...]
     wholesale: tuple[WholesaleParticipant, ...]
     firm_wholesale_load: float
-    sweep_step: float = 0.1
+    sweep_step: float = 0.1  # accepted from case files but ignored: the bid curve is exact
     tolerance: float = 1e-6
 
     def __post_init__(self):

@@ -1,4 +1,5 @@
-"""Shared test machinery: random scenarios, brute-force oracles, residual checks.
+"""Shared test machinery: random scenarios, brute-force oracles, residual checks,
+unit rescaling, and a forced equivalence failure for the CLI.
 
 The oracles here are deliberately independent of the package's LP path:
 dispatch problems are solved by enumerating vertex dispatches (every subset
@@ -8,10 +9,12 @@ equations are re-evaluated from primal values with a fresh tree walk.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import numpy as np
 
+import gridcoord.cli as cli
 from gridcoord.model import (
     DDGAG,
     DR,
@@ -239,3 +242,66 @@ def random_scenario(seed: int) -> Scenario:
         sweep_step=float(step),
         tolerance=1e-6,
     )
+
+
+# ---------------------------------------------------------------------------
+# Unit rescaling
+# ---------------------------------------------------------------------------
+
+
+def scale_power(scenario: Scenario, factor: float) -> Scenario:
+    """Every MW/MVAr quantity times ``factor``; r and x divided by it.
+
+    Voltage drops 2 (r p + x q) / base_mva are unchanged, so ``factor=1e-3``
+    turns a MW case into the same feeder stated in kW-sized numbers.
+    """
+    def blocks(stack: BlockOfferStack) -> BlockOfferStack:
+        return BlockOfferStack(tuple(Block(b.p_max * factor, b.price) for b in stack.blocks))
+
+    net = scenario.network
+    network = dataclasses.replace(
+        net,
+        load_p=tuple(v * factor for v in net.load_p),
+        load_q=tuple(v * factor for v in net.load_q),
+        branches=tuple(
+            dataclasses.replace(br, r=br.r / factor, x=br.x / factor,
+                                pl_max=br.pl_max * factor, ql_max=br.ql_max * factor)
+            for br in net.branches
+        ),
+    )
+    return dataclasses.replace(
+        scenario,
+        network=network,
+        aggregators=tuple(
+            dataclasses.replace(agg, offers=blocks(agg.offers),
+                                fixed_output=agg.fixed_output * factor)
+            for agg in scenario.aggregators
+        ),
+        wholesale=tuple(
+            dataclasses.replace(wp, offers=blocks(wp.offers)) for wp in scenario.wholesale
+        ),
+        firm_wholesale_load=scenario.firm_wholesale_load * factor,
+        sweep_step=scenario.sweep_step * factor,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Forced verification failure
+# ---------------------------------------------------------------------------
+
+
+def force_equivalence_failure(monkeypatch) -> None:
+    """Make ``gridcoord verify`` see a failed report, keeping the real numbers.
+
+    An exact pipeline can show zero deviation, which no tolerance fails, so
+    exit code 2 is exercised by flipping ``passed`` on the real result.
+    """
+    real = cli.check_equivalence
+
+    def failing(*args, **kwargs):
+        result = real(*args, **kwargs)
+        return dataclasses.replace(
+            result, equivalence=dataclasses.replace(result.equivalence, passed=False)
+        )
+
+    monkeypatch.setattr(cli, "check_equivalence", failing)

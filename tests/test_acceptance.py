@@ -20,7 +20,12 @@ from gridcoord.distflow import build_constraints, dispatch_cost_coeffs
 from gridcoord.dso import build_bid_curve, feasible_range, value_at
 from gridcoord.iso import clear
 
-from support import capacity_export_range, distflow_residuals, random_scenario
+from support import (
+    capacity_export_range,
+    distflow_residuals,
+    force_equivalence_failure,
+    random_scenario,
+)
 
 N_CAMPAIGN = 200
 
@@ -178,7 +183,7 @@ def test_criterion_7_lp_contract(reference, campaign):
     )
 
 
-def test_criterion_8_cli_determinism(tmp_path):
+def test_criterion_8_cli_determinism(tmp_path, monkeypatch):
     out1, out2 = tmp_path / "run1", tmp_path / "run2"
     code1 = cli_main(["coordinate", "--case", "paper_reference", "--out", str(out1)])
     code2 = cli_main(["coordinate", "--case", "paper_reference", "--out", str(out2)])
@@ -186,12 +191,16 @@ def test_criterion_8_cli_determinism(tmp_path):
              "dso_dispatch.csv", "retail_prices.csv"]
     identical = all(filecmp.cmp(out1 / f, out2 / f, shallow=False) for f in files)
 
+    verify_code = cli_main(["verify", "--case", "paper_reference", "--out", str(tmp_path)])
+    with monkeypatch.context() as patch:
+        force_equivalence_failure(patch)
+        failed_code = cli_main(["verify", "--case", "paper_reference", "--tol", "1e-18",
+                                "--out", str(tmp_path)])
     exit_ok = (
         code1 == 0
         and code2 == 0
-        and cli_main(["verify", "--case", "paper_reference", "--out", str(tmp_path)]) == 0
-        and cli_main(["verify", "--case", "paper_reference", "--tol", "1e-18",
-                      "--out", str(tmp_path)]) == 2
+        and verify_code == 0
+        and failed_code == 2
         and cli_main(["dso-bid", "--case", str(tmp_path / "absent.json")]) == 1
     )
     doc = json.loads(resolve_case_path("paper_reference").read_text())

@@ -7,6 +7,8 @@ from gridcoord.cli import main, read_curve
 from gridcoord.dso import build_bid_curve
 from gridcoord.caseio import parse_case
 
+from support import force_equivalence_failure
+
 EXPECTED_BREAKPOINTS = [-1.5, -0.5, 0.7, 1.2, 3.2, 5.7]
 
 
@@ -111,12 +113,14 @@ def test_verify_pass_and_report(tmp_path, capsys):
     assert {"objective", "dso_exchange", "Gen1", "DDGAG1"} <= names
 
 
-def test_verify_fail_exit_code(tmp_path):
+def test_verify_fail_exit_code(tmp_path, monkeypatch):
+    force_equivalence_failure(monkeypatch)
     code = run(["verify", "--case", "paper_reference", "--tol", "1e-18",
                 "--out", str(tmp_path)])
     assert code == 2
     report = json.loads((tmp_path / "equivalence_report.json").read_text())
     assert report["passed"] is False
+    assert report["tolerance"] == 1e-18
 
 
 def test_parse_and_usage_errors_exit_one(tmp_path):
@@ -137,7 +141,11 @@ def test_infeasible_case_exits_three(tmp_path):
 
 
 def test_env_var_overrides_tolerance(tmp_path, monkeypatch):
+    force_equivalence_failure(monkeypatch)
     monkeypatch.setenv("GRIDCOORD_TOL", "1e-18")
     assert run(["verify", "--case", "paper_reference", "--out", str(tmp_path)]) == 2
+    report = json.loads((tmp_path / "equivalence_report.json").read_text())
+    assert report["passed"] is False
+    assert report["tolerance"] == 1e-18
     monkeypatch.setenv("GRIDCOORD_TOL", "not-a-number")
     assert run(["verify", "--case", "paper_reference", "--out", str(tmp_path)]) == 1

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from gridcoord.caseio import parse_case
 from gridcoord.coordination import check_equivalence, run_coordinated, run_ideal
+from gridcoord.dso import build_bid_curve
 from gridcoord.iso import clear
 from gridcoord.model import (
     Aggregator,
@@ -17,7 +18,7 @@ from gridcoord.model import (
     WholesaleParticipant,
 )
 
-from support import random_scenario
+from support import random_scenario, scale_power
 
 EXPECTED_WHOLESALE = {"Gen1": 10.0, "Gen2": 20.0, "Gen3": 13.8,
                     "DR1": 10.0, "DR2": 20.0, "DR3": 10.0}
@@ -141,4 +142,21 @@ def test_random_pipeline_cost_identity_and_award_on_curve(seed):
     assert result.bid_curve.q_min - 1e-9 <= award <= result.bid_curve.q_max + 1e-9
     assert result.dso_dispatch.cost == pytest.approx(
         result.bid_curve.cost_at(award), abs=1e-6
+    )
+
+
+@pytest.mark.parametrize("seed", [1, 5, 19, 29])
+def test_kw_scale_feeder_gives_the_same_curve_and_passes(seed):
+    # The sweep-based curve raised "breakpoints must be strictly increasing"
+    # on these seeds at kW scale; scaling MW by 1e-3 (r, x by 1e3) leaves the voltage drops,
+    # prices and the curve's shape unchanged.
+    scenario = random_scenario(seed)
+    scaled = scale_power(scenario, 1e-3)
+    result = check_equivalence(scaled)
+    assert result.equivalence.passed
+    curve, base = result.bid_curve, build_bid_curve(scenario)
+    assert curve.violations() == []
+    assert list(curve.prices) == pytest.approx(list(base.prices), abs=1e-6)
+    assert [q for q, _ in curve.breakpoints] == pytest.approx(
+        [1e-3 * q for q, _ in base.breakpoints], abs=1e-9
     )

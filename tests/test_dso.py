@@ -3,15 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridcoord.caseio import parse_case
-from gridcoord.dso import (
-    AT_LEAST,
-    BidCurve,
-    build_bid_curve,
-    feasible_range,
-    marginal_curve,
-    value_at,
-)
+import gridcoord.lp as lp
+from gridcoord.caseio import BUNDLED_CASES, parse_case
+from gridcoord.dso import BidCurve, build_bid_curve, feasible_range, value_at
 from gridcoord.lp import InfeasibleError
 from gridcoord.model import (
     Aggregator,
@@ -177,7 +171,7 @@ def test_degenerate_range_yields_pointlike_curve():
 
 
 def test_sweep_probe_landing_on_a_kink_is_harmless():
-    # step 0.4 puts a midpoint probe exactly on the kink at q = 1.0.
+    # sweep_step is ignored; the kink at q = 1.0 must come out exact anyway.
     scenario = single_node_scenario(
         [Aggregator(id="g", kind="DDGAG", node=0,
                     offers=BlockOfferStack((Block(1.0, 10.0), Block(1.0, 20.0))))],
@@ -202,18 +196,29 @@ def test_segments_shorter_than_sweep_step_are_found():
     )
 
 
-def test_marginal_curve_steps(reference_curve):
-    steps = marginal_curve(reference_curve)
-    assert [p for _, p in steps] == pytest.approx(REFERENCE_PRICES)
-    assert [q for q, _ in steps] == pytest.approx(REFERENCE_BREAKPOINTS[1:], abs=1e-6)
+def test_blocks_tied_at_the_chord_slope_give_one_segment():
+    # Supply and demand blocks both at 10 $/MWh give the cost slope 10 on
+    # [-2, 1], and the first chord over [-4, 3] has slope 10 too, so its probe
+    # may return any vertex of that segment; the curve must still have one
+    # segment per distinct price.
+    scenario = single_node_scenario([
+        Aggregator(id="g", kind="DDGAG", node=0,
+                   offers=BlockOfferStack((Block(1.0, 10.0), Block(2.0, 15.0)))),
+        Aggregator(id="d", kind="DRAG", node=0,
+                   offers=BlockOfferStack((Block(2.0, 10.0), Block(2.0, 5.0)))),
+    ])
+    curve = build_bid_curve(scenario)
+    assert list(curve.prices) == pytest.approx([5.0, 10.0, 15.0])
+    assert [q for q, _ in curve.breakpoints] == pytest.approx([-4.0, -2.0, 1.0, 3.0], abs=1e-9)
 
 
-def test_marginal_curve_is_curve_derivative(reference_curve):
-    for i, seg in enumerate(reference_curve.segments):
-        lo_cost = reference_curve.breakpoints[i][1]
-        hi_cost = reference_curve.breakpoints[i + 1][1]
-        slope = (hi_cost - lo_cost) / (seg.q_hi - seg.q_lo)
-        assert slope == pytest.approx(seg.price, abs=1e-9)
+@pytest.mark.parametrize("name", BUNDLED_CASES)
+def test_curve_takes_at_most_two_solves_per_segment_plus_three(name):
+    scenario = parse_case(name)
+    before = lp.solve_stats()["solves"]
+    curve = build_bid_curve(scenario)
+    solves = lp.solve_stats()["solves"] - before
+    assert solves <= 2 * len(curve.prices) + 3
 
 
 def test_monotone_merit_order_dispatch_along_the_sweep(reference):
@@ -225,37 +230,6 @@ def test_monotone_merit_order_dispatch_along_the_sweep(reference):
                 assert dispatch.by_aggregator[agg_id] >= previous[agg_id] - 1e-8
             assert dispatch.by_aggregator["DRAG"] <= previous["DRAG"] + 1e-8
         previous = dispatch.by_aggregator
-
-
-def test_at_least_coupling_matches_equality_on_reference(reference):
-    eq_curve = build_bid_curve(reference)
-    ge_curve = build_bid_curve(reference, coupling=AT_LEAST)
-    assert list(ge_curve.prices) == pytest.approx(list(eq_curve.prices), abs=1e-9)
-    assert [q for q, _ in ge_curve.breakpoints] == pytest.approx(
-        [q for q, _ in eq_curve.breakpoints], abs=1e-6
-    )
-    for q in (-1.5, 0.0, 1.2, 4.0):
-        assert value_at(reference, q, coupling=AT_LEAST).cost == pytest.approx(
-            value_at(reference, q).cost, abs=1e-7
-        )
-
-
-def test_at_least_coupling_takes_the_monotone_hull_under_negative_prices():
-    # With a negative-cost block the value function dips; exporting more than
-    # the parameter is then cheaper, so the inequality coupling flattens the
-    # decreasing part to its minimum.
-    scenario = single_node_scenario(
-        [Aggregator(id="g", kind="DDGAG", node=0,
-                    offers=BlockOfferStack((Block(1.0, -5.0), Block(1.0, 10.0))))]
-    )
-    eq_curve = build_bid_curve(scenario)
-    assert list(eq_curve.prices) == pytest.approx([-5.0, 10.0])
-    assert eq_curve.cost_at(0.0) == pytest.approx(0.0, abs=1e-7)
-
-    ge_curve = build_bid_curve(scenario, coupling=AT_LEAST)
-    assert list(ge_curve.prices) == pytest.approx([0.0, 10.0])
-    assert ge_curve.cost_at(0.0) == pytest.approx(-5.0, abs=1e-7)
-    assert ge_curve.cost_at(2.0) == pytest.approx(5.0, abs=1e-7)
 
 
 def test_curve_domain_equals_feasible_range(reference, reference_curve):
