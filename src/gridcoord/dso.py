@@ -5,12 +5,15 @@ small LP over the aggregator blocks and network constraints. As a function
 of the export parameter it is convex piecewise linear, so the curve is
 recovered exactly by chord-slope probing (the NISE / sandwich method of
 Eisner & Severance and Cohon): each probe minimizes cost minus a chord's
-slope times export over one free-export LP, and either certifies the chord
-as a segment or returns an LP vertex that is a breakpoint.
+slope times export, and either certifies the chord as a segment or returns
+an LP vertex that is a breakpoint. One free-export LP per curve serves every
+solve: the range, the end costs (export pinned through its bounds) and the
+probes, each re-solved from the previous basis.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import lp as lpmod
@@ -105,18 +108,23 @@ class DsoDispatch:
     reactive_exchange: float
 
 
+def _export_range(prog: lpmod.LinearProgram, p_exchange: str) -> tuple[float, float]:
+    """Minimize, then maximize, the free export variable of ``prog``."""
+    out = []
+    for sense in (1.0, -1.0):
+        prog.set_objective({p_exchange: sense})
+        sol = lpmod.solve(prog)
+        if sol.status != lpmod.OPTIMAL:
+            raise InfeasibleError(f"distribution dispatch polytope is {sol.status}")
+        out.append(sol.primal[p_exchange])
+    return out[0], out[1]
+
+
 def feasible_range(scenario: Scenario) -> tuple[float, float]:
     """Extreme feasible net exports of the network-plus-blocks polytope."""
     require_valid(scenario)
     prog, dvars = build_constraints(scenario.network, scenario.aggregators, net_export=None)
-    out = []
-    for sense in (1.0, -1.0):
-        prog.set_objective({dvars.p_exchange: sense})
-        sol = lpmod.solve(prog)
-        if sol.status != lpmod.OPTIMAL:
-            raise InfeasibleError(f"distribution dispatch polytope is {sol.status}")
-        out.append(sol.primal[dvars.p_exchange])
-    return out[0], out[1]
+    return _export_range(prog, dvars.p_exchange)
 
 
 def value_at(scenario: Scenario, net_export: float) -> DsoDispatch:
@@ -159,22 +167,36 @@ def value_at(scenario: Scenario, net_export: float) -> DsoDispatch:
 def build_bid_curve(scenario: Scenario) -> BidCurve:
     """Recover the exact convex bid curve by chord-slope probing.
 
-    Each interval (a, b) between known points of the value function is
-    probed with the slope m of its chord: the free-export LP minimizes
-    dispatch cost - m * export. An optimum on the chord means [a, b] is one
-    segment with price m; one below it is an LP vertex strictly inside
-    (a, b), a breakpoint to split at. k segments take 2k - 1 probes, plus
-    two for each probe that lands inside a segment of tied block prices.
+    One free-export LP is built and re-solved throughout. Its range comes
+    from minimizing and maximizing the export; each end cost is the
+    dispatch cost with the export pinned to that end through its bounds,
+    which are freed again afterwards. Each interval (a, b) between known
+    points of the value function is then probed with the slope m of its
+    chord: the LP minimizes dispatch cost - m * export. An optimum on the
+    chord means [a, b] is one segment with price m; one below it is an LP
+    vertex strictly inside (a, b), a breakpoint to split at. k segments take
+    2k - 1 probes, plus two for each probe that lands inside a segment of
+    tied block prices.
     """
     require_valid(scenario)
-    q_min, q_max = feasible_range(scenario)
-    lo = (q_min, value_at(scenario, q_min).cost)
+    prog, dvars = build_constraints(scenario.network, scenario.aggregators, net_export=None)
+    px = dvars.p_exchange
+    q_min, q_max = _export_range(prog, px)
+    cost = dispatch_cost_coeffs(scenario.aggregators, dvars)
+    prog.set_objective(cost)
+
+    def pinned_cost(q: float) -> float:
+        prog.set_bounds(px, q, q)
+        sol = lpmod.solve(prog)
+        prog.set_bounds(px, -math.inf, math.inf)
+        if sol.status != lpmod.OPTIMAL:
+            raise InfeasibleError(f"net export {q} MW is {sol.status} for this network")
+        return sol.objective
+
+    lo = (q_min, pinned_cost(q_min))
     if q_max - q_min <= max(1e-12, 1e-9 * max(abs(q_min), 1.0)):
         return BidCurve(breakpoints=(lo,), prices=())
-    hi = (q_max, value_at(scenario, q_max).cost)
-
-    prog, dvars = build_constraints(scenario.network, scenario.aggregators, net_export=None)
-    cost = dispatch_cost_coeffs(scenario.aggregators, dvars)
+    hi = (q_max, pinned_cost(q_max))
     tol = max(scenario.tolerance, 1e-9)
 
     breakpoints, prices = [lo], []
@@ -183,7 +205,7 @@ def build_bid_curve(scenario: Scenario) -> BidCurve:
         a, b = stack.pop()
         (qa, ca), (qb, cb) = a, b
         slope = (cb - ca) / (qb - qa)
-        prog.set_objective({**cost, dvars.p_exchange: -slope})
+        prog.set_objective({**cost, px: -slope})
         sol = lpmod.solve(prog)
         if sol.status != lpmod.OPTIMAL:
             raise InfeasibleError(f"chord probe on [{qa}, {qb}] MW is {sol.status}")
@@ -197,7 +219,7 @@ def build_bid_curve(scenario: Scenario) -> BidCurve:
             breakpoints.append(b)
             prices.append(slope)
             continue
-        q = sol.primal[dvars.p_exchange]
+        q = sol.primal[px]
         if not qa < q < qb:
             raise lpmod.SolverError(f"chord probe on [{qa}, {qb}] MW returned export {q}")
         mid = (q, sol.objective + slope * q)

@@ -4,13 +4,15 @@ Solving goes through scipy's HiGHS binding. On its first solve a
 ``LinearProgram`` is compiled to column-wise sparse arrays and loaded into
 one HiGHS instance that the program keeps. Each constraint is a range row
 ``row_lower <= a.x <= row_upper``: ``==`` rows are (rhs, rhs), ``<=`` rows
-(-inf, rhs) and ``>=`` rows (rhs, +inf). A new objective keeps the loaded
-model, so the next solve starts from the previous basis; a new variable or
-constraint discards it.
+(-inf, rhs) and ``>=`` rows (rhs, +inf). A new objective or new variable
+bounds keep the loaded model, so the next solve starts from the previous
+basis; a new variable or constraint discards it.
 
-An optimal answer is checked by its residual and duality gap. Any other
-verdict is taken from a run without a starting basis and without presolve
-(see ``linprog``), so a re-solve and a fresh solve of an LP agree on it.
+An optimal answer is checked by its residual and by its duality gap, whose
+bound terms come from the columns that sit exactly on a bound (HiGHS puts
+nonbasic columns there), not from the basis. Any other verdict is taken
+from a run without a starting basis and without presolve (see ``linprog``),
+so a re-solve and a fresh solve of an LP agree on it.
 
 Duals are reported in shadow price convention: for a minimization, the dual
 of any constraint is the right-derivative of the optimal objective with
@@ -28,7 +30,6 @@ import numpy as np
 
 try:
     from scipy.optimize._highspy._core import (
-        HighsBasisStatus,
         HighsLp,
         HighsModelStatus,
         HighsStatus,
@@ -129,6 +130,20 @@ class LinearProgram:
                 raise ValueError(f"objective references undeclared variable {var!r}")
         self._objective = dict(coeffs)
         self.objective_constant = float(constant)
+
+    def set_bounds(self, name: str, lower: float, upper: float) -> None:
+        """Move a variable's bounds; a compiled program keeps its model and basis."""
+        if name not in self._var_index:
+            raise ValueError(f"bounds reference undeclared variable {name!r}")
+        if lower > upper:
+            raise ValueError(f"variable {name!r}: lower {lower} > upper {upper}")
+        j = self._var_index[name]
+        self._lower[j], self._upper[j] = float(lower), float(upper)
+        backend = self._backend
+        if backend is not None:
+            backend.lower[j], backend.upper[j] = lower, upper
+            backend.highs.changeColsBounds(1, backend.col_ids[j:j + 1], backend.lower[j:j + 1],
+                                           backend.upper[j:j + 1])
 
 
 class _Backend:
@@ -236,8 +251,11 @@ def solve(lp: LinearProgram, tolerance: float = DEFAULT_TOLERANCE) -> LpSolution
     LinearProgram must not be solved from two threads at once.
     """
     nvar = len(lp._var_names)
-    if nvar == 0:
+    if nvar == 0:  # every row is a constant 0 against its bounds
+        if any(lo > 0.0 or up < 0.0 for lo, up in zip(lp._row_lower, lp._row_upper)):
+            return LpSolution(status=INFEASIBLE)
         return LpSolution(status=OPTIMAL, objective=lp.objective_constant,
+                          dual=dict.fromkeys(lp._con_index, 0.0),
                           duality_gap=0.0, max_residual=0.0)
     if lp._backend is None:
         lp._backend = _Backend(lp)
@@ -261,11 +279,11 @@ def solve(lp: LinearProgram, tolerance: float = DEFAULT_TOLERANCE) -> LpSolution
     y = np.array(solution.row_dual)
     reduced = np.array(solution.col_dual)
 
-    # Dual objective: y'b plus reduced-cost terms at the finite bound each
-    # nonbasic column sits at; other columns contribute nothing (no 0 * inf).
-    status = np.array(highs.getBasis().col_status, dtype=np.int8)
-    at_lower = (status == int(HighsBasisStatus.kLower)) & np.isfinite(backend.lower)
-    at_upper = (status == int(HighsBasisStatus.kUpper)) & np.isfinite(backend.upper)
+    # Dual objective: y'b plus reduced-cost terms at the bound each column
+    # sits exactly on (a fixed column counts once); other columns contribute
+    # nothing, so a nonbasic column off its bound could only widen the gap.
+    at_lower = x == backend.lower
+    at_upper = (x == backend.upper) & ~at_lower
     dual_obj = (y @ backend.rhs + reduced[at_lower] @ backend.lower[at_lower]
                 + reduced[at_upper] @ backend.upper[at_upper])
     gap = abs(run.objective - float(dual_obj))

@@ -145,8 +145,6 @@ class Incidence:
 
     parent: tuple[NodeId, ...]          # per branch
     child: tuple[NodeId, ...]           # per branch
-    node_parent_branch: tuple[int, ...]  # per node, -1 at the substation
-    root_path: tuple[tuple[int, ...], ...]  # per node, branch ids substation -> node
 
 
 def _network_violations(net: NetworkModel) -> list[str]:
@@ -205,8 +203,6 @@ def derived_incidence(network: NetworkModel) -> Incidence:
 
     parent = [-1] * len(network.branches)
     child = [-1] * len(network.branches)
-    node_parent_branch = [-1] * n
-    root_path: list[tuple[int, ...]] = [()] * n
     seen_nodes = {network.substation}
     seen_branches = set()
     stack = [network.substation]
@@ -221,18 +217,11 @@ def derived_incidence(network: NetworkModel) -> Incidence:
             seen_nodes.add(v)
             parent[j] = u
             child[j] = v
-            node_parent_branch[v] = j
-            root_path[v] = root_path[u] + (j,)
             stack.append(v)
     if len(seen_nodes) != n:
         missing = sorted(set(range(n)) - seen_nodes)
         raise ValueError(f"nodes {missing} unreachable from the substation")
-    return Incidence(
-        parent=tuple(parent),
-        child=tuple(child),
-        node_parent_branch=tuple(node_parent_branch),
-        root_path=tuple(root_path),
-    )
+    return Incidence(parent=tuple(parent), child=tuple(child))
 
 
 def validate(scenario: Scenario) -> list[str]:

@@ -25,6 +25,7 @@ from gridcoord.model import (
     Block,
     BlockOfferStack,
     Branch,
+    Incidence,
     NetworkModel,
     Scenario,
     WholesaleParticipant,
@@ -135,6 +136,19 @@ def distflow_residuals(network: NetworkModel, voltages_sq, flows_p, flows_q):
         hi = network.u_sub if i == network.substation else network.u_max
         bounds = max(bounds, lo - voltages_sq[i], voltages_sq[i] - hi, 0.0)
     return recursion, bounds
+
+
+def root_paths(inc: Incidence, substation: int) -> list[list[int]]:
+    """Per node, the ids of the branches between it and the substation."""
+    parent_branch = {node: j for j, node in enumerate(inc.child)}
+    paths = []
+    for node in range(len(inc.child) + 1):
+        path = []
+        while node != substation:
+            path.append(parent_branch[node])
+            node = inc.parent[path[-1]]
+        paths.append(path)
+    return paths
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from gridcoord.model import (
     derived_incidence,
 )
 
-from support import capacity_export_range, distflow_residuals, random_scenario
+from support import capacity_export_range, distflow_residuals, random_scenario, root_paths
 
 
 def line_network(n_nodes, r=0.001, x=0.001):
@@ -150,7 +150,7 @@ def test_voltage_recursion_telescopes_along_root_paths(seed, frac):
     net = scenario.network
     lo, hi = feasible_range(scenario)
     dispatch = value_at(scenario, lo + frac * (hi - lo))
-    inc = derived_incidence(net)
+    paths = root_paths(derived_incidence(net), net.substation)
     for node in range(net.n_nodes):
         drop = sum(
             2.0
@@ -159,7 +159,7 @@ def test_voltage_recursion_telescopes_along_root_paths(seed, frac):
                 + net.branches[j].x * dispatch.flows_q[j]
             )
             / net.base_mva
-            for j in inc.root_path[node]
+            for j in paths[node]
         )
         assert dispatch.voltages_sq[node] == pytest.approx(net.u_sub - drop, abs=1e-7)
 

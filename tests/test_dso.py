@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gridcoord.dso as dso
 import gridcoord.lp as lp
 from gridcoord.caseio import BUNDLED_CASES, parse_case
+from gridcoord.distflow import build_constraints
 from gridcoord.dso import BidCurve, build_bid_curve, feasible_range, value_at
 from gridcoord.lp import InfeasibleError
 from gridcoord.model import (
@@ -219,6 +221,23 @@ def test_curve_takes_at_most_two_solves_per_segment_plus_three(name):
     curve = build_bid_curve(scenario)
     solves = lp.solve_stats()["solves"] - before
     assert solves <= 2 * len(curve.prices) + 3
+
+
+@pytest.mark.parametrize("name", BUNDLED_CASES)
+def test_curve_builds_one_lp_and_its_end_costs_match_value_at(name, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return build_constraints(*args, **kwargs)
+
+    monkeypatch.setattr(dso, "build_constraints", counting)
+    scenario = parse_case(name)
+    curve = build_bid_curve(scenario)
+    assert len(calls) == 1
+    for q, cost in (curve.breakpoints[0], curve.breakpoints[-1]):
+        expected = value_at(scenario, q).cost
+        assert abs(cost - expected) <= 1e-9 * max(1.0, abs(expected))
 
 
 def test_monotone_merit_order_dispatch_along_the_sweep(reference):

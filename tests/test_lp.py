@@ -271,3 +271,93 @@ def test_missing_highs_binding_fails_at_import_naming_the_scipy_floor():
                          timeout=60)
     assert run.returncode != 0
     assert "ImportError: gridcoord needs scipy>=1.15" in run.stderr
+
+
+def _outcome(prog):
+    """(status, objective, duality gap) of a solve, or SolverError's name."""
+    try:
+        sol = lp.solve(prog)
+    except lp.SolverError:
+        return "SolverError", None, None
+    return sol.status, sol.objective, sol.duality_gap
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_resolve_after_new_bounds_matches_a_fresh_build(seed):
+    rng = np.random.default_rng(seed)
+    a, relations, rhs, lower, upper = _random_lp_data(rng, anchored=True)
+    n = len(lower)
+    c = rng.normal(size=n)
+    prog = _build_lp((a, relations, rhs, lower, upper), c)
+    lp.solve(prog)
+    j = int(rng.integers(n))
+    name = f"x{j}"
+    pin = float(rng.uniform(-2.0, 2.0))
+    moved = (pin - float(rng.uniform(0.0, 2.0)), pin + float(rng.uniform(0.0, 2.0)))
+    # Pin, move, then free the variable again; each re-solve is warm.
+    for lo, hi in [(pin, pin), moved, (lower[j], upper[j])]:
+        prog.set_bounds(name, float(lo), float(hi))
+        new_lower, new_upper = lower.copy(), upper.copy()
+        new_lower[j], new_upper[j] = lo, hi
+        warm = _outcome(prog)
+        fresh = _outcome(_build_lp((a, relations, rhs, new_lower, new_upper), c))
+        assert warm[0] == fresh[0]
+        if fresh[0] == lp.OPTIMAL:
+            assert warm[1] == pytest.approx(fresh[1], abs=1e-7)
+            assert warm[2] == pytest.approx(fresh[2], abs=1e-7)
+
+
+def test_pin_that_makes_a_row_binding_moves_the_optimum():
+    prog = lp.LinearProgram()
+    prog.add_variable("x", 0.0, 10.0)
+    prog.add_variable("y", 0.0, 5.0)
+    prog.add_constraint("cap", {"y": 1.0, "x": -1.0}, lp.LEQ, 2.0)
+    prog.set_objective({"y": -1.0})
+    assert lp.solve(prog).objective == pytest.approx(-5.0)
+    backend = prog._backend
+
+    prog.set_bounds("x", 1.0, 1.0)  # y <= x + 2 = 3 now binds
+    sol = lp.solve(prog)
+    assert prog._backend is backend  # the loaded model was kept
+    assert sol.objective == pytest.approx(-3.0)
+    assert sol.primal == pytest.approx({"x": 1.0, "y": 3.0})
+    assert sol.dual["cap"] == pytest.approx(-1.0)
+    assert sol.max_residual <= 1e-7
+    assert sol.duality_gap <= 1e-7
+
+    prog.set_bounds("x", 0.0, 10.0)
+    assert lp.solve(prog).objective == pytest.approx(-5.0)
+
+
+def test_set_bounds_rejects_crossed_bounds_and_unknown_names():
+    prog = lp.LinearProgram()
+    prog.add_variable("x", 0.0, 1.0)
+    with pytest.raises(ValueError, match="lower"):
+        prog.set_bounds("x", 2.0, 1.0)
+    with pytest.raises(ValueError, match="undeclared"):
+        prog.set_bounds("y", 0.0, 1.0)
+
+
+def test_program_without_variables_is_infeasible_on_a_violated_constant_row():
+    prog = lp.LinearProgram()
+    prog.add_constraint("c", {}, lp.EQ, 5.0)
+    assert lp.solve(prog).status == lp.INFEASIBLE
+    prog.add_variable("x", 0.0, 1.0)  # the same row next to a variable
+    assert lp.solve(prog).status == lp.INFEASIBLE
+
+    prog = lp.LinearProgram()
+    prog.add_constraint("floor", {}, lp.GEQ, 1e-3)
+    assert lp.solve(prog).status == lp.INFEASIBLE
+
+
+def test_program_without_variables_reports_zero_duals_when_feasible():
+    prog = lp.LinearProgram()
+    prog.add_constraint("eq", {}, lp.EQ, 0.0)
+    prog.add_constraint("cap", {}, lp.LEQ, 1.0)
+    prog.add_constraint("floor", {}, lp.GEQ, -1.0)
+    prog.set_objective({}, constant=3.0)
+    sol = lp.solve(prog)
+    assert sol.status == lp.OPTIMAL
+    assert sol.objective == 3.0
+    assert sol.dual == {"eq": 0.0, "cap": 0.0, "floor": 0.0}
