@@ -76,6 +76,9 @@ def main(argv=None):
     )
     print(f"  objective coordinated: {report.objective_coordinated:.6f} $/h")
     print(f"  objective joint:       {report.objective_ideal:.6f} $/h")
+    print(f"  objective gap:         "
+          f"{abs(report.objective_coordinated - report.objective_ideal):.3g} $/h")
+    print(f"  primal residual:       {report.primal_residual:.3g}")
 
     if args.out:
         code = cli_main(["coordinate", "--case", args.case, "--out", str(args.out)])

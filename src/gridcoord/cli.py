@@ -181,13 +181,13 @@ def _cmd_verify(args) -> int:
         "objective_ideal": report.objective_ideal,
         "objective_coordinated": report.objective_coordinated,
         "max_deviation": report.max_deviation,
+        "primal_residual": report.primal_residual,
         "participants": [
             {
                 "name": row.name,
                 "ideal_mw": row.ideal,
                 "coordinated_mw": row.coordinated,
                 "deviation": row.deviation,
-                "comparison": row.mode,
             }
             for row in report.rows
         ],

@@ -3,10 +3,13 @@
 ``run_coordinated`` chains bid-curve construction, wholesale clearing, and
 aggregator re-dispatch at the awarded export. ``run_ideal`` solves the whole
 thing as one LP (aggregators bidding straight into the wholesale balance,
-network constraints included). ``check_equivalence`` runs both and compares:
-objectives always; individual quantities only where the optimum is provably
-unique; quantities aggregated per price level where block ties make the
-split arbitrary.
+network constraints included). ``check_equivalence`` certifies that the two
+agree: the coordinated outcome, read as a point of the joint LP (wholesale
+block fills, the award as the exchange, and the re-dispatch's aggregator
+blocks, flows and voltages), must be feasible and reach the joint optimum.
+Where tied prices leave the optimum non-unique, any optimal split passes,
+so no tie needs detecting; per-participant differences are reported for
+information only.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from . import lp as lpmod
-from .distflow import build_constraints, dispatch_cost_coeffs
+from .distflow import DistFlowVars, build_constraints, dispatch_cost_coeffs
 from .dso import BidCurve, DsoDispatch, build_bid_curve, value_at
 from .iso import IsoOutcome, clear
 from .lp import InfeasibleError, SolverError
@@ -43,7 +46,6 @@ class EquivalenceRow:
     name: str
     ideal: float
     coordinated: float
-    mode: str  # "strict" or "price-level"
 
     @property
     def deviation(self) -> float:
@@ -53,7 +55,8 @@ class EquivalenceRow:
 @dataclass(frozen=True)
 class EquivalenceReport:
     passed: bool
-    max_deviation: float
+    max_deviation: float                  # max(primal_residual, objective gap)
+    primal_residual: float                # coordinated point's worst joint-LP violation
     tolerance: float
     objective_ideal: float
     objective_coordinated: float
@@ -84,34 +87,43 @@ def run_coordinated(scenario: Scenario) -> CoordinationResult:
     return CoordinationResult(bid_curve=curve, iso=outcome, dso_dispatch=dispatch)
 
 
-def run_ideal(scenario: Scenario) -> IdealOutcome:
-    """One LP: wholesale stacks, aggregator stacks, and network constraints."""
-    require_valid(scenario)
-    prog = lpmod.LinearProgram()
+_WholesaleVars = dict[str, tuple[str, ...]]  # wholesale id -> its block variables
+
+
+def _joint_lp(scenario: Scenario) -> tuple[lpmod.LinearProgram, DistFlowVars, _WholesaleVars]:
+    """The joint LP with its DistFlow and wholesale variable names."""
     prog, dvars = build_constraints(
-        scenario.network, scenario.aggregators, net_export=None, lp=prog, prefix="dso."
+        scenario.network, scenario.aggregators, net_export=None, prefix="dso."
     )
     objective = dispatch_cost_coeffs(scenario.aggregators, dvars)
     balance: dict[str, float] = {dvars.p_exchange: 1.0}
+    wholesale_blocks: _WholesaleVars = {}
     for wp in scenario.wholesale:
         sign = -1.0 if wp.kind == DR else 1.0
+        names = []
         for b, blk in enumerate(wp.offers.blocks):
             name = prog.add_variable(f"{wp.id}[{b}]", 0.0, blk.p_max)
             balance[name] = sign
             objective[name] = sign * blk.price
+            names.append(name)
+        wholesale_blocks[wp.id] = tuple(names)
     prog.add_constraint("balance", balance, lpmod.EQ, scenario.firm_wholesale_load)
     prog.set_objective(objective)
+    return prog, dvars, wholesale_blocks
 
+
+def _solve_joint(scenario: Scenario, prog: lpmod.LinearProgram, dvars: DistFlowVars,
+                 wholesale_blocks: _WholesaleVars) -> IdealOutcome:
     sol = lpmod.solve(prog)
     if sol.status != lpmod.OPTIMAL:
         raise InfeasibleError(f"joint dispatch is {sol.status}")
 
     cleared: dict[str, float] = {}
     blocks: dict[str, tuple[float, ...]] = {}
-    for wp in scenario.wholesale:
-        values = tuple(sol.primal[f"{wp.id}[{b}]"] for b in range(len(wp.offers.blocks)))
-        blocks[wp.id] = values
-        cleared[wp.id] = sum(values)
+    for wp_id, names in wholesale_blocks.items():
+        values = tuple(sol.primal[name] for name in names)
+        blocks[wp_id] = values
+        cleared[wp_id] = sum(values)
 
     agg_dispatch: dict[str, float] = {}
     agg_blocks: dict[str, tuple[float, ...]] = {}
@@ -140,122 +152,59 @@ def run_ideal(scenario: Scenario) -> IdealOutcome:
     )
 
 
+def run_ideal(scenario: Scenario) -> IdealOutcome:
+    """One LP: wholesale stacks, aggregator stacks, and network constraints."""
+    require_valid(scenario)
+    return _solve_joint(scenario, *_joint_lp(scenario))
+
+
+def _coordinated_point(result: CoordinationResult, dvars: DistFlowVars,
+                       wholesale_blocks: _WholesaleVars) -> dict[str, float]:
+    """The coordinated outcome as a value for every variable of the joint LP."""
+    dispatch = result.dso_dispatch
+    point = {dvars.p_exchange: result.iso.dso_awards[0],
+             dvars.q_exchange: dispatch.reactive_exchange}
+    for wp_id, names in wholesale_blocks.items():
+        point.update(zip(names, result.iso.blocks[wp_id]))
+    for agg_id, names in {**dvars.gen_blocks, **dvars.demand_blocks}.items():
+        point.update(zip(names, dispatch.block_dispatch[agg_id]))
+    point.update(zip(dvars.p_flow, dispatch.flows_p))
+    point.update(zip(dvars.q_flow, dispatch.flows_q))
+    point.update(zip(dvars.voltage_sq, dispatch.voltages_sq))
+    return point
+
+
 def check_equivalence(scenario: Scenario, tolerance: float | None = None) -> CoordinationResult:
-    """Run both pipelines and compare; a failed comparison is a result, not an error."""
+    """Run both pipelines and certify the coordinated outcome as a joint optimum.
+
+    The check passes when the coordinated point violates no row or bound of
+    the joint LP by more than the tolerance and its objective is within the
+    tolerance of the joint optimum. A failed check is a result, not an error.
+    """
     require_valid(scenario)
     tol = scenario.tolerance if tolerance is None else tolerance
     coordinated = run_coordinated(scenario)
-    ideal = run_ideal(scenario)
+    prog, dvars, wholesale_blocks = _joint_lp(scenario)
+    ideal = _solve_joint(scenario, prog, dvars, wholesale_blocks)
+    residual, objective = prog.evaluate(_coordinated_point(coordinated, dvars, wholesale_blocks))
+    max_dev = max(residual, abs(objective - ideal.objective))
 
-    award = coordinated.iso.dso_awards[0]
-    price = coordinated.iso.clearing_price
-    price_tol = 1e-6 * max(1.0, abs(price))
-
-    # A cleared quantity is unique unless several blocks sit exactly at the
-    # marginal price and can trade shares without changing welfare.
-    coord_marginal = []
-    ideal_marginal = []
-    for wp in scenario.wholesale:
-        for blk in wp.offers.blocks:
-            if abs(blk.price - price) <= price_tol:
-                coord_marginal.append(wp.id)
-                ideal_marginal.append(wp.id)
-    dso_marginal = any(
-        abs(seg.price - price) <= price_tol for seg in coordinated.bid_curve.segments
-    )
-    if dso_marginal:
-        coord_marginal.append("__dso__")
-    for agg in scenario.aggregators:
-        for blk in agg.offers.blocks:
-            if abs(blk.price - price) <= price_tol:
-                ideal_marginal.append(agg.id)
-    wholesale_tied = max(len(coord_marginal), len(ideal_marginal)) >= 2
-
-    # Inside the distribution problem ties show up against the nodal prices.
-    retail = coordinated.dso_dispatch.retail_prices
-    agg_tied_ids = set()
-    agg_marginal_count = 0
-    for agg in scenario.aggregators:
-        node_price = retail[agg.node]
-        for blk in agg.offers.blocks:
-            near_retail = abs(blk.price - node_price) <= 1e-6 * max(1.0, abs(node_price))
-            near_clearing = abs(blk.price - price) <= price_tol
-            if near_retail or (wholesale_tied and near_clearing):
-                agg_marginal_count += 1
-                agg_tied_ids.add(agg.id)
-    exchange_tied = wholesale_tied and dso_marginal
-    agg_tied = agg_marginal_count >= 2 or exchange_tied
-
-    rows: list[EquivalenceRow] = [
-        EquivalenceRow("objective", ideal.objective, coordinated.iso.objective, "strict")
+    rows = [
+        EquivalenceRow("objective", ideal.objective, objective),
+        EquivalenceRow("dso_exchange", ideal.net_export, coordinated.iso.dso_awards[0]),
     ]
-    if not exchange_tied:
-        rows.append(EquivalenceRow("dso_exchange", ideal.net_export, award, "strict"))
-
-    ambiguous_prices: list[float] = []
-
-    def note_ambiguous(p: float) -> None:
-        if not any(abs(p - q) <= price_tol for q in ambiguous_prices):
-            ambiguous_prices.append(p)
-
-    for wp in scenario.wholesale:
-        if wholesale_tied and wp.id in coord_marginal:
-            for blk in wp.offers.blocks:
-                if abs(blk.price - price) <= price_tol:
-                    note_ambiguous(blk.price)
-            continue
-        rows.append(
-            EquivalenceRow(
-                wp.id, ideal.cleared[wp.id], coordinated.iso.cleared[wp.id], "strict"
-            )
-        )
-
-    for agg in scenario.aggregators:
-        if agg.kind != REAG and agg_tied and agg.id in agg_tied_ids:
-            node_price = retail[agg.node]
-            for blk in agg.offers.blocks:
-                if abs(blk.price - node_price) <= 1e-6 * max(1.0, abs(node_price)) or (
-                    wholesale_tied and abs(blk.price - price) <= price_tol
-                ):
-                    note_ambiguous(blk.price)
-            continue
-        rows.append(
-            EquivalenceRow(
-                agg.id,
-                ideal.aggregator_dispatch[agg.id],
-                coordinated.dso_dispatch.by_aggregator[agg.id],
-                "strict",
-            )
-        )
-
-    # Net injection per ambiguous price level is pinned by the balance even
-    # when the split across same-priced blocks is not.
-    for p in ambiguous_prices:
-        net_ideal = 0.0
-        net_coord = 0.0
-        for wp in scenario.wholesale:
-            sign = -1.0 if wp.kind == DR else 1.0
-            for b, blk in enumerate(wp.offers.blocks):
-                if abs(blk.price - p) <= price_tol:
-                    net_ideal += sign * ideal.blocks[wp.id][b]
-                    net_coord += sign * coordinated.iso.blocks[wp.id][b]
-        for agg in scenario.aggregators:
-            if agg.kind == REAG:
-                continue
-            sign = -1.0 if agg.kind == DRAG else 1.0
-            for b, blk in enumerate(agg.offers.blocks):
-                if abs(blk.price - p) <= price_tol:
-                    net_ideal += sign * ideal.aggregator_blocks[agg.id][b]
-                    net_coord += sign * coordinated.dso_dispatch.block_dispatch[agg.id][b]
-        rows.append(EquivalenceRow(f"net@{p:g}", net_ideal, net_coord, "price-level"))
-
-    max_dev = max(row.deviation for row in rows)
+    rows += [EquivalenceRow(wp.id, ideal.cleared[wp.id], coordinated.iso.cleared[wp.id])
+             for wp in scenario.wholesale]
+    rows += [EquivalenceRow(agg.id, ideal.aggregator_dispatch[agg.id],
+                            coordinated.dso_dispatch.by_aggregator[agg.id])
+             for agg in scenario.aggregators]
     report = EquivalenceReport(
         passed=max_dev <= tol,
         max_deviation=max_dev,
+        primal_residual=residual,
         tolerance=tol,
         objective_ideal=ideal.objective,
-        objective_coordinated=coordinated.iso.objective,
+        objective_coordinated=objective,
         rows=tuple(rows),
     )
     return replace(coordinated, ideal=ideal, equivalence=report)

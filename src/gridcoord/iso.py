@@ -30,7 +30,6 @@ def clear(
     wholesale: list[WholesaleParticipant] | tuple[WholesaleParticipant, ...],
     dso_curves: list[BidCurve] | tuple[BidCurve, ...],
     firm_load: float,
-    tolerance: float = lpmod.DEFAULT_TOLERANCE,
 ) -> IsoOutcome:
     """Welfare-maximizing dispatch against the single power balance.
 
@@ -70,7 +69,7 @@ def clear(
 
     prog.add_constraint("balance", balance, lpmod.EQ, rhs)
     prog.set_objective(objective, constant=constant)
-    sol = lpmod.solve(prog, tolerance=tolerance)
+    sol = lpmod.solve(prog)
     if sol.status == lpmod.INFEASIBLE:
         raise InfeasibleError("clearing infeasible: supply cannot meet the firm load")
     if sol.status == lpmod.UNBOUNDED:

@@ -12,7 +12,9 @@ An optimal answer is checked by its residual and by its duality gap, whose
 bound terms come from the columns that sit exactly on a bound (HiGHS puts
 nonbasic columns there), not from the basis. Any other verdict is taken
 from a run without a starting basis and without presolve (see ``linprog``),
-so a re-solve and a fresh solve of an LP agree on it.
+so a re-solve and a fresh solve of an LP agree on it. ``evaluate``
+measures a point found some other way against the same row ranges and the
+variable bounds, and scores it, so it can be certified against an optimum.
 
 Duals are reported in shadow price convention: for a minimization, the dual
 of any constraint is the right-derivative of the optimal objective with
@@ -61,6 +63,12 @@ class InfeasibleError(RuntimeError):
     """Raised by callers that require an optimal solution and got none."""
 
 
+def _row_violation(rows, cols, vals, row_lower, row_upper, x) -> float:
+    """Largest amount by which a row of the coordinate-form matrix misses its range at x."""
+    lhs = np.bincount(rows, weights=vals * x[cols], minlength=len(row_lower))
+    return float(np.max(np.maximum(row_lower - lhs, lhs - row_upper), initial=0.0))
+
+
 class LinearProgram:
     """Named variables, {<=,==,>=} constraints, minimize a linear objective."""
 
@@ -84,10 +92,6 @@ class LinearProgram:
     @property
     def variables(self) -> list[str]:
         return list(self._var_names)
-
-    @property
-    def constraints(self) -> list[str]:
-        return list(self._con_index)
 
     def add_variable(self, name: str, lower: float = -math.inf, upper: float = math.inf) -> str:
         if name in self._var_index:
@@ -144,6 +148,27 @@ class LinearProgram:
             backend.lower[j], backend.upper[j] = lower, upper
             backend.highs.changeColsBounds(1, backend.col_ids[j:j + 1], backend.lower[j:j + 1],
                                            backend.upper[j:j + 1])
+
+    def evaluate(self, point: dict[str, float]) -> tuple[float, float]:
+        """Largest row-or-bound violation of ``point`` and its objective value.
+
+        ``point`` must give every variable of the program a value; rows are
+        held to the same ranges as the residual of ``solve``.
+        """
+        try:
+            x = np.array([point[name] for name in self._var_names], dtype=float)
+        except KeyError as exc:
+            raise ValueError(f"point gives no value for variable {exc.args[0]!r}") from None
+        lower, upper = np.array(self._lower), np.array(self._upper)
+        violation = max(
+            float(np.max(np.maximum(lower - x, x - upper), initial=0.0)),
+            _row_violation(np.array(self._rows, dtype=np.int32),
+                           np.array(self._cols, dtype=np.int32), np.array(self._vals),
+                           np.array(self._row_lower), np.array(self._row_upper), x),
+        )
+        objective = self.objective_constant + sum(
+            coef * point[var] for var, coef in self._objective.items())
+        return violation, objective
 
 
 class _Backend:
@@ -229,9 +254,6 @@ class LpSolution:
     duality_gap: float = math.nan
     max_residual: float = math.nan
 
-    def __bool__(self) -> bool:
-        return self.status == OPTIMAL
-
 
 # Running record of solve quality, so a test run can assert the duality gap
 # stayed within tolerance on every solve it triggered.
@@ -288,10 +310,8 @@ def solve(lp: LinearProgram, tolerance: float = DEFAULT_TOLERANCE) -> LpSolution
                 + reduced[at_upper] @ backend.upper[at_upper])
     gap = abs(run.objective - float(dual_obj))
 
-    lhs = np.bincount(backend.rows, weights=backend.vals * x[backend.cols],
-                      minlength=len(backend.rhs))
-    max_residual = float(np.max(np.maximum(backend.row_lower - lhs, lhs - backend.row_upper),
-                                initial=0.0))
+    max_residual = _row_violation(backend.rows, backend.cols, backend.vals,
+                                  backend.row_lower, backend.row_upper, x)
 
     _gap_stats["solves"] += 1
     _gap_stats["max_gap"] = max(_gap_stats["max_gap"], gap)

@@ -1,5 +1,6 @@
 """Shared test machinery: random scenarios, brute-force oracles, residual checks,
-unit rescaling, and a forced equivalence failure for the CLI.
+unit rescaling, metamorphic network transforms, and a forced equivalence
+failure for the CLI.
 
 The oracles here are deliberately independent of the package's LP path:
 dispatch problems are solved by enumerating vertex dispatches (every subset
@@ -296,6 +297,43 @@ def scale_power(scenario: Scenario, factor: float) -> Scenario:
         ),
         firm_wholesale_load=scenario.firm_wholesale_load * factor,
         sweep_step=scenario.sweep_step * factor,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Metamorphic transforms: the same physical feeder, described differently
+# ---------------------------------------------------------------------------
+
+
+def reverse_branches(scenario: Scenario) -> Scenario:
+    """Every branch declared from its other end; orientation is derived, not declared."""
+    net = scenario.network
+    branches = tuple(dataclasses.replace(br, from_node=br.to_node, to_node=br.from_node)
+                     for br in net.branches)
+    return dataclasses.replace(scenario, network=dataclasses.replace(net, branches=branches))
+
+
+def relabel_nodes(scenario: Scenario, perm) -> Scenario:
+    """Node i renamed ``perm[i]``; loads, branch ends, substation and aggregators follow."""
+    net = scenario.network
+    perm = [int(p) for p in perm]
+    load_p, load_q = [0.0] * net.n_nodes, [0.0] * net.n_nodes
+    for i, p in enumerate(perm):
+        load_p[p], load_q[p] = net.load_p[i], net.load_q[i]
+    network = dataclasses.replace(
+        net,
+        load_p=tuple(load_p),
+        load_q=tuple(load_q),
+        branches=tuple(dataclasses.replace(br, from_node=perm[br.from_node],
+                                           to_node=perm[br.to_node])
+                       for br in net.branches),
+        substation=perm[net.substation],
+    )
+    return dataclasses.replace(
+        scenario,
+        network=network,
+        aggregators=tuple(dataclasses.replace(agg, node=perm[agg.node])
+                          for agg in scenario.aggregators),
     )
 
 

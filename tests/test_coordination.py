@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridcoord.caseio import parse_case
+import gridcoord.coordination as coordination
+import gridcoord.lp as lp
+from gridcoord.caseio import BUNDLED_CASES, parse_case
 from gridcoord.coordination import check_equivalence, run_coordinated, run_ideal
 from gridcoord.dso import build_bid_curve
 from gridcoord.iso import clear
@@ -18,7 +20,7 @@ from gridcoord.model import (
     WholesaleParticipant,
 )
 
-from support import random_scenario, scale_power
+from support import random_scenario, relabel_nodes, reverse_branches, scale_power
 
 EXPECTED_WHOLESALE = {"Gen1": 10.0, "Gen2": 20.0, "Gen3": 13.8,
                     "DR1": 10.0, "DR2": 20.0, "DR3": 10.0}
@@ -99,6 +101,15 @@ def test_equivalence_reference_case(reference):
     assert "objective" in names and "dso_exchange" in names
 
 
+def test_equivalence_solves_the_joint_lp_once(reference):
+    def solves(fn):
+        before = lp.solve_stats()["solves"]
+        fn(reference)
+        return lp.solve_stats()["solves"] - before
+
+    assert solves(check_equivalence) == solves(run_coordinated) + 1
+
+
 def test_equivalence_holds_with_binding_voltage_constraints():
     result = check_equivalence(parse_case("voltage_binding"))
     assert result.equivalence.passed
@@ -115,13 +126,71 @@ def test_equivalence_single_aggregator_single_generator():
 
 
 def test_equivalence_survives_deliberate_price_ties(reference):
-    # Duplicate the marginal generator so the optimum is degenerate; the
-    # comparison must fall back to price-level aggregation and still pass.
+    # Duplicate the marginal generator so the optimum is degenerate: any split
+    # between the twins is optimal, and only their sum is pinned by the balance.
     twin = WholesaleParticipant("Gen3b", "Gen", BlockOfferStack((Block(30.0, 22.0),)))
     tied = dataclasses.replace(reference, wholesale=reference.wholesale + (twin,))
-    report = check_equivalence(tied).equivalence
-    assert report.passed
-    assert any(row.mode == "price-level" for row in report.rows)
+    result = check_equivalence(tied)
+    assert result.equivalence.passed
+
+    def twins(cleared):
+        return cleared["Gen3"] + cleared["Gen3b"]
+
+    assert twins(result.iso.cleared) == pytest.approx(twins(result.ideal.cleared), abs=1e-6)
+
+
+def _check_tampered(monkeypatch, reference, edit):
+    """Equivalence report for the reference case with ``edit`` applied to its outcome."""
+    tampered = edit(run_coordinated(reference))
+    monkeypatch.setattr(coordination, "run_coordinated", lambda scenario: tampered)
+    return check_equivalence(reference, tolerance=1e-6).equivalence
+
+
+def test_coordinated_voltage_above_its_limit_is_rejected(reference, monkeypatch):
+    # No participant's quantity changes, so only the network state shows it.
+    def edit(result):
+        dispatch = result.dso_dispatch
+        volts = dispatch.voltages_sq[:-1] + (2.0,)
+        return dataclasses.replace(
+            result, dso_dispatch=dataclasses.replace(dispatch, voltages_sq=volts))
+
+    report = _check_tampered(monkeypatch, reference, edit)
+    assert not report.passed
+    assert report.primal_residual >= 2.0 - reference.network.u_max
+    assert max(row.deviation for row in report.rows) <= 1e-9
+
+
+def test_feasible_but_costlier_wholesale_split_is_rejected(reference, monkeypatch):
+    # 0.1 MW from Gen1 (8 $/MWh) to Gen3 (22 $/MWh) keeps every balance.
+    def edit(result):
+        iso = result.iso
+        gen1, gen3 = iso.blocks["Gen1"][0] - 0.1, iso.blocks["Gen3"][0] + 0.1
+        return dataclasses.replace(result, iso=dataclasses.replace(
+            iso,
+            blocks={**iso.blocks, "Gen1": (gen1,), "Gen3": (gen3,)},
+            cleared={**iso.cleared, "Gen1": gen1, "Gen3": gen3},
+        ))
+
+    report = _check_tampered(monkeypatch, reference, edit)
+    assert not report.passed
+    assert report.primal_residual <= 1e-9
+    assert report.max_deviation == pytest.approx(0.1 * (22.0 - 8.0), abs=1e-9)
+    assert report.objective_coordinated - report.objective_ideal == pytest.approx(1.4, abs=1e-9)
+
+
+def test_dso_block_shifted_without_rebalancing_is_rejected(reference, monkeypatch):
+    def edit(result):
+        dispatch = result.dso_dispatch
+        shifted = dispatch.block_dispatch["DDGAG4"][0] + 0.1
+        return dataclasses.replace(result, dso_dispatch=dataclasses.replace(
+            dispatch,
+            block_dispatch={**dispatch.block_dispatch, "DDGAG4": (shifted,)},
+            by_aggregator={**dispatch.by_aggregator, "DDGAG4": shifted},
+        ))
+
+    report = _check_tampered(monkeypatch, reference, edit)
+    assert not report.passed
+    assert report.primal_residual == pytest.approx(0.1, abs=1e-9)
 
 
 def test_pipeline_is_deterministic(reference):
@@ -160,3 +229,32 @@ def test_kw_scale_feeder_gives_the_same_curve_and_passes(seed):
     assert [q for q, _ in curve.breakpoints] == pytest.approx(
         [1e-3 * q for q, _ in base.breakpoints], abs=1e-9
     )
+
+
+def _assert_same_curve_and_passes(scenario, variant):
+    """``variant`` describes the same feeder: same breakpoints, and it passes."""
+    base = build_bid_curve(scenario).breakpoints
+    result = check_equivalence(variant)
+    assert result.equivalence.passed
+    got = result.bid_curve.breakpoints
+    assert len(got) == len(base)
+    for (q, cost), (q0, cost0) in zip(got, base):
+        assert abs(q - q0) <= 1e-9
+        assert abs(cost - cost0) <= 1e-6 * max(1.0, abs(cost0))
+
+
+@pytest.mark.parametrize("name", BUNDLED_CASES)
+def test_bundled_cases_survive_reversed_branches_and_relabelled_nodes(name):
+    scenario = parse_case(name)
+    _assert_same_curve_and_passes(scenario, reverse_branches(scenario))
+    reversed_ids = range(scenario.network.n_nodes)[::-1]  # moves the substation too
+    _assert_same_curve_and_passes(scenario, relabel_nodes(scenario, reversed_ids))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.data())
+def test_random_feeders_survive_reversed_branches_and_relabelled_nodes(seed, data):
+    scenario = random_scenario(seed)
+    _assert_same_curve_and_passes(scenario, reverse_branches(scenario))
+    perm = data.draw(st.permutations(range(scenario.network.n_nodes)))
+    _assert_same_curve_and_passes(scenario, relabel_nodes(scenario, perm))

@@ -264,6 +264,39 @@ def test_solve_agrees_with_scipy_linprog(seed, anchored):
         assert sol.objective == pytest.approx(oracle.fun, abs=1e-7)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_evaluate_measures_row_and_bound_violation_and_objective(seed):
+    rng = np.random.default_rng(seed)
+    data = _random_lp_data(rng, anchored=True)
+    a, relations, rhs, lower, upper = data
+    c = rng.normal(size=len(lower))
+    prog = _build_lp(data, c)
+
+    x = rng.normal(scale=3.0, size=len(c))  # most draws break some row or bound
+    lhs = a @ x
+    worst = max([0.0, *(lower - x), *(x - upper)]
+                + [rhs[i] - lhs[i] for i, r in enumerate(relations) if r != lp.LEQ]
+                + [lhs[i] - rhs[i] for i, r in enumerate(relations) if r != lp.GEQ])
+    violation, objective = prog.evaluate({f"x{j}": float(v) for j, v in enumerate(x)})
+    assert violation == pytest.approx(worst, abs=1e-12)
+    assert objective == pytest.approx(float(c @ x), abs=1e-12)
+
+    sol = lp.solve(prog)
+    if sol.status == lp.OPTIMAL:
+        violation, objective = prog.evaluate(sol.primal)
+        assert sol.max_residual <= violation <= 1e-7
+        assert objective == pytest.approx(sol.objective, abs=1e-9)
+
+
+def test_evaluate_names_a_variable_the_point_leaves_out():
+    prog = lp.LinearProgram()
+    prog.add_variable("x", 0.0, 1.0)
+    prog.add_variable("y", 0.0, 1.0)
+    with pytest.raises(ValueError, match="'y'"):
+        prog.evaluate({"x": 0.5})
+
+
 def test_missing_highs_binding_fails_at_import_naming_the_scipy_floor():
     code = "import sys; sys.modules['scipy.optimize._highspy._core'] = None; import gridcoord"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
