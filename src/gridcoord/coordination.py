@@ -189,10 +189,7 @@ def check_equivalence(scenario: Scenario, tolerance: float | None = None) -> Coo
     residual, objective = prog.evaluate(_coordinated_point(coordinated, dvars, wholesale_blocks))
     max_dev = max(residual, abs(objective - ideal.objective))
 
-    rows = [
-        EquivalenceRow("objective", ideal.objective, objective),
-        EquivalenceRow("dso_exchange", ideal.net_export, coordinated.iso.dso_awards[0]),
-    ]
+    rows = [EquivalenceRow("dso_exchange", ideal.net_export, coordinated.iso.dso_awards[0])]
     rows += [EquivalenceRow(wp.id, ideal.cleared[wp.id], coordinated.iso.cleared[wp.id])
              for wp in scenario.wholesale]
     rows += [EquivalenceRow(agg.id, ideal.aggregator_dispatch[agg.id],

@@ -1,6 +1,8 @@
 """Minimal LP representation with primal and dual solutions.
 
-Solving goes through scipy's HiGHS binding. On its first solve a
+Solving goes through scipy's HiGHS binding. Only the binding's extension
+file is loaded (``_load_core``), so importing gridcoord does not import
+``scipy.optimize`` and its start-up cost. On its first solve a
 ``LinearProgram`` is compiled to column-wise sparse arrays and loaded into
 one HiGHS instance that the program keeps. Each constraint is a range row
 ``row_lower <= a.x <= row_upper``: ``==`` rows are (rhs, rhs), ``<=`` rows
@@ -24,24 +26,61 @@ three relations.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
+_CORE = "scipy.optimize._highspy._core"  # private scipy module, present from scipy 1.15 on
+
+
+def _load_core():
+    """Import scipy's HiGHS extension module without running its packages.
+
+    ``import scipy.optimize._highspy._core`` would first run the
+    ``__init__`` of ``scipy`` and ``scipy.optimize``, which takes far longer
+    than the extension itself. The file is looked up under scipy's install
+    directory instead and registered under its full name, so a later
+    ``import scipy.optimize`` reuses this module object. As with ``import``,
+    a module already in ``sys.modules`` is reused and a ``None`` entry there
+    blocks the import.
+    """
+    for name in ("scipy", "scipy.optimize", "scipy.optimize._highspy", _CORE):
+        if name in sys.modules and sys.modules[name] is None:
+            raise ImportError(f"import of {name} halted; None in sys.modules")
+    if _CORE in sys.modules:
+        return sys.modules[_CORE]
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None or scipy.submodule_search_locations is None:
+        raise ImportError("no scipy package found")
+    spec = importlib.machinery.PathFinder.find_spec(
+        _CORE, [os.path.join(path, "optimize", "_highspy")
+                for path in scipy.submodule_search_locations])
+    if spec is None:
+        raise ImportError(f"no {_CORE} in {list(scipy.submodule_search_locations)}")
+    core = importlib.util.module_from_spec(spec)
+    sys.modules[_CORE] = core
+    try:
+        spec.loader.exec_module(core)
+    except BaseException:
+        del sys.modules[_CORE]
+        raise
+    return core
+
+
 try:
-    from scipy.optimize._highspy._core import (
-        HighsLp,
-        HighsModelStatus,
-        HighsStatus,
-        MatrixFormat,
-        _Highs,
-    )
-except ImportError as exc:  # private scipy module, present from scipy 1.15 on
+    _core = _load_core()
+    HighsLp, HighsModelStatus, HighsStatus, MatrixFormat, _Highs = (
+        _core.HighsLp, _core.HighsModelStatus, _core.HighsStatus, _core.MatrixFormat,
+        _core._Highs)
+except (ImportError, AttributeError) as exc:
     raise ImportError(
-        "gridcoord needs scipy>=1.15: it solves LPs through the HiGHS binding "
-        "scipy.optimize._highspy._core"
+        f"gridcoord needs scipy>=1.15: it solves LPs through the HiGHS binding {_CORE}"
     ) from exc
 
 OPTIMAL = "optimal"

@@ -300,6 +300,20 @@ def scale_power(scenario: Scenario, factor: float) -> Scenario:
     )
 
 
+def scale_prices(scenario: Scenario, factor: float) -> Scenario:
+    """Every offer price times ``factor``: $/MWh restated in another currency unit."""
+    def blocks(stack: BlockOfferStack) -> BlockOfferStack:
+        return BlockOfferStack(tuple(Block(b.p_max, b.price * factor) for b in stack.blocks))
+
+    return dataclasses.replace(
+        scenario,
+        aggregators=tuple(dataclasses.replace(agg, offers=blocks(agg.offers))
+                          for agg in scenario.aggregators),
+        wholesale=tuple(dataclasses.replace(wp, offers=blocks(wp.offers))
+                        for wp in scenario.wholesale),
+    )
+
+
 # ---------------------------------------------------------------------------
 # Metamorphic transforms: the same physical feeder, described differently
 # ---------------------------------------------------------------------------

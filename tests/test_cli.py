@@ -110,7 +110,8 @@ def test_verify_pass_and_report(tmp_path, capsys):
     assert report["max_deviation"] <= 1e-6
     assert report["objective_ideal"] == pytest.approx(report["objective_coordinated"])
     names = {row["name"] for row in report["participants"]}
-    assert {"objective", "dso_exchange", "Gen1", "DDGAG1"} <= names
+    assert {"dso_exchange", "Gen1", "DDGAG1"} <= names
+    assert "objective" not in names  # a $/h figure, reported at the top level only
 
 
 def test_verify_fail_exit_code(tmp_path, monkeypatch):

@@ -11,6 +11,7 @@ from gridcoord.coordination import check_equivalence, run_coordinated, run_ideal
 from gridcoord.dso import build_bid_curve
 from gridcoord.iso import clear
 from gridcoord.model import (
+    GEN,
     Aggregator,
     Block,
     BlockOfferStack,
@@ -20,7 +21,7 @@ from gridcoord.model import (
     WholesaleParticipant,
 )
 
-from support import random_scenario, relabel_nodes, reverse_branches, scale_power
+from support import random_scenario, relabel_nodes, reverse_branches, scale_power, scale_prices
 
 EXPECTED_WHOLESALE = {"Gen1": 10.0, "Gen2": 20.0, "Gen3": 13.8,
                     "DR1": 10.0, "DR2": 20.0, "DR3": 10.0}
@@ -98,7 +99,7 @@ def test_equivalence_reference_case(reference):
     assert report.max_deviation <= 1e-6
     assert report.objective_ideal == pytest.approx(report.objective_coordinated, abs=1e-6)
     names = {row.name for row in report.rows}
-    assert "objective" in names and "dso_exchange" in names
+    assert "dso_exchange" in names and "objective" not in names
 
 
 def test_equivalence_solves_the_joint_lp_once(reference):
@@ -258,3 +259,69 @@ def test_random_feeders_survive_reversed_branches_and_relabelled_nodes(seed, dat
     _assert_same_curve_and_passes(scenario, reverse_branches(scenario))
     perm = data.draw(st.permutations(range(scenario.network.n_nodes)))
     _assert_same_curve_and_passes(scenario, relabel_nodes(scenario, perm))
+
+
+def _assert_same_awards_and_passes(scenario, variant):
+    """``variant`` clears the same MW as ``scenario`` and passes the check."""
+    base, result = run_coordinated(scenario), check_equivalence(variant)
+    assert result.equivalence.passed, result.equivalence.max_deviation
+    assert result.iso.dso_awards == pytest.approx(base.iso.dso_awards, abs=1e-9)
+    assert result.iso.cleared == pytest.approx(base.iso.cleared, abs=1e-9)
+    assert result.dso_dispatch.by_aggregator == pytest.approx(
+        base.dso_dispatch.by_aggregator, abs=1e-9)
+
+
+@pytest.mark.parametrize("factor", [1e-3, 1e3])  # $/kWh, and a thousandfold currency unit
+@pytest.mark.parametrize("name", BUNDLED_CASES)
+def test_bundled_cases_survive_price_unit_scaling(name, factor):
+    scenario = parse_case(name)
+    _assert_same_awards_and_passes(scenario, scale_prices(scenario, factor))
+
+
+@pytest.mark.parametrize("factor", [1e-3, 1e3])
+@settings(max_examples=15, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_random_feeders_survive_price_unit_scaling(factor, seed):
+    scenario = random_scenario(seed)
+    _assert_same_awards_and_passes(scenario, scale_prices(scenario, factor))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 5: the check's objective gap is absolute, so at "
+                          "x1e7 prices rounding alone exceeds the 1e-6 tolerance")
+@pytest.mark.parametrize("seed", [39, 66, 69, 110, 167, 189])
+def test_random_feeders_at_ten_million_times_the_prices_still_pass(seed, monkeypatch):
+    # At this scale the solves' absolute duality gaps also exceed conftest's
+    # session bound (the same defect), so they are held to it here instead.
+    monkeypatch.setattr(lp, "_gap_stats", {"solves": 0, "max_gap": 0.0, "max_residual": 0.0})
+    scenario = random_scenario(seed)
+    _assert_same_awards_and_passes(scenario, scale_prices(scenario, 1e7))
+    assert lp.solve_stats()["max_gap"] <= 1e-7
+
+
+def _with_out_of_merit_block(scenario):
+    top = max(blk.price for part in scenario.aggregators + scenario.wholesale
+              for blk in part.offers.blocks)
+    extra = WholesaleParticipant("OutOfMerit", GEN, BlockOfferStack((Block(50.0, top + 100.0),)))
+    return dataclasses.replace(scenario, wholesale=scenario.wholesale + (extra,))
+
+
+def _assert_out_of_merit_block_changes_nothing(scenario):
+    base = run_coordinated(scenario)
+    result = check_equivalence(_with_out_of_merit_block(scenario))
+    assert result.equivalence.passed
+    assert result.bid_curve == base.bid_curve
+    assert result.iso.dso_awards == base.iso.dso_awards
+    assert result.iso.objective == pytest.approx(base.iso.objective, abs=1e-9)
+    assert result.iso.cleared["OutOfMerit"] == 0.0
+
+
+@pytest.mark.parametrize("name", BUNDLED_CASES)
+def test_bundled_cases_ignore_an_out_of_merit_generator(name):
+    _assert_out_of_merit_block_changes_nothing(parse_case(name))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_random_feeders_ignore_an_out_of_merit_generator(seed):
+    _assert_out_of_merit_block_changes_nothing(random_scenario(seed))

@@ -306,6 +306,62 @@ def test_missing_highs_binding_fails_at_import_naming_the_scipy_floor():
     assert "ImportError: gridcoord needs scipy>=1.15" in run.stderr
 
 
+def _python(code, *path_first):
+    """Run ``code`` in a fresh interpreter that sees this process's sys.path."""
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([*map(str, path_first), *(p for p in sys.path if p)])}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=60)
+
+
+@pytest.mark.parametrize("package", ["scipy", "scipy.optimize", "scipy.optimize._highspy"])
+def test_blocked_scipy_package_fails_at_import_naming_the_scipy_floor(package):
+    run = _python(f"import sys; sys.modules[{package!r}] = None; import gridcoord")
+    assert run.returncode != 0
+    assert "ImportError: gridcoord needs scipy>=1.15" in run.stderr
+
+
+def test_scipy_without_the_highs_extension_fails_at_import_naming_the_scipy_floor(tmp_path):
+    package = tmp_path / "scipy" / "optimize" / "_highspy"
+    package.mkdir(parents=True)
+    for directory in (package, package.parent, package.parent.parent):
+        (directory / "__init__.py").write_text("")
+    run = _python("import gridcoord", tmp_path)
+    assert run.returncode != 0
+    assert "ImportError: gridcoord needs scipy>=1.15" in run.stderr
+
+
+_CORE = "scipy.optimize._highspy._core"
+
+
+def test_import_loads_the_highs_extension_alone_and_scipy_optimize_reuses_it():
+    code = f"""
+import sys
+import gridcoord, gridcoord.cli
+loaded = [name for name in ("scipy", "scipy.optimize", "scipy.sparse") if name in sys.modules]
+assert not loaded, loaded
+import gridcoord.lp
+import scipy.optimize
+assert sys.modules["{_CORE}"] is gridcoord.lp._core
+res = scipy.optimize.linprog([1.0], bounds=[(2.0, 5.0)])
+assert res.status == 0 and abs(res.x[0] - 2.0) < 1e-9, res
+"""
+    run = _python(code)
+    assert run.returncode == 0, run.stderr
+
+
+def test_import_after_scipy_optimize_reuses_its_highs_extension():
+    code = f"""
+import sys
+import scipy.optimize
+core = sys.modules["{_CORE}"]
+import gridcoord.lp
+assert gridcoord.lp._core is core and sys.modules["{_CORE}"] is core
+"""
+    run = _python(code)
+    assert run.returncode == 0, run.stderr
+
+
 def _outcome(prog):
     """(status, objective, duality gap) of a solve, or SolverError's name."""
     try:
