@@ -18,10 +18,10 @@ from dataclasses import dataclass, replace
 
 from . import lp as lpmod
 from .distflow import DistFlowVars, build_constraints, dispatch_cost_coeffs
-from .dso import BidCurve, DsoDispatch, build_bid_curve, value_at
+from .dso import BidCurve, DsoDispatch, _model_for, build_bid_curve, value_at
 from .iso import IsoOutcome, clear
 from .lp import InfeasibleError, SolverError
-from .model import DR, DRAG, REAG, Scenario, require_valid
+from .model import DR, DRAG, REAG, Incidence, Scenario
 
 
 @dataclass(frozen=True)
@@ -74,8 +74,7 @@ class CoordinationResult:
 
 def run_coordinated(scenario: Scenario) -> CoordinationResult:
     """Bid curve -> wholesale clearing -> re-dispatch at the award."""
-    require_valid(scenario)
-    curve = build_bid_curve(scenario)
+    curve = build_bid_curve(scenario)  # validates the scenario, once per object
     outcome = clear(scenario.wholesale, [curve], scenario.firm_wholesale_load)
     award = outcome.dso_awards[0]
     dispatch = value_at(scenario, award)
@@ -90,10 +89,12 @@ def run_coordinated(scenario: Scenario) -> CoordinationResult:
 _WholesaleVars = dict[str, tuple[str, ...]]  # wholesale id -> its block variables
 
 
-def _joint_lp(scenario: Scenario) -> tuple[lpmod.LinearProgram, DistFlowVars, _WholesaleVars]:
+def _joint_lp(scenario: Scenario, incidence: Incidence
+              ) -> tuple[lpmod.LinearProgram, DistFlowVars, _WholesaleVars]:
     """The joint LP with its DistFlow and wholesale variable names."""
     prog, dvars = build_constraints(
-        scenario.network, scenario.aggregators, net_export=None, prefix="dso."
+        scenario.network, scenario.aggregators, net_export=None, prefix="dso.",
+        incidence=incidence,
     )
     objective = dispatch_cost_coeffs(scenario.aggregators, dvars)
     balance: dict[str, float] = {dvars.p_exchange: 1.0}
@@ -154,8 +155,8 @@ def _solve_joint(scenario: Scenario, prog: lpmod.LinearProgram, dvars: DistFlowV
 
 def run_ideal(scenario: Scenario) -> IdealOutcome:
     """One LP: wholesale stacks, aggregator stacks, and network constraints."""
-    require_valid(scenario)
-    return _solve_joint(scenario, *_joint_lp(scenario))
+    incidence = _model_for(scenario).incidence  # validates the scenario, once per object
+    return _solve_joint(scenario, *_joint_lp(scenario, incidence))
 
 
 def _coordinated_point(result: CoordinationResult, dvars: DistFlowVars,
@@ -181,10 +182,10 @@ def check_equivalence(scenario: Scenario, tolerance: float | None = None) -> Coo
     the joint LP by more than the tolerance and its objective is within the
     tolerance of the joint optimum. A failed check is a result, not an error.
     """
-    require_valid(scenario)
+    incidence = _model_for(scenario).incidence  # validates the scenario, once per object
     tol = scenario.tolerance if tolerance is None else tolerance
     coordinated = run_coordinated(scenario)
-    prog, dvars, wholesale_blocks = _joint_lp(scenario)
+    prog, dvars, wholesale_blocks = _joint_lp(scenario, incidence)
     ideal = _solve_joint(scenario, prog, dvars, wholesale_blocks)
     residual, objective = prog.evaluate(_coordinated_point(coordinated, dvars, wholesale_blocks))
     max_dev = max(residual, abs(objective - ideal.objective))

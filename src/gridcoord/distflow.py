@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import lp as lpmod
-from .model import DRAG, REAG, Aggregator, NetworkModel, derived_incidence
+from .model import DRAG, REAG, Aggregator, Incidence, NetworkModel, derived_incidence
 
 
 @dataclass(frozen=True)
@@ -41,6 +41,7 @@ def build_constraints(
     net_export: float | None = None,
     lp: lpmod.LinearProgram | None = None,
     prefix: str = "",
+    incidence: Incidence | None = None,
 ) -> tuple[lpmod.LinearProgram, DistFlowVars]:
     """Emit balance, block, voltage, and flow constraints into ``lp``.
 
@@ -50,12 +51,13 @@ def build_constraints(
     exchange becomes a free variable (used for range probing and for the
     joint wholesale+distribution problem).
 
-    No objective is set. Raises ValueError on a non-radial network or an
-    aggregator placed on an unknown node.
+    ``incidence`` is the network's ``derived_incidence``, for callers that
+    already hold it. No objective is set. Raises ValueError on a non-radial
+    network or an aggregator placed on an unknown node.
     """
     if lp is None:
         lp = lpmod.LinearProgram()
-    inc = derived_incidence(network)  # raises on non-radial input
+    inc = derived_incidence(network) if incidence is None else incidence  # raises if not radial
     n = network.n_nodes
 
     for agg in aggregators:
@@ -94,14 +96,6 @@ def build_constraints(
     if net_export is None:
         p_exchange = lp.add_variable(f"{prefix}px", -float("inf"), float("inf"))
 
-    # Fixed REAG output folds in as a constant nodal injection.
-    reag_p = [0.0] * n
-    reag_q = [0.0] * n
-    for agg in aggregators:
-        if agg.kind == REAG:
-            reag_p[agg.node] += agg.fixed_output
-            reag_q[agg.node] += agg.fixed_output * agg.tan_phi
-
     # Per-node balance coefficient maps: +1 gen block, -1 demand block,
     # +1 flow on the parent-side branch (inflow), -1 on child-side branches.
     p_coeffs: list[dict[str, float]] = [dict() for _ in range(n)]
@@ -125,16 +119,15 @@ def build_constraints(
         p_coeffs[network.substation][p_exchange] = -1.0
 
     balance_p = []
+    net_p, net_q = firm_net_load(network, aggregators)
     for i in range(n):
-        rhs_p = network.load_p[i] - reag_p[i]
+        rhs_p = net_p[i]
         if net_export is not None and i == network.substation:
             rhs_p += net_export
         balance_p.append(
             lp.add_constraint(f"{prefix}bal_p[{i}]", p_coeffs[i], lpmod.EQ, rhs_p)
         )
-        lp.add_constraint(
-            f"{prefix}bal_q[{i}]", q_coeffs[i], lpmod.EQ, network.load_q[i] - reag_q[i]
-        )
+        lp.add_constraint(f"{prefix}bal_q[{i}]", q_coeffs[i], lpmod.EQ, net_q[i])
 
     base = network.base_mva
     for j, br in enumerate(network.branches):
@@ -160,6 +153,20 @@ def build_constraints(
         p_exchange=p_exchange,
         balance_p=tuple(balance_p),
     )
+
+
+def firm_net_load(
+    network: NetworkModel, aggregators: list[Aggregator] | tuple[Aggregator, ...]
+) -> tuple[list[float], list[float]]:
+    """Per-node firm load minus fixed REAG output, MW and MVAr: the balance rhs."""
+    reag_p = [0.0] * network.n_nodes
+    reag_q = [0.0] * network.n_nodes
+    for agg in aggregators:
+        if agg.kind == REAG:
+            reag_p[agg.node] += agg.fixed_output
+            reag_q[agg.node] += agg.fixed_output * agg.tan_phi
+    return ([load - fixed for load, fixed in zip(network.load_p, reag_p)],
+            [load - fixed for load, fixed in zip(network.load_q, reag_q)])
 
 
 def dispatch_cost_coeffs(

@@ -6,20 +6,32 @@ of the export parameter it is convex piecewise linear, so the curve is
 recovered exactly by chord-slope probing (the NISE / sandwich method of
 Eisner & Severance and Cohon): each probe minimizes cost minus a chord's
 slope times export, and either certifies the chord as a segment or returns
-an LP vertex that is a breakpoint. One free-export LP per curve serves every
-solve: the range, the end costs (export pinned through its bounds) and the
-probes, each re-solved from the previous basis.
+an LP vertex that is a breakpoint. Within a curve, one free-export LP serves
+every solve: the range, the end costs (export pinned through its bounds) and
+the probes, each re-solved from the previous basis.
+
+Each scenario is compiled once: a private model validates it, derives its
+tree incidence and builds, on first use, the free-export LP and the
+re-dispatch LP (export folded into the substation balance rhs). The model
+lives in a one-slot cache keyed by the scenario's identity (``is``, not
+equality or hash), so repeat calls on one ``Scenario`` object reuse it and
+a call on another object replaces it. Every public call still solves: it
+moves what it needs (the re-dispatch rhs), restarts the LP cold and runs the
+same solve sequence a fresh compile would, so its answer is bit-for-bit
+that of a fresh compile and never depends on earlier calls. Each LP has its
+own lock, so calls on one scenario from several threads take turns.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 from . import lp as lpmod
-from .distflow import build_constraints, dispatch_cost_coeffs
+from .distflow import DistFlowVars, build_constraints, dispatch_cost_coeffs, firm_net_load
 from .lp import InfeasibleError
-from .model import DRAG, REAG, Scenario, require_valid
+from .model import DRAG, REAG, Scenario, derived_incidence, require_valid
 
 
 @dataclass(frozen=True)
@@ -108,6 +120,54 @@ class DsoDispatch:
     reactive_exchange: float
 
 
+class _CompiledLp:
+    """One DistFlow LP of a scenario and the lock its solve sequences hold."""
+
+    def __init__(self, prog: lpmod.LinearProgram, dvars: DistFlowVars):
+        self.prog, self.dvars = prog, dvars
+        self.lock = threading.Lock()
+
+
+class _Model:
+    """A validated scenario, its incidence and its two DistFlow LPs, built on first use."""
+
+    def __init__(self, scenario: Scenario):
+        require_valid(scenario)
+        self.scenario = scenario
+        self.incidence = derived_incidence(scenario.network)
+        network = scenario.network
+        self.substation_net_load = firm_net_load(network, scenario.aggregators)[0][
+            network.substation]
+        self._lps: dict[bool, _CompiledLp] = {}  # keyed by "export folded into the rhs"
+        self._lock = threading.Lock()
+
+    def lp(self, folded: bool) -> _CompiledLp:
+        """The free-export LP, or (``folded``) the re-dispatch LP at the dispatch cost."""
+        with self._lock:
+            if folded not in self._lps:
+                s = self.scenario
+                prog, dvars = build_constraints(s.network, s.aggregators,
+                                                net_export=0.0 if folded else None,
+                                                incidence=self.incidence)
+                if folded:
+                    prog.set_objective(dispatch_cost_coeffs(s.aggregators, dvars))
+                self._lps[folded] = _CompiledLp(prog, dvars)
+            return self._lps[folded]
+
+
+_slot: _Model | None = None
+_slot_lock = threading.Lock()
+
+
+def _model_for(scenario: Scenario) -> _Model:
+    """The compiled model of ``scenario`` (this very object), compiling it on a miss."""
+    global _slot
+    with _slot_lock:
+        if _slot is None or _slot.scenario is not scenario:
+            _slot = _Model(scenario)
+        return _slot
+
+
 def _export_range(prog: lpmod.LinearProgram, p_exchange: str) -> tuple[float, float]:
     """Minimize, then maximize, the free export variable of ``prog``."""
     out = []
@@ -122,17 +182,23 @@ def _export_range(prog: lpmod.LinearProgram, p_exchange: str) -> tuple[float, fl
 
 def feasible_range(scenario: Scenario) -> tuple[float, float]:
     """Extreme feasible net exports of the network-plus-blocks polytope."""
-    require_valid(scenario)
-    prog, dvars = build_constraints(scenario.network, scenario.aggregators, net_export=None)
-    return _export_range(prog, dvars.p_exchange)
+    free = _model_for(scenario).lp(folded=False)
+    with free.lock:
+        free.prog.restart()
+        return _export_range(free.prog, free.dvars.p_exchange)
 
 
 def value_at(scenario: Scenario, net_export: float) -> DsoDispatch:
     """Minimum-cost aggregator dispatch serving the given net export."""
-    require_valid(scenario)
-    prog, dvars = build_constraints(scenario.network, scenario.aggregators, net_export=net_export)
-    prog.set_objective(dispatch_cost_coeffs(scenario.aggregators, dvars))
-    sol = lpmod.solve(prog)
+    model = _model_for(scenario)
+    folded = model.lp(folded=True)
+    dvars = folded.dvars
+    with folded.lock:
+        # The substation rhs as build_constraints folds it: net load, then + export.
+        folded.prog.set_rhs(dvars.balance_p[scenario.network.substation],
+                            model.substation_net_load + net_export)
+        folded.prog.restart()
+        sol = lpmod.solve(folded.prog)
     if sol.status != lpmod.OPTIMAL:
         raise InfeasibleError(f"net export {net_export} MW is {sol.status} for this network")
 
@@ -167,10 +233,10 @@ def value_at(scenario: Scenario, net_export: float) -> DsoDispatch:
 def build_bid_curve(scenario: Scenario) -> BidCurve:
     """Recover the exact convex bid curve by chord-slope probing.
 
-    One free-export LP is built and re-solved throughout. Its range comes
-    from minimizing and maximizing the export; each end cost is the
-    dispatch cost with the export pinned to that end through its bounds,
-    which are freed again afterwards. Each interval (a, b) between known
+    The scenario's free-export LP is restarted, then re-solved throughout.
+    Its range comes from minimizing and maximizing the export; each end cost
+    is the dispatch cost with the export pinned to that end through its
+    bounds, which are freed again afterwards. Each interval (a, b) between known
     points of the value function is then probed with the slope m of its
     chord: the LP minimizes dispatch cost - m * export. An optimum on the
     chord means [a, b] is one segment with price m; one below it is an LP
@@ -178,8 +244,17 @@ def build_bid_curve(scenario: Scenario) -> BidCurve:
     2k - 1 probes, plus two for each probe that lands inside a segment of
     tied block prices.
     """
-    require_valid(scenario)
-    prog, dvars = build_constraints(scenario.network, scenario.aggregators, net_export=None)
+    free = _model_for(scenario).lp(folded=False)
+    with free.lock:
+        free.prog.restart()
+        curve = _probe_curve(scenario, free.prog, free.dvars)
+    problems = curve.violations()
+    if problems:
+        raise lpmod.SolverError("assembled bid curve is inconsistent: " + "; ".join(problems))
+    return curve
+
+
+def _probe_curve(scenario: Scenario, prog: lpmod.LinearProgram, dvars: DistFlowVars) -> BidCurve:
     px = dvars.p_exchange
     q_min, q_max = _export_range(prog, px)
     cost = dispatch_cost_coeffs(scenario.aggregators, dvars)
@@ -187,8 +262,10 @@ def build_bid_curve(scenario: Scenario) -> BidCurve:
 
     def pinned_cost(q: float) -> float:
         prog.set_bounds(px, q, q)
-        sol = lpmod.solve(prog)
-        prog.set_bounds(px, -math.inf, math.inf)
+        try:
+            sol = lpmod.solve(prog)
+        finally:  # the compiled LP outlives this call
+            prog.set_bounds(px, -math.inf, math.inf)
         if sol.status != lpmod.OPTIMAL:
             raise InfeasibleError(f"net export {q} MW is {sol.status} for this network")
         return sol.objective
@@ -225,8 +302,4 @@ def build_bid_curve(scenario: Scenario) -> BidCurve:
         mid = (q, sol.objective + slope * q)
         stack += [(mid, b), (a, mid)]
 
-    curve = BidCurve(breakpoints=tuple(breakpoints), prices=tuple(prices))
-    problems = curve.violations()
-    if problems:
-        raise lpmod.SolverError("assembled bid curve is inconsistent: " + "; ".join(problems))
-    return curve
+    return BidCurve(breakpoints=tuple(breakpoints), prices=tuple(prices))

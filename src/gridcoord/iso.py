@@ -4,10 +4,19 @@ Generators and demand bids enter block by block; each distribution operator
 enters through its convex bid curve, decomposed into one bounded variable
 per segment so the LP fills cheap segments first. The clearing price is the
 dual of the balance constraint.
+
+The clearing LP of one stack (the wholesale participants and the curves) is
+compiled once and kept in a one-slot cache keyed by the identity (``is``) of
+every participant and every curve, so a sweep over firm loads against one
+curve object reuses it. Each call still solves: it moves the ``balance`` rhs
+and restarts the LP cold, so its answer is bit-for-bit that of a fresh
+compile and never depends on earlier calls. Calls take turns on the LP's
+lock.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 from . import lp as lpmod
@@ -26,6 +35,67 @@ class IsoOutcome:
     objective: float                     # $/h, includes each curve's cost at its minimum
 
 
+class _Clearing:
+    """The compiled clearing LP of one stack, with the names it reads back."""
+
+    def __init__(self, wholesale: tuple[WholesaleParticipant, ...],
+                 curves: tuple[BidCurve, ...]):
+        for k, curve in enumerate(curves):
+            problems = curve.violations()
+            if problems:
+                raise ValueError(f"dso curve {k}: " + "; ".join(problems))
+        self.wholesale, self.curves = wholesale, curves
+        self.lock = threading.Lock()
+
+        prog = self.prog = lpmod.LinearProgram()
+        objective: dict[str, float] = {}
+        balance: dict[str, float] = {}
+        constant = 0.0
+
+        self.block_vars: list[tuple[str, ...]] = []
+        for wp in wholesale:
+            sign = -1.0 if wp.kind == DR else 1.0
+            names = []
+            for b, blk in enumerate(wp.offers.blocks):
+                name = prog.add_variable(f"{wp.id}[{b}]", 0.0, blk.p_max)
+                balance[name] = sign
+                objective[name] = sign * blk.price
+                names.append(name)
+            self.block_vars.append(tuple(names))
+
+        self.seg_vars: list[tuple[str, ...]] = []
+        for k, curve in enumerate(curves):
+            constant += curve.breakpoints[0][1]
+            names = []
+            for i, seg in enumerate(curve.segments):
+                name = prog.add_variable(f"dso{k}.seg[{i}]", 0.0, seg.q_hi - seg.q_lo)
+                balance[name] = 1.0
+                objective[name] = seg.price
+                names.append(name)
+            self.seg_vars.append(tuple(names))
+
+        prog.add_constraint("balance", balance, lpmod.EQ, 0.0)  # rhs set per call
+        prog.set_objective(objective, constant=constant)
+
+    def serves(self, wholesale, curves) -> bool:
+        return (len(wholesale) == len(self.wholesale) and len(curves) == len(self.curves)
+                and all(a is b for a, b in zip(wholesale, self.wholesale))
+                and all(a is b for a, b in zip(curves, self.curves)))
+
+
+_slot: _Clearing | None = None
+_slot_lock = threading.Lock()
+
+
+def _clearing_for(wholesale, curves) -> _Clearing:
+    """The compiled LP of this stack (these very objects), compiling it on a miss."""
+    global _slot
+    with _slot_lock:
+        if _slot is None or not _slot.serves(wholesale, curves):
+            _slot = _Clearing(tuple(wholesale), tuple(curves))
+        return _slot
+
+
 def clear(
     wholesale: list[WholesaleParticipant] | tuple[WholesaleParticipant, ...],
     dso_curves: list[BidCurve] | tuple[BidCurve, ...],
@@ -37,39 +107,14 @@ def clear(
     cannot cover the firm load, and SolverError on an unbounded problem
     (impossible with bounded stacks, so treated as an internal error).
     """
-    for k, curve in enumerate(dso_curves):
-        problems = curve.violations()
-        if problems:
-            raise ValueError(f"dso curve {k}: " + "; ".join(problems))
-
-    prog = lpmod.LinearProgram()
-    objective: dict[str, float] = {}
-    balance: dict[str, float] = {}
+    stack = _clearing_for(wholesale, dso_curves)
     rhs = firm_load
-    constant = 0.0
-
-    for wp in wholesale:
-        sign = -1.0 if wp.kind == DR else 1.0
-        for b, blk in enumerate(wp.offers.blocks):
-            name = prog.add_variable(f"{wp.id}[{b}]", 0.0, blk.p_max)
-            balance[name] = sign
-            objective[name] = sign * blk.price
-
-    seg_vars: list[list[str]] = []
-    for k, curve in enumerate(dso_curves):
+    for curve in stack.curves:
         rhs -= curve.q_min
-        constant += curve.breakpoints[0][1]
-        names = []
-        for i, seg in enumerate(curve.segments):
-            name = prog.add_variable(f"dso{k}.seg[{i}]", 0.0, seg.q_hi - seg.q_lo)
-            balance[name] = 1.0
-            objective[name] = seg.price
-            names.append(name)
-        seg_vars.append(names)
-
-    prog.add_constraint("balance", balance, lpmod.EQ, rhs)
-    prog.set_objective(objective, constant=constant)
-    sol = lpmod.solve(prog)
+    with stack.lock:
+        stack.prog.set_rhs("balance", rhs)
+        stack.prog.restart()
+        sol = lpmod.solve(stack.prog)
     if sol.status == lpmod.INFEASIBLE:
         raise InfeasibleError("clearing infeasible: supply cannot meet the firm load")
     if sol.status == lpmod.UNBOUNDED:
@@ -77,15 +122,15 @@ def clear(
 
     cleared: dict[str, float] = {}
     blocks: dict[str, tuple[float, ...]] = {}
-    for wp in wholesale:
-        values = tuple(sol.primal[f"{wp.id}[{b}]"] for b in range(len(wp.offers.blocks)))
+    for wp, names in zip(stack.wholesale, stack.block_vars):
+        values = tuple(sol.primal[name] for name in names)
         blocks[wp.id] = values
         cleared[wp.id] = sum(values)
 
     awards = []
     fills = []
-    for k, curve in enumerate(dso_curves):
-        fill = tuple(sol.primal[name] for name in seg_vars[k])
+    for curve, names in zip(stack.curves, stack.seg_vars):
+        fill = tuple(sol.primal[name] for name in names)
         fills.append(fill)
         awards.append(curve.q_min + sum(fill))
 

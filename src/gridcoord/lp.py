@@ -6,9 +6,15 @@ file is loaded (``_load_core``), so importing gridcoord does not import
 ``LinearProgram`` is compiled to column-wise sparse arrays and loaded into
 one HiGHS instance that the program keeps. Each constraint is a range row
 ``row_lower <= a.x <= row_upper``: ``==`` rows are (rhs, rhs), ``<=`` rows
-(-inf, rhs) and ``>=`` rows (rhs, +inf). A new objective or new variable
-bounds keep the loaded model, so the next solve starts from the previous
-basis; a new variable or constraint discards it.
+(-inf, rhs) and ``>=`` rows (rhs, +inf). A new objective, new variable
+bounds or a new ``==`` rhs (``set_rhs``) keep the loaded model, so the next
+solve starts from the previous basis; a new variable or constraint discards
+it. ``restart`` keeps the model but drops the basis and all solver state,
+so the next solve runs cold, exactly as on a freshly compiled copy. Callers
+that keep one compiled program across public calls restart it at the start
+of each call: a compiled structure is reused, but no answer depends on the
+calls that came before (a warm re-solve can land on another optimal vertex
+or dual where the optimum is not unique).
 
 An optimal answer is checked by its residual and by its duality gap, whose
 bound terms come from the columns that sit exactly on a bound (HiGHS puts
@@ -187,6 +193,25 @@ class LinearProgram:
             backend.lower[j], backend.upper[j] = lower, upper
             backend.highs.changeColsBounds(1, backend.col_ids[j:j + 1], backend.lower[j:j + 1],
                                            backend.upper[j:j + 1])
+
+    def set_rhs(self, name: str, rhs: float) -> None:
+        """Move an ``==`` row's rhs; a compiled program keeps its model and basis."""
+        i = self._con_index.get(name)
+        if i is None:
+            raise ValueError(f"rhs references undeclared constraint {name!r}")
+        if self._row_lower[i] != self._row_upper[i]:
+            raise ValueError(f"constraint {name!r}: set_rhs moves only == rows")
+        rhs = float(rhs)
+        self._rhs[i] = self._row_lower[i] = self._row_upper[i] = rhs
+        backend = self._backend
+        if backend is not None:
+            backend.rhs[i] = backend.row_lower[i] = backend.row_upper[i] = rhs
+            backend.highs.changeRowBounds(i, rhs, rhs)
+
+    def restart(self) -> None:
+        """Drop the solver state, so the next solve starts cold; the compiled model stays."""
+        if self._backend is not None:
+            self._backend.highs.clearSolver()
 
     def evaluate(self, point: dict[str, float]) -> tuple[float, float]:
         """Largest row-or-bound violation of ``point`` and its objective value.

@@ -1,6 +1,6 @@
 """Shared test machinery: random scenarios, brute-force oracles, residual checks,
-unit rescaling, metamorphic network transforms, and a forced equivalence
-failure for the CLI.
+unit rescaling, metamorphic network transforms, a forced equivalence
+failure for the CLI, and call counters for the compiled-model caches.
 
 The oracles here are deliberately independent of the package's LP path:
 dispatch problems are solved by enumerating vertex dispatches (every subset
@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import sys
 
 import numpy as np
 
 import gridcoord.cli as cli
+import gridcoord.lp as lp
 from gridcoord.model import (
     DDGAG,
     DR,
@@ -371,3 +373,42 @@ def force_equivalence_failure(monkeypatch) -> None:
         )
 
     monkeypatch.setattr(cli, "check_equivalence", failing)
+
+
+# ---------------------------------------------------------------------------
+# Call counters and exact answers, for the compiled-model caches
+# ---------------------------------------------------------------------------
+
+
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Count calls to ``module.name`` through every gridcoord module bound to it.
+
+    Returns a list that grows by one entry per call, for as long as the
+    monkeypatch lasts.
+    """
+    original = getattr(module, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for key, mod in list(sys.modules.items()):
+        if mod is not None and (key == "gridcoord" or key.startswith("gridcoord.")):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counting)
+    return calls
+
+
+def count_compiles(monkeypatch) -> list:
+    """Count LinearPrograms loaded into a new HiGHS instance."""
+    return count_calls(monkeypatch, lp, "_Backend")
+
+
+def answer(call, *args):
+    """``call(*args)``, or the type and message of the InfeasibleError it raised."""
+    try:
+        return call(*args)
+    except lp.InfeasibleError as exc:
+        return "InfeasibleError", str(exc)

@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 
 import gridcoord.coordination as coordination
 import gridcoord.lp as lp
+import gridcoord.model as model
 from gridcoord.caseio import BUNDLED_CASES, parse_case
 from gridcoord.coordination import check_equivalence, run_coordinated, run_ideal
-from gridcoord.dso import build_bid_curve
+from gridcoord.dso import build_bid_curve, feasible_range, value_at
 from gridcoord.iso import clear
 from gridcoord.model import (
     GEN,
@@ -18,10 +19,18 @@ from gridcoord.model import (
     Branch,
     NetworkModel,
     Scenario,
+    ValidationError,
     WholesaleParticipant,
 )
 
-from support import random_scenario, relabel_nodes, reverse_branches, scale_power, scale_prices
+from support import (
+    count_calls,
+    random_scenario,
+    relabel_nodes,
+    reverse_branches,
+    scale_power,
+    scale_prices,
+)
 
 EXPECTED_WHOLESALE = {"Gen1": 10.0, "Gen2": 20.0, "Gen3": 13.8,
                     "DR1": 10.0, "DR2": 20.0, "DR3": 10.0}
@@ -325,3 +334,29 @@ def test_bundled_cases_ignore_an_out_of_merit_generator(name):
 @given(st.integers(min_value=0, max_value=10_000))
 def test_random_feeders_ignore_an_out_of_merit_generator(seed):
     _assert_out_of_merit_block_changes_nothing(random_scenario(seed))
+
+
+@pytest.mark.parametrize("name", BUNDLED_CASES)
+def test_equivalence_check_validates_once_and_derives_the_incidence_at_most_twice(
+        name, monkeypatch):
+    scenario = parse_case(name)  # a fresh object, so nothing of it is compiled yet
+    validations = count_calls(monkeypatch, model, "require_valid")
+    incidences = count_calls(monkeypatch, model, "derived_incidence")
+    assert check_equivalence(scenario).equivalence.passed
+    assert len(validations) == 1
+    assert len(incidences) <= 2  # once inside the validation, once for the model
+
+
+@pytest.mark.parametrize("call", [
+    feasible_range, build_bid_curve, lambda scenario: value_at(scenario, 0.0),
+    run_coordinated, check_equivalence,
+], ids=["feasible_range", "build_bid_curve", "value_at", "run_coordinated",
+        "check_equivalence"])
+def test_invalid_scenario_fails_validation_on_every_call(reference, call):
+    cyclic = dataclasses.replace(reference.network, branches=(
+        *reference.network.branches[:-1], Branch(0, 1, 0.01, 0.01, 5.0, 5.0)))
+    for invalid in (dataclasses.replace(reference, tolerance=-1.0),
+                    dataclasses.replace(reference, network=cyclic)):
+        for _ in range(2):
+            with pytest.raises(ValidationError):
+                call(invalid)

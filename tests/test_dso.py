@@ -1,3 +1,9 @@
+import dataclasses
+import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +14,7 @@ import gridcoord.lp as lp
 from gridcoord.caseio import BUNDLED_CASES, parse_case
 from gridcoord.distflow import build_constraints
 from gridcoord.dso import BidCurve, build_bid_curve, feasible_range, value_at
+from gridcoord.iso import clear
 from gridcoord.lp import InfeasibleError
 from gridcoord.model import (
     Aggregator,
@@ -17,7 +24,13 @@ from gridcoord.model import (
     Scenario,
 )
 
-from support import capacity_export_range, dso_cost_oracle, random_scenario
+from support import (
+    answer,
+    capacity_export_range,
+    count_compiles,
+    dso_cost_oracle,
+    random_scenario,
+)
 
 # Merit order over the reference stacks: DDGAG2 (1 @ 10), DDGAG3 (1.2 @ 15),
 # DDGAG1 (0.5 @ 20), DDGAG4 (2 @ 24), then backing off the DRAG (2.5 @ 28).
@@ -235,9 +248,53 @@ def test_curve_builds_one_lp_and_its_end_costs_match_value_at(name, monkeypatch)
     scenario = parse_case(name)
     curve = build_bid_curve(scenario)
     assert len(calls) == 1
+    assert build_bid_curve(scenario) == curve
     for q, cost in (curve.breakpoints[0], curve.breakpoints[-1]):
         expected = value_at(scenario, q).cost
         assert abs(cost - expected) <= 1e-9 * max(1.0, abs(expected))
+    assert len(calls) <= 2  # the re-dispatch LP, built by the first value_at
+
+
+@pytest.mark.parametrize("which", [*BUNDLED_CASES, *range(30)])
+def test_cache_hit_answers_exactly_like_a_fresh_compile(which, monkeypatch):
+    scenario = parse_case(which) if isinstance(which, str) else random_scenario(which)
+    curve = build_bid_curve(scenario)
+    value_at(scenario, curve.q_min)  # both LPs of the scenario are compiled from here on
+    qs = [q for q, _ in curve.breakpoints]
+    qs += [0.5 * (a + b) for a, b in zip(qs, qs[1:])]
+    calls = [(value_at, q) for q in qs] + [(feasible_range,), (build_bid_curve,)] * 3
+    random.Random(str(which)).shuffle(calls)
+    # Exports outside the range raise; the calls after them must be unaffected.
+    calls.insert(len(calls) // 2, (value_at, curve.q_max + 1.0))
+    calls.insert(1, (value_at, curve.q_min - 1.0))
+
+    compiles = count_compiles(monkeypatch)
+    hits = [answer(call, scenario, *args) for call, *args in calls]
+    assert compiles == []  # every call above re-solved the compiled LPs
+    fresh = [answer(call, dataclasses.replace(scenario), *args) for call, *args in calls]
+    assert len(compiles) == len(calls)  # each copy compiled the one LP its call needs
+    assert hits == fresh
+    assert repr(hits) == repr(fresh)  # bit for bit, signs of zero included
+
+
+def test_threads_share_the_compiled_models_and_get_the_sequential_answers():
+    scenario = parse_case("paper_reference")
+    curve = build_bid_curve(scenario)
+    tasks = [partial(value_at, scenario, float(q))
+             for q in np.linspace(curve.q_min, curve.q_max, 50)]
+    tasks += [partial(clear, scenario.wholesale, [curve], float(load))
+              for load in np.linspace(0.0, 60.0, 50)]
+    random.Random(0).shuffle(tasks)
+    sequential = [task() for task in tasks]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside the solve sequences too
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            threaded = list(pool.map(lambda task: task(), tasks, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == sequential
+    assert repr(threaded) == repr(sequential)
 
 
 def test_monotone_merit_order_dispatch_along_the_sweep(reference):

@@ -1,14 +1,18 @@
+import dataclasses
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridcoord.caseio import parse_case
+from gridcoord.caseio import BUNDLED_CASES, parse_case
 from gridcoord.dso import BidCurve, build_bid_curve
 from gridcoord.iso import clear
 from gridcoord.lp import InfeasibleError
 from gridcoord.model import Block, BlockOfferStack, WholesaleParticipant
 
-from support import random_scenario
+from support import answer, count_compiles, random_scenario
 
 EXPECTED_CLEARING = {"Gen1": 10.0, "Gen2": 20.0, "Gen3": 13.8, "DR1": 10.0, "DR2": 20.0, "DR3": 10.0}
 
@@ -153,3 +157,37 @@ def test_random_clearings_respect_balance_and_merit_order(seed):
                 assert value == pytest.approx(blk.p_max, abs=1e-7)
             if wp.kind == "DR" and blk.price < price - 1e-6:
                 assert value == pytest.approx(0.0, abs=1e-7)
+
+
+@pytest.mark.parametrize("which", [*BUNDLED_CASES, *range(30)])
+def test_cache_hit_clears_exactly_like_a_fresh_compile(which, monkeypatch):
+    scenario = parse_case(which) if isinstance(which, str) else random_scenario(which)
+    curve = build_bid_curve(scenario)
+    supply = sum(wp.offers.capacity for wp in scenario.wholesale if wp.kind == "Gen")
+    loads = [float(x) for x in np.linspace(0.0, supply + curve.q_max, 12)]
+    random.Random(str(which)).shuffle(loads)
+    loads.insert(len(loads) // 2, supply + curve.q_max + 1.0)  # infeasible; the next must match
+    clear(scenario.wholesale, [curve], loads[0])
+
+    compiles = count_compiles(monkeypatch)
+    hits = [answer(clear, scenario.wholesale, [curve], load) for load in loads]
+    assert compiles == []  # every call above re-solved the compiled LP
+    fresh = [answer(clear, scenario.wholesale, [dataclasses.replace(curve)], load)
+             for load in loads]
+    assert len(compiles) == len(loads)
+    assert hits == fresh
+    assert repr(hits) == repr(fresh)  # bit for bit, signs of zero included
+
+
+def test_tied_offers_clear_the_same_whatever_was_cleared_before():
+    # Two generators, a demand bid and a curve segment all at 20 $/MWh: the
+    # optimum is not unique, and a re-solve warm from the previous load's
+    # basis would pick other splits than a fresh compile does.
+    wholesale = (gen("G0", 2.0, 20.0), gen("G1", 2.0, 20.0), gen("G2", 1.0, 10.0),
+                 dr("D0", 1.0, 20.0))
+    curve = BidCurve(breakpoints=((0.0, 0.0), (1.0, 20.0), (2.0, 50.0)), prices=(20.0, 30.0))
+    loads = [0.5 * k for k in range(1, 13)]
+    random.Random(1).shuffle(loads)
+    hits = [clear(wholesale, [curve], load) for load in loads]
+    fresh = [clear(wholesale, [dataclasses.replace(curve)], load) for load in loads]
+    assert repr(hits) == repr(fresh)

@@ -450,3 +450,62 @@ def test_program_without_variables_reports_zero_duals_when_feasible():
     assert sol.status == lp.OPTIMAL
     assert sol.objective == 3.0
     assert sol.dual == {"eq": 0.0, "cap": 0.0, "floor": 0.0}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.booleans())
+def test_restart_after_new_rhs_matches_a_fresh_build_exactly(seed, anchored):
+    rng = np.random.default_rng(seed)
+    a, relations, rhs, lower, upper = _random_lp_data(rng, anchored)
+    relations[0] = lp.EQ
+    c = rng.normal(size=len(lower))
+    prog = _build_lp((a, relations, rhs, lower, upper), c)
+    _outcome(prog)
+    for _ in range(3):  # a cold restart each time, on the kept model
+        new_rhs = rhs.copy()
+        new_rhs[0] = float(rng.normal(scale=3.0))
+        prog.set_rhs("r0", new_rhs[0])
+        prog.restart()
+        backend = prog._backend
+        try:
+            kept = lp.solve(prog)
+        except lp.SolverError:
+            kept = "SolverError"
+        assert prog._backend is backend  # the loaded model was kept
+        try:
+            fresh = lp.solve(_build_lp((a, relations, new_rhs, lower, upper), c))
+        except lp.SolverError:
+            fresh = "SolverError"
+        assert kept == fresh
+
+
+def test_set_rhs_moves_an_equality_row_and_its_dual_reading():
+    prog = lp.LinearProgram()
+    prog.add_variable("x", 0.0, 4.0)
+    prog.add_variable("y", 0.0, 10.0)
+    prog.add_constraint("demand", {"x": 1.0, "y": 1.0}, lp.EQ, 3.0)
+    prog.set_objective({"x": 1.0, "y": 2.0})
+    assert lp.solve(prog).dual["demand"] == pytest.approx(1.0)
+    prog.set_rhs("demand", 6.0)  # x is full, y serves the rest
+    sol = lp.solve(prog)
+    assert sol.primal == pytest.approx({"x": 4.0, "y": 2.0})
+    assert sol.dual["demand"] == pytest.approx(2.0)
+    assert sol.objective == pytest.approx(8.0)
+    assert prog.evaluate(sol.primal)[0] <= 1e-9
+    prog.set_rhs("demand", 20.0)
+    prog.restart()
+    assert lp.solve(prog).status == lp.INFEASIBLE
+
+
+def test_set_rhs_rejects_inequality_rows_and_unknown_names():
+    prog = lp.LinearProgram()
+    prog.add_variable("x", 0.0, 1.0)
+    prog.add_constraint("cap", {"x": 1.0}, lp.LEQ, 1.0)
+    prog.add_constraint("floor", {"x": 1.0}, lp.GEQ, 0.0)
+    for name in ("cap", "floor"):
+        with pytest.raises(ValueError, match="== rows"):
+            prog.set_rhs(name, 0.5)
+    with pytest.raises(ValueError, match="undeclared"):
+        prog.set_rhs("balance", 0.5)
+    prog.restart()  # nothing compiled yet: a no-op
+    assert lp.solve(prog).status == lp.OPTIMAL
