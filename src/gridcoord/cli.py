@@ -23,7 +23,7 @@ from .coordination import check_equivalence, run_coordinated, run_ideal
 from .dso import BidCurve, build_bid_curve
 from .iso import clear
 from .lp import InfeasibleError, SolverError
-from .model import Scenario, ValidationError
+from .model import Scenario, ValidationError, require_valid
 
 
 def _fmt(value: float) -> str:
@@ -112,6 +112,7 @@ def _load_scenario(args) -> Scenario:
             scenario = replace(scenario, tolerance=float(tol_env))
         except ValueError:
             raise CaseFileError(f"GRIDCOORD_TOL is not a number: {tol_env!r}")
+        require_valid(scenario)  # iso-clear never reaches the DSO model's validation
     return scenario
 
 

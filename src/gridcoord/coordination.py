@@ -17,11 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from . import lp as lpmod
-from .distflow import DistFlowVars, build_constraints, dispatch_cost_coeffs
+from .distflow import DistFlowVars, build_constraints, dispatch_cost_coeffs, read_solution
 from .dso import BidCurve, DsoDispatch, _model_for, build_bid_curve, value_at
-from .iso import IsoOutcome, clear
+from .iso import IsoOutcome, add_wholesale, clear, read_wholesale
 from .lp import InfeasibleError, SolverError
-from .model import DR, DRAG, REAG, Incidence, Scenario
+from .model import Incidence, Scenario
 
 
 @dataclass(frozen=True)
@@ -86,70 +86,40 @@ def run_coordinated(scenario: Scenario) -> CoordinationResult:
     return CoordinationResult(bid_curve=curve, iso=outcome, dso_dispatch=dispatch)
 
 
-_WholesaleVars = dict[str, tuple[str, ...]]  # wholesale id -> its block variables
-
-
 def _joint_lp(scenario: Scenario, incidence: Incidence
-              ) -> tuple[lpmod.LinearProgram, DistFlowVars, _WholesaleVars]:
-    """The joint LP with its DistFlow and wholesale variable names."""
+              ) -> tuple[lpmod.LinearProgram, DistFlowVars, tuple[tuple[str, ...], ...]]:
+    """The joint LP with its DistFlow and wholesale block variable names."""
     prog, dvars = build_constraints(
         scenario.network, scenario.aggregators, net_export=None, prefix="dso.",
         incidence=incidence,
     )
     objective = dispatch_cost_coeffs(scenario.aggregators, dvars)
     balance: dict[str, float] = {dvars.p_exchange: 1.0}
-    wholesale_blocks: _WholesaleVars = {}
-    for wp in scenario.wholesale:
-        sign = -1.0 if wp.kind == DR else 1.0
-        names = []
-        for b, blk in enumerate(wp.offers.blocks):
-            name = prog.add_variable(f"{wp.id}[{b}]", 0.0, blk.p_max)
-            balance[name] = sign
-            objective[name] = sign * blk.price
-            names.append(name)
-        wholesale_blocks[wp.id] = tuple(names)
+    block_vars = add_wholesale(prog, scenario.wholesale, balance, objective)
     prog.add_constraint("balance", balance, lpmod.EQ, scenario.firm_wholesale_load)
     prog.set_objective(objective)
-    return prog, dvars, wholesale_blocks
+    return prog, dvars, block_vars
 
 
 def _solve_joint(scenario: Scenario, prog: lpmod.LinearProgram, dvars: DistFlowVars,
-                 wholesale_blocks: _WholesaleVars) -> IdealOutcome:
+                 block_vars: tuple[tuple[str, ...], ...]) -> IdealOutcome:
     sol = lpmod.solve(prog)
     if sol.status != lpmod.OPTIMAL:
         raise InfeasibleError(f"joint dispatch is {sol.status}")
-
-    cleared: dict[str, float] = {}
-    blocks: dict[str, tuple[float, ...]] = {}
-    for wp_id, names in wholesale_blocks.items():
-        values = tuple(sol.primal[name] for name in names)
-        blocks[wp_id] = values
-        cleared[wp_id] = sum(values)
-
-    agg_dispatch: dict[str, float] = {}
-    agg_blocks: dict[str, tuple[float, ...]] = {}
-    for agg in scenario.aggregators:
-        if agg.kind == REAG:
-            agg_dispatch[agg.id] = agg.fixed_output
-            agg_blocks[agg.id] = ()
-            continue
-        names = dvars.demand_blocks[agg.id] if agg.kind == DRAG else dvars.gen_blocks[agg.id]
-        values = tuple(sol.primal[name] for name in names)
-        agg_blocks[agg.id] = values
-        agg_dispatch[agg.id] = sum(values)
-
+    cleared, blocks = read_wholesale(sol, scenario.wholesale, block_vars)
+    out = read_solution(sol, scenario.aggregators, dvars)
     return IdealOutcome(
         cleared=cleared,
         blocks=blocks,
-        aggregator_dispatch=agg_dispatch,
-        aggregator_blocks=agg_blocks,
+        aggregator_dispatch=out.shares,
+        aggregator_blocks=out.blocks,
         net_export=sol.primal[dvars.p_exchange],
         clearing_price=sol.dual["balance"],
         objective=sol.objective,
-        retail_prices={i: sol.dual[row] for i, row in enumerate(dvars.balance_p)},
-        flows_p=tuple(sol.primal[v] for v in dvars.p_flow),
-        flows_q=tuple(sol.primal[v] for v in dvars.q_flow),
-        voltages_sq=tuple(sol.primal[v] for v in dvars.voltage_sq),
+        retail_prices=out.retail_prices,
+        flows_p=out.flows_p,
+        flows_q=out.flows_q,
+        voltages_sq=out.voltages_sq,
     )
 
 
@@ -159,15 +129,15 @@ def run_ideal(scenario: Scenario) -> IdealOutcome:
     return _solve_joint(scenario, *_joint_lp(scenario, incidence))
 
 
-def _coordinated_point(result: CoordinationResult, dvars: DistFlowVars,
-                       wholesale_blocks: _WholesaleVars) -> dict[str, float]:
+def _coordinated_point(scenario: Scenario, result: CoordinationResult, dvars: DistFlowVars,
+                       block_vars: tuple[tuple[str, ...], ...]) -> dict[str, float]:
     """The coordinated outcome as a value for every variable of the joint LP."""
     dispatch = result.dso_dispatch
     point = {dvars.p_exchange: result.iso.dso_awards[0],
              dvars.q_exchange: dispatch.reactive_exchange}
-    for wp_id, names in wholesale_blocks.items():
-        point.update(zip(names, result.iso.blocks[wp_id]))
-    for agg_id, names in {**dvars.gen_blocks, **dvars.demand_blocks}.items():
+    for wp, names in zip(scenario.wholesale, block_vars):
+        point.update(zip(names, result.iso.blocks[wp.id]))
+    for agg_id, names in dvars.blocks.items():
         point.update(zip(names, dispatch.block_dispatch[agg_id]))
     point.update(zip(dvars.p_flow, dispatch.flows_p))
     point.update(zip(dvars.q_flow, dispatch.flows_q))
@@ -185,9 +155,10 @@ def check_equivalence(scenario: Scenario, tolerance: float | None = None) -> Coo
     incidence = _model_for(scenario).incidence  # validates the scenario, once per object
     tol = scenario.tolerance if tolerance is None else tolerance
     coordinated = run_coordinated(scenario)
-    prog, dvars, wholesale_blocks = _joint_lp(scenario, incidence)
-    ideal = _solve_joint(scenario, prog, dvars, wholesale_blocks)
-    residual, objective = prog.evaluate(_coordinated_point(coordinated, dvars, wholesale_blocks))
+    prog, dvars, block_vars = _joint_lp(scenario, incidence)
+    ideal = _solve_joint(scenario, prog, dvars, block_vars)
+    residual, objective = prog.evaluate(_coordinated_point(scenario, coordinated, dvars,
+                                                           block_vars))
     max_dev = max(residual, abs(objective - ideal.objective))
 
     rows = [EquivalenceRow("dso_exchange", ideal.net_export, coordinated.iso.dso_awards[0])]

@@ -11,6 +11,9 @@ Sign conventions, applied uniformly:
 Voltage is tracked as squared p.u. magnitude; the recursion
 ``u[child] = u[parent] - 2 (r * p_flow + x * q_flow) / base_mva`` is the
 lossless linearization, so branch flows carry no loss term.
+
+``build_constraints`` emits the fragment and ``read_solution`` reads it back
+from an optimal solution; the DSO re-dispatch and the joint LP use both.
 """
 
 from __future__ import annotations
@@ -25,8 +28,7 @@ from .model import DRAG, REAG, Aggregator, Incidence, NetworkModel, derived_inci
 class DistFlowVars:
     """Name maps into the LP for one distribution network's variables/rows."""
 
-    gen_blocks: dict[str, tuple[str, ...]]     # supply aggregator id -> block vars
-    demand_blocks: dict[str, tuple[str, ...]]  # demand aggregator id -> block vars
+    blocks: dict[str, tuple[str, ...]]         # aggregator id -> block vars, () for REAG
     p_flow: tuple[str, ...]                    # per branch, MW
     q_flow: tuple[str, ...]                    # per branch, MVAr
     voltage_sq: tuple[str, ...]                # per node, p.u.^2
@@ -35,19 +37,33 @@ class DistFlowVars:
     balance_p: tuple[str, ...]                 # active balance constraint per node
 
 
+@dataclass(frozen=True)
+class DistFlowSolution:
+    """The DistFlow part of an optimal solution, read by ``read_solution``."""
+
+    shares: dict[str, float]                   # aggregator id -> MW, consumption positive for DRAG
+    blocks: dict[str, tuple[float, ...]]       # aggregator id -> block fills, () for REAG
+    retail_prices: dict[int, float]            # node -> active balance dual
+    flows_p: tuple[float, ...]
+    flows_q: tuple[float, ...]
+    voltages_sq: tuple[float, ...]
+    q_exchange: float
+
+
 def build_constraints(
     network: NetworkModel,
     aggregators: list[Aggregator] | tuple[Aggregator, ...],
     net_export: float | None = None,
-    lp: lpmod.LinearProgram | None = None,
     prefix: str = "",
     incidence: Incidence | None = None,
 ) -> tuple[lpmod.LinearProgram, DistFlowVars]:
-    """Emit balance, block, voltage, and flow constraints into ``lp``.
+    """Emit balance, block, voltage, and flow constraints into a new LP.
 
     With ``net_export`` given, the exchange is folded into the substation
-    balance rhs as a parameter; the dual of that balance is then exactly the
-    marginal cost of one more exported MW. With ``net_export=None`` the
+    balance rhs as a parameter. The dual of that balance is then the
+    marginal cost of export: inside a segment of the bid curve, the
+    segment's price; at a breakpoint, some value between the two adjacent
+    prices, picked by the optimal basis. With ``net_export=None`` the
     exchange becomes a free variable (used for range probing and for the
     joint wholesale+distribution problem).
 
@@ -55,8 +71,7 @@ def build_constraints(
     already hold it. No objective is set. Raises ValueError on a non-radial
     network or an aggregator placed on an unknown node.
     """
-    if lp is None:
-        lp = lpmod.LinearProgram()
+    lp = lpmod.LinearProgram()
     inc = derived_incidence(network) if incidence is None else incidence  # raises if not radial
     n = network.n_nodes
 
@@ -64,16 +79,11 @@ def build_constraints(
         if not (0 <= agg.node < n):
             raise ValueError(f"aggregator {agg.id!r} on unknown node {agg.node}")
 
-    gen_blocks: dict[str, tuple[str, ...]] = {}
-    demand_blocks: dict[str, tuple[str, ...]] = {}
-    for agg in aggregators:
-        if agg.kind == REAG:
-            continue
-        names = tuple(
-            lp.add_variable(f"{prefix}{agg.id}[{b}]", 0.0, blk.p_max)
-            for b, blk in enumerate(agg.offers.blocks)
-        )
-        (demand_blocks if agg.kind == DRAG else gen_blocks)[agg.id] = names
+    blocks = {  # a REAG's offer stack is empty, so it gets no variables
+        agg.id: tuple(lp.add_variable(f"{prefix}{agg.id}[{b}]", 0.0, blk.p_max)
+                      for b, blk in enumerate(agg.offers.blocks))
+        for agg in aggregators
+    }
 
     p_flow = tuple(
         lp.add_variable(f"{prefix}pflow[{j}]", -br.pl_max, br.pl_max)
@@ -101,11 +111,8 @@ def build_constraints(
     p_coeffs: list[dict[str, float]] = [dict() for _ in range(n)]
     q_coeffs: list[dict[str, float]] = [dict() for _ in range(n)]
     for agg in aggregators:
-        if agg.kind == REAG:
-            continue
         sign = -1.0 if agg.kind == DRAG else 1.0
-        names = demand_blocks[agg.id] if agg.kind == DRAG else gen_blocks[agg.id]
-        for name in names:
+        for name in blocks[agg.id]:
             p_coeffs[agg.node][name] = sign
             if agg.tan_phi:
                 q_coeffs[agg.node][name] = sign * agg.tan_phi
@@ -144,8 +151,7 @@ def build_constraints(
         )
 
     return lp, DistFlowVars(
-        gen_blocks=gen_blocks,
-        demand_blocks=demand_blocks,
+        blocks=blocks,
         p_flow=p_flow,
         q_flow=q_flow,
         voltage_sq=voltage_sq,
@@ -175,12 +181,26 @@ def dispatch_cost_coeffs(
     """Objective terms: supply blocks at their price, demand blocks at minus theirs."""
     coeffs: dict[str, float] = {}
     for agg in aggregators:
-        if agg.kind == REAG:
-            continue
-        if agg.kind == DRAG:
-            for name, blk in zip(vars.demand_blocks[agg.id], agg.offers.blocks):
-                coeffs[name] = -blk.price
-        else:
-            for name, blk in zip(vars.gen_blocks[agg.id], agg.offers.blocks):
-                coeffs[name] = blk.price
+        sign = -1.0 if agg.kind == DRAG else 1.0
+        for name, blk in zip(vars.blocks[agg.id], agg.offers.blocks):
+            coeffs[name] = sign * blk.price
     return coeffs
+
+
+def read_solution(
+    sol: lpmod.LpSolution, aggregators: list[Aggregator] | tuple[Aggregator, ...],
+    vars: DistFlowVars,
+) -> DistFlowSolution:
+    """The aggregator shares, network state and retail prices of an optimal ``sol``."""
+    blocks = {agg.id: tuple(sol.primal[name] for name in vars.blocks[agg.id])
+              for agg in aggregators}
+    return DistFlowSolution(
+        shares={agg.id: agg.fixed_output if agg.kind == REAG else sum(blocks[agg.id])
+                for agg in aggregators},
+        blocks=blocks,
+        retail_prices={i: sol.dual[row] for i, row in enumerate(vars.balance_p)},
+        flows_p=tuple(sol.primal[v] for v in vars.p_flow),
+        flows_q=tuple(sol.primal[v] for v in vars.q_flow),
+        voltages_sq=tuple(sol.primal[v] for v in vars.voltage_sq),
+        q_exchange=sol.primal[vars.q_exchange],
+    )

@@ -29,9 +29,10 @@ import threading
 from dataclasses import dataclass
 
 from . import lp as lpmod
-from .distflow import DistFlowVars, build_constraints, dispatch_cost_coeffs, firm_net_load
+from .distflow import (DistFlowVars, build_constraints, dispatch_cost_coeffs, firm_net_load,
+                       read_solution)
 from .lp import InfeasibleError
-from .model import DRAG, REAG, Scenario, derived_incidence, require_valid
+from .model import Scenario, derived_incidence, require_valid
 
 
 @dataclass(frozen=True)
@@ -202,31 +203,18 @@ def value_at(scenario: Scenario, net_export: float) -> DsoDispatch:
     if sol.status != lpmod.OPTIMAL:
         raise InfeasibleError(f"net export {net_export} MW is {sol.status} for this network")
 
-    by_aggregator: dict[str, float] = {}
-    block_dispatch: dict[str, tuple[float, ...]] = {}
-    for agg in scenario.aggregators:
-        if agg.kind == REAG:
-            by_aggregator[agg.id] = agg.fixed_output
-            block_dispatch[agg.id] = ()
-            continue
-        names = dvars.demand_blocks[agg.id] if agg.kind == DRAG else dvars.gen_blocks[agg.id]
-        values = tuple(sol.primal[name] for name in names)
-        block_dispatch[agg.id] = values
-        by_aggregator[agg.id] = sum(values)
-
+    out = read_solution(sol, scenario.aggregators, dvars)
     return DsoDispatch(
         net_export=net_export,
         cost=sol.objective,
-        marginal_price=sol.dual[dvars.balance_p[scenario.network.substation]],
-        by_aggregator=by_aggregator,
-        block_dispatch=block_dispatch,
-        retail_prices={
-            i: sol.dual[row] for i, row in enumerate(dvars.balance_p)
-        },
-        flows_p=tuple(sol.primal[v] for v in dvars.p_flow),
-        flows_q=tuple(sol.primal[v] for v in dvars.q_flow),
-        voltages_sq=tuple(sol.primal[v] for v in dvars.voltage_sq),
-        reactive_exchange=sol.primal[dvars.q_exchange],
+        marginal_price=out.retail_prices[scenario.network.substation],
+        by_aggregator=out.shares,
+        block_dispatch=out.blocks,
+        retail_prices=out.retail_prices,
+        flows_p=out.flows_p,
+        flows_q=out.flows_q,
+        voltages_sq=out.voltages_sq,
+        reactive_exchange=out.q_exchange,
     )
 
 

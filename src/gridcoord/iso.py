@@ -1,9 +1,10 @@
 """Single-period wholesale clearing on one balance bus.
 
-Generators and demand bids enter block by block; each distribution operator
-enters through its convex bid curve, decomposed into one bounded variable
-per segment so the LP fills cheap segments first. The clearing price is the
-dual of the balance constraint.
+Generators and demand bids enter block by block, through ``add_wholesale``
+and ``read_wholesale``, which the joint LP of ``coordination`` uses too;
+each distribution operator enters through its convex bid curve, decomposed
+into one bounded variable per segment so the LP fills cheap segments first.
+The clearing price is the dual of the balance constraint.
 
 The clearing LP of one stack (the wholesale participants and the curves) is
 compiled once and kept in a one-slot cache keyed by the identity (``is``) of
@@ -35,6 +36,36 @@ class IsoOutcome:
     objective: float                     # $/h, includes each curve's cost at its minimum
 
 
+def add_wholesale(prog: lpmod.LinearProgram, wholesale: tuple[WholesaleParticipant, ...],
+                  balance: dict[str, float], objective: dict[str, float]
+                  ) -> tuple[tuple[str, ...], ...]:
+    """Add each participant's block variables to ``prog``, and their terms
+    (+1 supply, -1 demand) to the ``balance`` row and ``objective`` being built.
+
+    Returns each participant's block variables, for ``read_wholesale``.
+    """
+    block_vars = []
+    for wp in wholesale:
+        sign = -1.0 if wp.kind == DR else 1.0
+        names = []
+        for b, blk in enumerate(wp.offers.blocks):
+            name = prog.add_variable(f"{wp.id}[{b}]", 0.0, blk.p_max)
+            balance[name] = sign
+            objective[name] = sign * blk.price
+            names.append(name)
+        block_vars.append(tuple(names))
+    return tuple(block_vars)
+
+
+def read_wholesale(sol: lpmod.LpSolution, wholesale: tuple[WholesaleParticipant, ...],
+                   block_vars: tuple[tuple[str, ...], ...]
+                   ) -> tuple[dict[str, float], dict[str, tuple[float, ...]]]:
+    """Cleared MW and block fills per participant id, from an optimal ``sol``."""
+    blocks = {wp.id: tuple(sol.primal[name] for name in names)
+              for wp, names in zip(wholesale, block_vars)}
+    return {wp_id: sum(values) for wp_id, values in blocks.items()}, blocks
+
+
 class _Clearing:
     """The compiled clearing LP of one stack, with the names it reads back."""
 
@@ -52,16 +83,7 @@ class _Clearing:
         balance: dict[str, float] = {}
         constant = 0.0
 
-        self.block_vars: list[tuple[str, ...]] = []
-        for wp in wholesale:
-            sign = -1.0 if wp.kind == DR else 1.0
-            names = []
-            for b, blk in enumerate(wp.offers.blocks):
-                name = prog.add_variable(f"{wp.id}[{b}]", 0.0, blk.p_max)
-                balance[name] = sign
-                objective[name] = sign * blk.price
-                names.append(name)
-            self.block_vars.append(tuple(names))
+        self.block_vars = add_wholesale(prog, wholesale, balance, objective)
 
         self.seg_vars: list[tuple[str, ...]] = []
         for k, curve in enumerate(curves):
@@ -120,13 +142,7 @@ def clear(
     if sol.status == lpmod.UNBOUNDED:
         raise SolverError("internal error: clearing problem unbounded despite bounded stacks")
 
-    cleared: dict[str, float] = {}
-    blocks: dict[str, tuple[float, ...]] = {}
-    for wp, names in zip(stack.wholesale, stack.block_vars):
-        values = tuple(sol.primal[name] for name in names)
-        blocks[wp.id] = values
-        cleared[wp.id] = sum(values)
-
+    cleared, blocks = read_wholesale(sol, stack.wholesale, stack.block_vars)
     awards = []
     fills = []
     for curve, names in zip(stack.curves, stack.seg_vars):

@@ -25,9 +25,11 @@ measures a point found some other way against the same row ranges and the
 variable bounds, and scores it, so it can be certified against an optimum.
 
 Duals are reported in shadow price convention: for a minimization, the dual
-of any constraint is the right-derivative of the optimal objective with
-respect to that constraint's rhs. HiGHS reports row duals that way for all
-three relations.
+of any constraint is the derivative of the optimal objective with respect
+to that constraint's rhs where that derivative exists. At a kink of the
+optimal value in the rhs, it is some value between the left and the right
+derivative, picked by the optimal basis. HiGHS reports row duals that way
+for all three relations.
 """
 
 from __future__ import annotations

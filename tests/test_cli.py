@@ -150,3 +150,11 @@ def test_env_var_overrides_tolerance(tmp_path, monkeypatch):
     assert report["tolerance"] == 1e-18
     monkeypatch.setenv("GRIDCOORD_TOL", "not-a-number")
     assert run(["verify", "--case", "paper_reference", "--out", str(tmp_path)]) == 1
+    monkeypatch.delenv("GRIDCOORD_TOL")
+    assert run(["dso-bid", "--case", "paper_reference", "--out", str(tmp_path)]) == 0
+    curve = ["--curve", str(tmp_path / "bid_curve.csv")]
+    monkeypatch.setenv("GRIDCOORD_TOL", "-1")
+    for command, extra in (("dso-bid", []), ("iso-clear", curve), ("coordinate", []),
+                           ("ideal", []), ("verify", [])):
+        argv = [command, "--case", "paper_reference", "--out", str(tmp_path), *extra]
+        assert run(argv) == 1, command

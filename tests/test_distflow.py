@@ -45,7 +45,7 @@ def test_single_branch_forced_dispatch_and_flow_direction():
     prog.set_objective(dispatch_cost_coeffs([gen], dvars))
     sol = lp.solve(prog)
     assert sol.status == lp.OPTIMAL
-    assert sol.primal[dvars.gen_blocks["g"][0]] == pytest.approx(1.0)
+    assert sol.primal[dvars.blocks["g"][0]] == pytest.approx(1.0)
     # Positive flow points parent->child; exporting 1 MW flows toward the root.
     assert sol.primal[dvars.p_flow[0]] == pytest.approx(-1.0)
 

@@ -378,3 +378,9 @@ def test_random_network_curve_convexity_and_dual_consistency(seed):
         fd = (curve.cost_at(seg.q_hi) - curve.cost_at(seg.q_lo)) / (seg.q_hi - seg.q_lo)
         assert dispatch.marginal_price == pytest.approx(seg.price, abs=1e-5)
         assert fd == pytest.approx(seg.price, abs=1e-5)
+    # At a breakpoint the dual is not unique: any value between the adjacent
+    # segment prices is a valid one (open at the curve's ends).
+    prices = (-float("inf"),) + curve.prices + (float("inf"),)
+    for i, (q, _) in enumerate(points):
+        price = value_at(scenario, q).marginal_price
+        assert prices[i] - 1e-6 <= price <= prices[i + 1] + 1e-6, (i, q, price)

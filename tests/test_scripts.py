@@ -1,0 +1,28 @@
+"""Smoke tests of the command-line scripts under scripts/."""
+
+import importlib.util
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_run_paper_case_prints_and_writes_the_artifacts(tmp_path, capsys):
+    assert load("run_paper_case").main(["--case", "voltage_binding", "--out", str(tmp_path)]) == 0
+    assert "Equivalence: PASS" in capsys.readouterr().out
+    for name in ("bid_curve", "breakpoints", "iso_outcome", "dso_dispatch", "retail_prices"):
+        lines = (tmp_path / f"{name}.csv").read_text().splitlines()
+        assert len(lines) >= 2, name  # header and at least one row
+    assert (tmp_path / "equivalence_report.json").exists()
+
+
+def test_random_campaign_passes_a_short_batch(capsys):
+    assert load("random_campaign").main(["--cases", "3"]) == 0
+    assert "3/3 cases equivalent" in capsys.readouterr().out
+
