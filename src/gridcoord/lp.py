@@ -353,7 +353,11 @@ def solve(lp: LinearProgram, tolerance: float = DEFAULT_TOLERANCE) -> LpSolution
     c = np.zeros(nvar)
     for var, coef in lp._objective.items():
         c[lp._var_index[var]] = coef
-    highs.changeColsCost(nvar, backend.col_ids, c)
+    # HiGHS's reduced-cost tolerance is an absolute 1e-7, so costs below 1 ($/kWh, say)
+    # are lifted by a power of two, which the duals and objective undo exactly.
+    top = float(np.max(np.abs(c), initial=0.0))
+    scale = math.ldexp(1.0, 1 - math.frexp(top)[1]) if 0.0 < top < 1.0 else 1.0
+    highs.changeColsCost(nvar, backend.col_ids, c * scale)
     run = linprog(highs)
     if run.status == HighsModelStatus.kInfeasible:
         return LpSolution(status=INFEASIBLE)
@@ -364,8 +368,8 @@ def solve(lp: LinearProgram, tolerance: float = DEFAULT_TOLERANCE) -> LpSolution
 
     solution = highs.getSolution()
     x = np.array(solution.col_value)
-    y = np.array(solution.row_dual)
-    reduced = np.array(solution.col_dual)
+    y = np.array(solution.row_dual) / scale
+    reduced = np.array(solution.col_dual) / scale
 
     # Dual objective: y'b plus reduced-cost terms at the bound each column
     # sits exactly on (a fixed column counts once); other columns contribute
@@ -374,7 +378,7 @@ def solve(lp: LinearProgram, tolerance: float = DEFAULT_TOLERANCE) -> LpSolution
     at_upper = (x == backend.upper) & ~at_lower
     dual_obj = (y @ backend.rhs + reduced[at_lower] @ backend.lower[at_lower]
                 + reduced[at_upper] @ backend.upper[at_upper])
-    gap = abs(run.objective - float(dual_obj))
+    gap = abs(run.objective / scale - float(dual_obj))
 
     max_residual = _row_violation(backend.rows, backend.cols, backend.vals,
                                   backend.row_lower, backend.row_upper, x)
@@ -389,7 +393,7 @@ def solve(lp: LinearProgram, tolerance: float = DEFAULT_TOLERANCE) -> LpSolution
 
     return LpSolution(
         status=OPTIMAL,
-        objective=run.objective + lp.objective_constant,
+        objective=run.objective / scale + lp.objective_constant,
         primal=dict(zip(lp._var_names, x.tolist())),
         dual=dict(zip(lp._con_index, y.tolist())),
         duality_gap=gap,

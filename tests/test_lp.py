@@ -139,6 +139,23 @@ def test_objective_scaling_rescales_optimum_and_keeps_argmin(seed, scale):
     assert check == pytest.approx(base.objective, rel=1e-7, abs=1e-6)
 
 
+@pytest.mark.parametrize("factor", [1.0, 1e-3, 1e3])  # $/MWh, $/kWh, k$/MWh
+def test_offers_a_hundredth_of_a_cent_apart_clear_in_merit_order_in_any_price_unit(factor):
+    # Two supplies 1e-4 $/MWh apart: in $/kWh their costs differ by 1e-7,
+    # HiGHS's own reduced-cost tolerance.
+    prog = lp.LinearProgram()
+    offers = {"cheap": (9.36, 30.7524), "dear": (0.759, 30.7525), "dearest": (1.22, 34.4185)}
+    for name, (p_max, _) in offers.items():
+        prog.add_variable(name, 0.0, p_max)
+    prog.add_constraint("balance", dict.fromkeys(offers, 1.0), lp.EQ, 9.731)
+    prog.set_objective({name: price * factor for name, (_, price) in offers.items()})
+    sol = lp.solve(prog)
+    assert sol.primal["cheap"] == 9.36
+    assert sol.primal["dear"] == pytest.approx(0.371, abs=1e-12)
+    assert sol.primal["dearest"] == 0.0
+    assert sol.dual["balance"] == pytest.approx(30.7525 * factor, rel=1e-12)
+
+
 def test_objective_constant_passes_through():
     prog = lp.LinearProgram()
     prog.add_variable("x", 1.0, 2.0)
