@@ -6,16 +6,17 @@ Usage:
 
 Prints the bid curve (breakpoints and marginal steps), the wholesale
 clearing, the aggregator re-dispatch, the joint-dispatch benchmark, and the
-equivalence report. With --out, also writes the CSV artifacts via the CLI
-writers so the numbers can be plotted.
+equivalence report. With --out, also writes the files of ``gridcoord
+coordinate`` and ``gridcoord verify`` (CSV), from the same result and with
+the CLI's own writers, so the numbers can be plotted.
 """
 
 import argparse
 import sys
 from pathlib import Path
 
-from gridcoord import check_equivalence, parse_case
-from gridcoord.cli import main as cli_main
+from gridcoord import check_equivalence
+from gridcoord.cli import load_scenario, write_coordination, write_equivalence_report
 
 
 def table(title, rows, headers):
@@ -33,7 +34,7 @@ def main(argv=None):
     parser.add_argument("--out", type=Path, help="also write CSV artifacts here")
     args = parser.parse_args(argv)
 
-    scenario = parse_case(args.case)
+    scenario = load_scenario(args.case)
     result = check_equivalence(scenario)
     curve = result.bid_curve
 
@@ -81,10 +82,10 @@ def main(argv=None):
     print(f"  primal residual:       {report.primal_residual:.3g}")
 
     if args.out:
-        code = cli_main(["coordinate", "--case", args.case, "--out", str(args.out)])
-        code = code or cli_main(["verify", "--case", args.case, "--out", str(args.out)])
+        args.out.mkdir(parents=True, exist_ok=True)
+        write_coordination(scenario, result, args.out)
+        write_equivalence_report(report, args.out)
         print(f"\nartifacts written to {args.out}")
-        return code
     return 0 if report.passed else 2
 
 

@@ -19,9 +19,10 @@ from dataclasses import replace
 from pathlib import Path
 
 from .caseio import CaseFileError, parse_case
-from .coordination import check_equivalence, run_coordinated, run_ideal
+from .coordination import (CoordinationResult, EquivalenceReport, check_equivalence,
+                           run_coordinated, run_ideal)
 from .dso import BidCurve, build_bid_curve
-from .iso import clear
+from .iso import IsoOutcome, clear
 from .lp import InfeasibleError, SolverError
 from .model import Scenario, ValidationError, require_valid
 
@@ -104,8 +105,9 @@ def read_curve(path: str | Path) -> BidCurve:
     return curve
 
 
-def _load_scenario(args) -> Scenario:
-    scenario = parse_case(args.case)
+def load_scenario(case: str) -> Scenario:
+    """Parse a case file or bundled case; GRIDCOORD_TOL, when set, overrides its tolerance."""
+    scenario = parse_case(case)
     tol_env = os.environ.get("GRIDCOORD_TOL")
     if tol_env is not None:
         try:
@@ -116,66 +118,35 @@ def _load_scenario(args) -> Scenario:
     return scenario
 
 
-def _cmd_dso_bid(args) -> int:
-    scenario = _load_scenario(args)
-    curve = build_bid_curve(scenario)
-    _write_curve(curve, args.out, args.format)
-    print(f"bid curve: {len(curve.prices)} segments on "
-          f"[{_fmt(curve.q_min)}, {_fmt(curve.q_max)}] MW")
-    return 0
-
-
-def _cmd_iso_clear(args) -> int:
-    scenario = _load_scenario(args)
-    curve = read_curve(args.curve)
-    outcome = clear(scenario.wholesale, [curve], scenario.firm_wholesale_load)
+def _iso_rows(scenario: Scenario, outcome: IsoOutcome) -> list[tuple]:
     rows: list[tuple] = [(wp.id, outcome.cleared[wp.id]) for wp in scenario.wholesale]
     rows.append(("DSO", outcome.dso_awards[0]))
-    _write_table(args.out / "iso_outcome.csv", ["participant", "cleared_mw"], rows, args.format)
-    print(f"clearing price: {_fmt(outcome.clearing_price)} $/MWh")
-    return 0
+    return rows
 
 
-def _cmd_coordinate(args) -> int:
-    scenario = _load_scenario(args)
-    result = run_coordinated(scenario)
-    _write_curve(result.bid_curve, args.out, args.format)
-    rows: list[tuple] = [(wp.id, result.iso.cleared[wp.id]) for wp in scenario.wholesale]
-    rows.append(("DSO", result.iso.dso_awards[0]))
-    _write_table(args.out / "iso_outcome.csv", ["participant", "cleared_mw"], rows, args.format)
+def write_coordination(scenario: Scenario, result: CoordinationResult, out: Path,
+                       fmt: str = "csv") -> None:
+    """The files of ``coordinate``: curve, clearing, re-dispatch and retail prices."""
+    _write_curve(result.bid_curve, out, fmt)
+    _write_table(out / "iso_outcome.csv", ["participant", "cleared_mw"],
+                 _iso_rows(scenario, result.iso), fmt)
     _write_table(
-        args.out / "dso_dispatch.csv",
+        out / "dso_dispatch.csv",
         ["aggregator", "mw"],
         [(agg.id, result.dso_dispatch.by_aggregator[agg.id]) for agg in scenario.aggregators],
-        args.format,
+        fmt,
     )
     _write_table(
-        args.out / "retail_prices.csv",
+        out / "retail_prices.csv",
         ["node", "price"],
         [(str(i), result.dso_dispatch.retail_prices[i])
          for i in range(scenario.network.n_nodes)],
-        args.format,
+        fmt,
     )
-    print(f"clearing price: {_fmt(result.iso.clearing_price)} $/MWh")
-    print(f"dso award: {_fmt(result.iso.dso_awards[0])} MW")
-    return 0
 
 
-def _cmd_ideal(args) -> int:
-    scenario = _load_scenario(args)
-    outcome = run_ideal(scenario)
-    rows: list[tuple] = [(wp.id, outcome.cleared[wp.id]) for wp in scenario.wholesale]
-    rows += [(agg.id, outcome.aggregator_dispatch[agg.id]) for agg in scenario.aggregators]
-    _write_table(args.out / "ideal_outcome.csv", ["participant", "cleared_mw"], rows, args.format)
-    print(f"clearing price: {_fmt(outcome.clearing_price)} $/MWh")
-    print(f"dso exchange: {_fmt(outcome.net_export)} MW")
-    return 0
-
-
-def _cmd_verify(args) -> int:
-    scenario = _load_scenario(args)
-    result = check_equivalence(scenario, tolerance=args.tol)
-    report = result.equivalence
+def write_equivalence_report(report: EquivalenceReport, out: Path) -> None:
+    """The file of ``verify``: equivalence_report.json."""
     doc = {
         "passed": report.passed,
         "tolerance": report.tolerance,
@@ -193,8 +164,53 @@ def _cmd_verify(args) -> int:
             for row in report.rows
         ],
     }
-    with open(args.out / "equivalence_report.json", "w", newline="\n") as fh:
+    with open(out / "equivalence_report.json", "w", newline="\n") as fh:
         fh.write(json.dumps(doc, indent=2) + "\n")
+
+
+def _cmd_dso_bid(args) -> int:
+    scenario = load_scenario(args.case)
+    curve = build_bid_curve(scenario)
+    _write_curve(curve, args.out, args.format)
+    print(f"bid curve: {len(curve.prices)} segments on "
+          f"[{_fmt(curve.q_min)}, {_fmt(curve.q_max)}] MW")
+    return 0
+
+
+def _cmd_iso_clear(args) -> int:
+    scenario = load_scenario(args.case)
+    curve = read_curve(args.curve)
+    outcome = clear(scenario.wholesale, [curve], scenario.firm_wholesale_load)
+    _write_table(args.out / "iso_outcome.csv", ["participant", "cleared_mw"],
+                 _iso_rows(scenario, outcome), args.format)
+    print(f"clearing price: {_fmt(outcome.clearing_price)} $/MWh")
+    return 0
+
+
+def _cmd_coordinate(args) -> int:
+    scenario = load_scenario(args.case)
+    result = run_coordinated(scenario)
+    write_coordination(scenario, result, args.out, args.format)
+    print(f"clearing price: {_fmt(result.iso.clearing_price)} $/MWh")
+    print(f"dso award: {_fmt(result.iso.dso_awards[0])} MW")
+    return 0
+
+
+def _cmd_ideal(args) -> int:
+    scenario = load_scenario(args.case)
+    outcome = run_ideal(scenario)
+    rows: list[tuple] = [(wp.id, outcome.cleared[wp.id]) for wp in scenario.wholesale]
+    rows += [(agg.id, outcome.aggregator_dispatch[agg.id]) for agg in scenario.aggregators]
+    _write_table(args.out / "ideal_outcome.csv", ["participant", "cleared_mw"], rows, args.format)
+    print(f"clearing price: {_fmt(outcome.clearing_price)} $/MWh")
+    print(f"dso exchange: {_fmt(outcome.net_export)} MW")
+    return 0
+
+
+def _cmd_verify(args) -> int:
+    scenario = load_scenario(args.case)
+    report = check_equivalence(scenario, tolerance=args.tol).equivalence
+    write_equivalence_report(report, args.out)
     status = "PASS" if report.passed else "FAIL"
     print(f"equivalence: {status} (max deviation {report.max_deviation:.3g}, "
           f"tolerance {report.tolerance:g})")

@@ -6,9 +6,13 @@ of the export parameter it is convex piecewise linear, so the curve is
 recovered exactly by chord-slope probing (the NISE / sandwich method of
 Eisner & Severance and Cohon): each probe minimizes cost minus a chord's
 slope times export, and either certifies the chord as a segment or returns
-an LP vertex that is a breakpoint. Within a curve, one free-export LP serves
-every solve: the range, the end costs (export pinned through its bounds) and
-the probes, each re-solved from the previous basis.
+an LP vertex that is a breakpoint. The basis of a probe that splits also
+gives, through the export's cost range (``lp.cost_range``), the slopes of
+supporting lines at its breakpoint, and those certify the adjacent segments
+without a probe of their own (``build_bid_curve`` says why that is sound).
+A curve of k segments then takes k + 3 solves. Within a curve, one
+free-export LP serves every solve: the range, the end costs (export pinned
+through its bounds) and the probes, each re-solved from the previous basis.
 
 Each scenario is compiled once: a private model validates it, derives its
 tree incidence and builds, on first use, the free-export LP and the
@@ -171,13 +175,14 @@ def _model_for(scenario: Scenario) -> _Model:
 
 def _export_range(prog: lpmod.LinearProgram, p_exchange: str) -> tuple[float, float]:
     """Minimize, then maximize, the free export variable of ``prog``."""
+    j = prog.column(p_exchange)
     out = []
     for sense in (1.0, -1.0):
         prog.set_objective({p_exchange: sense})
         sol = lpmod.solve(prog)
         if sol.status != lpmod.OPTIMAL:
             raise InfeasibleError(f"distribution dispatch polytope is {sol.status}")
-        out.append(sol.primal[p_exchange])
+        out.append(float(sol.x[j]))
     return out[0], out[1]
 
 
@@ -224,13 +229,30 @@ def build_bid_curve(scenario: Scenario) -> BidCurve:
     The scenario's free-export LP is restarted, then re-solved throughout.
     Its range comes from minimizing and maximizing the export; each end cost
     is the dispatch cost with the export pinned to that end through its
-    bounds, which are freed again afterwards. Each interval (a, b) between known
-    points of the value function is then probed with the slope m of its
-    chord: the LP minimizes dispatch cost - m * export. An optimum on the
-    chord means [a, b] is one segment with price m; one below it is an LP
-    vertex strictly inside (a, b), a breakpoint to split at. k segments take
-    2k - 1 probes, plus two for each probe that lands inside a segment of
-    tied block prices.
+    bounds, which are freed again afterwards. Each interval [a, b] between
+    known points of the value function is then probed with the slope m of
+    its chord: the LP minimizes dispatch cost - m * export. An optimum on
+    the chord means [a, b] is one segment with price m; one below it is an
+    LP vertex strictly inside (a, b), a breakpoint to split at.
+
+    A split probe's basis also certifies segments without a probe. Its
+    vertex q stays optimal while the export's cost -s moves within the
+    range ``lp.cost_range`` reads, so every slope s in that range [s-, s+]
+    is a subgradient of the value function V at q: V(p) >= V(q) + s (p - q)
+    for all p. Take [a, b] with chord slope m and the supporting line of
+    slope s+(a) at a. On [a, b], V(p) - m p >= V(a) - m a - (m - s+(a)) (b - a),
+    and outside [a, b] convexity keeps V above the chord's line. So a probe
+    at slope m would end at most (m - s+(a)) (b - a) below the chord
+    intercept V(a) - m a, and the same holds with (s-(b) - m) (b - a) from
+    b's side. When either product is within the probe's own slack, the
+    probe would have accepted [a, b]: it is taken as a segment unsolved.
+    The range ends have no basis of their own, so the first chord is always
+    probed. On the curve LPs a split probe's range is exactly the pair of
+    adjacent segment prices, so a curve of k segments takes k + 3 solves:
+    the range (2), the end costs (2) and k - 1 split probes, or one
+    accepting probe when k = 1. Ties between blocks at the chord slope can
+    add probes (collinear neighbors are extended, not split), as can a
+    degenerate basis whose range is narrower than the segment prices.
     """
     free = _model_for(scenario).lp(folded=False)
     with free.lock:
@@ -242,8 +264,12 @@ def build_bid_curve(scenario: Scenario) -> BidCurve:
     return curve
 
 
+_UNSUPPORTED = (math.inf, -math.inf)  # no supporting slopes known: certifies nothing
+
+
 def _probe_curve(scenario: Scenario, prog: lpmod.LinearProgram, dvars: DistFlowVars) -> BidCurve:
     px = dvars.p_exchange
+    j = prog.column(px)
     q_min, q_max = _export_range(prog, px)
     cost = dispatch_cost_coeffs(scenario.aggregators, dvars)
     prog.set_objective(cost)
@@ -258,36 +284,43 @@ def _probe_curve(scenario: Scenario, prog: lpmod.LinearProgram, dvars: DistFlowV
             raise InfeasibleError(f"net export {q} MW is {sol.status} for this network")
         return sol.objective
 
-    lo = (q_min, pinned_cost(q_min))
+    # Points are (export, cost, (s-, s+)): the slopes of the supporting
+    # lines at the point that the basis of its probe certifies.
+    lo = (q_min, pinned_cost(q_min), _UNSUPPORTED)
     if q_max - q_min <= max(1e-12, 1e-9 * max(abs(q_min), 1.0)):
-        return BidCurve(breakpoints=(lo,), prices=())
-    hi = (q_max, pinned_cost(q_max))
+        return BidCurve(breakpoints=(lo[:2],), prices=())
+    hi = (q_max, pinned_cost(q_max), _UNSUPPORTED)
     tol = max(scenario.tolerance, 1e-9)
 
     breakpoints, prices = [lo], []
     stack = [(lo, hi)]  # intervals still to probe, leftmost on top
     while stack:
         a, b = stack.pop()
-        (qa, ca), (qb, cb) = a, b
+        (qa, ca, sa), (qb, cb, sb) = a, b
         slope = (cb - ca) / (qb - qa)
-        prog.set_objective({**cost, px: -slope})
-        sol = lpmod.solve(prog)
-        if sol.status != lpmod.OPTIMAL:
-            raise InfeasibleError(f"chord probe on [{qa}, {qb}] MW is {sol.status}")
-        if sol.objective >= ca - slope * qa - tol * max(1.0, abs(ca), abs(cb)):
-            # Blocks tied at the chord slope can put an earlier probe's vertex
-            # inside a segment; a collinear neighbor is then extended, not split.
-            if prices and abs(slope - prices[-1]) <= tol:
-                del breakpoints[-1], prices[-1]
-                qa, ca = breakpoints[-1]
-                slope = (cb - ca) / (qb - qa)
-            breakpoints.append(b)
-            prices.append(slope)
-            continue
-        q = sol.primal[px]
-        if not qa < q < qb:
-            raise lpmod.SolverError(f"chord probe on [{qa}, {qb}] MW returned export {q}")
-        mid = (q, sol.objective + slope * q)
-        stack += [(mid, b), (a, mid)]
+        slack = tol * max(1.0, abs(ca), abs(cb))
+        if min(slope - sa[1], sb[0] - slope) * (qb - qa) > slack:  # not certified: probe
+            prog.set_objective({**cost, px: -slope})
+            sol = lpmod.solve(prog)
+            if sol.status != lpmod.OPTIMAL:
+                raise InfeasibleError(f"chord probe on [{qa}, {qb}] MW is {sol.status}")
+            if sol.objective < ca - slope * qa - slack:
+                q = float(sol.x[j])
+                if not qa < q < qb:
+                    raise lpmod.SolverError(
+                        f"chord probe on [{qa}, {qb}] MW returned export {q}")
+                costs = lpmod.cost_range(prog, sol, j)
+                mid = (q, sol.objective + slope * q,
+                       _UNSUPPORTED if costs is None else (-costs[1], -costs[0]))
+                stack += [(mid, b), (a, mid)]
+                continue
+        # Blocks tied at the chord slope can put an earlier probe's vertex
+        # inside a segment; a collinear neighbor is then extended, not split.
+        if prices and abs(slope - prices[-1]) <= tol:
+            del breakpoints[-1], prices[-1]
+            qa, ca, _ = breakpoints[-1]
+            slope = (cb - ca) / (qb - qa)
+        breakpoints.append(b)
+        prices.append(slope)
 
-    return BidCurve(breakpoints=tuple(breakpoints), prices=tuple(prices))
+    return BidCurve(breakpoints=tuple(bp[:2] for bp in breakpoints), prices=tuple(prices))

@@ -30,6 +30,23 @@ to that constraint's rhs where that derivative exists. At a kink of the
 optimal value in the rhs, it is some value between the left and the right
 derivative, picked by the optimal basis. HiGHS reports row duals that way
 for all three relations.
+
+An ``LpSolution`` carries its numbers as arrays: ``x`` and the reduced
+costs ``reduced`` by column index (``LinearProgram.column``), ``y`` by row.
+The ``primal`` and ``dual`` name maps are built from them on first access,
+so hot callers that read by index never pay for them. The cost vector is
+built, and lifted by its power of two, once per ``set_objective``, and is
+sent to HiGHS only when it is not the one HiGHS already holds.
+``cost_range`` reads, from the basis of the last optimal solve, the range
+of one column's cost over which that basis stays optimal: one row of
+B^-1 and of B^-1 A, then a ratio test over the nonbasic columns and rows.
+It replaces HiGHS's ``getRanging``, which ranges every row and column.
+
+``linprog`` reads the status, objective and iteration count one value at a
+time instead of copying HiGHS's whole info record. It keeps its name and
+its ``nit`` field because the benchmark's tracer (``bench/tracing.py``)
+wraps ``gridcoord.lp.linprog`` by that name as the HiGHS layer and reads
+``nit`` as its iteration count.
 """
 
 from __future__ import annotations
@@ -39,7 +56,9 @@ import importlib.util
 import math
 import os
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -134,11 +153,19 @@ class LinearProgram:
         self._row_upper: list[float] = []
         self._objective: dict[str, float] = {}
         self.objective_constant = 0.0
+        self._cost: tuple[np.ndarray, float] | None = None  # built by the next solve
         self._backend: _Backend | None = None  # built by the first solve
 
     @property
     def variables(self) -> list[str]:
         return list(self._var_names)
+
+    def column(self, name: str) -> int:
+        """Index of variable ``name`` in the arrays of an ``LpSolution``."""
+        try:
+            return self._var_index[name]
+        except KeyError:
+            raise ValueError(f"undeclared variable {name!r}") from None
 
     def add_variable(self, name: str, lower: float = -math.inf, upper: float = math.inf) -> str:
         if name in self._var_index:
@@ -149,7 +176,7 @@ class LinearProgram:
         self._var_names.append(name)
         self._lower.append(lower)
         self._upper.append(upper)
-        self._backend = None
+        self._cost = self._backend = None
         return name
 
     def add_constraint(self, name: str, coeffs: dict[str, float], relation: str, rhs: float) -> str:
@@ -181,6 +208,23 @@ class LinearProgram:
                 raise ValueError(f"objective references undeclared variable {var!r}")
         self._objective = dict(coeffs)
         self.objective_constant = float(constant)
+        self._cost = None
+
+    def _lifted_cost(self) -> tuple[np.ndarray, float]:
+        """The cost vector HiGHS is given and the power of two it was lifted by.
+
+        HiGHS's reduced-cost tolerance is an absolute 1e-7, so costs below 1
+        ($/kWh, say) are lifted by a power of two, which the duals and the
+        objective undo exactly. Built once per objective.
+        """
+        if self._cost is None:
+            c = np.zeros(len(self._var_names))
+            for var, coef in self._objective.items():
+                c[self._var_index[var]] = coef
+            top = float(np.max(np.abs(c), initial=0.0))
+            scale = math.ldexp(1.0, 1 - math.frexp(top)[1]) if 0.0 < top < 1.0 else 1.0
+            self._cost = (c * scale, scale)
+        return self._cost
 
     def set_bounds(self, name: str, lower: float, upper: float) -> None:
         """Move a variable's bounds; a compiled program keeps its model and basis."""
@@ -255,6 +299,9 @@ class _Backend:
         self.lower = np.array(prog._lower, dtype=float)
         self.upper = np.array(prog._upper, dtype=float)
         self.col_ids = np.arange(n, dtype=np.int32)
+        # +1 for a >= row, -1 for a <= row, 0 for an == row: the sign of its dual when active
+        self.row_sign = np.isfinite(self.row_lower) * 1.0 - np.isfinite(self.row_upper)
+        self.cost: np.ndarray | None = None  # the cost vector HiGHS holds, once one is sent
 
         model = HighsLp()
         model.num_col_, model.num_row_ = n, m
@@ -292,33 +339,59 @@ def linprog(highs: _Highs) -> _Run:
     unbounded, and its presolve reports some feasible, unbounded LPs as
     infeasible.
 
-    ``solve`` calls this exactly once per backend solve. It keeps the name
-    of the ``scipy.optimize.linprog`` call that preceded the persistent
-    instance because the benchmark's tracer (``bench/tracing.py``) wraps
-    ``gridcoord.lp.linprog`` as the HiGHS layer and reads ``nit`` from its
-    result.
+    ``solve`` calls this exactly once per backend solve; see the module
+    docstring for why it keeps its name and ``nit``.
     """
     highs.run()
-    info = highs.getInfo()
-    nit = info.simplex_iteration_count
+    nit = highs.getInfoValue("simplex_iteration_count")[1]
     if highs.getModelStatus() != HighsModelStatus.kOptimal:
         highs.passModel(highs.getLp())  # drops the basis and all solver state
         highs.setOptionValue("presolve", "off")
         highs.run()
         highs.setOptionValue("presolve", "choose")
-        info = highs.getInfo()
-        nit += info.simplex_iteration_count
-    return _Run(highs.getModelStatus(), info.objective_function_value, nit)
+        nit += highs.getInfoValue("simplex_iteration_count")[1]
+    return _Run(highs.getModelStatus(), highs.getObjectiveValue(), nit)
 
 
-@dataclass
+def _empty() -> np.ndarray:
+    return np.zeros(0)
+
+
+@dataclass(eq=False)
 class LpSolution:
+    """A solve's status and, when optimal, its values by column and row index.
+
+    ``x`` (primal values) and ``reduced`` (reduced costs) follow the
+    program's variables, ``y`` (row duals) its constraints. ``primal`` and
+    ``dual`` map names to the same numbers and are built on first access.
+    """
+
     status: str
     objective: float = math.nan
-    primal: dict[str, float] = field(default_factory=dict)
-    dual: dict[str, float] = field(default_factory=dict)
     duality_gap: float = math.nan
     max_residual: float = math.nan
+    x: np.ndarray = field(default_factory=_empty, repr=False)
+    y: np.ndarray = field(default_factory=_empty, repr=False)
+    reduced: np.ndarray = field(default_factory=_empty, repr=False)
+    var_names: Iterable[str] = field(default=(), repr=False)
+    con_names: Iterable[str] = field(default=(), repr=False)
+
+    @cached_property
+    def primal(self) -> dict[str, float]:
+        return dict(zip(self.var_names, self.x.tolist()))
+
+    @cached_property
+    def dual(self) -> dict[str, float]:
+        return dict(zip(self.con_names, self.y.tolist()))
+
+    def _compared(self) -> tuple:
+        return (self.status, self.objective, self.primal, self.dual, self.duality_gap,
+                self.max_residual)
+
+    def __eq__(self, other):
+        if not isinstance(other, LpSolution):
+            return NotImplemented
+        return self._compared() == other._compared()
 
 
 # Running record of solve quality, so a test run can assert the duality gap
@@ -343,21 +416,17 @@ def solve(lp: LinearProgram, tolerance: float = DEFAULT_TOLERANCE) -> LpSolution
         if any(lo > 0.0 or up < 0.0 for lo, up in zip(lp._row_lower, lp._row_upper)):
             return LpSolution(status=INFEASIBLE)
         return LpSolution(status=OPTIMAL, objective=lp.objective_constant,
-                          dual=dict.fromkeys(lp._con_index, 0.0),
-                          duality_gap=0.0, max_residual=0.0)
+                          duality_gap=0.0, max_residual=0.0,
+                          y=np.zeros(len(lp._con_index)), con_names=lp._con_index)
     if lp._backend is None:
         lp._backend = _Backend(lp)
     backend = lp._backend
     highs = backend.highs
 
-    c = np.zeros(nvar)
-    for var, coef in lp._objective.items():
-        c[lp._var_index[var]] = coef
-    # HiGHS's reduced-cost tolerance is an absolute 1e-7, so costs below 1 ($/kWh, say)
-    # are lifted by a power of two, which the duals and objective undo exactly.
-    top = float(np.max(np.abs(c), initial=0.0))
-    scale = math.ldexp(1.0, 1 - math.frexp(top)[1]) if 0.0 < top < 1.0 else 1.0
-    highs.changeColsCost(nvar, backend.col_ids, c * scale)
+    cost, scale = lp._lifted_cost()
+    if backend.cost is not cost:
+        highs.changeColsCost(nvar, backend.col_ids, cost)
+        backend.cost = cost
     run = linprog(highs)
     if run.status == HighsModelStatus.kInfeasible:
         return LpSolution(status=INFEASIBLE)
@@ -394,8 +463,57 @@ def solve(lp: LinearProgram, tolerance: float = DEFAULT_TOLERANCE) -> LpSolution
     return LpSolution(
         status=OPTIMAL,
         objective=run.objective / scale + lp.objective_constant,
-        primal=dict(zip(lp._var_names, x.tolist())),
-        dual=dict(zip(lp._con_index, y.tolist())),
         duality_gap=gap,
         max_residual=max_residual,
+        x=x, y=y, reduced=reduced,
+        var_names=lp._var_names, con_names=lp._con_index,
     )
+
+
+def cost_range(lp: LinearProgram, sol: LpSolution, j: int) -> tuple[float, float] | None:
+    """Costs of column ``j`` over which the basis of ``sol`` stays optimal.
+
+    ``sol`` must be the last solve of ``lp`` and optimal. Moving column j's
+    cost by d, with j basic in row r of the basis B, moves the row duals by
+    d times row r of B^-1 (rho) and every reduced cost by -d times row r of
+    B^-1 A (alpha, ``getReducedRow``). The basis stays optimal while each
+    nonbasic column keeps the reduced-cost sign of the bound it sits on
+    (>= 0 at a lower bound, <= 0 at an upper, 0 for a free column left at 0)
+    and each inequality row at its bound keeps its dual's sign (>= 0 on a
+    >= row, <= 0 on a <= row); fixed columns and == rows may take any. The
+    widest such interval of d comes from a ratio test. Returns the costs at
+    its ends, or None when column j is nonbasic: such a column's cost range
+    is one-sided and says nothing about where the optimum moves.
+    """
+    backend = lp._backend
+    highs = backend.highs
+    if highs.getNumNz() == 0:  # HiGHS solves such an LP without factorizing a basis
+        return None
+    basic = highs.getBasicVariables()[1]  # row i is coded as -1 - i
+    r = np.flatnonzero(basic == j)
+    if r.size == 0:
+        return None
+    rho = highs.getBasisInverseRow(int(r[0]))[1]
+    alpha = highs.getReducedRow(int(r[0]))[1]
+
+    n = len(sol.x)
+    at_lower, at_upper = sol.x == backend.lower, sol.x == backend.upper
+    in_basis = np.where(basic >= 0, basic, n - 1 - basic)
+    # A free column HiGHS left nonbasic at 0 pins its reduced cost to 0.
+    off_bound = ~(at_lower | at_upper)
+    off_bound[basic[basic >= 0]] = False
+    cost, scale = lp._lifted_cost()
+    c = float(cost[j]) / scale
+    if alpha[off_bound].any():
+        return c, c
+    # The sign each reduced cost and row dual must keep: +1 for >= 0, -1
+    # for <= 0, 0 for any (basic and fixed columns, == rows).
+    sign = np.concatenate((at_lower * 1.0 - at_upper, backend.row_sign))
+    sign[in_basis] = 0.0
+    # Each entry of v + d * w must stay >= 0; HiGHS's own tolerance can
+    # leave an entry of v a hair below 0, which is read as 0.
+    v = np.maximum(sign * np.concatenate((sol.reduced, sol.y)), 0.0)
+    w = sign * np.concatenate((-alpha, rho))
+    up, down = w < 0.0, w > 0.0
+    return (c + float(np.max(v[down] / -w[down], initial=-math.inf)),
+            c + float(np.min(v[up] / -w[up], initial=math.inf)))

@@ -1,6 +1,7 @@
 """Shared test machinery: random scenarios, brute-force oracles, residual checks,
 unit rescaling, metamorphic network transforms, a forced equivalence
-failure for the CLI, and call counters for the compiled-model caches.
+failure for the CLI, call counters for the compiled-model caches, and the
+probe-only bid curve that the certified one must reproduce exactly.
 
 The oracles here are deliberately independent of the package's LP path:
 dispatch problems are solved by enumerating vertex dispatches (every subset
@@ -12,12 +13,15 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import sys
 
 import numpy as np
 
 import gridcoord.cli as cli
 import gridcoord.lp as lp
+from gridcoord.distflow import build_constraints, dispatch_cost_coeffs
+from gridcoord.dso import BidCurve
 from gridcoord.model import (
     DDGAG,
     DR,
@@ -32,6 +36,7 @@ from gridcoord.model import (
     NetworkModel,
     Scenario,
     WholesaleParticipant,
+    derived_incidence,
 )
 
 # ---------------------------------------------------------------------------
@@ -412,3 +417,62 @@ def answer(call, *args):
         return call(*args)
     except lp.InfeasibleError as exc:
         return "InfeasibleError", str(exc)
+
+
+# ---------------------------------------------------------------------------
+# Probe-only bid curve
+# ---------------------------------------------------------------------------
+
+
+def probe_only_curve(scenario: Scenario) -> BidCurve:
+    """The bid curve by chord probes alone, as built before basis certificates.
+
+    Every interval is probed, so a k-segment curve takes 2k + 3 solves. It
+    runs the same solves in the same order on a freshly compiled free-export
+    LP as ``dso.build_bid_curve`` does, except that it also solves the probes
+    that the certificates skip. Those probes leave the basis where it was, so
+    the two must agree bit for bit.
+    """
+    prog, dvars = build_constraints(scenario.network, scenario.aggregators, net_export=None,
+                                    incidence=derived_incidence(scenario.network))
+    px = dvars.p_exchange
+    ends = []
+    for sense in (1.0, -1.0):
+        prog.set_objective({px: sense})
+        ends.append(lp.solve(prog).primal[px])
+    q_min, q_max = ends
+    cost = dispatch_cost_coeffs(scenario.aggregators, dvars)
+    prog.set_objective(cost)
+
+    def pinned_cost(q):
+        prog.set_bounds(px, q, q)
+        sol = lp.solve(prog)
+        prog.set_bounds(px, -math.inf, math.inf)
+        return sol.objective
+
+    lo = (q_min, pinned_cost(q_min))
+    if q_max - q_min <= max(1e-12, 1e-9 * max(abs(q_min), 1.0)):
+        return BidCurve(breakpoints=(lo,), prices=())
+    hi = (q_max, pinned_cost(q_max))
+    tol = max(scenario.tolerance, 1e-9)
+
+    breakpoints, prices = [lo], []
+    stack = [(lo, hi)]
+    while stack:
+        a, b = stack.pop()
+        (qa, ca), (qb, cb) = a, b
+        slope = (cb - ca) / (qb - qa)
+        prog.set_objective({**cost, px: -slope})
+        sol = lp.solve(prog)
+        if sol.objective >= ca - slope * qa - tol * max(1.0, abs(ca), abs(cb)):
+            if prices and abs(slope - prices[-1]) <= tol:
+                del breakpoints[-1], prices[-1]
+                qa, ca = breakpoints[-1]
+                slope = (cb - ca) / (qb - qa)
+            breakpoints.append(b)
+            prices.append(slope)
+            continue
+        q = sol.primal[px]
+        mid = (q, sol.objective + slope * q)
+        stack += [(mid, b), (a, mid)]
+    return BidCurve(breakpoints=tuple(breakpoints), prices=tuple(prices))

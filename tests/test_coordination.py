@@ -1,7 +1,7 @@
 import dataclasses
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import gridcoord.coordination as coordination
@@ -118,6 +118,13 @@ def test_equivalence_solves_the_joint_lp_once(reference):
         return lp.solve_stats()["solves"] - before
 
     assert solves(check_equivalence) == solves(run_coordinated) + 1
+
+
+def test_equivalence_takes_eleven_solves_on_the_reference_case(reference):
+    # The 5-segment curve takes 5 + 3; clearing, re-dispatch and joint LP one each.
+    before = lp.solve_stats()["solves"]
+    check_equivalence(reference)
+    assert lp.solve_stats()["solves"] - before == 11
 
 
 def test_equivalence_holds_with_binding_voltage_constraints():
@@ -239,6 +246,46 @@ def test_kw_scale_feeder_gives_the_same_curve_and_passes(seed):
     assert [q for q, _ in curve.breakpoints] == pytest.approx(
         [1e-3 * q for q, _ in base.breakpoints], abs=1e-9
     )
+
+
+# Random seeds in 0-10,000 whose feeder, restated in kW (x1e-3), loses one curve
+# breakpoint: the chord probe's slack is tol * max(1, |cost|), absolute at
+# small costs, so a kink whose probe gap is 1e-3 times smaller is taken as
+# part of a segment. Awards and the check are unaffected. Found by running
+# every seed in that range at x1e-3 and x1e3; x1e3 loses none.
+KW_SCALE_LOST_BREAKPOINT = [438, 494, 1184, 1532, 1535, 2330, 3490, 4383, 4719, 5306, 5347,
+                            6310, 7830, 8865, 9065, 9142, 9664, 9760]
+
+
+def _assert_power_scaling_keeps_the_curve_and_the_award(seed, factor):
+    scenario = random_scenario(seed)
+    try:
+        base = run_coordinated(scenario)
+    except lp.InfeasibleError:  # a few seeds cannot clear their firm load at any scale
+        with pytest.raises(lp.InfeasibleError):
+            check_equivalence(scale_power(scenario, factor))
+        return
+    result = check_equivalence(scale_power(scenario, factor))
+    assert result.equivalence.passed, result.equivalence.max_deviation
+    assert result.iso.dso_awards[0] == pytest.approx(factor * base.iso.dso_awards[0],
+                                                     rel=1e-9, abs=1e-9 * factor)
+    assert len(result.bid_curve.prices) == len(base.bid_curve.prices)
+
+
+@pytest.mark.parametrize("factor", [1e-3, 1e3])  # kW feeders, and GW-sized numbers
+@settings(max_examples=15, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_random_feeders_survive_power_unit_scaling(factor, seed):
+    assume(factor != 1e-3 or seed not in KW_SCALE_LOST_BREAKPOINT)  # strict xfails below
+    _assert_power_scaling_keeps_the_curve_and_the_award(seed, factor)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 5: the chord probe's slack has an absolute floor, "
+                          "so at kW scale a small kink is merged into a segment")
+@pytest.mark.parametrize("seed", KW_SCALE_LOST_BREAKPOINT)
+def test_random_feeders_at_kw_scale_keep_every_breakpoint(seed):
+    _assert_power_scaling_keeps_the_curve_and_the_award(seed, 1e-3)
 
 
 def _assert_same_curve_and_passes(scenario, variant):

@@ -6,7 +6,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gridcoord.dso as dso
@@ -29,7 +29,9 @@ from support import (
     capacity_export_range,
     count_compiles,
     dso_cost_oracle,
+    probe_only_curve,
     random_scenario,
+    scale_power,
 )
 
 # Merit order over the reference stacks: DDGAG2 (1 @ 10), DDGAG3 (1.2 @ 15),
@@ -211,17 +213,21 @@ def test_segments_shorter_than_sweep_step_are_found():
     )
 
 
-def test_blocks_tied_at_the_chord_slope_give_one_segment():
-    # Supply and demand blocks both at 10 $/MWh give the cost slope 10 on
-    # [-2, 1], and the first chord over [-4, 3] has slope 10 too, so its probe
-    # may return any vertex of that segment; the curve must still have one
-    # segment per distinct price.
-    scenario = single_node_scenario([
+def tied_blocks_scenario():
+    return single_node_scenario([
         Aggregator(id="g", kind="DDGAG", node=0,
                    offers=BlockOfferStack((Block(1.0, 10.0), Block(2.0, 15.0)))),
         Aggregator(id="d", kind="DRAG", node=0,
                    offers=BlockOfferStack((Block(2.0, 10.0), Block(2.0, 5.0)))),
     ])
+
+
+def test_blocks_tied_at_the_chord_slope_give_one_segment():
+    # Supply and demand blocks both at 10 $/MWh give the cost slope 10 on
+    # [-2, 1], and the first chord over [-4, 3] has slope 10 too, so its probe
+    # may return any vertex of that segment; the curve must still have one
+    # segment per distinct price.
+    scenario = tied_blocks_scenario()
     curve = build_bid_curve(scenario)
     assert list(curve.prices) == pytest.approx([5.0, 10.0, 15.0])
     assert [q for q, _ in curve.breakpoints] == pytest.approx([-4.0, -2.0, 1.0, 3.0], abs=1e-9)
@@ -234,6 +240,38 @@ def test_curve_takes_at_most_two_solves_per_segment_plus_three(name):
     curve = build_bid_curve(scenario)
     solves = lp.solve_stats()["solves"] - before
     assert solves <= 2 * len(curve.prices) + 3
+
+
+@pytest.mark.parametrize("name, solves", [("paper_reference", 8), ("voltage_binding", 5)])
+def test_curve_takes_one_solve_per_segment_plus_three(name, solves):
+    # The range (2), the end costs (2) and one probe per interior breakpoint;
+    # each split probe's basis certifies the segments on both sides of it.
+    scenario = parse_case(name)
+    before = lp.solve_stats()["solves"]
+    curve = build_bid_curve(scenario)
+    assert lp.solve_stats()["solves"] - before == solves == len(curve.prices) + 3
+
+
+@pytest.mark.parametrize("which", [*BUNDLED_CASES, "tied"])
+def test_certified_curve_equals_the_probe_only_curve(which):
+    scenario = tied_blocks_scenario() if which == "tied" else parse_case(which)
+    curve, reference = build_bid_curve(scenario), probe_only_curve(scenario)
+    assert curve.breakpoints == reference.breakpoints
+    assert curve.prices == reference.prices
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.sampled_from([1.0, 1e-3]))
+@example(seed=398, factor=1.0)  # a wholesale offer 1e-4 $/MWh below a curve segment's price
+@example(seed=1, factor=1e-3)  # kW-scale feeders that once broke the curve
+@example(seed=5, factor=1e-3)
+@example(seed=19, factor=1e-3)
+@example(seed=29, factor=1e-3)
+def test_random_certified_curves_equal_the_probe_only_curves(seed, factor):
+    scenario = scale_power(random_scenario(seed), factor)
+    curve, reference = build_bid_curve(scenario), probe_only_curve(scenario)
+    assert curve.breakpoints == reference.breakpoints
+    assert curve.prices == reference.prices
 
 
 @pytest.mark.parametrize("name", BUNDLED_CASES)

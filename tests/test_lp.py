@@ -281,6 +281,79 @@ def test_solve_agrees_with_scipy_linprog(seed, anchored):
         assert sol.objective == pytest.approx(oracle.fun, abs=1e-7)
 
 
+def test_cost_range_of_a_basic_column_and_none_for_a_nonbasic_one():
+    prog = lp.LinearProgram()
+    prog.add_variable("x", 0.0, 5.0)
+    prog.add_variable("y", 0.0, 5.0)
+    prog.add_constraint("floor", {"x": 1.0, "y": 1.0}, lp.GEQ, 1.0)
+    prog.set_objective({"x": 1.0, "y": 2.0})
+    sol = lp.solve(prog)
+    assert sol.x.tolist() == [1.0, 0.0]
+    # x serves the floor while its cost lies in [0, 2]: below 0 it fills up
+    # to its bound, above 2 y takes over. y sits on its bound: no interval.
+    assert lp.cost_range(prog, sol, prog.column("x")) == pytest.approx((0.0, 2.0), abs=1e-12)
+    assert lp.cost_range(prog, sol, prog.column("y")) is None
+
+
+def test_cost_range_is_one_cost_when_a_free_column_is_left_nonbasic():
+    # x + z = 1 at equal costs: every split is optimal. With z free and held
+    # nonbasic at 0, any change to x's cost makes z worth moving at once.
+    prog = lp.LinearProgram()
+    prog.add_variable("x", 0.0, 10.0)
+    prog.add_variable("z")
+    prog.add_constraint("one", {"x": 1.0, "z": 1.0}, lp.EQ, 1.0)
+    prog.set_objective({"x": 1.0, "z": 1.0})
+    lp.solve(prog)
+    highs, status = prog._backend.highs, lp._core.HighsBasisStatus
+    basis = highs.getBasis()
+    basis.col_status = [status.kBasic, status.kZero]
+    basis.row_status = [status.kLower]
+    assert highs.setBasis(basis) == lp.HighsStatus.kOk
+    sol = lp.solve(prog)  # the re-solve starts, and stays, at that basis
+    assert sol.x.tolist() == [1.0, 0.0]
+    assert list(highs.getBasis().col_status) == [status.kBasic, status.kZero]
+    assert lp.cost_range(prog, sol, 0) == (1.0, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_cost_range_matches_highs_ranging(seed):
+    # HiGHS's getRanging ranges every row and column at once; it is the oracle.
+    rng = np.random.default_rng(seed)
+    a, relations, rhs, lower, upper = _random_lp_data(rng, anchored=True)
+    n = len(lower)
+    fixed = rng.random(n) < 0.2
+    lower[fixed] = upper[fixed] = np.where(np.isfinite(lower), lower, upper)[fixed]
+    c = rng.normal(size=n)
+    c *= rng.uniform(0.05, 0.95) / np.max(np.abs(c))  # below 1: lp.solve lifts it
+    prog = _build_lp((a, relations, rhs, lower, upper), c)
+    try:
+        sol = lp.solve(prog)
+    except lp.SolverError:
+        return
+    if sol.status != lp.OPTIMAL:
+        return
+    highs = prog._backend.highs
+    ranges = [lp.cost_range(prog, sol, j) for j in range(n)]
+    if highs.getNumNz() == 0:  # no basis factorization to read
+        assert ranges == [None] * n
+        return
+    status = highs.getBasis().col_status
+    costs = np.array(highs.getLp().col_cost_)
+    top = int(np.argmax(np.abs(c)))
+    scale = costs[top] / c[top]
+    assert scale > 1.0
+    ok, ranging = highs.getRanging()
+    assert ok == lp.HighsStatus.kOk
+    for j in range(n):
+        if status[j] != lp._core.HighsBasisStatus.kBasic:
+            assert ranges[j] is None  # a nonbasic column's segment gets probed
+            continue
+        down = ranging.col_cost_dn.value_[j] / scale
+        up = ranging.col_cost_up.value_[j] / scale
+        assert ranges[j] == pytest.approx((down, up), rel=1e-9, abs=1e-12)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_evaluate_measures_row_and_bound_violation_and_objective(seed):

@@ -3,6 +3,9 @@
 import importlib.util
 from pathlib import Path
 
+import gridcoord.lp as lp
+from gridcoord.cli import main as cli_main
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -20,6 +23,25 @@ def test_run_paper_case_prints_and_writes_the_artifacts(tmp_path, capsys):
         lines = (tmp_path / f"{name}.csv").read_text().splitlines()
         assert len(lines) >= 2, name  # header and at least one row
     assert (tmp_path / "equivalence_report.json").exists()
+
+
+def test_run_paper_case_writes_the_cli_files_without_solving_again(tmp_path, capsys):
+    script = load("run_paper_case")
+
+    def solves(*argv):
+        before = lp.solve_stats()["solves"]
+        assert script.main(["--case", "paper_reference", *argv]) == 0
+        return lp.solve_stats()["solves"] - before
+
+    assert solves("--out", str(tmp_path / "script")) == solves() == 11
+    for command in ("coordinate", "verify"):
+        assert cli_main([command, "--case", "paper_reference", "--out",
+                         str(tmp_path / "cli")]) == 0
+    written = sorted(path.name for path in (tmp_path / "script").iterdir())
+    assert written == sorted(path.name for path in (tmp_path / "cli").iterdir())
+    assert len(written) == 6
+    for name in written:
+        assert (tmp_path / "script" / name).read_bytes() == (tmp_path / "cli" / name).read_bytes()
 
 
 def test_random_campaign_passes_a_short_batch(capsys):
