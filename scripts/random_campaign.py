@@ -4,10 +4,11 @@
 Usage:
     python scripts/random_campaign.py [--cases 200] [--seed 0] [--tol 1e-6]
 
-Generates seeded random scenarios (radial trees up to 12 nodes, convex
-stacks, non-binding voltages), runs both pipelines on each, and reports how
-the coordinated outcomes score as points of the joint LP: the distribution of
-their primal residuals and of their objective gaps to the joint optimum.
+Generates seeded random scenarios with the benchmark's ``small_scenario``
+(radial trees up to 12 nodes, convex stacks, non-binding voltages), runs
+both pipelines on each, and reports how the coordinated outcomes score as
+points of the joint LP: the distribution of their primal residuals and of
+their objective gaps to the joint optimum.
 Exit code 0 when every case passes.
 """
 
@@ -15,9 +16,9 @@ import argparse
 import sys
 import time
 
-sys.path.insert(0, str(__import__("pathlib").Path(__file__).resolve().parents[1] / "tests"))
+sys.path.insert(0, str(__import__("pathlib").Path(__file__).resolve().parents[1] / "bench"))
 
-from support import random_scenario  # noqa: E402
+from gen import small_scenario  # noqa: E402
 
 from gridcoord import check_equivalence  # noqa: E402
 
@@ -32,7 +33,7 @@ def main(argv=None):
     start = time.time()
     residuals, gaps, failures = [], [], []
     for seed in range(args.seed, args.seed + args.cases):
-        report = check_equivalence(random_scenario(seed), tolerance=args.tol).equivalence
+        report = check_equivalence(small_scenario(seed), tolerance=args.tol).equivalence
         gap = abs(report.objective_coordinated - report.objective_ideal)
         residuals.append(report.primal_residual)
         gaps.append(gap)

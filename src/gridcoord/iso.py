@@ -1,28 +1,34 @@
-"""Single-period wholesale clearing on one balance bus.
+"""Single-period wholesale clearing on one balance bus, by merit order.
 
-Generators and demand bids enter block by block, through ``add_wholesale``
-and ``read_wholesale``, which the joint LP of ``coordination`` uses too;
-each distribution operator enters through its convex bid curve, decomposed
-into one bounded variable per segment so the LP fills cheap segments first.
-The clearing price is the dual of the balance constraint.
+With one balance row over box-bounded blocks the clearing is a continuous
+knapsack, so sorting the blocks by price and filling them up to the load
+solves it exactly; no LP is built. Every block enters as supply:
 
-The clearing LP of one stack (the wholesale participants and the curves) is
-compiled once and kept in a one-slot cache keyed by the identity (``is``) of
-every participant and every curve, so a sweep over firm loads against one
-curve object reuses it. Each call still solves: it moves the ``balance`` rhs
-and restarts the LP cold, so its answer is bit-for-bit that of a fresh
-compile and never depends on earlier calls. Calls take turns on the LP's
-lock.
+- a generator block at its price;
+- a demand (DR) block as unserved demand: supply at its bid price, with its
+  full size added to the load, so serving the bid leaves the block empty;
+- each segment of a distribution operator's convex bid curve at its price,
+  with every curve's minimum export ``q_min`` taken off the load.
+
+The sort is stable, so blocks at one price fill in declaration order:
+wholesale participants first, then the curves. The clearing price is that
+of the last block with positive fill, a dual of the balance row that prices
+the marginal block; when no block fills it is the price of the cheapest
+block of positive size (the highest valid dual), and with no such block it
+is 0.0. Each call computes its answer from its arguments alone, with no
+cache.
+
+``add_wholesale`` and ``read_wholesale`` emit and read the wholesale blocks
+as LP variables for the joint LP of ``coordination``.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 from . import lp as lpmod
 from .dso import BidCurve
-from .lp import InfeasibleError, SolverError
+from .lp import InfeasibleError
 from .model import DR, WholesaleParticipant
 
 
@@ -66,58 +72,6 @@ def read_wholesale(sol: lpmod.LpSolution, wholesale: tuple[WholesaleParticipant,
     return {wp_id: sum(values) for wp_id, values in blocks.items()}, blocks
 
 
-class _Clearing:
-    """The compiled clearing LP of one stack, with the names it reads back."""
-
-    def __init__(self, wholesale: tuple[WholesaleParticipant, ...],
-                 curves: tuple[BidCurve, ...]):
-        for k, curve in enumerate(curves):
-            problems = curve.violations()
-            if problems:
-                raise ValueError(f"dso curve {k}: " + "; ".join(problems))
-        self.wholesale, self.curves = wholesale, curves
-        self.lock = threading.Lock()
-
-        prog = self.prog = lpmod.LinearProgram()
-        objective: dict[str, float] = {}
-        balance: dict[str, float] = {}
-        constant = 0.0
-
-        self.block_vars = add_wholesale(prog, wholesale, balance, objective)
-
-        self.seg_vars: list[tuple[str, ...]] = []
-        for k, curve in enumerate(curves):
-            constant += curve.breakpoints[0][1]
-            names = []
-            for i, seg in enumerate(curve.segments):
-                name = prog.add_variable(f"dso{k}.seg[{i}]", 0.0, seg.q_hi - seg.q_lo)
-                balance[name] = 1.0
-                objective[name] = seg.price
-                names.append(name)
-            self.seg_vars.append(tuple(names))
-
-        prog.add_constraint("balance", balance, lpmod.EQ, 0.0)  # rhs set per call
-        prog.set_objective(objective, constant=constant)
-
-    def serves(self, wholesale, curves) -> bool:
-        return (len(wholesale) == len(self.wholesale) and len(curves) == len(self.curves)
-                and all(a is b for a, b in zip(wholesale, self.wholesale))
-                and all(a is b for a, b in zip(curves, self.curves)))
-
-
-_slot: _Clearing | None = None
-_slot_lock = threading.Lock()
-
-
-def _clearing_for(wholesale, curves) -> _Clearing:
-    """The compiled LP of this stack (these very objects), compiling it on a miss."""
-    global _slot
-    with _slot_lock:
-        if _slot is None or not _slot.serves(wholesale, curves):
-            _slot = _Clearing(tuple(wholesale), tuple(curves))
-        return _slot
-
-
 def clear(
     wholesale: list[WholesaleParticipant] | tuple[WholesaleParticipant, ...],
     dso_curves: list[BidCurve] | tuple[BidCurve, ...],
@@ -125,36 +79,59 @@ def clear(
 ) -> IsoOutcome:
     """Welfare-maximizing dispatch against the single power balance.
 
-    Raises ValueError on a non-convex curve, InfeasibleError when supply
-    cannot cover the firm load, and SolverError on an unbounded problem
-    (impossible with bounded stacks, so treated as an internal error).
+    Fills the blocks in merit order (a stable sort by price, so ties fill
+    in declaration order) and prices the balance by the module's rule.
+    Nothing is cached between calls. Raises ValueError on a non-convex
+    curve, and InfeasibleError when the load left after the curves' minimum
+    exports is below 0 or above what the blocks can supply, by more than
+    1e-9 of the quantities summed (a load at capacity may round past it).
     """
-    stack = _clearing_for(wholesale, dso_curves)
-    rhs = firm_load
-    for curve in stack.curves:
-        rhs -= curve.q_min
-    with stack.lock:
-        stack.prog.set_rhs("balance", rhs)
-        stack.prog.restart()
-        sol = lpmod.solve(stack.prog)
-    if sol.status == lpmod.INFEASIBLE:
-        raise InfeasibleError("clearing infeasible: supply cannot meet the firm load")
-    if sol.status == lpmod.UNBOUNDED:
-        raise SolverError("internal error: clearing problem unbounded despite bounded stacks")
+    for k, curve in enumerate(dso_curves):
+        problems = curve.violations()
+        if problems:
+            raise ValueError(f"dso curve {k}: " + "; ".join(problems))
 
-    cleared, blocks = read_wholesale(sol, stack.wholesale, stack.block_vars)
-    awards = []
-    fills = []
-    for curve, names in zip(stack.curves, stack.seg_vars):
-        fill = tuple(sol.primal[name] for name in names)
-        fills.append(fill)
-        awards.append(curve.q_min + sum(fill))
+    offers: list[tuple[float, float]] = []  # (price, size) per block, declaration order
+    load, scale, objective = firm_load, abs(firm_load), 0.0
+    for wp in wholesale:
+        for blk in wp.offers.blocks:
+            offers.append((blk.price, blk.p_max))
+            if wp.kind == DR:  # the whole bid served, less what goes unserved
+                load += blk.p_max
+                objective -= blk.price * blk.p_max
+    for curve in dso_curves:
+        load -= curve.q_min
+        scale += abs(curve.q_min)
+        objective += curve.breakpoints[0][1]
+        offers += [(seg.price, seg.q_hi - seg.q_lo) for seg in curve.segments]
+    capacity = sum(size for _, size in offers)
+    slack = 1e-9 * (scale + capacity)  # far above the rounding of the sums above
+    if not -slack <= load <= capacity + slack:
+        raise InfeasibleError("clearing infeasible: supply cannot meet the firm load")
+
+    fill = [0.0] * len(offers)
+    order = sorted((i for i, (_, size) in enumerate(offers) if size > 0),
+                   key=lambda i: offers[i][0])
+    price = float(offers[order[0]][0]) if order else 0.0
+    for i in order:
+        if load <= 0.0:
+            break
+        fill[i] = float(min(offers[i][1], load))
+        load -= fill[i]
+        price = float(offers[i][0])
+    objective += sum(p * x for (p, _), x in zip(offers, fill))
+
+    fills = iter(fill)
+    blocks = {wp.id: tuple(blk.p_max - next(fills) if wp.kind == DR else next(fills)
+                           for blk in wp.offers.blocks) for wp in wholesale}
+    segment_fill = tuple(tuple(next(fills) for _ in curve.prices) for curve in dso_curves)
 
     return IsoOutcome(
-        cleared=cleared,
+        cleared={wp_id: float(sum(values)) for wp_id, values in blocks.items()},
         blocks=blocks,
-        dso_awards=tuple(awards),
-        dso_segment_fill=tuple(fills),
-        clearing_price=sol.dual["balance"],
-        objective=sol.objective,
+        dso_awards=tuple(float(curve.q_min + sum(values))
+                         for curve, values in zip(dso_curves, segment_fill)),
+        dso_segment_fill=segment_fill,
+        clearing_price=price,
+        objective=objective,
     )

@@ -1,12 +1,17 @@
 """Shared test machinery: random scenarios, brute-force oracles, residual checks,
 unit rescaling, metamorphic network transforms, a forced equivalence
-failure for the CLI, call counters for the compiled-model caches, and the
-probe-only bid curve that the certified one must reproduce exactly.
+failure for the CLI, call counters for the compiled-model caches, the
+probe-only bid curve that the certified one must reproduce exactly, and the
+clearing LP that the merit-order clearing must match.
 
-The oracles here are deliberately independent of the package's LP path:
-dispatch problems are solved by enumerating vertex dispatches (every subset
-of saturated blocks plus at most one fractional block), and network
+The dispatch oracles here are deliberately independent of the package's LP
+path: dispatch problems are solved by enumerating vertex dispatches (every
+subset of saturated blocks plus at most one fractional block), and network
 equations are re-evaluated from primal values with a fresh tree walk.
+
+``random_scenario`` is the benchmark's ``small_scenario`` (``bench/gen.py``):
+a radial tree of at most 12 nodes, convex stacks and loose voltages, drawn
+from its seed alone.
 """
 
 from __future__ import annotations
@@ -15,29 +20,27 @@ import dataclasses
 import itertools
 import math
 import sys
-
-import numpy as np
+from pathlib import Path
 
 import gridcoord.cli as cli
 import gridcoord.lp as lp
 from gridcoord.distflow import build_constraints, dispatch_cost_coeffs
 from gridcoord.dso import BidCurve
+from gridcoord.iso import add_wholesale
 from gridcoord.model import (
     DDGAG,
-    DR,
     DRAG,
-    GEN,
     REAG,
-    Aggregator,
     Block,
     BlockOfferStack,
-    Branch,
     Incidence,
     NetworkModel,
     Scenario,
-    WholesaleParticipant,
     derived_incidence,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+from gen import small_scenario as random_scenario  # noqa: E402, F401
 
 # ---------------------------------------------------------------------------
 # Brute-force dispatch oracle
@@ -157,113 +160,6 @@ def root_paths(inc: Incidence, substation: int) -> list[list[int]]:
             node = inc.parent[path[-1]]
         paths.append(path)
     return paths
-
-
-# ---------------------------------------------------------------------------
-# Random scenario generation (seeded, deterministic)
-# ---------------------------------------------------------------------------
-
-
-def random_scenario(seed: int) -> Scenario:
-    """Small random case: radial tree <= 12 nodes, convex stacks, loose voltages."""
-    rng = np.random.default_rng(seed)
-    n_nodes = int(rng.integers(1, 13))
-
-    branches = tuple(
-        Branch(
-            from_node=int(rng.integers(0, i)),
-            to_node=i,
-            r=1e-4,
-            x=1e-4,
-            pl_max=50.0,
-            ql_max=50.0,
-        )
-        for i in range(1, n_nodes)
-    )
-    load_p = tuple(float(v) for v in np.round(rng.uniform(0.0, 0.3, n_nodes), 3))
-    load_q = tuple(float(v) for v in np.round(rng.uniform(-0.1, 0.1, n_nodes), 3))
-    network = NetworkModel(
-        n_nodes=n_nodes,
-        load_p=load_p,
-        load_q=load_q,
-        branches=branches,
-        substation=0,
-        u_min=0.81,
-        u_max=1.21,
-        u_sub=1.0,
-    )
-
-    def stack(n_blocks, demand_side):
-        caps = np.round(rng.uniform(0.2, 1.5, n_blocks), 3)
-        prices = np.round(rng.uniform(5.0, 40.0, n_blocks), 4)
-        prices = np.sort(prices)[::-1] if demand_side else np.sort(prices)
-        return BlockOfferStack(
-            tuple(Block(float(c), float(p)) for c, p in zip(caps, prices))
-        )
-
-    aggregators = []
-    for k in range(int(rng.integers(1, 5))):
-        kind = str(rng.choice([DDGAG, DRAG, REAG], p=[0.5, 0.3, 0.2]))
-        node = int(rng.integers(0, n_nodes))
-        tan_phi = float(np.round(rng.uniform(0.0, 0.4), 3)) if rng.random() < 0.5 else 0.0
-        if kind == REAG:
-            aggregators.append(
-                Aggregator(
-                    id=f"A{k}", kind=kind, node=node, offers=BlockOfferStack(()),
-                    tan_phi=tan_phi, fixed_output=float(np.round(rng.uniform(0.0, 1.5), 3)),
-                )
-            )
-        else:
-            aggregators.append(
-                Aggregator(
-                    id=f"A{k}", kind=kind, node=node,
-                    offers=stack(int(rng.integers(1, 4)), demand_side=kind == DRAG),
-                    tan_phi=tan_phi,
-                )
-            )
-
-    wholesale = [
-        WholesaleParticipant(id=f"G{k}", kind=GEN, offers=stack(int(rng.integers(1, 3)), False))
-        for k in range(int(rng.integers(1, 4)))
-    ]
-    # Scale generator caps up so the wholesale side can carry a firm load.
-    wholesale = [
-        WholesaleParticipant(
-            id=wp.id,
-            kind=wp.kind,
-            offers=BlockOfferStack(
-                tuple(Block(b.p_max * 8.0, b.price) for b in wp.offers.blocks)
-            ),
-        )
-        for wp in wholesale
-    ]
-    for k in range(int(rng.integers(0, 3))):
-        wholesale.append(
-            WholesaleParticipant(id=f"D{k}", kind=DR, offers=stack(int(rng.integers(1, 3)), True))
-        )
-
-    scenario = Scenario(
-        network=network,
-        aggregators=tuple(aggregators),
-        wholesale=tuple(wholesale),
-        firm_wholesale_load=0.0,
-        sweep_step=1.0,
-        tolerance=1e-6,
-    )
-    q_lo, q_hi = capacity_export_range(scenario)
-    gen_cap = sum(wp.offers.capacity for wp in wholesale if wp.kind == GEN)
-    firm_lo = max(0.0, q_lo)
-    firm_hi = max(firm_lo + 0.1, q_hi + 0.9 * gen_cap)
-    firm = float(np.round(rng.uniform(firm_lo, min(firm_hi, firm_lo + 25.0)), 3))
-    step = max((q_hi - q_lo) / 12.0, 0.02)
-    return Scenario(
-        network=network,
-        aggregators=tuple(aggregators),
-        wholesale=tuple(wholesale),
-        firm_wholesale_load=firm,
-        sweep_step=float(step),
-        tolerance=1e-6,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +351,8 @@ def probe_only_curve(scenario: Scenario) -> BidCurve:
         return BidCurve(breakpoints=(lo,), prices=())
     hi = (q_max, pinned_cost(q_max))
     tol = max(scenario.tolerance, 1e-9)
+    cost_scale = sum(abs(blk.price) * blk.p_max
+                     for agg in scenario.aggregators for blk in agg.offers.blocks)
 
     breakpoints, prices = [lo], []
     stack = [(lo, hi)]
@@ -464,7 +362,7 @@ def probe_only_curve(scenario: Scenario) -> BidCurve:
         slope = (cb - ca) / (qb - qa)
         prog.set_objective({**cost, px: -slope})
         sol = lp.solve(prog)
-        if sol.objective >= ca - slope * qa - tol * max(1.0, abs(ca), abs(cb)):
+        if sol.objective >= ca - slope * qa - tol * max(cost_scale, abs(ca), abs(cb)):
             if prices and abs(slope - prices[-1]) <= tol:
                 del breakpoints[-1], prices[-1]
                 qa, ca = breakpoints[-1]
@@ -476,3 +374,31 @@ def probe_only_curve(scenario: Scenario) -> BidCurve:
         mid = (q, sol.objective + slope * q)
         stack += [(mid, b), (a, mid)]
     return BidCurve(breakpoints=tuple(breakpoints), prices=tuple(prices))
+
+
+# ---------------------------------------------------------------------------
+# Clearing LP
+# ---------------------------------------------------------------------------
+
+
+def lp_clearing(wholesale, curves, firm_load) -> lp.LpSolution:
+    """The wholesale clearing as an LP, solved by HiGHS.
+
+    One balance row over the wholesale blocks (through ``iso.add_wholesale``)
+    and one bounded variable per curve segment at its price, with each
+    curve's minimum export taken off the rhs and its cost there added to the
+    objective. The balance dual is a clearing price.
+    """
+    prog = lp.LinearProgram()
+    balance: dict[str, float] = {}
+    objective: dict[str, float] = {}
+    add_wholesale(prog, tuple(wholesale), balance, objective)
+    for k, curve in enumerate(curves):
+        for i, seg in enumerate(curve.segments):
+            name = prog.add_variable(f"dso{k}.seg[{i}]", 0.0, seg.q_hi - seg.q_lo)
+            balance[name] = 1.0
+            objective[name] = seg.price
+    prog.add_constraint("balance", balance, lp.EQ,
+                        firm_load - sum(curve.q_min for curve in curves))
+    prog.set_objective(objective, constant=sum(curve.breakpoints[0][1] for curve in curves))
+    return lp.solve(prog)

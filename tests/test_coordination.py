@@ -1,7 +1,8 @@
 import dataclasses
+import random
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gridcoord.coordination as coordination
@@ -25,6 +26,7 @@ from gridcoord.model import (
 
 from support import (
     count_calls,
+    lp_clearing,
     random_scenario,
     relabel_nodes,
     reverse_branches,
@@ -120,11 +122,11 @@ def test_equivalence_solves_the_joint_lp_once(reference):
     assert solves(check_equivalence) == solves(run_coordinated) + 1
 
 
-def test_equivalence_takes_eleven_solves_on_the_reference_case(reference):
-    # The 5-segment curve takes 5 + 3; clearing, re-dispatch and joint LP one each.
+def test_equivalence_takes_ten_solves_on_the_reference_case(reference):
+    # The 5-segment curve takes 5 + 3; re-dispatch and joint LP one each; clearing none.
     before = lp.solve_stats()["solves"]
     check_equivalence(reference)
-    assert lp.solve_stats()["solves"] - before == 11
+    assert lp.solve_stats()["solves"] - before == 10
 
 
 def test_equivalence_holds_with_binding_voltage_constraints():
@@ -219,10 +221,28 @@ def test_pipeline_is_deterministic(reference):
     assert first.dso_dispatch.by_aggregator == second.dso_dispatch.by_aggregator
 
 
+# Random seeds in 0-10,000 whose firm load cannot clear: the feeder's minimum
+# import plus the firm load exceed the generators' capacity.
+CANNOT_CLEAR = [3184, 7706]
+INFEASIBLE_MESSAGE = "^clearing infeasible: supply cannot meet the firm load$"
+
+
+def _clears(scenario) -> bool:
+    """Whether the clearing LP serves the firm load against the scenario's curve."""
+    return lp_clearing(scenario.wholesale, [build_bid_curve(scenario)],
+                       scenario.firm_wholesale_load).status == lp.OPTIMAL
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
+@example(seed=CANNOT_CLEAR[0])
+@example(seed=CANNOT_CLEAR[1])
 def test_random_pipeline_cost_identity_and_award_on_curve(seed):
     scenario = random_scenario(seed)
+    if not _clears(scenario):
+        with pytest.raises(lp.InfeasibleError, match=INFEASIBLE_MESSAGE):
+            run_coordinated(scenario)
+        return
     result = run_coordinated(scenario)
     award = result.iso.dso_awards[0]
     assert result.bid_curve.q_min - 1e-9 <= award <= result.bid_curve.q_max + 1e-9
@@ -248,11 +268,11 @@ def test_kw_scale_feeder_gives_the_same_curve_and_passes(seed):
     )
 
 
-# Random seeds in 0-10,000 whose feeder, restated in kW (x1e-3), loses one curve
-# breakpoint: the chord probe's slack is tol * max(1, |cost|), absolute at
-# small costs, so a kink whose probe gap is 1e-3 times smaller is taken as
-# part of a segment. Awards and the check are unaffected. Found by running
-# every seed in that range at x1e-3 and x1e3; x1e3 loses none.
+# Random seeds in 0-10,000 whose feeder, restated in kW (x1e-3), lost one curve
+# breakpoint while the chord probe's slack was tol * max(1, |cost|): absolute
+# at small costs, so a kink whose probe gap is 1e-3 times smaller was taken
+# as part of a segment. The slack now scales with the most the dispatch can
+# cost. Found by running every seed in that range at x1e-3 and x1e3.
 KW_SCALE_LOST_BREAKPOINT = [438, 494, 1184, 1532, 1535, 2330, 3490, 4383, 4719, 5306, 5347,
                             6310, 7830, 8865, 9065, 9142, 9664, 9760]
 
@@ -276,24 +296,28 @@ def _assert_power_scaling_keeps_the_curve_and_the_award(seed, factor):
 @settings(max_examples=15, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_random_feeders_survive_power_unit_scaling(factor, seed):
-    assume(factor != 1e-3 or seed not in KW_SCALE_LOST_BREAKPOINT)  # strict xfails below
     _assert_power_scaling_keeps_the_curve_and_the_award(seed, factor)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 5: the chord probe's slack has an absolute floor, "
-                          "so at kW scale a small kink is merged into a segment")
 @pytest.mark.parametrize("seed", KW_SCALE_LOST_BREAKPOINT)
 def test_random_feeders_at_kw_scale_keep_every_breakpoint(seed):
     _assert_power_scaling_keeps_the_curve_and_the_award(seed, 1e-3)
 
 
 def _assert_same_curve_and_passes(scenario, variant):
-    """``variant`` describes the same feeder: same breakpoints, and it passes."""
+    """``variant`` describes the same feeder: same breakpoints, and it passes.
+
+    Where the firm load cannot clear, the variant must fail the same way.
+    """
     base = build_bid_curve(scenario).breakpoints
-    result = check_equivalence(variant)
-    assert result.equivalence.passed
-    got = result.bid_curve.breakpoints
+    if _clears(scenario):
+        result = check_equivalence(variant)
+        assert result.equivalence.passed
+        got = result.bid_curve.breakpoints
+    else:
+        with pytest.raises(lp.InfeasibleError, match=INFEASIBLE_MESSAGE):
+            check_equivalence(variant)
+        got = build_bid_curve(variant).breakpoints
     assert len(got) == len(base)
     for (q, cost), (q0, cost0) in zip(got, base):
         assert abs(q - q0) <= 1e-9
@@ -309,16 +333,22 @@ def test_bundled_cases_survive_reversed_branches_and_relabelled_nodes(name):
 
 
 @settings(max_examples=15, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000), st.data())
-def test_random_feeders_survive_reversed_branches_and_relabelled_nodes(seed, data):
+@given(st.integers(min_value=0, max_value=10_000), st.randoms(use_true_random=False))
+@example(seed=CANNOT_CLEAR[0], rng=random.Random(0))
+@example(seed=CANNOT_CLEAR[1], rng=random.Random(0))
+def test_random_feeders_survive_reversed_branches_and_relabelled_nodes(seed, rng):
     scenario = random_scenario(seed)
     _assert_same_curve_and_passes(scenario, reverse_branches(scenario))
-    perm = data.draw(st.permutations(range(scenario.network.n_nodes)))
+    perm = rng.sample(range(scenario.network.n_nodes), scenario.network.n_nodes)
     _assert_same_curve_and_passes(scenario, relabel_nodes(scenario, perm))
 
 
 def _assert_same_awards_and_passes(scenario, variant):
     """``variant`` clears the same MW as ``scenario`` and passes the check."""
+    if not _clears(scenario):  # then no price unit clears it either
+        with pytest.raises(lp.InfeasibleError, match=INFEASIBLE_MESSAGE):
+            check_equivalence(variant)
+        return
     base, result = run_coordinated(scenario), check_equivalence(variant)
     assert result.equivalence.passed, result.equivalence.max_deviation
     assert result.iso.dso_awards == pytest.approx(base.iso.dso_awards, abs=1e-9)
@@ -338,6 +368,8 @@ def test_bundled_cases_survive_price_unit_scaling(name, factor):
 @settings(max_examples=15, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 @example(seed=398)  # a wholesale offer 1e-4 $/MWh below a curve segment's price
+@example(seed=CANNOT_CLEAR[0])
+@example(seed=CANNOT_CLEAR[1])
 def test_random_feeders_survive_price_unit_scaling(factor, seed):
     scenario = random_scenario(seed)
     _assert_same_awards_and_passes(scenario, scale_prices(scenario, factor))

@@ -3,17 +3,19 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridcoord.caseio import BUNDLED_CASES, parse_case
 from gridcoord.dso import BidCurve, build_bid_curve
+import gridcoord.lp as lp
 from gridcoord.iso import clear
 from gridcoord.lp import InfeasibleError
 from gridcoord.model import Block, BlockOfferStack, WholesaleParticipant
 
-from support import answer, count_compiles, random_scenario
+from support import answer, lp_clearing, random_scenario
 
+INFEASIBLE_MESSAGE = "^clearing infeasible: supply cannot meet the firm load$"
 EXPECTED_CLEARING = {"Gen1": 10.0, "Gen2": 20.0, "Gen3": 13.8, "DR1": 10.0, "DR2": 20.0, "DR3": 10.0}
 
 
@@ -137,9 +139,16 @@ def test_insufficient_supply_is_infeasible():
 
 @settings(max_examples=15, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
+@example(seed=3184)  # the feeder's minimum import and the firm load exceed the generators
+@example(seed=7706)
 def test_random_clearings_respect_balance_and_merit_order(seed):
     scenario = random_scenario(seed)
     curve = build_bid_curve(scenario)
+    load = scenario.firm_wholesale_load
+    if lp_clearing(scenario.wholesale, [curve], load).status == lp.INFEASIBLE:
+        with pytest.raises(InfeasibleError, match=INFEASIBLE_MESSAGE):
+            clear(scenario.wholesale, [curve], load)
+        return
     outcome = clear(scenario.wholesale, [curve], scenario.firm_wholesale_load)
     supply = sum(outcome.cleared[wp.id] for wp in scenario.wholesale if wp.kind == "Gen")
     demand = sum(outcome.cleared[wp.id] for wp in scenario.wholesale if wp.kind == "DR")
@@ -160,7 +169,7 @@ def test_random_clearings_respect_balance_and_merit_order(seed):
 
 
 @pytest.mark.parametrize("which", [*BUNDLED_CASES, *range(30)])
-def test_cache_hit_clears_exactly_like_a_fresh_compile(which, monkeypatch):
+def test_cache_hit_clears_exactly_like_a_fresh_compile(which):
     scenario = parse_case(which) if isinstance(which, str) else random_scenario(which)
     curve = build_bid_curve(scenario)
     supply = sum(wp.offers.capacity for wp in scenario.wholesale if wp.kind == "Gen")
@@ -169,20 +178,16 @@ def test_cache_hit_clears_exactly_like_a_fresh_compile(which, monkeypatch):
     loads.insert(len(loads) // 2, supply + curve.q_max + 1.0)  # infeasible; the next must match
     clear(scenario.wholesale, [curve], loads[0])
 
-    compiles = count_compiles(monkeypatch)
     hits = [answer(clear, scenario.wholesale, [curve], load) for load in loads]
-    assert compiles == []  # every call above re-solved the compiled LP
     fresh = [answer(clear, scenario.wholesale, [dataclasses.replace(curve)], load)
              for load in loads]
-    assert len(compiles) == len(loads)
     assert hits == fresh
     assert repr(hits) == repr(fresh)  # bit for bit, signs of zero included
 
 
 def test_tied_offers_clear_the_same_whatever_was_cleared_before():
     # Two generators, a demand bid and a curve segment all at 20 $/MWh: the
-    # optimum is not unique, and a re-solve warm from the previous load's
-    # basis would pick other splits than a fresh compile does.
+    # optimum is not unique, and the split must not depend on earlier calls.
     wholesale = (gen("G0", 2.0, 20.0), gen("G1", 2.0, 20.0), gen("G2", 1.0, 10.0),
                  dr("D0", 1.0, 20.0))
     curve = BidCurve(breakpoints=((0.0, 0.0), (1.0, 20.0), (2.0, 50.0)), prices=(20.0, 30.0))
@@ -191,3 +196,104 @@ def test_tied_offers_clear_the_same_whatever_was_cleared_before():
     hits = [clear(wholesale, [curve], load) for load in loads]
     fresh = [clear(wholesale, [dataclasses.replace(curve)], load) for load in loads]
     assert repr(hits) == repr(fresh)
+
+
+def test_tied_blocks_fill_in_declaration_order_wholesale_first():
+    wholesale = (gen("G0", 2.0, 20.0), gen("G1", 2.0, 20.0), gen("G2", 1.0, 10.0))
+    curve = BidCurve(breakpoints=((0.0, 0.0), (1.0, 20.0)), prices=(20.0,))
+    outcome = clear(wholesale, [curve], firm_load=3.5)
+    assert outcome.blocks == {"G0": (2.0,), "G1": (0.5,), "G2": (1.0,)}
+    assert outcome.dso_segment_fill == ((0.0,),)
+    outcome = clear(wholesale, [curve], firm_load=5.5)
+    assert outcome.blocks == {"G0": (2.0,), "G1": (2.0,), "G2": (1.0,)}
+    assert outcome.dso_segment_fill == ((0.5,),)
+
+
+def test_price_rule_when_nothing_fills():
+    # No load left: the cheapest block prices the balance (the highest valid dual);
+    # a fully served demand bid is priced as unserved demand at its bid.
+    assert clear([gen("G", 10.0, 8.0), gen("H", 5.0, 3.0)], [], 0.0).clearing_price == 3.0
+    assert clear([gen("G", 10.0, 8.0), dr("D", 2.0, 1.0)], [], -2.0).clearing_price == 1.0
+    outcome = clear([], [], 0.0)
+    assert (outcome.clearing_price, outcome.objective) == (0.0, 0.0)
+    with pytest.raises(InfeasibleError, match=INFEASIBLE_MESSAGE):
+        clear([], [], 1.0)
+
+
+def test_integer_prices_and_sizes_clear_to_floats():
+    outcome = clear([gen("G", 10, 5), dr("D", 2, 7)], [], 3)
+    values = [outcome.clearing_price, outcome.objective, *outcome.cleared.values(),
+              *(x for fill in outcome.blocks.values() for x in fill)]
+    assert all(type(v) is float for v in values), values
+    assert (outcome.clearing_price, outcome.cleared) == (5.0, {"G": 5.0, "D": 2.0})
+
+
+EIGHTHS = st.integers(0, 24).map(lambda k: k / 8)  # exact in binary, so every sum is exact
+PRICES = st.sampled_from([-5, 0, 8, 12.5, 20, 31.25])  # ints and floats, ties likely
+
+
+@st.composite
+def stacks(draw):
+    """Wholesale participants (empty stacks and zero-size blocks included) and 0-2 curves."""
+    wholesale = []
+    for k in range(draw(st.integers(0, 4))):
+        blocks = draw(st.lists(st.builds(Block, EIGHTHS, PRICES), max_size=3))
+        wholesale.append(WholesaleParticipant(f"W{k}", draw(st.sampled_from(["Gen", "DR"])),
+                                              BlockOfferStack(tuple(blocks))))
+    curves = []
+    for _ in range(draw(st.integers(0, 2))):
+        q, cost = draw(st.integers(-16, 16)) / 8, draw(st.sampled_from([-3.0, 0.0, 7.5]))
+        breakpoints, prices = [(q, cost)], sorted(draw(st.lists(PRICES, max_size=3)))
+        for price in prices:
+            width = draw(st.integers(1, 24)) / 8
+            q, cost = q + width, cost + price * width
+            breakpoints.append((q, cost))
+        curves.append(BidCurve(breakpoints=tuple(breakpoints), prices=tuple(prices)))
+    return wholesale, curves
+
+
+def _supply_side(wholesale, curves, outcome):
+    """(price, size, fill) of every block as supply; a DR block's is its unserved demand."""
+    out = []
+    for wp in wholesale:
+        for blk, x in zip(wp.offers.blocks, outcome.blocks[wp.id]):
+            out.append((blk.price, blk.p_max, blk.p_max - x if wp.kind == "DR" else x))
+    for curve, fill in zip(curves, outcome.dso_segment_fill):
+        out += [(seg.price, seg.q_hi - seg.q_lo, x) for seg, x in zip(curve.segments, fill)]
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(stacks(), st.data())
+def test_merit_order_clears_like_the_clearing_lp(stack, data):
+    wholesale, curves = stack
+    lo = (sum(curve.q_min for curve in curves)
+          - sum(wp.offers.capacity for wp in wholesale if wp.kind == "DR"))
+    hi = (sum(curve.q_max for curve in curves)
+          + sum(wp.offers.capacity for wp in wholesale if wp.kind == "Gen"))
+    load = data.draw(st.integers(round(8 * lo) - 8, round(8 * hi) + 8)) / 8
+    sol = lp_clearing(wholesale, curves, load)
+    if sol.status == lp.INFEASIBLE:
+        with pytest.raises(InfeasibleError, match=INFEASIBLE_MESSAGE):
+            clear(wholesale, curves, load)
+        return
+    assert sol.status == lp.OPTIMAL
+    outcome = clear(wholesale, curves, load)
+
+    assert outcome.objective == pytest.approx(sol.objective, rel=1e-9, abs=1e-9)
+    supply = sum(outcome.cleared[wp.id] for wp in wholesale if wp.kind == "Gen")
+    demand = sum(outcome.cleared[wp.id] for wp in wholesale if wp.kind == "DR")
+    assert supply + sum(outcome.dso_awards) - demand == pytest.approx(load, abs=1e-9)
+    for curve, award, fill in zip(curves, outcome.dso_awards, outcome.dso_segment_fill):
+        assert award == pytest.approx(curve.q_min + sum(fill), abs=1e-12)
+
+    lam = outcome.clearing_price
+    assert type(lam) is float
+    for price, size, x in _supply_side(wholesale, curves, outcome):
+        assert -1e-9 <= x <= size + 1e-9
+        if 1e-9 < x < size - 1e-9:  # partly filled: the marginal block
+            assert price == lam
+        elif size > 0 and x >= size - 1e-9:  # full (a DR bid fully unserved)
+            assert price <= lam
+        elif size > 0:  # empty (a DR bid fully served)
+            assert price >= lam

@@ -33,7 +33,7 @@ def test_run_paper_case_writes_the_cli_files_without_solving_again(tmp_path, cap
         assert script.main(["--case", "paper_reference", *argv]) == 0
         return lp.solve_stats()["solves"] - before
 
-    assert solves("--out", str(tmp_path / "script")) == solves() == 11
+    assert solves("--out", str(tmp_path / "script")) == solves() == 10
     for command in ("coordinate", "verify"):
         assert cli_main([command, "--case", "paper_reference", "--out",
                          str(tmp_path / "cli")]) == 0
