@@ -13,14 +13,18 @@ Exit code 0 when every case passes.
 """
 
 import argparse
+import importlib.util
 import sys
 import time
+from pathlib import Path
 
-sys.path.insert(0, str(__import__("pathlib").Path(__file__).resolve().parents[1] / "bench"))
+from gridcoord import check_equivalence
 
-from gen import small_scenario  # noqa: E402
-
-from gridcoord import check_equivalence  # noqa: E402
+_GEN = importlib.util.spec_from_file_location(
+    "bench_gen", Path(__file__).resolve().parents[1] / "bench" / "gen.py")
+_gen = importlib.util.module_from_spec(_GEN)
+_GEN.loader.exec_module(_gen)
+small_scenario = _gen.small_scenario
 
 
 def main(argv=None):

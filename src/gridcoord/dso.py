@@ -291,10 +291,6 @@ def _probe_curve(scenario: Scenario, prog: lpmod.LinearProgram, dvars: DistFlowV
         return BidCurve(breakpoints=(lo[:2],), prices=())
     hi = (q_max, pinned_cost(q_max), _UNSUPPORTED)
     tol = max(scenario.tolerance, 1e-9)
-    # The probe slack scales with the most the dispatch can cost, so a feeder
-    # restated in other power units keeps every breakpoint.
-    cost_scale = sum(abs(blk.price) * blk.p_max
-                     for agg in scenario.aggregators for blk in agg.offers.blocks)
 
     breakpoints, prices = [lo], []
     stack = [(lo, hi)]  # intervals still to probe, leftmost on top
@@ -302,7 +298,10 @@ def _probe_curve(scenario: Scenario, prog: lpmod.LinearProgram, dvars: DistFlowV
         a, b = stack.pop()
         (qa, ca, sa), (qb, cb, sb) = a, b
         slope = (cb - ca) / (qb - qa)
-        slack = tol * max(cost_scale, abs(ca), abs(cb))
+        # Relative to the end costs, with no floor: it follows the feeder's
+        # power unit, and a merged kink moves the curve by at most tol times
+        # the larger end cost.
+        slack = tol * max(abs(ca), abs(cb))
         if min(slope - sa[1], sb[0] - slope) * (qb - qa) > slack:  # not certified: probe
             prog.set_objective({**cost, px: -slope})
             sol = lpmod.solve(prog)

@@ -17,6 +17,7 @@ from its seed alone.
 from __future__ import annotations
 
 import dataclasses
+import importlib.util
 import itertools
 import math
 import sys
@@ -39,8 +40,13 @@ from gridcoord.model import (
     derived_incidence,
 )
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
-from gen import small_scenario as random_scenario  # noqa: E402, F401
+# Loaded by file path: putting bench/ on sys.path would let its modules
+# shadow same-named ones for the whole session.
+_GEN = importlib.util.spec_from_file_location(
+    "bench_gen", Path(__file__).resolve().parents[1] / "bench" / "gen.py")
+_gen = importlib.util.module_from_spec(_GEN)
+_GEN.loader.exec_module(_gen)
+random_scenario = _gen.small_scenario
 
 # ---------------------------------------------------------------------------
 # Brute-force dispatch oracle
@@ -351,8 +357,6 @@ def probe_only_curve(scenario: Scenario) -> BidCurve:
         return BidCurve(breakpoints=(lo,), prices=())
     hi = (q_max, pinned_cost(q_max))
     tol = max(scenario.tolerance, 1e-9)
-    cost_scale = sum(abs(blk.price) * blk.p_max
-                     for agg in scenario.aggregators for blk in agg.offers.blocks)
 
     breakpoints, prices = [lo], []
     stack = [(lo, hi)]
@@ -362,7 +366,7 @@ def probe_only_curve(scenario: Scenario) -> BidCurve:
         slope = (cb - ca) / (qb - qa)
         prog.set_objective({**cost, px: -slope})
         sol = lp.solve(prog)
-        if sol.objective >= ca - slope * qa - tol * max(cost_scale, abs(ca), abs(cb)):
+        if sol.objective >= ca - slope * qa - tol * max(abs(ca), abs(cb)):
             if prices and abs(slope - prices[-1]) <= tol:
                 del breakpoints[-1], prices[-1]
                 qa, ca = breakpoints[-1]

@@ -271,8 +271,8 @@ def test_kw_scale_feeder_gives_the_same_curve_and_passes(seed):
 # Random seeds in 0-10,000 whose feeder, restated in kW (x1e-3), lost one curve
 # breakpoint while the chord probe's slack was tol * max(1, |cost|): absolute
 # at small costs, so a kink whose probe gap is 1e-3 times smaller was taken
-# as part of a segment. The slack now scales with the most the dispatch can
-# cost. Found by running every seed in that range at x1e-3 and x1e3.
+# as part of a segment. The slack is now relative to the end costs alone.
+# Found by running every seed in that range at x1e-3 and x1e3.
 KW_SCALE_LOST_BREAKPOINT = [438, 494, 1184, 1532, 1535, 2330, 3490, 4383, 4719, 5306, 5347,
                             6310, 7830, 8865, 9065, 9142, 9664, 9760]
 
@@ -302,6 +302,39 @@ def test_random_feeders_survive_power_unit_scaling(factor, seed):
 @pytest.mark.parametrize("seed", KW_SCALE_LOST_BREAKPOINT)
 def test_random_feeders_at_kw_scale_keep_every_breakpoint(seed):
     _assert_power_scaling_keeps_the_curve_and_the_award(seed, 1e-3)
+
+
+def test_nearly_tied_cheap_blocks_under_a_large_block_keep_their_kink():
+    # The kink between the $5.00 and $5.01 blocks has a probe gap of
+    # 0.005 * 0.2 = 1e-3 $. A slack floor that grew with the most the
+    # dispatch can cost (1e-6 * 4001) merged it, and an award between the
+    # two blocks then re-dispatched 5e-4 $ off the curve.
+    network = NetworkModel(
+        n_nodes=2,
+        load_p=(0.0, 0.0),
+        load_q=(0.0, 0.0),
+        branches=(Branch(0, 1, r=1e-4, x=1e-4, pl_max=200.0, ql_max=200.0),),
+        substation=0,
+        u_min=0.81,
+        u_max=1.21,
+        u_sub=1.0,
+    )
+    stack = BlockOfferStack((Block(0.1, 5.0), Block(0.1, 5.01), Block(100.0, 40.0)))
+    scenario = Scenario(
+        network=network,
+        aggregators=(Aggregator(id="g", kind="DDGAG", node=1, offers=stack),),
+        wholesale=(
+            WholesaleParticipant("G1", GEN, BlockOfferStack((Block(1.0, 3.0),))),
+            WholesaleParticipant("G2", GEN, BlockOfferStack((Block(200.0, 50.0),))),
+        ),
+        firm_wholesale_load=1.1,
+        sweep_step=1.0,
+    )
+    result = check_equivalence(scenario)
+    assert result.equivalence.passed
+    assert list(result.bid_curve.prices) == pytest.approx([5.0, 5.01, 40.0], abs=1e-9)
+    assert result.iso.dso_awards[0] == pytest.approx(0.1, abs=1e-9)
+    assert result.dso_dispatch.cost == pytest.approx(0.5, abs=1e-9)
 
 
 def _assert_same_curve_and_passes(scenario, variant):
