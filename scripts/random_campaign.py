@@ -8,8 +8,10 @@ Generates seeded random scenarios with the benchmark's ``small_scenario``
 (radial trees up to 12 nodes, convex stacks, non-binding voltages), runs
 both pipelines on each, and reports how the coordinated outcomes score as
 points of the joint LP: the distribution of their primal residuals and of
-their objective gaps to the joint optimum.
-Exit code 0 when every case passes.
+their objective gaps to the joint optimum. A seed whose scenario is
+infeasible (its firm load cannot clear, say) is reported with the solver's
+message and counted apart; it enters neither the pass count nor the
+statistics. Exit code 0 when every feasible case passes.
 """
 
 import argparse
@@ -18,7 +20,7 @@ import sys
 import time
 from pathlib import Path
 
-from gridcoord import check_equivalence
+from gridcoord import InfeasibleError, check_equivalence
 
 _GEN = importlib.util.spec_from_file_location(
     "bench_gen", Path(__file__).resolve().parents[1] / "bench" / "gen.py")
@@ -35,9 +37,14 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     start = time.time()
-    residuals, gaps, failures = [], [], []
+    residuals, gaps, failures, infeasible = [], [], [], []
     for seed in range(args.seed, args.seed + args.cases):
-        report = check_equivalence(small_scenario(seed), tolerance=args.tol).equivalence
+        try:
+            report = check_equivalence(small_scenario(seed), tolerance=args.tol).equivalence
+        except InfeasibleError as exc:
+            infeasible.append(seed)
+            print(f"seed {seed}: infeasible ({exc})")
+            continue
         gap = abs(report.objective_coordinated - report.objective_ideal)
         residuals.append(report.primal_residual)
         gaps.append(gap)
@@ -48,10 +55,13 @@ def main(argv=None):
 
     n = len(residuals)
     print(f"\n{n - len(failures)}/{n} cases equivalent at tolerance {args.tol:g}")
+    if infeasible:
+        print(f"  infeasible seeds left out: {', '.join(map(str, infeasible))}")
     for label, values in (("primal residual", residuals), ("objective gap", gaps)):
-        values.sort()
-        print(f"  {label} median {values[n // 2]:.3g}, "
-              f"p95 {values[int(0.95 * (n - 1))]:.3g}, max {values[-1]:.3g}")
+        if values:
+            values.sort()
+            print(f"  {label} median {values[n // 2]:.3g}, "
+                  f"p95 {values[int(0.95 * (n - 1))]:.3g}, max {values[-1]:.3g}")
     print(f"  elapsed {time.time() - start:.1f}s")
     return 1 if failures else 0
 

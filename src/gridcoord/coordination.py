@@ -9,7 +9,8 @@ block fills, the award as the exchange, and the re-dispatch's aggregator
 blocks, flows and voltages), must be feasible and reach the joint optimum.
 Where tied prices leave the optimum non-unique, any optimal split passes,
 so no tie needs detecting; per-participant differences are reported for
-information only.
+information only. The joint LP is compiled once per scenario object and kept
+on the DSO's compiled model (``dso._Model``); each solve restarts it cold.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ from dataclasses import dataclass, replace
 
 from . import lp as lpmod
 from .distflow import DistFlowVars, build_constraints, dispatch_cost_coeffs, read_solution
-from .dso import BidCurve, DsoDispatch, _model_for, build_bid_curve, value_at
+from .dso import BidCurve, DsoDispatch, _Model, _model_for, build_bid_curve, value_at
 from .iso import IsoOutcome, add_wholesale, clear, read_wholesale
 from .lp import InfeasibleError, SolverError
-from .model import Incidence, Scenario
+from .model import Scenario
 
 
 @dataclass(frozen=True)
@@ -86,23 +87,28 @@ def run_coordinated(scenario: Scenario) -> CoordinationResult:
     return CoordinationResult(bid_curve=curve, iso=outcome, dso_dispatch=dispatch)
 
 
-def _joint_lp(scenario: Scenario, incidence: Incidence
+def _joint_lp(model: _Model
               ) -> tuple[lpmod.LinearProgram, DistFlowVars, tuple[tuple[str, ...], ...]]:
-    """The joint LP with its DistFlow and wholesale block variable names."""
-    prog, dvars = build_constraints(
-        scenario.network, scenario.aggregators, net_export=None, prefix="dso.",
-        incidence=incidence,
-    )
-    objective = dispatch_cost_coeffs(scenario.aggregators, dvars)
-    balance: dict[str, float] = {dvars.p_exchange: 1.0}
-    block_vars = add_wholesale(prog, scenario.wholesale, balance, objective)
-    prog.add_constraint("balance", balance, lpmod.EQ, scenario.firm_wholesale_load)
-    prog.set_objective(objective)
-    return prog, dvars, block_vars
+    """The scenario's joint LP with its DistFlow and wholesale block variable names.
+
+    Built on first use and kept on the scenario's model; hold ``model.lock``.
+    """
+    if model.joint is None:
+        scenario = model.scenario
+        prog, dvars = build_constraints(scenario.network, scenario.aggregators, prefix="dso.",
+                                        incidence=model.incidence)
+        objective = dispatch_cost_coeffs(scenario.aggregators, dvars)
+        balance: dict[str, float] = {dvars.p_exchange: 1.0}
+        block_vars = add_wholesale(prog, scenario.wholesale, balance, objective)
+        prog.add_constraint("balance", balance, lpmod.EQ, scenario.firm_wholesale_load)
+        prog.set_objective(objective)
+        model.joint = prog, dvars, block_vars
+    return model.joint
 
 
 def _solve_joint(scenario: Scenario, prog: lpmod.LinearProgram, dvars: DistFlowVars,
                  block_vars: tuple[tuple[str, ...], ...]) -> IdealOutcome:
+    prog.restart()  # cold, as on a fresh compile
     sol = lpmod.solve(prog)
     if sol.status != lpmod.OPTIMAL:
         raise InfeasibleError(f"joint dispatch is {sol.status}")
@@ -125,8 +131,9 @@ def _solve_joint(scenario: Scenario, prog: lpmod.LinearProgram, dvars: DistFlowV
 
 def run_ideal(scenario: Scenario) -> IdealOutcome:
     """One LP: wholesale stacks, aggregator stacks, and network constraints."""
-    incidence = _model_for(scenario).incidence  # validates the scenario, once per object
-    return _solve_joint(scenario, *_joint_lp(scenario, incidence))
+    model = _model_for(scenario)  # validates the scenario, once per object
+    with model.lock:
+        return _solve_joint(scenario, *_joint_lp(model))
 
 
 def _coordinated_point(scenario: Scenario, result: CoordinationResult, dvars: DistFlowVars,
@@ -152,13 +159,14 @@ def check_equivalence(scenario: Scenario, tolerance: float | None = None) -> Coo
     the joint LP by more than the tolerance and its objective is within the
     tolerance of the joint optimum. A failed check is a result, not an error.
     """
-    incidence = _model_for(scenario).incidence  # validates the scenario, once per object
+    model = _model_for(scenario)  # validates the scenario, once per object
     tol = scenario.tolerance if tolerance is None else tolerance
     coordinated = run_coordinated(scenario)
-    prog, dvars, block_vars = _joint_lp(scenario, incidence)
-    ideal = _solve_joint(scenario, prog, dvars, block_vars)
-    residual, objective = prog.evaluate(_coordinated_point(scenario, coordinated, dvars,
-                                                           block_vars))
+    with model.lock:
+        prog, dvars, block_vars = _joint_lp(model)
+        ideal = _solve_joint(scenario, prog, dvars, block_vars)
+        residual, objective = prog.evaluate(_coordinated_point(scenario, coordinated, dvars,
+                                                               block_vars))
     max_dev = max(residual, abs(objective - ideal.objective))
 
     rows = [EquivalenceRow("dso_exchange", ideal.net_export, coordinated.iso.dso_awards[0])]

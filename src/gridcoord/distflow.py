@@ -13,7 +13,9 @@ Voltage is tracked as squared p.u. magnitude; the recursion
 lossless linearization, so branch flows carry no loss term.
 
 ``build_constraints`` emits the fragment and ``read_solution`` reads it back
-from an optimal solution; the DSO re-dispatch and the joint LP use both.
+from an optimal solution; the DSO's LP and the joint LP use both. The
+exchange is always a free variable: the DSO pins it through its bounds to
+evaluate one export.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ class DistFlowVars:
     q_flow: tuple[str, ...]                    # per branch, MVAr
     voltage_sq: tuple[str, ...]                # per node, p.u.^2
     q_exchange: str                            # substation MVAr exchange, free
-    p_exchange: str | None                     # substation MW exchange var, None if pinned
+    p_exchange: str                            # substation MW exchange, free
     balance_p: tuple[str, ...]                 # active balance constraint per node
 
 
@@ -53,23 +55,16 @@ class DistFlowSolution:
 def build_constraints(
     network: NetworkModel,
     aggregators: list[Aggregator] | tuple[Aggregator, ...],
-    net_export: float | None = None,
     prefix: str = "",
     incidence: Incidence | None = None,
 ) -> tuple[lpmod.LinearProgram, DistFlowVars]:
     """Emit balance, block, voltage, and flow constraints into a new LP.
 
-    With ``net_export`` given, the exchange is folded into the substation
-    balance rhs as a parameter. The dual of that balance is then the
-    marginal cost of export: inside a segment of the bid curve, the
-    segment's price; at a breakpoint, some value between the two adjacent
-    prices, picked by the optimal basis. With ``net_export=None`` the
-    exchange becomes a free variable (used for range probing and for the
-    joint wholesale+distribution problem).
-
-    ``incidence`` is the network's ``derived_incidence``, for callers that
-    already hold it. No objective is set. Raises ValueError on a non-radial
-    network or an aggregator placed on an unknown node.
+    The active and reactive exchanges are free variables on the substation
+    balances, and each balance's rhs is the node's firm load minus its fixed
+    REAG output. ``incidence`` is the network's ``derived_incidence``, for
+    callers that already hold it. No objective is set. Raises ValueError on
+    a non-radial network or an aggregator placed on an unknown node.
     """
     lp = lpmod.LinearProgram()
     inc = derived_incidence(network) if incidence is None else incidence  # raises if not radial
@@ -102,15 +97,17 @@ def build_constraints(
         for i in range(n)
     )
     q_exchange = lp.add_variable(f"{prefix}qx", -float("inf"), float("inf"))
-    p_exchange = None
-    if net_export is None:
-        p_exchange = lp.add_variable(f"{prefix}px", -float("inf"), float("inf"))
+    p_exchange = lp.add_variable(f"{prefix}px", -float("inf"), float("inf"))
 
     # Per-node balance coefficient maps: +1 gen block, -1 demand block,
     # +1 flow on the parent-side branch (inflow), -1 on child-side branches.
     p_coeffs: list[dict[str, float]] = [dict() for _ in range(n)]
     q_coeffs: list[dict[str, float]] = [dict() for _ in range(n)]
+    reag_p, reag_q = [0.0] * n, [0.0] * n  # fixed REAG output per node, MW and MVAr
     for agg in aggregators:
+        if agg.kind == REAG:
+            reag_p[agg.node] += agg.fixed_output
+            reag_q[agg.node] += agg.fixed_output * agg.tan_phi
         sign = -1.0 if agg.kind == DRAG else 1.0
         for name in blocks[agg.id]:
             p_coeffs[agg.node][name] = sign
@@ -122,19 +119,16 @@ def build_constraints(
         q_coeffs[inc.child[j]][q_flow[j]] = 1.0
         q_coeffs[inc.parent[j]][q_flow[j]] = -1.0
     q_coeffs[network.substation][q_exchange] = -1.0
-    if p_exchange is not None:
-        p_coeffs[network.substation][p_exchange] = -1.0
+    p_coeffs[network.substation][p_exchange] = -1.0
 
     balance_p = []
-    net_p, net_q = firm_net_load(network, aggregators)
     for i in range(n):
-        rhs_p = net_p[i]
-        if net_export is not None and i == network.substation:
-            rhs_p += net_export
         balance_p.append(
-            lp.add_constraint(f"{prefix}bal_p[{i}]", p_coeffs[i], lpmod.EQ, rhs_p)
+            lp.add_constraint(f"{prefix}bal_p[{i}]", p_coeffs[i], lpmod.EQ,
+                              network.load_p[i] - reag_p[i])
         )
-        lp.add_constraint(f"{prefix}bal_q[{i}]", q_coeffs[i], lpmod.EQ, net_q[i])
+        lp.add_constraint(f"{prefix}bal_q[{i}]", q_coeffs[i], lpmod.EQ,
+                          network.load_q[i] - reag_q[i])
 
     base = network.base_mva
     for j, br in enumerate(network.branches):
@@ -159,20 +153,6 @@ def build_constraints(
         p_exchange=p_exchange,
         balance_p=tuple(balance_p),
     )
-
-
-def firm_net_load(
-    network: NetworkModel, aggregators: list[Aggregator] | tuple[Aggregator, ...]
-) -> tuple[list[float], list[float]]:
-    """Per-node firm load minus fixed REAG output, MW and MVAr: the balance rhs."""
-    reag_p = [0.0] * network.n_nodes
-    reag_q = [0.0] * network.n_nodes
-    for agg in aggregators:
-        if agg.kind == REAG:
-            reag_p[agg.node] += agg.fixed_output
-            reag_q[agg.node] += agg.fixed_output * agg.tan_phi
-    return ([load - fixed for load, fixed in zip(network.load_p, reag_p)],
-            [load - fixed for load, fixed in zip(network.load_q, reag_q)])
 
 
 def dispatch_cost_coeffs(

@@ -10,20 +10,19 @@ an LP vertex that is a breakpoint. The basis of a probe that splits also
 gives, through the export's cost range (``lp.cost_range``), the slopes of
 supporting lines at its breakpoint, and those certify the adjacent segments
 without a probe of their own (``build_bid_curve`` says why that is sound).
-A curve of k segments then takes k + 3 solves. Within a curve, one
-free-export LP serves every solve: the range, the end costs (export pinned
-through its bounds) and the probes, each re-solved from the previous basis.
+A curve of k segments then takes k + 3 solves. One free-export LP serves
+every solve of a scenario: the range, the probes, and the end costs and the
+re-dispatch, which pin the export through its bounds.
 
 Each scenario is compiled once: a private model validates it, derives its
-tree incidence and builds, on first use, the free-export LP and the
-re-dispatch LP (export folded into the substation balance rhs). The model
-lives in a one-slot cache keyed by the scenario's identity (``is``, not
-equality or hash), so repeat calls on one ``Scenario`` object reuse it and
-a call on another object replaces it. Every public call still solves: it
-moves what it needs (the re-dispatch rhs), restarts the LP cold and runs the
-same solve sequence a fresh compile would, so its answer is bit-for-bit
-that of a fresh compile and never depends on earlier calls. Each LP has its
-own lock, so calls on one scenario from several threads take turns.
+tree incidence and builds that LP on first use (and the joint LP of
+``coordination``, when asked). The model lives in a one-slot cache keyed by
+the scenario's identity (``is``, not equality or hash), so repeat calls on
+one ``Scenario`` object reuse it and a call on another object replaces it.
+Every public call still solves: it restarts the LP cold and runs the same
+solve sequence a fresh compile would, so its answer is bit-for-bit that of a
+fresh compile and never depends on earlier calls. Calls on one scenario
+from several threads take turns on the model's lock.
 """
 
 from __future__ import annotations
@@ -33,8 +32,7 @@ import threading
 from dataclasses import dataclass
 
 from . import lp as lpmod
-from .distflow import (DistFlowVars, build_constraints, dispatch_cost_coeffs, firm_net_load,
-                       read_solution)
+from .distflow import DistFlowVars, build_constraints, dispatch_cost_coeffs, read_solution
 from .lp import InfeasibleError
 from .model import Scenario, derived_incidence, require_valid
 
@@ -125,39 +123,28 @@ class DsoDispatch:
     reactive_exchange: float
 
 
-class _CompiledLp:
-    """One DistFlow LP of a scenario and the lock its solve sequences hold."""
-
-    def __init__(self, prog: lpmod.LinearProgram, dvars: DistFlowVars):
-        self.prog, self.dvars = prog, dvars
-        self.lock = threading.Lock()
-
-
 class _Model:
-    """A validated scenario, its incidence and its two DistFlow LPs, built on first use."""
+    """A validated scenario, its incidence and its compiled LPs, each built on first use.
+
+    ``lock`` is held by every solve sequence on the model's LPs, and while
+    one is built.
+    """
 
     def __init__(self, scenario: Scenario):
         require_valid(scenario)
         self.scenario = scenario
         self.incidence = derived_incidence(scenario.network)
-        network = scenario.network
-        self.substation_net_load = firm_net_load(network, scenario.aggregators)[0][
-            network.substation]
-        self._lps: dict[bool, _CompiledLp] = {}  # keyed by "export folded into the rhs"
-        self._lock = threading.Lock()
+        self.lock = threading.Lock()
+        self._free: tuple[lpmod.LinearProgram, DistFlowVars, dict[str, float]] | None = None
+        self.joint = None  # the joint LP, built and kept by ``coordination``
 
-    def lp(self, folded: bool) -> _CompiledLp:
-        """The free-export LP, or (``folded``) the re-dispatch LP at the dispatch cost."""
-        with self._lock:
-            if folded not in self._lps:
-                s = self.scenario
-                prog, dvars = build_constraints(s.network, s.aggregators,
-                                                net_export=0.0 if folded else None,
-                                                incidence=self.incidence)
-                if folded:
-                    prog.set_objective(dispatch_cost_coeffs(s.aggregators, dvars))
-                self._lps[folded] = _CompiledLp(prog, dvars)
-            return self._lps[folded]
+    def free_lp(self) -> tuple[lpmod.LinearProgram, DistFlowVars, dict[str, float]]:
+        """The free-export LP, its variables and the dispatch cost; hold ``lock``."""
+        if self._free is None:
+            s = self.scenario
+            prog, dvars = build_constraints(s.network, s.aggregators, incidence=self.incidence)
+            self._free = prog, dvars, dispatch_cost_coeffs(s.aggregators, dvars)
+        return self._free
 
 
 _slot: _Model | None = None
@@ -186,27 +173,45 @@ def _export_range(prog: lpmod.LinearProgram, p_exchange: str) -> tuple[float, fl
     return out[0], out[1]
 
 
+def _pinned_solve(prog: lpmod.LinearProgram, px: str, q: float) -> lpmod.LpSolution:
+    """Solve ``prog`` with the export ``px`` pinned to ``q``, then free it again."""
+    prog.set_bounds(px, q, q)
+    try:
+        sol = lpmod.solve(prog)
+    finally:  # the compiled LP outlives this call
+        prog.set_bounds(px, -math.inf, math.inf)
+    if sol.status != lpmod.OPTIMAL:
+        raise InfeasibleError(f"net export {q} MW is {sol.status} for this network")
+    return sol
+
+
 def feasible_range(scenario: Scenario) -> tuple[float, float]:
     """Extreme feasible net exports of the network-plus-blocks polytope."""
-    free = _model_for(scenario).lp(folded=False)
-    with free.lock:
-        free.prog.restart()
-        return _export_range(free.prog, free.dvars.p_exchange)
+    model = _model_for(scenario)
+    with model.lock:
+        prog, dvars, _ = model.free_lp()
+        prog.restart()
+        return _export_range(prog, dvars.p_exchange)
 
 
 def value_at(scenario: Scenario, net_export: float) -> DsoDispatch:
-    """Minimum-cost aggregator dispatch serving the given net export."""
+    """Minimum-cost aggregator dispatch serving the given net export.
+
+    The scenario's free-export LP is restarted cold and solved once at the
+    dispatch cost, with the export pinned to ``net_export`` through its
+    bounds. The substation balance dual (``marginal_price``) is then the
+    marginal cost of export: inside a segment of the bid curve, the
+    segment's price; at a breakpoint, some value between the two adjacent
+    prices (open at the curve's ends), picked by the optimal basis. The
+    other retail prices are the remaining active balance duals of the same
+    optimal dual solution.
+    """
     model = _model_for(scenario)
-    folded = model.lp(folded=True)
-    dvars = folded.dvars
-    with folded.lock:
-        # The substation rhs as build_constraints folds it: net load, then + export.
-        folded.prog.set_rhs(dvars.balance_p[scenario.network.substation],
-                            model.substation_net_load + net_export)
-        folded.prog.restart()
-        sol = lpmod.solve(folded.prog)
-    if sol.status != lpmod.OPTIMAL:
-        raise InfeasibleError(f"net export {net_export} MW is {sol.status} for this network")
+    with model.lock:
+        prog, dvars, cost = model.free_lp()
+        prog.restart()
+        prog.set_objective(cost)
+        sol = _pinned_solve(prog, dvars.p_exchange, net_export)
 
     out = read_solution(sol, scenario.aggregators, dvars)
     return DsoDispatch(
@@ -254,10 +259,11 @@ def build_bid_curve(scenario: Scenario) -> BidCurve:
     add probes (collinear neighbors are extended, not split), as can a
     degenerate basis whose range is narrower than the segment prices.
     """
-    free = _model_for(scenario).lp(folded=False)
-    with free.lock:
-        free.prog.restart()
-        curve = _probe_curve(scenario, free.prog, free.dvars)
+    model = _model_for(scenario)
+    with model.lock:
+        prog, dvars, cost = model.free_lp()
+        prog.restart()
+        curve = _probe_curve(scenario, prog, dvars.p_exchange, cost)
     problems = curve.violations()
     if problems:
         raise lpmod.SolverError("assembled bid curve is inconsistent: " + "; ".join(problems))
@@ -267,29 +273,18 @@ def build_bid_curve(scenario: Scenario) -> BidCurve:
 _UNSUPPORTED = (math.inf, -math.inf)  # no supporting slopes known: certifies nothing
 
 
-def _probe_curve(scenario: Scenario, prog: lpmod.LinearProgram, dvars: DistFlowVars) -> BidCurve:
-    px = dvars.p_exchange
+def _probe_curve(scenario: Scenario, prog: lpmod.LinearProgram, px: str,
+                 cost: dict[str, float]) -> BidCurve:
     j = prog.column(px)
     q_min, q_max = _export_range(prog, px)
-    cost = dispatch_cost_coeffs(scenario.aggregators, dvars)
     prog.set_objective(cost)
-
-    def pinned_cost(q: float) -> float:
-        prog.set_bounds(px, q, q)
-        try:
-            sol = lpmod.solve(prog)
-        finally:  # the compiled LP outlives this call
-            prog.set_bounds(px, -math.inf, math.inf)
-        if sol.status != lpmod.OPTIMAL:
-            raise InfeasibleError(f"net export {q} MW is {sol.status} for this network")
-        return sol.objective
 
     # Points are (export, cost, (s-, s+)): the slopes of the supporting
     # lines at the point that the basis of its probe certifies.
-    lo = (q_min, pinned_cost(q_min), _UNSUPPORTED)
+    lo = (q_min, _pinned_solve(prog, px, q_min).objective, _UNSUPPORTED)
     if q_max - q_min <= max(1e-12, 1e-9 * max(abs(q_min), 1.0)):
         return BidCurve(breakpoints=(lo[:2],), prices=())
-    hi = (q_max, pinned_cost(q_max), _UNSUPPORTED)
+    hi = (q_max, _pinned_solve(prog, px, q_max).objective, _UNSUPPORTED)
     tol = max(scenario.tolerance, 1e-9)
 
     breakpoints, prices = [lo], []

@@ -6,11 +6,12 @@ file is loaded (``_load_core``), so importing gridcoord does not import
 ``LinearProgram`` is compiled to column-wise sparse arrays and loaded into
 one HiGHS instance that the program keeps. Each constraint is a range row
 ``row_lower <= a.x <= row_upper``: ``==`` rows are (rhs, rhs), ``<=`` rows
-(-inf, rhs) and ``>=`` rows (rhs, +inf). A new objective, new variable
-bounds or a new ``==`` rhs (``set_rhs``) keep the loaded model, so the next
-solve starts from the previous basis; a new variable or constraint discards
-it. ``restart`` keeps the model but drops the basis and all solver state,
-so the next solve runs cold, exactly as on a freshly compiled copy. Callers
+(-inf, rhs) and ``>=`` rows (rhs, +inf). A new objective or new variable
+bounds keep the loaded model, so the next solve starts from the previous
+basis; a new variable or constraint discards it. A parameter on a row's rhs
+is written as a column with pinned bounds (``set_bounds(name, q, q)``).
+``restart`` keeps the model but drops the basis and all solver state, so
+the next solve runs cold, exactly as on a freshly compiled copy. Callers
 that keep one compiled program across public calls restart it at the start
 of each call: a compiled structure is reused, but no answer depends on the
 calls that came before (a warm re-solve can land on another optimal vertex
@@ -35,8 +36,9 @@ An ``LpSolution`` carries its numbers as arrays: ``x`` and the reduced
 costs ``reduced`` by column index (``LinearProgram.column``), ``y`` by row.
 The ``primal`` and ``dual`` name maps are built from them on first access,
 so hot callers that read by index never pay for them. The cost vector is
-built, and lifted by its power of two, once per ``set_objective``, and is
-sent to HiGHS only when it is not the one HiGHS already holds.
+built, and lifted by its power of two, once per new objective (setting an
+equal one keeps it), and is sent to HiGHS only when it is not the one HiGHS
+already holds.
 ``cost_range`` reads, from the basis of the last optimal solve, the range
 of one column's cost over which that basis stays optimal: one row of
 B^-1 and of B^-1 A, then a ratio test over the nonbasic columns and rows.
@@ -206,9 +208,10 @@ class LinearProgram:
         for var in coeffs:
             if var not in self._var_index:
                 raise ValueError(f"objective references undeclared variable {var!r}")
-        self._objective = dict(coeffs)
+        if coeffs != self._objective:  # an equal objective keeps its built cost vector
+            self._objective = dict(coeffs)
+            self._cost = None
         self.objective_constant = float(constant)
-        self._cost = None
 
     def _lifted_cost(self) -> tuple[np.ndarray, float]:
         """The cost vector HiGHS is given and the power of two it was lifted by.
@@ -239,20 +242,6 @@ class LinearProgram:
             backend.lower[j], backend.upper[j] = lower, upper
             backend.highs.changeColsBounds(1, backend.col_ids[j:j + 1], backend.lower[j:j + 1],
                                            backend.upper[j:j + 1])
-
-    def set_rhs(self, name: str, rhs: float) -> None:
-        """Move an ``==`` row's rhs; a compiled program keeps its model and basis."""
-        i = self._con_index.get(name)
-        if i is None:
-            raise ValueError(f"rhs references undeclared constraint {name!r}")
-        if self._row_lower[i] != self._row_upper[i]:
-            raise ValueError(f"constraint {name!r}: set_rhs moves only == rows")
-        rhs = float(rhs)
-        self._rhs[i] = self._row_lower[i] = self._row_upper[i] = rhs
-        backend = self._backend
-        if backend is not None:
-            backend.rhs[i] = backend.row_lower[i] = backend.row_upper[i] = rhs
-            backend.highs.changeRowBounds(i, rhs, rhs)
 
     def restart(self) -> None:
         """Drop the solver state, so the next solve starts cold; the compiled model stays."""

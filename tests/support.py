@@ -1,5 +1,5 @@
 """Shared test machinery: random scenarios, brute-force oracles, residual checks,
-unit rescaling, metamorphic network transforms, a forced equivalence
+a dual-optimality check of the re-dispatch, unit rescaling, metamorphic network transforms, a forced equivalence
 failure for the CLI, call counters for the compiled-model caches, the
 probe-only bid curve that the certified one must reproduce exactly, and the
 clearing LP that the merit-order clearing must match.
@@ -23,10 +23,12 @@ import math
 import sys
 from pathlib import Path
 
+import pytest
+
 import gridcoord.cli as cli
 import gridcoord.lp as lp
 from gridcoord.distflow import build_constraints, dispatch_cost_coeffs
-from gridcoord.dso import BidCurve
+from gridcoord.dso import BidCurve, value_at
 from gridcoord.iso import add_wholesale
 from gridcoord.model import (
     DDGAG,
@@ -166,6 +168,103 @@ def root_paths(inc: Incidence, substation: int) -> list[list[int]]:
             node = inc.parent[path[-1]]
         paths.append(path)
     return paths
+
+
+# ---------------------------------------------------------------------------
+# Independent dual-optimality check of a re-dispatch
+# ---------------------------------------------------------------------------
+
+
+def redispatch_with_duals(scenario: Scenario, net_export: float):
+    """``value_at(scenario, net_export)`` and the row duals, by name, of the one solve it ran."""
+    solves = []
+    original = lp.solve
+
+    def recording(*args, **kwargs):
+        solves.append(original(*args, **kwargs))
+        return solves[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp, "solve", recording)
+        dispatch = value_at(scenario, net_export)
+    (sol,) = solves
+    return dispatch, sol.dual
+
+
+def redispatch_dual_violations(scenario: Scenario, dispatch, duals: dict[str, float],
+                               tol: float = 1e-7) -> list[str]:
+    """Why ``duals`` would not certify ``dispatch`` as an optimal re-dispatch; [] if they do.
+
+    ``duals`` holds the row duals of the DistFlow LP by row name (``bal_p[i]``,
+    ``bal_q[i]``, ``volt[j]``), and the dispatch's retail prices must be its
+    ``bal_p`` entries. Every reduced cost is rebuilt here from the scenario,
+    with the tree oriented by its own walk: each column sitting on one bound
+    must have the sign of that bound (>= 0 at a lower, <= 0 at an upper),
+    each column strictly inside its bounds a zero reduced cost, and the dual
+    objective (the rhs terms plus each reduced cost times the bound its column
+    sits on) must equal the dispatch cost within ``tol``. With the dispatch
+    primal feasible, that is a complete optimality certificate.
+    """
+    net = scenario.network
+    y_p = [duals[f"bal_p[{i}]"] for i in range(net.n_nodes)]
+    y_q = [duals[f"bal_q[{i}]"] for i in range(net.n_nodes)]
+    y_v = [duals[f"volt[{j}]"] for j in range(len(net.branches))]
+    out = [f"node {i}: retail price {dispatch.retail_prices[i]} is not the dual {y_p[i]}"
+           for i in range(net.n_nodes) if dispatch.retail_prices[i] != y_p[i]]
+
+    parent, child = {}, {}  # branch -> its end nearer to / farther from the substation
+    order, seen = [net.substation], {net.substation}
+    for node in order:
+        for j, br in enumerate(net.branches):
+            if node in (br.from_node, br.to_node) and j not in parent:
+                other = br.to_node if br.from_node == node else br.from_node
+                if other not in seen:
+                    parent[j], child[j] = node, other
+                    seen.add(other)
+                    order.append(other)
+
+    # Columns as (name, value, lower, upper, reduced cost); reduced = cost - A' y.
+    columns = []
+    rhs_p, rhs_q = list(net.load_p), list(net.load_q)
+    for agg in scenario.aggregators:
+        if agg.kind == REAG:
+            rhs_p[agg.node] -= agg.fixed_output
+            rhs_q[agg.node] -= agg.fixed_output * agg.tan_phi
+        sign = -1.0 if agg.kind == DRAG else 1.0
+        for b, (blk, x) in enumerate(zip(agg.offers.blocks, dispatch.block_dispatch[agg.id])):
+            reduced = sign * (blk.price - y_p[agg.node] - agg.tan_phi * y_q[agg.node])
+            columns.append((f"{agg.id}[{b}]", x, 0.0, blk.p_max, reduced))
+    for j, br in enumerate(net.branches):
+        k, m = child[j], parent[j]
+        columns.append((f"pflow[{j}]", dispatch.flows_p[j], -br.pl_max, br.pl_max,
+                        -(y_p[k] - y_p[m] + 2.0 * br.r / net.base_mva * y_v[j])))
+        columns.append((f"qflow[{j}]", dispatch.flows_q[j], -br.ql_max, br.ql_max,
+                        -(y_q[k] - y_q[m] + 2.0 * br.x / net.base_mva * y_v[j])))
+    for i in range(net.n_nodes):
+        lo, hi = (net.u_sub, net.u_sub) if i == net.substation else (net.u_min, net.u_max)
+        reduced = (sum(y_v[j] for j in parent if parent[j] == i)
+                   - sum(y_v[j] for j in child if child[j] == i))
+        columns.append((f"usq[{i}]", dispatch.voltages_sq[i], lo, hi, reduced))
+    columns.append(("qx", dispatch.reactive_exchange, -math.inf, math.inf, y_q[net.substation]))
+    columns.append(("px", dispatch.net_export, dispatch.net_export, dispatch.net_export,
+                    y_p[net.substation]))
+
+    dual_objective = sum(y * rhs for y, rhs in zip(y_p + y_q, rhs_p + rhs_q))
+    for name, x, lo, hi, reduced in columns:
+        at_lo = x <= lo + 1e-9 * max(1.0, abs(lo))
+        at_hi = x >= hi - 1e-9 * max(1.0, abs(hi))
+        if at_lo:
+            dual_objective += reduced * lo
+        elif at_hi:
+            dual_objective += reduced * hi
+        if at_lo and at_hi:
+            continue  # a fixed column: any reduced cost
+        if (at_lo and reduced < -tol) or (at_hi and reduced > tol) or (
+                not (at_lo or at_hi) and abs(reduced) > tol):
+            out.append(f"column {name} at {x} in [{lo}, {hi}]: reduced cost {reduced:.3g}")
+    if abs(dual_objective - dispatch.cost) > tol:
+        out.append(f"dual objective {dual_objective!r} is not the cost {dispatch.cost!r}")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +434,7 @@ def probe_only_curve(scenario: Scenario) -> BidCurve:
     that the certificates skip. Those probes leave the basis where it was, so
     the two must agree bit for bit.
     """
-    prog, dvars = build_constraints(scenario.network, scenario.aggregators, net_export=None,
+    prog, dvars = build_constraints(scenario.network, scenario.aggregators,
                                     incidence=derived_incidence(scenario.network))
     px = dvars.p_exchange
     ends = []

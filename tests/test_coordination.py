@@ -25,7 +25,9 @@ from gridcoord.model import (
 )
 
 from support import (
+    answer,
     count_calls,
+    count_compiles,
     lp_clearing,
     random_scenario,
     relabel_nodes,
@@ -127,6 +129,22 @@ def test_equivalence_takes_ten_solves_on_the_reference_case(reference):
     before = lp.solve_stats()["solves"]
     check_equivalence(reference)
     assert lp.solve_stats()["solves"] - before == 10
+
+
+@pytest.mark.parametrize("which", [*BUNDLED_CASES, *range(10)])
+def test_joint_lp_cache_hit_answers_exactly_like_a_fresh_compile(which, monkeypatch):
+    scenario = parse_case(which) if isinstance(which, str) else random_scenario(which)
+    check_equivalence(scenario)  # both LPs of the scenario are compiled from here on
+    calls = [check_equivalence, run_ideal] * 3
+    random.Random(str(which)).shuffle(calls)
+
+    compiles = count_compiles(monkeypatch)
+    hits = [answer(call, scenario) for call in calls]
+    assert compiles == []  # every call above re-solved the compiled LPs
+    fresh = [answer(call, dataclasses.replace(scenario)) for call in calls]
+    assert len(compiles) == 3 * 2 + 3  # a check compiles the DSO's LP and the joint LP
+    assert hits == fresh
+    assert repr(hits) == repr(fresh)  # bit for bit, signs of zero included
 
 
 def test_equivalence_holds_with_binding_voltage_constraints():

@@ -41,7 +41,8 @@ def test_single_branch_forced_dispatch_and_flow_direction():
     gen = Aggregator(
         id="g", kind="DDGAG", node=1, offers=BlockOfferStack((Block(1.0, 10.0),))
     )
-    prog, dvars = build_constraints(net, [gen], net_export=1.0)
+    prog, dvars = build_constraints(net, [gen])
+    prog.set_bounds(dvars.p_exchange, 1.0, 1.0)
     prog.set_objective(dispatch_cost_coeffs([gen], dvars))
     sol = lp.solve(prog)
     assert sol.status == lp.OPTIMAL
@@ -52,16 +53,18 @@ def test_single_branch_forced_dispatch_and_flow_direction():
 
 def test_variable_count_matches_contract_in_pinned_mode():
     scenario = parse_case("paper_reference")
-    prog, _ = build_constraints(scenario.network, scenario.aggregators, net_export=0.0)
+    prog, dvars = build_constraints(scenario.network, scenario.aggregators)
+    prog.set_bounds(dvars.p_exchange, 0.0, 0.0)  # pinning moves bounds, not the columns
     n_blocks = sum(len(a.offers.blocks) for a in scenario.aggregators)
     n_branches = len(scenario.network.branches)
-    assert len(prog.variables) == n_blocks + 2 * n_branches + scenario.network.n_nodes + 1
+    assert len(prog.variables) == n_blocks + 2 * n_branches + scenario.network.n_nodes + 2
 
 
 def test_export_beyond_capacity_is_infeasible_not_garbage():
     scenario = parse_case("paper_reference")
     for q in (5.8, -1.6):
-        prog, dvars = build_constraints(scenario.network, scenario.aggregators, net_export=q)
+        prog, dvars = build_constraints(scenario.network, scenario.aggregators)
+        prog.set_bounds(dvars.p_exchange, q, q)
         prog.set_objective(dispatch_cost_coeffs(scenario.aggregators, dvars))
         assert lp.solve(prog).status == lp.INFEASIBLE
 
@@ -75,7 +78,8 @@ def test_reactive_balance_carries_power_factor_draw():
         offers=BlockOfferStack((Block(2.0, 10.0),)),
         tan_phi=0.5,
     )
-    prog, dvars = build_constraints(net, [gen], net_export=2.0)
+    prog, dvars = build_constraints(net, [gen])
+    prog.set_bounds(dvars.p_exchange, 2.0, 2.0)
     prog.set_objective(dispatch_cost_coeffs([gen], dvars))
     sol = lp.solve(prog)
     assert sol.status == lp.OPTIMAL

@@ -31,6 +31,8 @@ from support import (
     dso_cost_oracle,
     probe_only_curve,
     random_scenario,
+    redispatch_dual_violations,
+    redispatch_with_duals,
     scale_power,
 )
 
@@ -283,6 +285,7 @@ def test_curve_builds_one_lp_and_its_end_costs_match_value_at(name, monkeypatch)
         return build_constraints(*args, **kwargs)
 
     monkeypatch.setattr(dso, "build_constraints", counting)
+    compiles = count_compiles(monkeypatch)
     scenario = parse_case(name)
     curve = build_bid_curve(scenario)
     assert len(calls) == 1
@@ -290,14 +293,14 @@ def test_curve_builds_one_lp_and_its_end_costs_match_value_at(name, monkeypatch)
     for q, cost in (curve.breakpoints[0], curve.breakpoints[-1]):
         expected = value_at(scenario, q).cost
         assert abs(cost - expected) <= 1e-9 * max(1.0, abs(expected))
-    assert len(calls) <= 2  # the re-dispatch LP, built by the first value_at
+    assert len(calls) == len(compiles) == 1  # the re-dispatch solves on the curve's LP
 
 
 @pytest.mark.parametrize("which", [*BUNDLED_CASES, *range(30)])
 def test_cache_hit_answers_exactly_like_a_fresh_compile(which, monkeypatch):
     scenario = parse_case(which) if isinstance(which, str) else random_scenario(which)
     curve = build_bid_curve(scenario)
-    value_at(scenario, curve.q_min)  # both LPs of the scenario are compiled from here on
+    value_at(scenario, curve.q_min)  # the scenario's LP is compiled from here on
     qs = [q for q, _ in curve.breakpoints]
     qs += [0.5 * (a + b) for a, b in zip(qs, qs[1:])]
     calls = [(value_at, q) for q in qs] + [(feasible_range,), (build_bid_curve,)] * 3
@@ -313,6 +316,47 @@ def test_cache_hit_answers_exactly_like_a_fresh_compile(which, monkeypatch):
     assert len(compiles) == len(calls)  # each copy compiled the one LP its call needs
     assert hits == fresh
     assert repr(hits) == repr(fresh)  # bit for bit, signs of zero included
+
+
+def _assert_redispatches_publish_optimal_duals(scenario):
+    """At every breakpoint, every segment midpoint and the award (when the load clears)."""
+    curve = build_bid_curve(scenario)
+    qs = [q for q, _ in curve.breakpoints]
+    qs += [0.5 * (a + b) for a, b in zip(qs, qs[1:])]
+    try:
+        qs.append(clear(scenario.wholesale, [curve], scenario.firm_wholesale_load).dso_awards[0])
+    except InfeasibleError:
+        pass
+    for q in qs:
+        dispatch, duals = redispatch_with_duals(scenario, q)
+        assert redispatch_dual_violations(scenario, dispatch, duals) == [], q
+
+
+@pytest.mark.parametrize("name", BUNDLED_CASES)
+def test_every_redispatch_publishes_optimal_duals_on_the_bundled_cases(name):
+    _assert_redispatches_publish_optimal_duals(parse_case(name))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+@example(seed=3184)  # its firm load cannot clear: breakpoints and midpoints only
+def test_every_redispatch_publishes_optimal_duals_on_random_feeders(seed):
+    _assert_redispatches_publish_optimal_duals(random_scenario(seed))
+
+
+def test_the_dual_check_rejects_shifted_prices():
+    scenario = parse_case("paper_reference")
+    dispatch, duals = redispatch_with_duals(scenario, 1.0)  # inside the 20 $/MWh segment
+    assert redispatch_dual_violations(scenario, dispatch, duals) == []
+    moved = {**duals, **{f"bal_p[{i}]": price + 1.0
+                         for i, price in dispatch.retail_prices.items()}}
+    moved_dispatch = dataclasses.replace(
+        dispatch, retail_prices={i: p + 1.0 for i, p in dispatch.retail_prices.items()})
+    problems = redispatch_dual_violations(scenario, moved_dispatch, moved)
+    assert any("reduced cost" in p for p in problems)
+    assert any("dual objective" in p for p in problems)
+    assert any("retail price" in p
+               for p in redispatch_dual_violations(scenario, moved_dispatch, duals))
 
 
 def test_threads_share_the_compiled_models_and_get_the_sequential_answers():

@@ -78,7 +78,8 @@ def test_dso_problem_objective_matches_brute_force_enumeration():
     expected = dso_cost_oracle(scenario, 1.2)
     assert expected == pytest.approx(-32.0)  # 1*10 + 1.2*15 + 0.5*20 - 2.5*28
 
-    prog, dvars = build_constraints(scenario.network, scenario.aggregators, net_export=1.2)
+    prog, dvars = build_constraints(scenario.network, scenario.aggregators)
+    prog.set_bounds(dvars.p_exchange, 1.2, 1.2)
     prog.set_objective(dispatch_cost_coeffs(scenario.aggregators, dvars))
     sol = lp.solve(prog)
     assert sol.status == lp.OPTIMAL
@@ -226,6 +227,22 @@ def test_resolve_after_new_objective_matches_a_fresh_build(seed):
             assert warm.objective == pytest.approx(fresh.objective, abs=1e-7)
             assert warm.duality_gap == pytest.approx(fresh.duality_gap, abs=1e-7)
             assert warm.max_residual <= 1e-7
+
+
+def test_an_equal_objective_keeps_the_cost_vector_and_a_new_one_replaces_it():
+    prog = lp.LinearProgram()
+    prog.add_variable("x", 0.0, 10.0)
+    prog.add_variable("y", 0.0, 10.0)
+    prog.add_constraint("floor", {"x": 1.0, "y": 1.0}, lp.GEQ, 4.0)
+    prog.set_objective({"x": 1.0, "y": 2.0})
+    lp.solve(prog)
+    sent = prog._backend.cost
+    prog.set_objective({"y": 2.0, "x": 1.0}, constant=5.0)  # equal coefficients
+    assert lp.solve(prog).objective == pytest.approx(9.0)
+    assert prog._backend.cost is sent  # not built or sent to HiGHS again
+    prog.set_objective({"x": 3.0, "y": 2.0})
+    assert lp.solve(prog).objective == pytest.approx(8.0)
+    assert prog._backend.cost is not sent
 
 
 def test_new_variable_or_constraint_after_a_solve_takes_effect():
@@ -544,17 +561,16 @@ def test_program_without_variables_reports_zero_duals_when_feasible():
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000), st.booleans())
-def test_restart_after_new_rhs_matches_a_fresh_build_exactly(seed, anchored):
+def test_restart_after_pinned_bounds_matches_a_fresh_build_exactly(seed, anchored):
     rng = np.random.default_rng(seed)
     a, relations, rhs, lower, upper = _random_lp_data(rng, anchored)
-    relations[0] = lp.EQ
     c = rng.normal(size=len(lower))
     prog = _build_lp((a, relations, rhs, lower, upper), c)
+    prog.restart()  # nothing compiled yet: a no-op
     _outcome(prog)
     for _ in range(3):  # a cold restart each time, on the kept model
-        new_rhs = rhs.copy()
-        new_rhs[0] = float(rng.normal(scale=3.0))
-        prog.set_rhs("r0", new_rhs[0])
+        q = float(rng.normal(scale=3.0))
+        prog.set_bounds("x0", q, q)  # a parameter, as a pinned column
         prog.restart()
         backend = prog._backend
         try:
@@ -562,40 +578,11 @@ def test_restart_after_new_rhs_matches_a_fresh_build_exactly(seed, anchored):
         except lp.SolverError:
             kept = "SolverError"
         assert prog._backend is backend  # the loaded model was kept
+        new_lower, new_upper = lower.copy(), upper.copy()
+        new_lower[0] = new_upper[0] = q
         try:
-            fresh = lp.solve(_build_lp((a, relations, new_rhs, lower, upper), c))
+            fresh = lp.solve(_build_lp((a, relations, rhs, new_lower, new_upper), c))
         except lp.SolverError:
             fresh = "SolverError"
         assert kept == fresh
-
-
-def test_set_rhs_moves_an_equality_row_and_its_dual_reading():
-    prog = lp.LinearProgram()
-    prog.add_variable("x", 0.0, 4.0)
-    prog.add_variable("y", 0.0, 10.0)
-    prog.add_constraint("demand", {"x": 1.0, "y": 1.0}, lp.EQ, 3.0)
-    prog.set_objective({"x": 1.0, "y": 2.0})
-    assert lp.solve(prog).dual["demand"] == pytest.approx(1.0)
-    prog.set_rhs("demand", 6.0)  # x is full, y serves the rest
-    sol = lp.solve(prog)
-    assert sol.primal == pytest.approx({"x": 4.0, "y": 2.0})
-    assert sol.dual["demand"] == pytest.approx(2.0)
-    assert sol.objective == pytest.approx(8.0)
-    assert prog.evaluate(sol.primal)[0] <= 1e-9
-    prog.set_rhs("demand", 20.0)
-    prog.restart()
-    assert lp.solve(prog).status == lp.INFEASIBLE
-
-
-def test_set_rhs_rejects_inequality_rows_and_unknown_names():
-    prog = lp.LinearProgram()
-    prog.add_variable("x", 0.0, 1.0)
-    prog.add_constraint("cap", {"x": 1.0}, lp.LEQ, 1.0)
-    prog.add_constraint("floor", {"x": 1.0}, lp.GEQ, 0.0)
-    for name in ("cap", "floor"):
-        with pytest.raises(ValueError, match="== rows"):
-            prog.set_rhs(name, 0.5)
-    with pytest.raises(ValueError, match="undeclared"):
-        prog.set_rhs("balance", 0.5)
-    prog.restart()  # nothing compiled yet: a no-op
-    assert lp.solve(prog).status == lp.OPTIMAL
+        assert repr(kept) == repr(fresh)

@@ -48,3 +48,18 @@ def test_random_campaign_passes_a_short_batch(capsys):
     assert load("random_campaign").main(["--cases", "3"]) == 0
     assert "3/3 cases equivalent" in capsys.readouterr().out
 
+
+def test_random_campaign_reports_an_infeasible_seed_and_goes_on(capsys):
+    # Seed 3184's firm load cannot clear; 3183 and 3185 are feasible.
+    assert load("random_campaign").main(["--seed", "3183", "--cases", "3"]) == 0
+    out = capsys.readouterr().out
+    assert ("seed 3184: infeasible (clearing infeasible: supply cannot meet the firm load)"
+            in out)
+    assert "2/2 cases equivalent" in out
+    assert "infeasible seeds left out: 3184\n" in out
+
+
+def test_random_campaign_of_infeasible_seeds_only_prints_no_statistics(capsys):
+    assert load("random_campaign").main(["--seed", "3184", "--cases", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "0/0 cases equivalent" in out and "median" not in out
