@@ -10,7 +10,8 @@ blocks, flows and voltages), must be feasible and reach the joint optimum.
 Where tied prices leave the optimum non-unique, any optimal split passes,
 so no tie needs detecting; per-participant differences are reported for
 information only. The joint LP is compiled once per scenario object and kept
-on the DSO's compiled model (``dso._Model``); each solve restarts it cold.
+on the DSO's compiled model (``dso._Model``); each solve restarts it from
+its start basis: the DistFlow tree plus the wholesale balance row's logical.
 """
 
 from __future__ import annotations
@@ -101,6 +102,7 @@ def _joint_lp(model: _Model
         balance: dict[str, float] = {dvars.p_exchange: 1.0}
         block_vars = add_wholesale(prog, scenario.wholesale, balance, objective)
         prog.add_constraint("balance", balance, lpmod.EQ, scenario.firm_wholesale_load)
+        prog.declare_basic(rows=("balance",))  # completes the DistFlow tree basis
         prog.set_objective(objective)
         model.joint = prog, dvars, block_vars
     return model.joint
@@ -108,7 +110,7 @@ def _joint_lp(model: _Model
 
 def _solve_joint(scenario: Scenario, prog: lpmod.LinearProgram, dvars: DistFlowVars,
                  block_vars: tuple[tuple[str, ...], ...]) -> IdealOutcome:
-    prog.restart()  # cold, as on a fresh compile
+    prog.restart()  # from the start basis, as on a fresh compile
     sol = lpmod.solve(prog)
     if sol.status != lpmod.OPTIMAL:
         raise InfeasibleError(f"joint dispatch is {sol.status}")

@@ -15,7 +15,8 @@ lossless linearization, so branch flows carry no loss term.
 ``build_constraints`` emits the fragment and ``read_solution`` reads it back
 from an optimal solution; the DSO's LP and the joint LP use both. The
 exchange is always a free variable: the DSO pins it through its bounds to
-evaluate one export.
+evaluate one export. The fragment declares the network's spanning tree as
+its LP's start basis (``LinearProgram.declare_basic``).
 """
 
 from __future__ import annotations
@@ -143,6 +144,11 @@ def build_constraints(
             lpmod.EQ,
             0.0,
         )
+
+    # The tree is a start basis: the branch flows, every voltage but the
+    # substation's and the two exchanges, 3n - 1 columns for 3n - 1 rows.
+    lp.declare_basic(p_flow + q_flow + voltage_sq[:network.substation]
+                     + voltage_sq[network.substation + 1:] + (q_exchange, p_exchange))
 
     return lp, DistFlowVars(
         blocks=blocks,

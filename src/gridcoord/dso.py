@@ -19,7 +19,8 @@ tree incidence and builds that LP on first use (and the joint LP of
 ``coordination``, when asked). The model lives in a one-slot cache keyed by
 the scenario's identity (``is``, not equality or hash), so repeat calls on
 one ``Scenario`` object reuse it and a call on another object replaces it.
-Every public call still solves: it restarts the LP cold and runs the same
+Every public call still solves: it restarts the LP from the feeder's
+spanning-tree basis (declared by ``build_constraints``) and runs the same
 solve sequence a fresh compile would, so its answer is bit-for-bit that of a
 fresh compile and never depends on earlier calls. Calls on one scenario
 from several threads take turns on the model's lock.
@@ -30,6 +31,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import lp as lpmod
 from .distflow import DistFlowVars, build_constraints, dispatch_cost_coeffs, read_solution
@@ -51,7 +53,8 @@ class BidCurve:
     ``breakpoints`` are (export MW, total cost $/h) with strictly increasing
     export; ``prices`` holds one marginal price per segment between them.
     A degenerate (single-point) feasible range has one breakpoint and no
-    segments.
+    segments. ``segments`` and ``violations`` are worked out once per curve
+    object, so clearing against one curve many times checks it once.
     """
 
     breakpoints: tuple[tuple[float, float], ...]
@@ -69,7 +72,7 @@ class BidCurve:
     def q_max(self) -> float:
         return self.breakpoints[-1][0]
 
-    @property
+    @cached_property
     def segments(self) -> tuple[Segment, ...]:
         return tuple(
             Segment(self.breakpoints[i][0], self.breakpoints[i + 1][0], self.prices[i])
@@ -88,12 +91,16 @@ class BidCurve:
         return cost
 
     def violations(self) -> list[str]:
-        out = []
+        """What makes the curve invalid, if anything; checked once per curve object."""
+        return list(self._violations)
+
+    @cached_property
+    def _violations(self) -> tuple[str, ...]:
         if not self.breakpoints:
-            return ["curve has no breakpoints"]
+            return ("curve has no breakpoints",)
         if len(self.prices) != len(self.breakpoints) - 1:
-            out.append("need exactly one price per breakpoint interval")
-            return out
+            return ("need exactly one price per breakpoint interval",)
+        out = []
         for i in range(1, len(self.breakpoints)):
             if self.breakpoints[i][0] <= self.breakpoints[i - 1][0]:
                 out.append(f"breakpoint {i}: export values must be strictly increasing")
@@ -104,7 +111,7 @@ class BidCurve:
             dc = self.breakpoints[i + 1][1] - self.breakpoints[i][1]
             if abs(dc - seg.price * (seg.q_hi - seg.q_lo)) > 1e-4 + 1e-6 * abs(dc):
                 out.append(f"segment {i}: stored cost increments disagree with the price")
-        return out
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -197,7 +204,7 @@ def feasible_range(scenario: Scenario) -> tuple[float, float]:
 def value_at(scenario: Scenario, net_export: float) -> DsoDispatch:
     """Minimum-cost aggregator dispatch serving the given net export.
 
-    The scenario's free-export LP is restarted cold and solved once at the
+    The scenario's free-export LP is restarted and solved once at the
     dispatch cost, with the export pinned to ``net_export`` through its
     bounds. The substation balance dual (``marginal_price``) is then the
     marginal cost of export: inside a segment of the bid curve, the

@@ -15,8 +15,8 @@ wholesale participants first, then the curves. The clearing price is that
 of the last block with positive fill, a dual of the balance row that prices
 the marginal block; when no block fills it is the price of the cheapest
 block of positive size (the highest valid dual), and with no such block it
-is 0.0. Each call computes its answer from its arguments alone, with no
-cache.
+is 0.0. Each call computes its answer from its arguments alone; only a
+curve keeps its own checks and segments, once worked out.
 
 ``add_wholesale`` and ``read_wholesale`` emit and read the wholesale blocks
 as LP variables for the joint LP of ``coordination``.
@@ -81,10 +81,11 @@ def clear(
 
     Fills the blocks in merit order (a stable sort by price, so ties fill
     in declaration order) and prices the balance by the module's rule.
-    Nothing is cached between calls. Raises ValueError on a non-convex
-    curve, and InfeasibleError when the load left after the curves' minimum
-    exports is below 0 or above what the blocks can supply, by more than
-    1e-9 of the quantities summed (a load at capacity may round past it).
+    Nothing is cached between calls but each curve's own checks and
+    segments. Raises ValueError on a non-convex curve, and InfeasibleError
+    when the load left after the curves' minimum exports is below 0 or
+    above what the blocks can supply, by more than 1e-9 of the quantities
+    summed (a load at capacity may round past it).
     """
     for k, curve in enumerate(dso_curves):
         problems = curve.violations()

@@ -11,11 +11,16 @@ bounds keep the loaded model, so the next solve starts from the previous
 basis; a new variable or constraint discards it. A parameter on a row's rhs
 is written as a column with pinned bounds (``set_bounds(name, q, q)``).
 ``restart`` keeps the model but drops the basis and all solver state, so
-the next solve runs cold, exactly as on a freshly compiled copy. Callers
-that keep one compiled program across public calls restart it at the start
-of each call: a compiled structure is reused, but no answer depends on the
-calls that came before (a warm re-solve can land on another optimal vertex
-or dual where the optimum is not unique).
+the next solve starts over, exactly as on a freshly compiled copy: from the
+program's declared start basis (``declare_basic``), loaded from the bounds
+in force at that solve, or else from HiGHS's slack basis. Callers that keep
+one compiled program across public calls restart it at the start of each
+call: a compiled structure is reused, but no answer depends on the calls
+that came before (a warm re-solve can land on another optimal vertex or
+dual where the optimum is not unique). A start basis is a fixed function of
+the program, not of its history; the DistFlow fragment declares its
+spanning tree, from which HiGHS needs a few pivots where the slack basis
+takes dozens. Pricing is Devex (see ``_Backend``).
 
 An optimal answer is checked by its residual and by its duality gap, whose
 bound terms come from the columns that sit exactly on a bound (HiGHS puts
@@ -104,9 +109,9 @@ def _load_core():
 
 try:
     _core = _load_core()
-    HighsLp, HighsModelStatus, HighsStatus, MatrixFormat, _Highs = (
-        _core.HighsLp, _core.HighsModelStatus, _core.HighsStatus, _core.MatrixFormat,
-        _core._Highs)
+    HighsBasis, HighsBasisStatus, HighsLp, HighsModelStatus, HighsStatus, MatrixFormat, _Highs = (
+        _core.HighsBasis, _core.HighsBasisStatus, _core.HighsLp, _core.HighsModelStatus,
+        _core.HighsStatus, _core.MatrixFormat, _core._Highs)
 except (ImportError, AttributeError) as exc:
     raise ImportError(
         f"gridcoord needs scipy>=1.15: it solves LPs through the HiGHS binding {_CORE}"
@@ -115,6 +120,9 @@ except (ImportError, AttributeError) as exc:
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
+
+# Basis statuses by code: 0 at lower, 1 basic, 2 at upper, 3 at zero (free).
+_STATUS = sorted(HighsBasisStatus.__members__.values(), key=int)
 
 DEFAULT_TOLERANCE = 1e-7  # absolute, on constraint residuals and the duality gap
 
@@ -155,6 +163,8 @@ class LinearProgram:
         self._row_upper: list[float] = []
         self._objective: dict[str, float] = {}
         self.objective_constant = 0.0
+        self._basic_cols: set[int] = set()  # the declared start basis, by index
+        self._basic_rows: set[int] = set()
         self._cost: tuple[np.ndarray, float] | None = None  # built by the next solve
         self._backend: _Backend | None = None  # built by the first solve
 
@@ -204,6 +214,24 @@ class LinearProgram:
         self._backend = None
         return name
 
+    def declare_basic(self, columns: Iterable[str] = (), rows: Iterable[str] = ()) -> None:
+        """Add columns, and the logicals of rows, to the program's start basis.
+
+        Every cold solve (the first, and each after ``restart``) of a program
+        with a declared start basis starts from it: the declared columns and
+        rows are basic, and every other column or row sits at its finite
+        lower bound, else at its finite upper bound, else at zero, under the
+        bounds in force at that solve. The basic count must equal the row
+        count when the program is compiled, or that solve raises ValueError.
+        A program with none starts from HiGHS's slack basis.
+        """
+        for name in rows:
+            if name not in self._con_index:
+                raise ValueError(f"undeclared constraint {name!r}")
+            self._basic_rows.add(self._con_index[name])
+        self._basic_cols.update(self.column(name) for name in columns)
+        self._backend = None
+
     def set_objective(self, coeffs: dict[str, float], constant: float = 0.0) -> None:
         for var in coeffs:
             if var not in self._var_index:
@@ -244,9 +272,14 @@ class LinearProgram:
                                            backend.upper[j:j + 1])
 
     def restart(self) -> None:
-        """Drop the solver state, so the next solve starts cold; the compiled model stays."""
+        """Drop the solver state, so the next solve starts cold; the compiled model stays.
+
+        That solve starts from the declared start basis, loaded then, as the
+        first solve of a fresh compile does, or else from the slack basis.
+        """
         if self._backend is not None:
             self._backend.highs.clearSolver()
+            self._backend.start_due = True
 
     def evaluate(self, point: dict[str, float]) -> tuple[float, float]:
         """Largest row-or-bound violation of ``point`` and its objective value.
@@ -275,10 +308,24 @@ class _Backend:
 
     The arrays are gridcoord's own copy of the model: the residual and
     duality-gap checks in ``solve`` read them, not HiGHS's echo of them.
+    The declared start basis is loaded by the first solve after a compile
+    or a restart (``start``), from the bounds in force then: loaded at the
+    restart itself, a later ``set_bounds`` would move a nonbasic column by
+    HiGHS's own rule, which can differ from a fresh compile's start.
     """
 
     def __init__(self, prog: LinearProgram):
         n, m = len(prog._var_names), len(prog._con_index)
+        self.basic: np.ndarray | None = None  # basic mask over columns, then rows
+        if prog._basic_cols or prog._basic_rows:
+            count = len(prog._basic_cols) + len(prog._basic_rows)
+            if count != m:
+                raise ValueError(f"start basis has {count} basic columns and rows, not the "
+                                 f"program's {m} rows")
+            self.basic = np.zeros(n + m, dtype=bool)
+            self.basic[list(prog._basic_cols)] = True
+            self.basic[[n + i for i in prog._basic_rows]] = True
+        self.start_due = True  # the start basis is loaded by the next solve
         self.rows = np.array(prog._rows, dtype=np.int32)
         self.cols = np.array(prog._cols, dtype=np.int32)
         self.vals = np.array(prog._vals, dtype=float)
@@ -307,8 +354,33 @@ class _Backend:
 
         self.highs = _Highs()
         self.highs.setOptionValue("output_flag", False)
+        # Devex pricing: from a handed-in basis, dual steepest edge first
+        # computes its exact weights, one BTRAN per row; Devex's start at 1.
+        # A rebuild always refactors: by default HiGHS keeps an updated
+        # factor that its test solve passes, and under Devex the x read off
+        # it can miss a row by 1e-13, which 1e8 duals ($/MWh x 1e6) turn
+        # into a duality gap beyond the bound in ``solve``.
+        self.highs.setOptionValue("simplex_dual_edge_weight_strategy", 1)
+        self.highs.setOptionValue("no_unnecessary_rebuild_refactor", False)
         if self.highs.passModel(model) == HighsStatus.kError:
             raise SolverError("HiGHS rejected the model")
+
+    def start(self) -> None:
+        """Load the start basis, if declared, its nonbasic statuses read off today's bounds."""
+        self.start_due = False
+        if self.basic is None:
+            return
+        lower = np.concatenate((self.lower, self.row_lower))
+        upper = np.concatenate((self.upper, self.row_upper))
+        code = np.where(np.isfinite(lower), 0, np.where(np.isfinite(upper), 2, 3))
+        code[self.basic] = 1
+        status = [_STATUS[k] for k in code.tolist()]
+        basis = HighsBasis()
+        n = len(self.lower)
+        basis.col_status, basis.row_status = status[:n], status[n:]
+        basis.valid = True
+        if self.highs.setBasis(basis) == HighsStatus.kError:
+            raise SolverError("HiGHS rejected the start basis")
 
 
 class _Run(NamedTuple):
@@ -416,6 +488,8 @@ def solve(lp: LinearProgram, tolerance: float = DEFAULT_TOLERANCE) -> LpSolution
     if backend.cost is not cost:
         highs.changeColsCost(nvar, backend.col_ids, cost)
         backend.cost = cost
+    if backend.start_due:
+        backend.start()
     run = linprog(highs)
     if run.status == HighsModelStatus.kInfeasible:
         return LpSolution(status=INFEASIBLE)

@@ -11,7 +11,7 @@ equations are re-evaluated from primal values with a fresh tree walk.
 
 ``random_scenario`` is the benchmark's ``small_scenario`` (``bench/gen.py``):
 a radial tree of at most 12 nodes, convex stacks and loose voltages, drawn
-from its seed alone.
+from its seed alone. ``feeder_scenario`` is its 120-node feeder.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import pytest
 
 import gridcoord.cli as cli
 import gridcoord.lp as lp
+from gridcoord.caseio import BUNDLED_CASES, parse_case
 from gridcoord.distflow import build_constraints, dispatch_cost_coeffs
 from gridcoord.dso import BidCurve, value_at
 from gridcoord.iso import add_wholesale
@@ -49,6 +50,7 @@ _GEN = importlib.util.spec_from_file_location(
 _gen = importlib.util.module_from_spec(_GEN)
 _GEN.loader.exec_module(_gen)
 random_scenario = _gen.small_scenario
+feeder_scenario = _gen.feeder_scenario
 
 # ---------------------------------------------------------------------------
 # Brute-force dispatch oracle
@@ -124,8 +126,9 @@ def capacity_export_range(scenario: Scenario):
 def distflow_residuals(network: NetworkModel, voltages_sq, flows_p, flows_q):
     """Max residual of the voltage recursion plus worst voltage-bound violation.
 
-    Re-derives parent/child orientation with its own walk over the branch
-    list so the check does not reuse the package's incidence code.
+    Re-derives each node's parent with its own walk over the branch list so
+    the check does not reuse the package's incidence code. Flows are read as
+    stored, parent to child, whichever way a branch is declared.
     """
     n = network.n_nodes
     neighbors = {i: [] for i in range(n)}
@@ -145,8 +148,7 @@ def distflow_residuals(network: NetworkModel, voltages_sq, flows_p, flows_q):
     for node in order[1:]:
         j, parent = parent_of[node]
         br = network.branches[j]
-        sign = 1.0 if br.from_node == parent else -1.0  # flow stored parent->child
-        drop = 2.0 * (br.r * sign * flows_p[j] + br.x * sign * flows_q[j]) / network.base_mva
+        drop = 2.0 * (br.r * flows_p[j] + br.x * flows_q[j]) / network.base_mva
         recursion = max(recursion, abs(voltages_sq[node] - voltages_sq[parent] + drop))
 
     bounds = 0.0
@@ -405,6 +407,25 @@ def count_calls(monkeypatch, module, name: str) -> list:
                 if value is original:
                     monkeypatch.setattr(mod, attr, counting)
     return calls
+
+
+# Bundled cases and random seeds with their branches declared from the other
+# end, or with their node ids reversed (which moves the substation too).
+TRANSFORMED = tuple(f"{how}:{base}" for how in ("reversed", "relabelled")
+                    for base in (*BUNDLED_CASES, "3", "17"))
+
+
+def named_scenario(which) -> Scenario:
+    """A bundled case by name, a ``random_scenario`` by seed, or one of ``TRANSFORMED``."""
+    if isinstance(which, int):
+        return random_scenario(which)
+    how, _, base = which.rpartition(":")
+    scenario = random_scenario(int(base)) if base.isdigit() else parse_case(base)
+    if how == "reversed":
+        return reverse_branches(scenario)
+    if how == "relabelled":
+        return relabel_nodes(scenario, range(scenario.network.n_nodes)[::-1])
+    return scenario
 
 
 def count_compiles(monkeypatch) -> list:

@@ -25,10 +25,12 @@ from gridcoord.model import (
 )
 
 from support import (
+    TRANSFORMED,
     answer,
     count_calls,
     count_compiles,
     lp_clearing,
+    named_scenario,
     random_scenario,
     relabel_nodes,
     reverse_branches,
@@ -131,18 +133,22 @@ def test_equivalence_takes_ten_solves_on_the_reference_case(reference):
     assert lp.solve_stats()["solves"] - before == 10
 
 
-@pytest.mark.parametrize("which", [*BUNDLED_CASES, *range(10)])
+@pytest.mark.parametrize("which", [*BUNDLED_CASES, *range(10), *TRANSFORMED])
 def test_joint_lp_cache_hit_answers_exactly_like_a_fresh_compile(which, monkeypatch):
-    scenario = parse_case(which) if isinstance(which, str) else random_scenario(which)
-    check_equivalence(scenario)  # both LPs of the scenario are compiled from here on
-    calls = [check_equivalence, run_ideal] * 3
+    scenario = named_scenario(which)
+    curve = check_equivalence(scenario).bid_curve  # both LPs are compiled from here on
+    calls = [(check_equivalence,), (run_ideal,)] * 3
     random.Random(str(which)).shuffle(calls)
+    # An export outside the range sends the DSO's LP down the fallback path.
+    calls.insert(2, (value_at, curve.q_max + 1.0))
+    calls.insert(3, (value_at, curve.q_min))
 
     compiles = count_compiles(monkeypatch)
-    hits = [answer(call, scenario) for call in calls]
+    hits = [answer(call, scenario, *args) for call, *args in calls]
     assert compiles == []  # every call above re-solved the compiled LPs
-    fresh = [answer(call, dataclasses.replace(scenario)) for call in calls]
-    assert len(compiles) == 3 * 2 + 3  # a check compiles the DSO's LP and the joint LP
+    fresh = [answer(call, dataclasses.replace(scenario), *args) for call, *args in calls]
+    # A check compiles the DSO's LP and the joint LP, run_ideal and value_at one each.
+    assert len(compiles) == 3 * 2 + 3 + 2
     assert hits == fresh
     assert repr(hits) == repr(fresh)  # bit for bit, signs of zero included
 
@@ -424,6 +430,14 @@ def test_bundled_cases_survive_price_unit_scaling(name, factor):
 def test_random_feeders_survive_price_unit_scaling(factor, seed):
     scenario = random_scenario(seed)
     _assert_same_awards_and_passes(scenario, scale_prices(scenario, factor))
+
+
+# Seeds that raised SolverError or failed the check at x1e6 prices when the
+# Devex-priced solves read x off an updated factor (see lp._Backend).
+@pytest.mark.parametrize("seed", [4, 7, 9, 14, 15, 16])
+def test_random_feeders_at_a_million_times_the_prices_pass(seed):
+    scenario = random_scenario(seed)
+    _assert_same_awards_and_passes(scenario, scale_prices(scenario, 1e6))
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,

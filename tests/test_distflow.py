@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gridcoord.lp as lp
-from gridcoord.caseio import parse_case
+from gridcoord.caseio import BUNDLED_CASES, parse_case
 from gridcoord.distflow import build_constraints, dispatch_cost_coeffs
 from gridcoord.dso import feasible_range, value_at
 from gridcoord.model import (
@@ -18,7 +18,13 @@ from gridcoord.model import (
     derived_incidence,
 )
 
-from support import capacity_export_range, distflow_residuals, random_scenario, root_paths
+from support import (
+    capacity_export_range,
+    distflow_residuals,
+    random_scenario,
+    reverse_branches,
+    root_paths,
+)
 
 
 def line_network(n_nodes, r=0.001, x=0.001):
@@ -172,3 +178,29 @@ def test_voltage_recursion_telescopes_along_root_paths(seed, frac):
     )
     assert recursion <= 1e-7
     assert bounds <= 1e-7
+
+
+@pytest.mark.parametrize("name", ["paper_reference", "voltage_binding"])
+def test_recursion_holds_on_branches_declared_child_to_parent(name):
+    scenario = reverse_branches(parse_case(name))
+    dispatch = value_at(scenario, 0.3)
+    recursion, bounds = distflow_residuals(
+        scenario.network, dispatch.voltages_sq, dispatch.flows_p, dispatch.flows_q
+    )
+    assert recursion <= 1e-9
+    assert bounds <= 1e-9
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("name", BUNDLED_CASES)
+def test_the_feeder_tree_is_the_declared_start_basis(name, reverse):
+    scenario = parse_case(name)
+    if reverse:
+        scenario = reverse_branches(scenario)
+    net = scenario.network
+    prog, dvars = build_constraints(net, scenario.aggregators)
+    tree = {*dvars.p_flow, *dvars.q_flow, dvars.q_exchange, dvars.p_exchange,
+            *(v for i, v in enumerate(dvars.voltage_sq) if i != net.substation)}
+    assert {prog.variables[j] for j in prog._basic_cols} == tree
+    assert not prog._basic_rows
+    assert len(tree) == 3 * net.n_nodes - 1 == len(prog._con_index)

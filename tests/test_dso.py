@@ -25,10 +25,13 @@ from gridcoord.model import (
 )
 
 from support import (
+    TRANSFORMED,
     answer,
     capacity_export_range,
     count_compiles,
     dso_cost_oracle,
+    feeder_scenario,
+    named_scenario,
     probe_only_curve,
     random_scenario,
     redispatch_dual_violations,
@@ -296,9 +299,9 @@ def test_curve_builds_one_lp_and_its_end_costs_match_value_at(name, monkeypatch)
     assert len(calls) == len(compiles) == 1  # the re-dispatch solves on the curve's LP
 
 
-@pytest.mark.parametrize("which", [*BUNDLED_CASES, *range(30)])
+@pytest.mark.parametrize("which", [*BUNDLED_CASES, *range(30), *TRANSFORMED])
 def test_cache_hit_answers_exactly_like_a_fresh_compile(which, monkeypatch):
-    scenario = parse_case(which) if isinstance(which, str) else random_scenario(which)
+    scenario = named_scenario(which)
     curve = build_bid_curve(scenario)
     value_at(scenario, curve.q_min)  # the scenario's LP is compiled from here on
     qs = [q for q, _ in curve.breakpoints]
@@ -316,6 +319,24 @@ def test_cache_hit_answers_exactly_like_a_fresh_compile(which, monkeypatch):
     assert len(compiles) == len(calls)  # each copy compiled the one LP its call needs
     assert hits == fresh
     assert repr(hits) == repr(fresh)  # bit for bit, signs of zero included
+
+
+def test_a_cold_range_solve_on_a_feeder_starts_from_its_tree(monkeypatch):
+    iterations = []
+    real = lp.linprog
+
+    def counting(highs):
+        run = real(highs)
+        iterations.append(run.nit)
+        return run
+
+    monkeypatch.setattr(lp, "linprog", counting)
+    scenario = feeder_scenario(1)  # 120 nodes
+    feasible_range(scenario)  # compiles the LP
+    feasible_range(scenario)  # restarts it
+    assert len(iterations) == 4
+    assert iterations[0] <= 5  # the first solve of a fresh compile
+    assert iterations[2] <= 5  # and of a restart; 78 from the slack basis
 
 
 def _assert_redispatches_publish_optimal_duals(scenario):

@@ -132,6 +132,28 @@ def test_nonconvex_curve_is_rejected():
         clear([gen("G", 10.0, 8.0)], [bad], firm_load=1.0)
 
 
+@pytest.mark.parametrize("bad, problem", [
+    (BidCurve(breakpoints=((0.0, 0.0), (1.0, 20.0), (2.0, 25.0)), prices=(20.0, 5.0)),
+     "nondecreasing"),
+    (BidCurve(breakpoints=((0.0, 0.0), (0.0, 20.0)), prices=(20.0,)), "strictly increasing"),
+    (BidCurve(breakpoints=((0.0, 0.0), (1.0, 30.0)), prices=(20.0,)), "disagree"),
+    (BidCurve(breakpoints=((0.0, 0.0), (1.0, 20.0)), prices=()), "one price per"),
+    (BidCurve(breakpoints=(), prices=()), "no breakpoints"),
+])
+def test_a_bad_curve_is_rejected_by_every_clear(bad, problem):
+    for _ in range(3):  # the curve's checks are worked out once, then reused
+        with pytest.raises(ValueError, match=problem):
+            clear([gen("G", 10.0, 8.0)], [bad], firm_load=1.0)
+    bad.violations().clear()  # a caller's copy: the curve stays rejected
+    with pytest.raises(ValueError, match=problem):
+        clear([gen("G", 10.0, 8.0)], [bad], firm_load=1.0)
+
+
+def test_a_curve_works_out_its_segments_once(reference_curve):
+    assert reference_curve.segments is reference_curve.segments
+    assert [seg.price for seg in reference_curve.segments] == list(reference_curve.prices)
+
+
 def test_insufficient_supply_is_infeasible():
     with pytest.raises(InfeasibleError):
         clear([gen("G", 1.0, 8.0)], [], firm_load=5.0)

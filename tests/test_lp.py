@@ -1,10 +1,11 @@
+import math
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gridcoord.lp as lp
@@ -271,6 +272,7 @@ def test_new_variable_or_constraint_after_a_solve_takes_effect():
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000), st.booleans())
+@example(seed=487, anchored=False)  # unbounded; the oracle's own run cannot tell
 def test_solve_agrees_with_scipy_linprog(seed, anchored):
     # Public API, used here only as an oracle. Presolve is off because it
     # reports some feasible, unbounded LPs as infeasible (see lp.linprog).
@@ -282,15 +284,20 @@ def test_solve_agrees_with_scipy_linprog(seed, anchored):
     c = rng.normal(size=len(lower))
     sign = np.array([{lp.LEQ: 1.0, lp.GEQ: -1.0}.get(r, 0.0) for r in relations])
     ub, eq = sign != 0.0, sign == 0.0
-    oracle = linprog(c, A_ub=sign[ub, None] * a[ub] if ub.any() else None,
-                     b_ub=sign[ub] * rhs[ub] if ub.any() else None,
-                     A_eq=a[eq] if eq.any() else None, b_eq=rhs[eq] if eq.any() else None,
-                     bounds=list(zip(lower, upper)), method="highs",
-                     options={"presolve": False})
+    rows = dict(A_ub=sign[ub, None] * a[ub] if ub.any() else None,
+                b_ub=sign[ub] * rhs[ub] if ub.any() else None,
+                A_eq=a[eq] if eq.any() else None, b_eq=rhs[eq] if eq.any() else None,
+                bounds=list(zip(lower, upper)), method="highs", options={"presolve": False})
+    oracle = linprog(c, **rows)
     prog = _build_lp(data, c)
-    if oracle.status == 4:  # HiGHS could not tell infeasible from unbounded
-        with pytest.raises(lp.SolverError):
-            lp.solve(prog)
+    if oracle.status == 4:  # the oracle's pivots could not tell infeasible from unbounded
+        try:
+            status = lp.solve(prog).status
+        except lp.SolverError:
+            return
+        # Another pricing rule may tell: then the feasibility LP must agree.
+        feasible = linprog(np.zeros_like(c), **rows).status == 0
+        assert status == (lp.UNBOUNDED if feasible else lp.INFEASIBLE)
         return
     sol = lp.solve(prog)
     assert sol.status == {0: lp.OPTIMAL, 2: lp.INFEASIBLE, 3: lp.UNBOUNDED}[oracle.status]
@@ -586,3 +593,91 @@ def test_restart_after_pinned_bounds_matches_a_fresh_build_exactly(seed, anchore
             fresh = "SolverError"
         assert kept == fresh
         assert repr(kept) == repr(fresh)
+
+
+def test_a_start_basis_of_the_wrong_size_is_refused():
+    def program():
+        prog = lp.LinearProgram()
+        prog.add_variable("x", 0.0, 4.0)
+        prog.add_variable("y", 0.0, 4.0)
+        prog.add_constraint("sum", {"x": 1.0, "y": 1.0}, lp.EQ, 3.0)
+        prog.set_objective({"x": 1.0, "y": 2.0})
+        return prog
+
+    prog = program()
+    prog.declare_basic(columns=["x", "y"])
+    with pytest.raises(ValueError, match="2 basic columns and rows, not the program's 1 rows"):
+        lp.solve(prog)
+    prog = program()
+    prog.declare_basic(columns=["y"])
+    assert lp.solve(prog).primal == {"x": 3.0, "y": 0.0}
+    prog.add_constraint("cap", {"x": 1.0}, lp.LEQ, 2.0)  # a new row, and no new basic
+    with pytest.raises(ValueError, match="1 basic columns and rows, not the program's 2 rows"):
+        lp.solve(prog)
+    prog.declare_basic(rows=["cap"])
+    assert lp.solve(prog).primal == {"x": 2.0, "y": 1.0}
+    with pytest.raises(ValueError, match="undeclared constraint 'nope'"):
+        prog.declare_basic(rows=["nope"])
+    with pytest.raises(ValueError, match="undeclared variable 'z'"):
+        prog.declare_basic(columns=["z"])
+
+
+def test_a_restart_reads_the_start_statuses_off_the_bounds_at_its_solve():
+    # x carries no cost, so it stays nonbasic on the bound it starts at.
+    def program(lower, upper):
+        prog = lp.LinearProgram()
+        prog.add_variable("x", lower, upper)
+        prog.add_variable("y")
+        prog.add_constraint("r", {"x": 1.0, "y": 1.0}, lp.EQ, 1.0)
+        prog.declare_basic(rows=["r"])
+        return prog
+
+    prog = program(-math.inf, 3.0)
+    assert lp.solve(prog).primal == {"x": 3.0, "y": -2.0}  # at its only finite bound
+    prog.restart()
+    prog.set_bounds("x", -4.0, 2.0)  # moved after the restart: now at its lower bound
+    assert lp.solve(prog).primal == lp.solve(program(-4.0, 2.0)).primal == {"x": -4.0, "y": 5.0}
+
+
+def _cold_outcome(prog):
+    """A solve's solution, or SolverError's name, with the iterations and final basis."""
+    try:
+        sol = lp.solve(prog)
+    except lp.SolverError:
+        sol = "SolverError"
+    highs = prog._backend.highs
+    basis = highs.getBasis()
+    return (repr(sol), sol, highs.getInfoValue("simplex_iteration_count")[1],
+            [int(s) for s in basis.col_status], [int(s) for s in basis.row_status])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.booleans())
+def test_restart_from_a_declared_basis_matches_a_fresh_build_exactly(seed, anchored):
+    # Every row's logical is declared basic, so each column's start status
+    # follows the declared rule from the bounds in force at the solve, here
+    # moved after the restart.
+    rng = np.random.default_rng(seed)
+    a, relations, rhs, lower, upper = _random_lp_data(rng, anchored)
+    c = rng.normal(size=len(lower)) * (rng.random(len(lower)) < 0.6)  # a zero cost keeps
+    # a nonbasic column on whichever bound it starts at
+
+    def build(lo, up):
+        prog = _build_lp((a, relations, rhs, lo, up), c)
+        prog.declare_basic(rows=[f"r{i}" for i in range(len(rhs))])
+        return prog
+
+    prog = build(lower, upper)
+    _cold_outcome(prog)
+    for _ in range(4):
+        j = int(rng.integers(len(lower)))
+        q = float(rng.normal(scale=2.0))
+        new_lower, new_upper = lower.copy(), upper.copy()
+        new_lower[j], new_upper[j] = rng.choice([(q, q), (q, np.inf), (-np.inf, q),
+                                                 (q - 1.0, q + 1.0), (-np.inf, np.inf)])
+        prog.restart()
+        for k in range(len(lower)):
+            prog.set_bounds(f"x{k}", float(new_lower[k]), float(new_upper[k]))
+        kept, fresh = _cold_outcome(prog), _cold_outcome(build(new_lower, new_upper))
+        assert kept == fresh
+        lower, upper = new_lower, new_upper
