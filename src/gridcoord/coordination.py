@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from . import lp as lpmod
 from .distflow import DistFlowVars, build_constraints, dispatch_cost_coeffs, read_solution
 from .dso import BidCurve, DsoDispatch, _Model, _model_for, build_bid_curve, value_at
@@ -88,28 +90,30 @@ def run_coordinated(scenario: Scenario) -> CoordinationResult:
     return CoordinationResult(bid_curve=curve, iso=outcome, dso_dispatch=dispatch)
 
 
-def _joint_lp(model: _Model
-              ) -> tuple[lpmod.LinearProgram, DistFlowVars, tuple[tuple[str, ...], ...]]:
-    """The scenario's joint LP with its DistFlow and wholesale block variable names.
+_Joint = tuple[lpmod.LinearProgram, DistFlowVars, tuple[tuple[int, ...], ...], int]
+
+
+def _joint_lp(model: _Model) -> _Joint:
+    """The scenario's joint LP, its DistFlow indices, wholesale block columns and balance row.
 
     Built on first use and kept on the scenario's model; hold ``model.lock``.
     """
     if model.joint is None:
         scenario = model.scenario
-        prog, dvars = build_constraints(scenario.network, scenario.aggregators, prefix="dso.",
+        prog, dvars = build_constraints(scenario.network, scenario.aggregators,
                                         incidence=model.incidence)
         objective = dispatch_cost_coeffs(scenario.aggregators, dvars)
-        balance: dict[str, float] = {dvars.p_exchange: 1.0}
+        balance: dict[int, float] = {dvars.p_exchange: 1.0}
         block_vars = add_wholesale(prog, scenario.wholesale, balance, objective)
-        prog.add_constraint("balance", balance, lpmod.EQ, scenario.firm_wholesale_load)
-        prog.declare_basic(rows=("balance",))  # completes the DistFlow tree basis
+        row = prog.add_constraint(balance, lpmod.EQ, scenario.firm_wholesale_load)
+        prog.declare_basic(rows=(row,))  # completes the DistFlow tree basis
         prog.set_objective(objective)
-        model.joint = prog, dvars, block_vars
+        model.joint = prog, dvars, block_vars, row
     return model.joint
 
 
 def _solve_joint(scenario: Scenario, prog: lpmod.LinearProgram, dvars: DistFlowVars,
-                 block_vars: tuple[tuple[str, ...], ...]) -> IdealOutcome:
+                 block_vars: tuple[tuple[int, ...], ...], balance: int) -> IdealOutcome:
     prog.restart()  # from the start basis, as on a fresh compile
     sol = lpmod.solve(prog)
     if sol.status != lpmod.OPTIMAL:
@@ -121,8 +125,8 @@ def _solve_joint(scenario: Scenario, prog: lpmod.LinearProgram, dvars: DistFlowV
         blocks=blocks,
         aggregator_dispatch=out.shares,
         aggregator_blocks=out.blocks,
-        net_export=sol.primal[dvars.p_exchange],
-        clearing_price=sol.dual["balance"],
+        net_export=float(sol.x[dvars.p_exchange]),
+        clearing_price=float(sol.y[balance]),
         objective=sol.objective,
         retail_prices=out.retail_prices,
         flows_p=out.flows_p,
@@ -138,20 +142,22 @@ def run_ideal(scenario: Scenario) -> IdealOutcome:
         return _solve_joint(scenario, *_joint_lp(model))
 
 
-def _coordinated_point(scenario: Scenario, result: CoordinationResult, dvars: DistFlowVars,
-                       block_vars: tuple[tuple[str, ...], ...]) -> dict[str, float]:
-    """The coordinated outcome as a value for every variable of the joint LP."""
+def _coordinated_point(scenario: Scenario, result: CoordinationResult, joint: _Joint
+                       ) -> np.ndarray:
+    """The coordinated outcome as a value for every column of the joint LP."""
+    prog, dvars, block_vars, _ = joint
     dispatch = result.dso_dispatch
-    point = {dvars.p_exchange: result.iso.dso_awards[0],
-             dvars.q_exchange: dispatch.reactive_exchange}
-    for wp, names in zip(scenario.wholesale, block_vars):
-        point.update(zip(names, result.iso.blocks[wp.id]))
-    for agg_id, names in dvars.blocks.items():
-        point.update(zip(names, dispatch.block_dispatch[agg_id]))
-    point.update(zip(dvars.p_flow, dispatch.flows_p))
-    point.update(zip(dvars.q_flow, dispatch.flows_q))
-    point.update(zip(dvars.voltage_sq, dispatch.voltages_sq))
-    return point
+    x = np.full(prog.n_cols, np.nan)  # a column left out fails the check
+    x[dvars.p_exchange] = result.iso.dso_awards[0]
+    x[dvars.q_exchange] = dispatch.reactive_exchange
+    for wp, cols in zip(scenario.wholesale, block_vars):
+        x[list(cols)] = result.iso.blocks[wp.id]
+    for agg_id, cols in dvars.blocks.items():
+        x[list(cols)] = dispatch.block_dispatch[agg_id]
+    x[list(dvars.p_flow)] = dispatch.flows_p
+    x[list(dvars.q_flow)] = dispatch.flows_q
+    x[list(dvars.voltage_sq)] = dispatch.voltages_sq
+    return x
 
 
 def check_equivalence(scenario: Scenario, tolerance: float | None = None) -> CoordinationResult:
@@ -165,10 +171,9 @@ def check_equivalence(scenario: Scenario, tolerance: float | None = None) -> Coo
     tol = scenario.tolerance if tolerance is None else tolerance
     coordinated = run_coordinated(scenario)
     with model.lock:
-        prog, dvars, block_vars = _joint_lp(model)
-        ideal = _solve_joint(scenario, prog, dvars, block_vars)
-        residual, objective = prog.evaluate(_coordinated_point(scenario, coordinated, dvars,
-                                                               block_vars))
+        joint = _joint_lp(model)
+        ideal = _solve_joint(scenario, *joint)
+        residual, objective = joint[0].evaluate(_coordinated_point(scenario, coordinated, joint))
     max_dev = max(residual, abs(objective - ideal.objective))
 
     rows = [EquivalenceRow("dso_exchange", ideal.net_export, coordinated.iso.dso_awards[0])]

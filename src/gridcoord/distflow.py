@@ -12,11 +12,14 @@ Voltage is tracked as squared p.u. magnitude; the recursion
 ``u[child] = u[parent] - 2 (r * p_flow + x * q_flow) / base_mva`` is the
 lossless linearization, so branch flows carry no loss term.
 
-``build_constraints`` emits the fragment and ``read_solution`` reads it back
-from an optimal solution; the DSO's LP and the joint LP use both. The
-exchange is always a free variable: the DSO pins it through its bounds to
-evaluate one export. The fragment declares the network's spanning tree as
-its LP's start basis (``LinearProgram.declare_basic``).
+``build_constraints`` emits the fragment into a new LP, and returns the
+column and row indices it was given (``DistFlowVars``); ``read_solution``
+reads it back from an optimal solution by those indices. The DSO's LP and
+the joint LP use both. Per node the fragment adds an active then a reactive
+balance row, then one voltage row per branch. The exchange is always a free
+variable: the DSO pins it through its bounds to evaluate one export. The
+fragment declares the network's spanning tree as its LP's start basis
+(``LinearProgram.declare_basic``).
 """
 
 from __future__ import annotations
@@ -29,15 +32,15 @@ from .model import DRAG, REAG, Aggregator, Incidence, NetworkModel, derived_inci
 
 @dataclass(frozen=True)
 class DistFlowVars:
-    """Name maps into the LP for one distribution network's variables/rows."""
+    """Column and row indices into the LP of one distribution network."""
 
-    blocks: dict[str, tuple[str, ...]]         # aggregator id -> block vars, () for REAG
-    p_flow: tuple[str, ...]                    # per branch, MW
-    q_flow: tuple[str, ...]                    # per branch, MVAr
-    voltage_sq: tuple[str, ...]                # per node, p.u.^2
-    q_exchange: str                            # substation MVAr exchange, free
-    p_exchange: str                            # substation MW exchange, free
-    balance_p: tuple[str, ...]                 # active balance constraint per node
+    blocks: dict[str, tuple[int, ...]]         # aggregator id -> block columns, () for REAG
+    p_flow: tuple[int, ...]                    # per branch, MW
+    q_flow: tuple[int, ...]                    # per branch, MVAr
+    voltage_sq: tuple[int, ...]                # per node, p.u.^2
+    q_exchange: int                            # substation MVAr exchange, free
+    p_exchange: int                            # substation MW exchange, free
+    balance_p: tuple[int, ...]                 # active balance row per node
 
 
 @dataclass(frozen=True)
@@ -56,7 +59,6 @@ class DistFlowSolution:
 def build_constraints(
     network: NetworkModel,
     aggregators: list[Aggregator] | tuple[Aggregator, ...],
-    prefix: str = "",
     incidence: Incidence | None = None,
 ) -> tuple[lpmod.LinearProgram, DistFlowVars]:
     """Emit balance, block, voltage, and flow constraints into a new LP.
@@ -76,44 +78,34 @@ def build_constraints(
             raise ValueError(f"aggregator {agg.id!r} on unknown node {agg.node}")
 
     blocks = {  # a REAG's offer stack is empty, so it gets no variables
-        agg.id: tuple(lp.add_variable(f"{prefix}{agg.id}[{b}]", 0.0, blk.p_max)
-                      for b, blk in enumerate(agg.offers.blocks))
+        agg.id: tuple(lp.add_variable(0.0, blk.p_max) for blk in agg.offers.blocks)
         for agg in aggregators
     }
 
-    p_flow = tuple(
-        lp.add_variable(f"{prefix}pflow[{j}]", -br.pl_max, br.pl_max)
-        for j, br in enumerate(network.branches)
-    )
-    q_flow = tuple(
-        lp.add_variable(f"{prefix}qflow[{j}]", -br.ql_max, br.ql_max)
-        for j, br in enumerate(network.branches)
-    )
+    p_flow = tuple(lp.add_variable(-br.pl_max, br.pl_max) for br in network.branches)
+    q_flow = tuple(lp.add_variable(-br.ql_max, br.ql_max) for br in network.branches)
     voltage_sq = tuple(
-        lp.add_variable(
-            f"{prefix}usq[{i}]",
-            network.u_sub if i == network.substation else network.u_min,
-            network.u_sub if i == network.substation else network.u_max,
-        )
+        lp.add_variable(network.u_sub, network.u_sub) if i == network.substation
+        else lp.add_variable(network.u_min, network.u_max)
         for i in range(n)
     )
-    q_exchange = lp.add_variable(f"{prefix}qx", -float("inf"), float("inf"))
-    p_exchange = lp.add_variable(f"{prefix}px", -float("inf"), float("inf"))
+    q_exchange = lp.add_variable()
+    p_exchange = lp.add_variable()
 
     # Per-node balance coefficient maps: +1 gen block, -1 demand block,
     # +1 flow on the parent-side branch (inflow), -1 on child-side branches.
-    p_coeffs: list[dict[str, float]] = [dict() for _ in range(n)]
-    q_coeffs: list[dict[str, float]] = [dict() for _ in range(n)]
+    p_coeffs: list[dict[int, float]] = [dict() for _ in range(n)]
+    q_coeffs: list[dict[int, float]] = [dict() for _ in range(n)]
     reag_p, reag_q = [0.0] * n, [0.0] * n  # fixed REAG output per node, MW and MVAr
     for agg in aggregators:
         if agg.kind == REAG:
             reag_p[agg.node] += agg.fixed_output
             reag_q[agg.node] += agg.fixed_output * agg.tan_phi
         sign = -1.0 if agg.kind == DRAG else 1.0
-        for name in blocks[agg.id]:
-            p_coeffs[agg.node][name] = sign
+        for col in blocks[agg.id]:
+            p_coeffs[agg.node][col] = sign
             if agg.tan_phi:
-                q_coeffs[agg.node][name] = sign * agg.tan_phi
+                q_coeffs[agg.node][col] = sign * agg.tan_phi
     for j in range(len(network.branches)):
         p_coeffs[inc.child[j]][p_flow[j]] = 1.0
         p_coeffs[inc.parent[j]][p_flow[j]] = -1.0
@@ -124,17 +116,12 @@ def build_constraints(
 
     balance_p = []
     for i in range(n):
-        balance_p.append(
-            lp.add_constraint(f"{prefix}bal_p[{i}]", p_coeffs[i], lpmod.EQ,
-                              network.load_p[i] - reag_p[i])
-        )
-        lp.add_constraint(f"{prefix}bal_q[{i}]", q_coeffs[i], lpmod.EQ,
-                          network.load_q[i] - reag_q[i])
+        balance_p.append(lp.add_constraint(p_coeffs[i], lpmod.EQ, network.load_p[i] - reag_p[i]))
+        lp.add_constraint(q_coeffs[i], lpmod.EQ, network.load_q[i] - reag_q[i])
 
     base = network.base_mva
     for j, br in enumerate(network.branches):
         lp.add_constraint(
-            f"{prefix}volt[{j}]",
             {
                 voltage_sq[inc.child[j]]: 1.0,
                 voltage_sq[inc.parent[j]]: -1.0,
@@ -163,13 +150,13 @@ def build_constraints(
 
 def dispatch_cost_coeffs(
     aggregators: list[Aggregator] | tuple[Aggregator, ...], vars: DistFlowVars
-) -> dict[str, float]:
+) -> dict[int, float]:
     """Objective terms: supply blocks at their price, demand blocks at minus theirs."""
-    coeffs: dict[str, float] = {}
+    coeffs: dict[int, float] = {}
     for agg in aggregators:
         sign = -1.0 if agg.kind == DRAG else 1.0
-        for name, blk in zip(vars.blocks[agg.id], agg.offers.blocks):
-            coeffs[name] = sign * blk.price
+        for col, blk in zip(vars.blocks[agg.id], agg.offers.blocks):
+            coeffs[col] = sign * blk.price
     return coeffs
 
 
@@ -178,15 +165,15 @@ def read_solution(
     vars: DistFlowVars,
 ) -> DistFlowSolution:
     """The aggregator shares, network state and retail prices of an optimal ``sol``."""
-    blocks = {agg.id: tuple(sol.primal[name] for name in vars.blocks[agg.id])
-              for agg in aggregators}
+    x, y = sol.x.tolist(), sol.y.tolist()
+    blocks = {agg.id: tuple(x[j] for j in vars.blocks[agg.id]) for agg in aggregators}
     return DistFlowSolution(
         shares={agg.id: agg.fixed_output if agg.kind == REAG else sum(blocks[agg.id])
                 for agg in aggregators},
         blocks=blocks,
-        retail_prices={i: sol.dual[row] for i, row in enumerate(vars.balance_p)},
-        flows_p=tuple(sol.primal[v] for v in vars.p_flow),
-        flows_q=tuple(sol.primal[v] for v in vars.q_flow),
-        voltages_sq=tuple(sol.primal[v] for v in vars.voltage_sq),
-        q_exchange=sol.primal[vars.q_exchange],
+        retail_prices={i: y[row] for i, row in enumerate(vars.balance_p)},
+        flows_p=tuple(x[j] for j in vars.p_flow),
+        flows_q=tuple(x[j] for j in vars.q_flow),
+        voltages_sq=tuple(x[j] for j in vars.voltage_sq),
+        q_exchange=x[vars.q_exchange],
     )

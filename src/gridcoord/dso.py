@@ -101,6 +101,12 @@ class BidCurve:
         if len(self.prices) != len(self.breakpoints) - 1:
             return ("need exactly one price per breakpoint interval",)
         out = []
+        for i, (q, cost) in enumerate(self.breakpoints):
+            if not (math.isfinite(q) and math.isfinite(cost)):
+                out.append(f"breakpoint {i}: export and cost must be finite, got ({q}, {cost})")
+        for i, price in enumerate(self.prices):
+            if not math.isfinite(price):
+                out.append(f"segment {i}: price must be finite, got {price}")
         for i in range(1, len(self.breakpoints)):
             if self.breakpoints[i][0] <= self.breakpoints[i - 1][0]:
                 out.append(f"breakpoint {i}: export values must be strictly increasing")
@@ -142,10 +148,10 @@ class _Model:
         self.scenario = scenario
         self.incidence = derived_incidence(scenario.network)
         self.lock = threading.Lock()
-        self._free: tuple[lpmod.LinearProgram, DistFlowVars, dict[str, float]] | None = None
+        self._free: tuple[lpmod.LinearProgram, DistFlowVars, dict[int, float]] | None = None
         self.joint = None  # the joint LP, built and kept by ``coordination``
 
-    def free_lp(self) -> tuple[lpmod.LinearProgram, DistFlowVars, dict[str, float]]:
+    def free_lp(self) -> tuple[lpmod.LinearProgram, DistFlowVars, dict[int, float]]:
         """The free-export LP, its variables and the dispatch cost; hold ``lock``."""
         if self._free is None:
             s = self.scenario
@@ -167,20 +173,19 @@ def _model_for(scenario: Scenario) -> _Model:
         return _slot
 
 
-def _export_range(prog: lpmod.LinearProgram, p_exchange: str) -> tuple[float, float]:
-    """Minimize, then maximize, the free export variable of ``prog``."""
-    j = prog.column(p_exchange)
+def _export_range(prog: lpmod.LinearProgram, px: int) -> tuple[float, float]:
+    """Minimize, then maximize, the free export column ``px`` of ``prog``."""
     out = []
     for sense in (1.0, -1.0):
-        prog.set_objective({p_exchange: sense})
+        prog.set_objective({px: sense})
         sol = lpmod.solve(prog)
         if sol.status != lpmod.OPTIMAL:
             raise InfeasibleError(f"distribution dispatch polytope is {sol.status}")
-        out.append(float(sol.x[j]))
+        out.append(float(sol.x[px]))
     return out[0], out[1]
 
 
-def _pinned_solve(prog: lpmod.LinearProgram, px: str, q: float) -> lpmod.LpSolution:
+def _pinned_solve(prog: lpmod.LinearProgram, px: int, q: float) -> lpmod.LpSolution:
     """Solve ``prog`` with the export ``px`` pinned to ``q``, then free it again."""
     prog.set_bounds(px, q, q)
     try:
@@ -280,9 +285,8 @@ def build_bid_curve(scenario: Scenario) -> BidCurve:
 _UNSUPPORTED = (math.inf, -math.inf)  # no supporting slopes known: certifies nothing
 
 
-def _probe_curve(scenario: Scenario, prog: lpmod.LinearProgram, px: str,
-                 cost: dict[str, float]) -> BidCurve:
-    j = prog.column(px)
+def _probe_curve(scenario: Scenario, prog: lpmod.LinearProgram, px: int,
+                 cost: dict[int, float]) -> BidCurve:
     q_min, q_max = _export_range(prog, px)
     prog.set_objective(cost)
 
@@ -310,11 +314,11 @@ def _probe_curve(scenario: Scenario, prog: lpmod.LinearProgram, px: str,
             if sol.status != lpmod.OPTIMAL:
                 raise InfeasibleError(f"chord probe on [{qa}, {qb}] MW is {sol.status}")
             if sol.objective < ca - slope * qa - slack:
-                q = float(sol.x[j])
+                q = float(sol.x[px])
                 if not qa < q < qb:
                     raise lpmod.SolverError(
                         f"chord probe on [{qa}, {qb}] MW returned export {q}")
-                costs = lpmod.cost_range(prog, sol, j)
+                costs = lpmod.cost_range(prog, sol, px)
                 mid = (q, sol.objective + slope * q,
                        _UNSUPPORTED if costs is None else (-costs[1], -costs[0]))
                 stack += [(mid, b), (a, mid)]

@@ -19,7 +19,7 @@ is 0.0. Each call computes its answer from its arguments alone; only a
 curve keeps its own checks and segments, once worked out.
 
 ``add_wholesale`` and ``read_wholesale`` emit and read the wholesale blocks
-as LP variables for the joint LP of ``coordination``.
+as LP columns for the joint LP of ``coordination``.
 """
 
 from __future__ import annotations
@@ -43,32 +43,32 @@ class IsoOutcome:
 
 
 def add_wholesale(prog: lpmod.LinearProgram, wholesale: tuple[WholesaleParticipant, ...],
-                  balance: dict[str, float], objective: dict[str, float]
-                  ) -> tuple[tuple[str, ...], ...]:
-    """Add each participant's block variables to ``prog``, and their terms
+                  balance: dict[int, float], objective: dict[int, float]
+                  ) -> tuple[tuple[int, ...], ...]:
+    """Add each participant's block columns to ``prog``, and their terms
     (+1 supply, -1 demand) to the ``balance`` row and ``objective`` being built.
 
-    Returns each participant's block variables, for ``read_wholesale``.
+    Returns each participant's block columns, for ``read_wholesale``.
     """
     block_vars = []
     for wp in wholesale:
         sign = -1.0 if wp.kind == DR else 1.0
-        names = []
-        for b, blk in enumerate(wp.offers.blocks):
-            name = prog.add_variable(f"{wp.id}[{b}]", 0.0, blk.p_max)
-            balance[name] = sign
-            objective[name] = sign * blk.price
-            names.append(name)
-        block_vars.append(tuple(names))
+        cols = []
+        for blk in wp.offers.blocks:
+            j = prog.add_variable(0.0, blk.p_max)
+            balance[j] = sign
+            objective[j] = sign * blk.price
+            cols.append(j)
+        block_vars.append(tuple(cols))
     return tuple(block_vars)
 
 
 def read_wholesale(sol: lpmod.LpSolution, wholesale: tuple[WholesaleParticipant, ...],
-                   block_vars: tuple[tuple[str, ...], ...]
+                   block_vars: tuple[tuple[int, ...], ...]
                    ) -> tuple[dict[str, float], dict[str, tuple[float, ...]]]:
     """Cleared MW and block fills per participant id, from an optimal ``sol``."""
-    blocks = {wp.id: tuple(sol.primal[name] for name in names)
-              for wp, names in zip(wholesale, block_vars)}
+    x = sol.x.tolist()
+    blocks = {wp.id: tuple(x[j] for j in cols) for wp, cols in zip(wholesale, block_vars)}
     return {wp_id: sum(values) for wp_id, values in blocks.items()}, blocks
 
 

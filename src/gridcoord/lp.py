@@ -1,5 +1,9 @@
 """Minimal LP representation with primal and dual solutions.
 
+Columns and rows are addressed by the integer index that ``add_variable``
+and ``add_constraint`` return, in the order they were added; callers keep
+their own indices (``distflow.DistFlowVars``, say).
+
 Solving goes through scipy's HiGHS binding. Only the binding's extension
 file is loaded (``_load_core``), so importing gridcoord does not import
 ``scipy.optimize`` and its start-up cost. On its first solve a
@@ -9,7 +13,7 @@ one HiGHS instance that the program keeps. Each constraint is a range row
 (-inf, rhs) and ``>=`` rows (rhs, +inf). A new objective or new variable
 bounds keep the loaded model, so the next solve starts from the previous
 basis; a new variable or constraint discards it. A parameter on a row's rhs
-is written as a column with pinned bounds (``set_bounds(name, q, q)``).
+is written as a column with pinned bounds (``set_bounds(j, q, q)``).
 ``restart`` keeps the model but drops the basis and all solver state, so
 the next solve starts over, exactly as on a freshly compiled copy: from the
 program's declared start basis (``declare_basic``), loaded from the bounds
@@ -38,9 +42,7 @@ derivative, picked by the optimal basis. HiGHS reports row duals that way
 for all three relations.
 
 An ``LpSolution`` carries its numbers as arrays: ``x`` and the reduced
-costs ``reduced`` by column index (``LinearProgram.column``), ``y`` by row.
-The ``primal`` and ``dual`` name maps are built from them on first access,
-so hot callers that read by index never pay for them. The cost vector is
+costs ``reduced`` by column index, ``y`` by row index. The cost vector is
 built, and lifted by its power of two, once per new objective (setting an
 equal one keeps it), and is sent to HiGHS only when it is not the one HiGHS
 already holds.
@@ -65,7 +67,6 @@ import os
 import sys
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -145,15 +146,23 @@ def _row_violation(rows, cols, vals, row_lower, row_upper, x) -> float:
     return float(np.max(np.maximum(row_lower - lhs, lhs - row_upper), initial=0.0))
 
 
+def _check_bounds(lower: float, upper: float) -> None:
+    if not (lower <= upper and lower < math.inf and upper > -math.inf):
+        raise ValueError(f"bounds [{lower}, {upper}] admit no finite value")
+
+
+def _check_indices(indices: Iterable[int], count: int, what: str) -> None:
+    for k in indices:
+        if not 0 <= k < count:
+            raise ValueError(f"undeclared {what} {k!r}")
+
+
 class LinearProgram:
-    """Named variables, {<=,==,>=} constraints, minimize a linear objective."""
+    """Indexed variables, {<=,==,>=} constraints, minimize a linear objective."""
 
     def __init__(self):
-        self._var_names: list[str] = []
-        self._var_index: dict[str, int] = {}
         self._lower: list[float] = []
         self._upper: list[float] = []
-        self._con_index: dict[str, int] = {}
         # Constraint matrix in coordinate form, one entry per coefficient.
         self._rows: list[int] = []
         self._cols: list[int] = []
@@ -161,7 +170,7 @@ class LinearProgram:
         self._rhs: list[float] = []
         self._row_lower: list[float] = []
         self._row_upper: list[float] = []
-        self._objective: dict[str, float] = {}
+        self._objective: dict[int, float] = {}
         self.objective_constant = 0.0
         self._basic_cols: set[int] = set()  # the declared start basis, by index
         self._basic_rows: set[int] = set()
@@ -169,52 +178,35 @@ class LinearProgram:
         self._backend: _Backend | None = None  # built by the first solve
 
     @property
-    def variables(self) -> list[str]:
-        return list(self._var_names)
+    def n_cols(self) -> int:
+        return len(self._lower)
 
-    def column(self, name: str) -> int:
-        """Index of variable ``name`` in the arrays of an ``LpSolution``."""
-        try:
-            return self._var_index[name]
-        except KeyError:
-            raise ValueError(f"undeclared variable {name!r}") from None
-
-    def add_variable(self, name: str, lower: float = -math.inf, upper: float = math.inf) -> str:
-        if name in self._var_index:
-            raise ValueError(f"variable {name!r} already declared")
-        if lower > upper:
-            raise ValueError(f"variable {name!r}: lower {lower} > upper {upper}")
-        self._var_index[name] = len(self._var_names)
-        self._var_names.append(name)
+    def add_variable(self, lower: float = -math.inf, upper: float = math.inf) -> int:
+        """Add a column with bounds [lower, upper] and return its index."""
+        _check_bounds(lower, upper)
         self._lower.append(lower)
         self._upper.append(upper)
         self._cost = self._backend = None
-        return name
+        return len(self._lower) - 1
 
-    def add_constraint(self, name: str, coeffs: dict[str, float], relation: str, rhs: float) -> str:
-        if name in self._con_index:
-            raise ValueError(f"constraint {name!r} already declared")
+    def add_constraint(self, coeffs: dict[int, float], relation: str, rhs: float) -> int:
+        """Add the row ``sum(coeffs[j] * x[j]) relation rhs`` and return its index."""
         if relation not in (LEQ, EQ, GEQ):
-            raise ValueError(f"constraint {name!r}: unknown relation {relation!r}")
-        try:
-            cols = [self._var_index[var] for var in coeffs]
-        except KeyError as exc:
-            raise ValueError(
-                f"constraint {name!r} references undeclared variable {exc.args[0]!r}") from None
+            raise ValueError(f"unknown relation {relation!r}")
+        _check_indices(coeffs, self.n_cols, "variable")
         vals = [float(coef) for coef in coeffs.values()]
         rhs = float(rhs)
-        row = len(self._con_index)
-        self._con_index[name] = row
-        self._rows.extend([row] * len(cols))
-        self._cols.extend(cols)
+        row = len(self._rhs)
+        self._rows.extend([row] * len(vals))
+        self._cols.extend(coeffs)
         self._vals.extend(vals)
         self._rhs.append(rhs)
         self._row_lower.append(-math.inf if relation == LEQ else rhs)
         self._row_upper.append(math.inf if relation == GEQ else rhs)
         self._backend = None
-        return name
+        return row
 
-    def declare_basic(self, columns: Iterable[str] = (), rows: Iterable[str] = ()) -> None:
+    def declare_basic(self, columns: Iterable[int] = (), rows: Iterable[int] = ()) -> None:
         """Add columns, and the logicals of rows, to the program's start basis.
 
         Every cold solve (the first, and each after ``restart``) of a program
@@ -225,17 +217,15 @@ class LinearProgram:
         count when the program is compiled, or that solve raises ValueError.
         A program with none starts from HiGHS's slack basis.
         """
-        for name in rows:
-            if name not in self._con_index:
-                raise ValueError(f"undeclared constraint {name!r}")
-            self._basic_rows.add(self._con_index[name])
-        self._basic_cols.update(self.column(name) for name in columns)
+        columns, rows = list(columns), list(rows)
+        _check_indices(columns, self.n_cols, "variable")
+        _check_indices(rows, len(self._rhs), "constraint")
+        self._basic_cols.update(columns)
+        self._basic_rows.update(rows)
         self._backend = None
 
-    def set_objective(self, coeffs: dict[str, float], constant: float = 0.0) -> None:
-        for var in coeffs:
-            if var not in self._var_index:
-                raise ValueError(f"objective references undeclared variable {var!r}")
+    def set_objective(self, coeffs: dict[int, float], constant: float = 0.0) -> None:
+        _check_indices(coeffs, self.n_cols, "variable")
         if coeffs != self._objective:  # an equal objective keeps its built cost vector
             self._objective = dict(coeffs)
             self._cost = None
@@ -249,21 +239,18 @@ class LinearProgram:
         objective undo exactly. Built once per objective.
         """
         if self._cost is None:
-            c = np.zeros(len(self._var_names))
-            for var, coef in self._objective.items():
-                c[self._var_index[var]] = coef
+            c = np.zeros(self.n_cols)
+            for j, coef in self._objective.items():
+                c[j] = coef
             top = float(np.max(np.abs(c), initial=0.0))
             scale = math.ldexp(1.0, 1 - math.frexp(top)[1]) if 0.0 < top < 1.0 else 1.0
             self._cost = (c * scale, scale)
         return self._cost
 
-    def set_bounds(self, name: str, lower: float, upper: float) -> None:
-        """Move a variable's bounds; a compiled program keeps its model and basis."""
-        if name not in self._var_index:
-            raise ValueError(f"bounds reference undeclared variable {name!r}")
-        if lower > upper:
-            raise ValueError(f"variable {name!r}: lower {lower} > upper {upper}")
-        j = self._var_index[name]
+    def set_bounds(self, j: int, lower: float, upper: float) -> None:
+        """Move column j's bounds; a compiled program keeps its model and basis."""
+        _check_indices((j,), self.n_cols, "variable")
+        _check_bounds(lower, upper)
         self._lower[j], self._upper[j] = float(lower), float(upper)
         backend = self._backend
         if backend is not None:
@@ -281,16 +268,15 @@ class LinearProgram:
             self._backend.highs.clearSolver()
             self._backend.start_due = True
 
-    def evaluate(self, point: dict[str, float]) -> tuple[float, float]:
-        """Largest row-or-bound violation of ``point`` and its objective value.
+    def evaluate(self, x: np.ndarray) -> tuple[float, float]:
+        """Largest row-or-bound violation of the point ``x`` and its objective value.
 
-        ``point`` must give every variable of the program a value; rows are
-        held to the same ranges as the residual of ``solve``.
+        ``x`` holds one value per column, by index; rows are held to the same
+        ranges as the residual of ``solve``.
         """
-        try:
-            x = np.array([point[name] for name in self._var_names], dtype=float)
-        except KeyError as exc:
-            raise ValueError(f"point gives no value for variable {exc.args[0]!r}") from None
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.n_cols,):
+            raise ValueError(f"point has shape {x.shape}, not the program's ({self.n_cols},)")
         lower, upper = np.array(self._lower), np.array(self._upper)
         violation = max(
             float(np.max(np.maximum(lower - x, x - upper), initial=0.0)),
@@ -298,8 +284,9 @@ class LinearProgram:
                            np.array(self._cols, dtype=np.int32), np.array(self._vals),
                            np.array(self._row_lower), np.array(self._row_upper), x),
         )
+        values = x.tolist()
         objective = self.objective_constant + sum(
-            coef * point[var] for var, coef in self._objective.items())
+            coef * values[j] for j, coef in self._objective.items())
         return violation, objective
 
 
@@ -315,7 +302,7 @@ class _Backend:
     """
 
     def __init__(self, prog: LinearProgram):
-        n, m = len(prog._var_names), len(prog._con_index)
+        n, m = prog.n_cols, len(prog._rhs)
         self.basic: np.ndarray | None = None  # basic mask over columns, then rows
         if prog._basic_cols or prog._basic_rows:
             count = len(prog._basic_cols) + len(prog._basic_rows)
@@ -423,8 +410,7 @@ class LpSolution:
     """A solve's status and, when optimal, its values by column and row index.
 
     ``x`` (primal values) and ``reduced`` (reduced costs) follow the
-    program's variables, ``y`` (row duals) its constraints. ``primal`` and
-    ``dual`` map names to the same numbers and are built on first access.
+    program's columns, ``y`` (row duals) its rows.
     """
 
     status: str
@@ -434,25 +420,6 @@ class LpSolution:
     x: np.ndarray = field(default_factory=_empty, repr=False)
     y: np.ndarray = field(default_factory=_empty, repr=False)
     reduced: np.ndarray = field(default_factory=_empty, repr=False)
-    var_names: Iterable[str] = field(default=(), repr=False)
-    con_names: Iterable[str] = field(default=(), repr=False)
-
-    @cached_property
-    def primal(self) -> dict[str, float]:
-        return dict(zip(self.var_names, self.x.tolist()))
-
-    @cached_property
-    def dual(self) -> dict[str, float]:
-        return dict(zip(self.con_names, self.y.tolist()))
-
-    def _compared(self) -> tuple:
-        return (self.status, self.objective, self.primal, self.dual, self.duality_gap,
-                self.max_residual)
-
-    def __eq__(self, other):
-        if not isinstance(other, LpSolution):
-            return NotImplemented
-        return self._compared() == other._compared()
 
 
 # Running record of solve quality, so a test run can assert the duality gap
@@ -472,13 +439,13 @@ def solve(lp: LinearProgram, tolerance: float = DEFAULT_TOLERANCE) -> LpSolution
     process-wide ``solve_stats`` and ``lp``'s HiGHS instance, so one
     LinearProgram must not be solved from two threads at once.
     """
-    nvar = len(lp._var_names)
+    nvar = lp.n_cols
     if nvar == 0:  # every row is a constant 0 against its bounds
         if any(lo > 0.0 or up < 0.0 for lo, up in zip(lp._row_lower, lp._row_upper)):
             return LpSolution(status=INFEASIBLE)
         return LpSolution(status=OPTIMAL, objective=lp.objective_constant,
                           duality_gap=0.0, max_residual=0.0,
-                          y=np.zeros(len(lp._con_index)), con_names=lp._con_index)
+                          y=np.zeros(len(lp._rhs)))
     if lp._backend is None:
         lp._backend = _Backend(lp)
     backend = lp._backend
@@ -529,7 +496,6 @@ def solve(lp: LinearProgram, tolerance: float = DEFAULT_TOLERANCE) -> LpSolution
         duality_gap=gap,
         max_residual=max_residual,
         x=x, y=y, reduced=reduced,
-        var_names=lp._var_names, con_names=lp._con_index,
     )
 
 

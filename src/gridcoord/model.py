@@ -2,11 +2,13 @@
 
 All types are frozen dataclasses and safe to share across concurrent solves.
 ``validate`` collects every broken structural invariant instead of raising,
-so a caller can report all problems in one pass.
+so a caller can report all problems in one pass. Every number must be
+finite: Python's ``json`` reads ``NaN`` and ``Infinity``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 NodeId = int
@@ -21,6 +23,12 @@ DR = "DR"        # wholesale demand-response bid (consumption blocks)
 
 AGGREGATOR_KINDS = (DDGAG, DRAG, REAG)
 WHOLESALE_KINDS = (GEN, DR)
+
+
+def _nonfinite(path: str, values: dict[str, float]) -> list[str]:
+    """One violation per NaN or infinite number among ``values``, each named ``path + key``."""
+    return [f"{path}{key}: must be finite, got {value}" for key, value in values.items()
+            if not math.isfinite(value)]
 
 
 class ValidationError(ValueError):
@@ -54,6 +62,7 @@ class BlockOfferStack:
         """Block-level invariants: positive sizes, convex (monotone) prices."""
         out = []
         for i, b in enumerate(self.blocks):
+            out += _nonfinite(f"{path}.blocks[{i}].", {"p_max": b.p_max, "price": b.price})
             if not b.p_max > 0:
                 out.append(f"{path}.blocks[{i}].p_max: must be > 0, got {b.p_max}")
         prices = [b.price for b in self.blocks]
@@ -156,6 +165,10 @@ def _network_violations(net: NetworkModel) -> list[str]:
         out.append(f"network.substation: node {net.substation} not in 0..{n - 1}")
     if len(net.load_p) != n or len(net.load_q) != n:
         out.append("network.loads: need one lp/lq entry per node")
+    out += _nonfinite("network.", {"base_mva": net.base_mva, "u_min": net.u_min,
+                                   "u_max": net.u_max, "u_sub": net.u_sub})
+    for i, (lp, lq) in enumerate(zip(net.load_p, net.load_q)):
+        out += _nonfinite(f"network.nodes[{i}].", {"lp": lp, "lq": lq})
     for i, lp in enumerate(net.load_p):
         if lp < 0:
             out.append(f"network.nodes[{i}].lp: firm active load must be >= 0")
@@ -167,6 +180,8 @@ def _network_violations(net: NetworkModel) -> list[str]:
     if net.base_mva <= 0:
         out.append("network.base_mva: must be > 0")
     for j, br in enumerate(net.branches):
+        out += _nonfinite(f"network.branches[{j}].",
+                          {"r": br.r, "x": br.x, "pl_max": br.pl_max, "ql_max": br.ql_max})
         if not (0 <= br.from_node < n) or not (0 <= br.to_node < n):
             out.append(f"network.branches[{j}]: endpoint outside 0..{n - 1}")
         if br.r < 0 or br.x < 0:
@@ -238,6 +253,7 @@ def validate(scenario: Scenario) -> list[str]:
         if agg.id in seen_ids:
             out.append(f"{path}.id: duplicate participant id {agg.id!r}")
         seen_ids.add(agg.id)
+        out += _nonfinite(f"{path}.", {"tan_phi": agg.tan_phi, "fixed_output": agg.fixed_output})
         if agg.kind not in AGGREGATOR_KINDS:
             out.append(f"{path}.kind: unknown kind {agg.kind!r}")
             continue
@@ -263,6 +279,8 @@ def validate(scenario: Scenario) -> list[str]:
             continue
         out.extend(wp.offers.violations(f"{path}.offers", demand_side=wp.kind == DR))
 
+    out += _nonfinite("", {"firm_load": scenario.firm_wholesale_load,
+                           "tolerance": scenario.tolerance})
     if scenario.firm_wholesale_load < 0:
         out.append("firm_load: must be >= 0")
     if not scenario.sweep_step > 0:

@@ -178,7 +178,11 @@ def root_paths(inc: Incidence, substation: int) -> list[list[int]]:
 
 
 def redispatch_with_duals(scenario: Scenario, net_export: float):
-    """``value_at(scenario, net_export)`` and the row duals, by name, of the one solve it ran."""
+    """``value_at(scenario, net_export)`` and the row duals, by name, of the one solve it ran.
+
+    The DistFlow fragment's rows are ``bal_p[i]`` and ``bal_q[i]`` for each
+    node i in turn, then ``volt[j]`` for each branch j.
+    """
     solves = []
     original = lp.solve
 
@@ -190,7 +194,11 @@ def redispatch_with_duals(scenario: Scenario, net_export: float):
         mp.setattr(lp, "solve", recording)
         dispatch = value_at(scenario, net_export)
     (sol,) = solves
-    return dispatch, sol.dual
+    net = scenario.network
+    names = [f"{row}[{i}]" for i in range(net.n_nodes) for row in ("bal_p", "bal_q")]
+    names += [f"volt[{j}]" for j in range(len(net.branches))]
+    assert len(names) == len(sol.y)
+    return dispatch, dict(zip(names, sol.y.tolist()))
 
 
 def redispatch_dual_violations(scenario: Scenario, dispatch, duals: dict[str, float],
@@ -461,7 +469,7 @@ def probe_only_curve(scenario: Scenario) -> BidCurve:
     ends = []
     for sense in (1.0, -1.0):
         prog.set_objective({px: sense})
-        ends.append(lp.solve(prog).primal[px])
+        ends.append(float(lp.solve(prog).x[px]))
     q_min, q_max = ends
     cost = dispatch_cost_coeffs(scenario.aggregators, dvars)
     prog.set_objective(cost)
@@ -494,7 +502,7 @@ def probe_only_curve(scenario: Scenario) -> BidCurve:
             breakpoints.append(b)
             prices.append(slope)
             continue
-        q = sol.primal[px]
+        q = float(sol.x[px])
         mid = (q, sol.objective + slope * q)
         stack += [(mid, b), (a, mid)]
     return BidCurve(breakpoints=tuple(breakpoints), prices=tuple(prices))
@@ -514,15 +522,15 @@ def lp_clearing(wholesale, curves, firm_load) -> lp.LpSolution:
     objective. The balance dual is a clearing price.
     """
     prog = lp.LinearProgram()
-    balance: dict[str, float] = {}
-    objective: dict[str, float] = {}
+    balance: dict[int, float] = {}
+    objective: dict[int, float] = {}
     add_wholesale(prog, tuple(wholesale), balance, objective)
-    for k, curve in enumerate(curves):
-        for i, seg in enumerate(curve.segments):
-            name = prog.add_variable(f"dso{k}.seg[{i}]", 0.0, seg.q_hi - seg.q_lo)
-            balance[name] = 1.0
-            objective[name] = seg.price
-    prog.add_constraint("balance", balance, lp.EQ,
+    for curve in curves:
+        for seg in curve.segments:
+            j = prog.add_variable(0.0, seg.q_hi - seg.q_lo)
+            balance[j] = 1.0
+            objective[j] = seg.price
+    prog.add_constraint(balance, lp.EQ,
                         firm_load - sum(curve.q_min for curve in curves))
     prog.set_objective(objective, constant=sum(curve.breakpoints[0][1] for curve in curves))
     return lp.solve(prog)

@@ -158,3 +158,33 @@ def test_env_var_overrides_tolerance(tmp_path, monkeypatch):
                            ("ideal", []), ("verify", [])):
         argv = [command, "--case", "paper_reference", "--out", str(tmp_path), *extra]
         assert run(argv) == 1, command
+
+
+def test_verify_on_a_case_with_a_nan_load_exits_one(tmp_path, capsys):
+    doc = json.loads(resolve_case_path("paper_reference").read_text())
+    doc["network"]["nodes"][1]["lp"] = float("nan")
+    case = tmp_path / "nan.json"
+    case.write_text(json.dumps(doc))  # written as NaN, which json reads back
+    assert "NaN" in case.read_text()
+    assert run(["verify", "--case", str(case), "--out", str(tmp_path)]) == 1
+    assert "network.nodes[1].lp: must be finite, got nan" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("column, message", [
+    (2, "segment 2: price must be finite, got nan"),
+    (0, "breakpoint 2: export and cost must be finite, got (nan, "),
+])
+def test_iso_clear_against_a_curve_with_a_nan_exits_one(tmp_path, capsys, column, message):
+    assert run(["dso-bid", "--case", "paper_reference", "--out", str(tmp_path)]) == 0
+    path = tmp_path / "bid_curve.csv"
+    lines = path.read_text().splitlines()
+    cells = lines[3].split(",")  # breakpoint 2, the start of segment 2
+    cells[column] = "nan"
+    lines[3] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = run(["iso-clear", "--case", "paper_reference", "--curve", str(path),
+                "--out", str(tmp_path)])
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "iso_outcome.csv").exists()

@@ -505,3 +505,23 @@ def test_invalid_scenario_fails_validation_on_every_call(reference, call):
         for _ in range(2):
             with pytest.raises(ValidationError):
                 call(invalid)
+
+
+@pytest.mark.parametrize("group, index, new_id", [
+    ("aggregators", 0, "pflow"), ("aggregators", 1, "qflow"), ("aggregators", 2, "usq"),
+    ("wholesale", 0, "dso.DDGAG1"),
+])
+def test_participant_ids_shaped_like_lp_columns_change_no_number(reference, group, index,
+                                                                   new_id):
+    # The LP addresses its columns by index, so no id can collide with another
+    # column: these four once raised "already declared" on building the LP.
+    participants = list(getattr(reference, group))
+    old_id = participants[index].id
+    participants[index] = dataclasses.replace(participants[index], id=new_id)
+    renamed = dataclasses.replace(reference, **{group: tuple(participants)})
+    assert model.validate(renamed) == []
+    result = check_equivalence(renamed)
+    assert result.equivalence.passed
+    original = check_equivalence(dataclasses.replace(reference))
+    assert repr(new_id) in repr(result) and repr(old_id) not in repr(result)
+    assert repr(result).replace(repr(new_id), repr(old_id)) == repr(original)

@@ -52,9 +52,9 @@ def test_single_branch_forced_dispatch_and_flow_direction():
     prog.set_objective(dispatch_cost_coeffs([gen], dvars))
     sol = lp.solve(prog)
     assert sol.status == lp.OPTIMAL
-    assert sol.primal[dvars.blocks["g"][0]] == pytest.approx(1.0)
+    assert sol.x[dvars.blocks["g"][0]] == pytest.approx(1.0)
     # Positive flow points parent->child; exporting 1 MW flows toward the root.
-    assert sol.primal[dvars.p_flow[0]] == pytest.approx(-1.0)
+    assert sol.x[dvars.p_flow[0]] == pytest.approx(-1.0)
 
 
 def test_variable_count_matches_contract_in_pinned_mode():
@@ -63,7 +63,7 @@ def test_variable_count_matches_contract_in_pinned_mode():
     prog.set_bounds(dvars.p_exchange, 0.0, 0.0)  # pinning moves bounds, not the columns
     n_blocks = sum(len(a.offers.blocks) for a in scenario.aggregators)
     n_branches = len(scenario.network.branches)
-    assert len(prog.variables) == n_blocks + 2 * n_branches + scenario.network.n_nodes + 2
+    assert prog.n_cols == n_blocks + 2 * n_branches + scenario.network.n_nodes + 2
 
 
 def test_export_beyond_capacity_is_infeasible_not_garbage():
@@ -90,8 +90,8 @@ def test_reactive_balance_carries_power_factor_draw():
     sol = lp.solve(prog)
     assert sol.status == lp.OPTIMAL
     # 2 MW at tan(phi)=0.5 injects 1 MVAr, which leaves through the substation.
-    assert sol.primal[dvars.q_flow[0]] == pytest.approx(-1.0)
-    assert sol.primal[dvars.q_exchange] == pytest.approx(1.0)
+    assert sol.x[dvars.q_flow[0]] == pytest.approx(-1.0)
+    assert sol.x[dvars.q_exchange] == pytest.approx(1.0)
 
 
 def test_builder_rejects_unknown_node_and_nonradial_network():
@@ -201,6 +201,6 @@ def test_the_feeder_tree_is_the_declared_start_basis(name, reverse):
     prog, dvars = build_constraints(net, scenario.aggregators)
     tree = {*dvars.p_flow, *dvars.q_flow, dvars.q_exchange, dvars.p_exchange,
             *(v for i, v in enumerate(dvars.voltage_sq) if i != net.substation)}
-    assert {prog.variables[j] for j in prog._basic_cols} == tree
+    assert prog._basic_cols == tree
     assert not prog._basic_rows
-    assert len(tree) == 3 * net.n_nodes - 1 == len(prog._con_index)
+    assert len(tree) == 3 * net.n_nodes - 1 == len(prog._rhs)

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -434,6 +435,26 @@ def test_curve_validation_catches_bad_curves():
     assert any("nondecreasing" in v for v in nonconvex.violations())
     inconsistent = BidCurve(breakpoints=((0.0, 0.0), (1.0, 10.0)), prices=(99.0,))
     assert any("disagree" in v for v in inconsistent.violations())
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_curve_validation_catches_nonfinite_numbers(bad):
+    def violations(q1=1.0, c1=10.0, price=10.0):
+        return BidCurve(breakpoints=((0.0, 0.0), (q1, c1)), prices=(price,)).violations()
+
+    assert violations() == []
+    assert f"breakpoint 1: export and cost must be finite, got ({bad}, 10.0)" in violations(q1=bad)
+    assert f"breakpoint 1: export and cost must be finite, got (1.0, {bad})" in violations(c1=bad)
+    assert f"segment 0: price must be finite, got {bad}" in violations(price=bad)
+
+
+@pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf])
+def test_a_nonfinite_export_is_a_value_error_that_leaves_the_model_as_it_was(q):
+    scenario = parse_case("paper_reference")
+    with pytest.raises(ValueError, match="admit no finite value"):
+        value_at(scenario, q)
+    after = value_at(scenario, 1.0)  # the same compiled LP, its export bounds untouched
+    assert repr(after) == repr(value_at(dataclasses.replace(scenario), 1.0))
 
 
 @settings(max_examples=15, deadline=None)

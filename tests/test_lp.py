@@ -17,60 +17,82 @@ from support import dso_cost_oracle
 
 def test_min_x_above_three():
     prog = lp.LinearProgram()
-    prog.add_variable("x", 0.0, 10.0)
-    prog.add_constraint("floor", {"x": 1.0}, lp.GEQ, 3.0)
-    prog.set_objective({"x": 1.0})
+    x = prog.add_variable(0.0, 10.0)
+    floor = prog.add_constraint({x: 1.0}, lp.GEQ, 3.0)
+    prog.set_objective({x: 1.0})
     sol = lp.solve(prog)
     assert sol.status == lp.OPTIMAL
     assert sol.objective == pytest.approx(3.0, abs=1e-9)
     # Shadow price convention: raising the rhs of x >= 3 raises the optimum 1:1.
-    assert sol.dual["floor"] == pytest.approx(1.0, abs=1e-9)
+    assert sol.y[floor] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_max_x_below_five():
     prog = lp.LinearProgram()
-    prog.add_variable("x")
-    prog.add_constraint("cap", {"x": 1.0}, lp.LEQ, 5.0)
-    prog.set_objective({"x": -1.0})
+    x = prog.add_variable()
+    cap = prog.add_constraint({x: 1.0}, lp.LEQ, 5.0)
+    prog.set_objective({x: -1.0})
     sol = lp.solve(prog)
     assert sol.objective == pytest.approx(-5.0, abs=1e-9)
-    assert sol.dual["cap"] == pytest.approx(-1.0, abs=1e-9)
+    assert sol.y[cap] == pytest.approx(-1.0, abs=1e-9)
 
 
 def test_equality_dual_matches_marginal_cost():
     prog = lp.LinearProgram()
-    prog.add_variable("a", 0.0, 10.0)
-    prog.add_variable("b", 0.0, 10.0)
-    prog.add_constraint("demand", {"a": 1.0, "b": 1.0}, lp.EQ, 4.0)
-    prog.set_objective({"a": 2.0, "b": 3.0})
+    a = prog.add_variable(0.0, 10.0)
+    b = prog.add_variable(0.0, 10.0)
+    demand = prog.add_constraint({a: 1.0, b: 1.0}, lp.EQ, 4.0)
+    prog.set_objective({a: 2.0, b: 3.0})
     sol = lp.solve(prog)
     assert sol.objective == pytest.approx(8.0)
-    assert sol.dual["demand"] == pytest.approx(2.0)
+    assert sol.y[demand] == pytest.approx(2.0)
 
 
 def test_infeasible_and_unbounded_statuses():
     prog = lp.LinearProgram()
-    prog.add_variable("x")
-    prog.add_constraint("lo", {"x": 1.0}, lp.GEQ, 2.0)
-    prog.add_constraint("hi", {"x": 1.0}, lp.LEQ, 1.0)
-    prog.set_objective({"x": 1.0})
+    x = prog.add_variable()
+    prog.add_constraint({x: 1.0}, lp.GEQ, 2.0)
+    prog.add_constraint({x: 1.0}, lp.LEQ, 1.0)
+    prog.set_objective({x: 1.0})
     assert lp.solve(prog).status == lp.INFEASIBLE
 
     prog = lp.LinearProgram()
-    prog.add_variable("x", 0.0)
-    prog.set_objective({"x": -1.0})
+    x = prog.add_variable(0.0)
+    prog.set_objective({x: -1.0})
     assert lp.solve(prog).status == lp.UNBOUNDED
 
 
 def test_malformed_input_is_a_validation_failure():
     prog = lp.LinearProgram()
-    prog.add_variable("x")
-    with pytest.raises(ValueError, match="undeclared"):
-        prog.add_constraint("c", {"y": 1.0}, lp.LEQ, 0.0)
-    with pytest.raises(ValueError, match="lower"):
-        prog.add_variable("z", 2.0, 1.0)
-    with pytest.raises(ValueError, match="already declared"):
-        prog.add_variable("x")
+    x = prog.add_variable()
+    with pytest.raises(ValueError, match="undeclared variable 1"):
+        prog.add_constraint({x + 1: 1.0}, lp.LEQ, 0.0)
+    with pytest.raises(ValueError, match="undeclared variable -1"):
+        prog.set_objective({-1: 1.0})
+    with pytest.raises(ValueError, match="unknown relation"):
+        prog.add_constraint({x: 1.0}, "<", 0.0)
+    with pytest.raises(ValueError, match="no finite value"):
+        prog.add_variable(2.0, 1.0)
+    assert prog.n_cols == 1 and prog._rhs == []  # nothing refused was added
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("lower, upper", [
+    (2.0, 1.0), (NAN, 1.0), (0.0, NAN), (NAN, NAN), (INF, INF), (-INF, -INF), (INF, -INF),
+])
+def test_bounds_that_admit_no_finite_value_are_refused(lower, upper):
+    prog = lp.LinearProgram()
+    with pytest.raises(ValueError, match=r"admit no finite value"):
+        prog.add_variable(lower, upper)
+    x = prog.add_variable(0.0, 1.0)
+    prog.set_objective({x: -1.0})
+    assert lp.solve(prog).objective == -1.0
+    with pytest.raises(ValueError, match=r"admit no finite value"):
+        prog.set_bounds(x, lower, upper)
+    assert (prog._lower, prog._upper) == ([0.0], [1.0])
+    assert lp.solve(prog).objective == -1.0  # the compiled model kept its bounds too
 
 
 def test_dso_problem_objective_matches_brute_force_enumeration():
@@ -96,16 +118,16 @@ def _random_box_lp(rng):
     prog = lp.LinearProgram()
     n = int(rng.integers(2, 6))
     anchor = rng.uniform(-2.0, 2.0, n)
-    bounds = {f"x{i}": (float(anchor[i] - rng.uniform(0.5, 3)),
-                        float(anchor[i] + rng.uniform(0.5, 3))) for i in range(n)}
-    names = [prog.add_variable(name, lo, hi) for name, (lo, hi) in bounds.items()]
-    for k in range(int(rng.integers(1, 5))):
-        coeffs = {names[i]: float(rng.normal()) for i in range(n) if rng.random() < 0.8}
+    bounds = [(float(anchor[i] - rng.uniform(0.5, 3)), float(anchor[i] + rng.uniform(0.5, 3)))
+              for i in range(n)]
+    cols = [prog.add_variable(lo, hi) for lo, hi in bounds]
+    for _ in range(int(rng.integers(1, 5))):
+        coeffs = {cols[i]: float(rng.normal()) for i in range(n) if rng.random() < 0.8}
         if not coeffs:
             continue
-        lhs_at_anchor = sum(c * anchor[int(name[1:])] for name, c in coeffs.items())
-        prog.add_constraint(f"c{k}", coeffs, lp.LEQ, lhs_at_anchor + float(rng.uniform(0, 2)))
-    objective = {name: float(rng.normal()) for name in names}
+        lhs_at_anchor = sum(c * anchor[j] for j, c in coeffs.items())
+        prog.add_constraint(coeffs, lp.LEQ, lhs_at_anchor + float(rng.uniform(0, 2)))
+    objective = {j: float(rng.normal()) for j in cols}
     prog.set_objective(objective)
     return prog, objective, bounds
 
@@ -134,10 +156,9 @@ def test_objective_scaling_rescales_optimum_and_keeps_argmin(seed, scale):
     re = lp.solve(scaled)
     assert re.objective == pytest.approx(scale * base.objective, rel=1e-7, abs=1e-7)
     # The scaled problem's argmin is optimal for the original objective too.
-    for name, value in re.primal.items():
-        lo, hi = bounds[name]
+    for (lo, hi), value in zip(bounds, re.x.tolist(), strict=True):
         assert lo - 1e-9 <= value <= hi + 1e-9
-    check = sum(objective.get(k, 0.0) * v for k, v in re.primal.items())
+    check = sum(objective.get(j, 0.0) * v for j, v in enumerate(re.x.tolist()))
     assert check == pytest.approx(base.objective, rel=1e-7, abs=1e-6)
 
 
@@ -147,29 +168,28 @@ def test_offers_a_hundredth_of_a_cent_apart_clear_in_merit_order_in_any_price_un
     # HiGHS's own reduced-cost tolerance.
     prog = lp.LinearProgram()
     offers = {"cheap": (9.36, 30.7524), "dear": (0.759, 30.7525), "dearest": (1.22, 34.4185)}
-    for name, (p_max, _) in offers.items():
-        prog.add_variable(name, 0.0, p_max)
-    prog.add_constraint("balance", dict.fromkeys(offers, 1.0), lp.EQ, 9.731)
-    prog.set_objective({name: price * factor for name, (_, price) in offers.items()})
+    cols = {name: prog.add_variable(0.0, p_max) for name, (p_max, _) in offers.items()}
+    balance = prog.add_constraint(dict.fromkeys(cols.values(), 1.0), lp.EQ, 9.731)
+    prog.set_objective({cols[name]: price * factor for name, (_, price) in offers.items()})
     sol = lp.solve(prog)
-    assert sol.primal["cheap"] == 9.36
-    assert sol.primal["dear"] == pytest.approx(0.371, abs=1e-12)
-    assert sol.primal["dearest"] == 0.0
-    assert sol.dual["balance"] == pytest.approx(30.7525 * factor, rel=1e-12)
+    assert sol.x[cols["cheap"]] == 9.36
+    assert sol.x[cols["dear"]] == pytest.approx(0.371, abs=1e-12)
+    assert sol.x[cols["dearest"]] == 0.0
+    assert sol.y[balance] == pytest.approx(30.7525 * factor, rel=1e-12)
 
 
 def test_objective_constant_passes_through():
     prog = lp.LinearProgram()
-    prog.add_variable("x", 1.0, 2.0)
-    prog.set_objective({"x": 1.0}, constant=10.0)
+    x = prog.add_variable(1.0, 2.0)
+    prog.set_objective({x: 1.0}, constant=10.0)
     assert lp.solve(prog).objective == pytest.approx(11.0)
 
 
 def test_solve_stats_track_gap():
     before = lp.solve_stats()
     prog = lp.LinearProgram()
-    prog.add_variable("x", 0.0, 1.0)
-    prog.set_objective({"x": 1.0})
+    x = prog.add_variable(0.0, 1.0)
+    prog.set_objective({x: 1.0})
     sol = lp.solve(prog)
     after = lp.solve_stats()
     assert after["solves"] - before["solves"] == 1
@@ -203,11 +223,11 @@ def _random_lp_data(rng, anchored):
 def _build_lp(data, c):
     a, relations, rhs, lower, upper = data
     prog = lp.LinearProgram()
-    names = [prog.add_variable(f"x{j}", float(lower[j]), float(upper[j])) for j in range(len(c))]
+    cols = [prog.add_variable(float(lower[j]), float(upper[j])) for j in range(len(c))]
     for i, relation in enumerate(relations):
-        coeffs = {names[j]: float(a[i, j]) for j in range(len(c)) if a[i, j] != 0.0}
-        prog.add_constraint(f"r{i}", coeffs, relation, float(rhs[i]))
-    prog.set_objective(dict(zip(names, map(float, c))))
+        coeffs = {cols[j]: float(a[i, j]) for j in range(len(c)) if a[i, j] != 0.0}
+        prog.add_constraint(coeffs, relation, float(rhs[i]))
+    prog.set_objective(dict(zip(cols, map(float, c))))
     return prog
 
 
@@ -221,7 +241,7 @@ def test_resolve_after_new_objective_matches_a_fresh_build(seed):
     lp.solve(prog)
     for _ in range(4):  # each re-solve starts from the previous one's basis
         c = rng.normal(size=n)
-        prog.set_objective({f"x{j}": float(c[j]) for j in range(n)})
+        prog.set_objective({j: float(c[j]) for j in range(n)})
         warm, fresh = lp.solve(prog), lp.solve(_build_lp(data, c))
         assert warm.status == fresh.status
         if fresh.status == lp.OPTIMAL:
@@ -232,41 +252,41 @@ def test_resolve_after_new_objective_matches_a_fresh_build(seed):
 
 def test_an_equal_objective_keeps_the_cost_vector_and_a_new_one_replaces_it():
     prog = lp.LinearProgram()
-    prog.add_variable("x", 0.0, 10.0)
-    prog.add_variable("y", 0.0, 10.0)
-    prog.add_constraint("floor", {"x": 1.0, "y": 1.0}, lp.GEQ, 4.0)
-    prog.set_objective({"x": 1.0, "y": 2.0})
+    x = prog.add_variable(0.0, 10.0)
+    y = prog.add_variable(0.0, 10.0)
+    prog.add_constraint({x: 1.0, y: 1.0}, lp.GEQ, 4.0)
+    prog.set_objective({x: 1.0, y: 2.0})
     lp.solve(prog)
     sent = prog._backend.cost
-    prog.set_objective({"y": 2.0, "x": 1.0}, constant=5.0)  # equal coefficients
+    prog.set_objective({y: 2.0, x: 1.0}, constant=5.0)  # equal coefficients
     assert lp.solve(prog).objective == pytest.approx(9.0)
     assert prog._backend.cost is sent  # not built or sent to HiGHS again
-    prog.set_objective({"x": 3.0, "y": 2.0})
+    prog.set_objective({x: 3.0, y: 2.0})
     assert lp.solve(prog).objective == pytest.approx(8.0)
     assert prog._backend.cost is not sent
 
 
 def test_new_variable_or_constraint_after_a_solve_takes_effect():
     prog = lp.LinearProgram()
-    prog.add_variable("x", 0.0, 10.0)
-    prog.add_variable("y", 0.0, 10.0)
-    prog.add_constraint("floor", {"x": 1.0, "y": 1.0}, lp.GEQ, 4.0)
-    prog.set_objective({"x": 1.0, "y": 2.0})
+    x = prog.add_variable(0.0, 10.0)
+    y = prog.add_variable(0.0, 10.0)
+    prog.add_constraint({x: 1.0, y: 1.0}, lp.GEQ, 4.0)
+    prog.set_objective({x: 1.0, y: 2.0})
     assert lp.solve(prog).objective == pytest.approx(4.0)
 
-    prog.add_constraint("cap_x", {"x": 1.0}, lp.LEQ, 1.0)  # binding: y takes the rest
+    cap_x = prog.add_constraint({x: 1.0}, lp.LEQ, 1.0)  # binding: y takes the rest
     sol = lp.solve(prog)
     assert sol.objective == pytest.approx(7.0)
-    assert sol.primal == pytest.approx({"x": 1.0, "y": 3.0})
-    assert sol.dual["cap_x"] == pytest.approx(-1.0)
+    assert sol.x.tolist() == pytest.approx([1.0, 3.0])
+    assert sol.y[cap_x] == pytest.approx(-1.0)
 
-    prog.add_variable("z", 0.0, 3.0)
-    prog.set_objective({"x": 1.0, "y": 2.0, "z": -1.0})
+    z = prog.add_variable(0.0, 3.0)
+    prog.set_objective({x: 1.0, y: 2.0, z: -1.0})
     sol = lp.solve(prog)
     assert sol.objective == pytest.approx(4.0)
-    assert sol.primal["z"] == pytest.approx(3.0)
+    assert sol.x[z] == pytest.approx(3.0)
 
-    prog.add_constraint("cap_z", {"z": 1.0}, lp.LEQ, 2.0)
+    prog.add_constraint({z: 1.0}, lp.LEQ, 2.0)
     assert lp.solve(prog).objective == pytest.approx(5.0)
 
 
@@ -307,26 +327,26 @@ def test_solve_agrees_with_scipy_linprog(seed, anchored):
 
 def test_cost_range_of_a_basic_column_and_none_for_a_nonbasic_one():
     prog = lp.LinearProgram()
-    prog.add_variable("x", 0.0, 5.0)
-    prog.add_variable("y", 0.0, 5.0)
-    prog.add_constraint("floor", {"x": 1.0, "y": 1.0}, lp.GEQ, 1.0)
-    prog.set_objective({"x": 1.0, "y": 2.0})
+    x = prog.add_variable(0.0, 5.0)
+    y = prog.add_variable(0.0, 5.0)
+    prog.add_constraint({x: 1.0, y: 1.0}, lp.GEQ, 1.0)
+    prog.set_objective({x: 1.0, y: 2.0})
     sol = lp.solve(prog)
     assert sol.x.tolist() == [1.0, 0.0]
     # x serves the floor while its cost lies in [0, 2]: below 0 it fills up
     # to its bound, above 2 y takes over. y sits on its bound: no interval.
-    assert lp.cost_range(prog, sol, prog.column("x")) == pytest.approx((0.0, 2.0), abs=1e-12)
-    assert lp.cost_range(prog, sol, prog.column("y")) is None
+    assert lp.cost_range(prog, sol, x) == pytest.approx((0.0, 2.0), abs=1e-12)
+    assert lp.cost_range(prog, sol, y) is None
 
 
 def test_cost_range_is_one_cost_when_a_free_column_is_left_nonbasic():
     # x + z = 1 at equal costs: every split is optimal. With z free and held
     # nonbasic at 0, any change to x's cost makes z worth moving at once.
     prog = lp.LinearProgram()
-    prog.add_variable("x", 0.0, 10.0)
-    prog.add_variable("z")
-    prog.add_constraint("one", {"x": 1.0, "z": 1.0}, lp.EQ, 1.0)
-    prog.set_objective({"x": 1.0, "z": 1.0})
+    x = prog.add_variable(0.0, 10.0)
+    z = prog.add_variable()
+    prog.add_constraint({x: 1.0, z: 1.0}, lp.EQ, 1.0)
+    prog.set_objective({x: 1.0, z: 1.0})
     lp.solve(prog)
     highs, status = prog._backend.highs, lp._core.HighsBasisStatus
     basis = highs.getBasis()
@@ -336,7 +356,7 @@ def test_cost_range_is_one_cost_when_a_free_column_is_left_nonbasic():
     sol = lp.solve(prog)  # the re-solve starts, and stays, at that basis
     assert sol.x.tolist() == [1.0, 0.0]
     assert list(highs.getBasis().col_status) == [status.kBasic, status.kZero]
-    assert lp.cost_range(prog, sol, 0) == (1.0, 1.0)
+    assert lp.cost_range(prog, sol, x) == (1.0, 1.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -347,7 +367,9 @@ def test_cost_range_matches_highs_ranging(seed):
     a, relations, rhs, lower, upper = _random_lp_data(rng, anchored=True)
     n = len(lower)
     fixed = rng.random(n) < 0.2
-    lower[fixed] = upper[fixed] = np.where(np.isfinite(lower), lower, upper)[fixed]
+    # A free column is fixed at 0: bounds [inf, inf] admit no value, and are refused.
+    lower[fixed] = upper[fixed] = np.where(np.isfinite(lower), lower,
+                                           np.where(np.isfinite(upper), upper, 0.0))[fixed]
     c = rng.normal(size=n)
     c *= rng.uniform(0.05, 0.95) / np.max(np.abs(c))  # below 1: lp.solve lifts it
     prog = _build_lp((a, relations, rhs, lower, upper), c)
@@ -392,23 +414,23 @@ def test_evaluate_measures_row_and_bound_violation_and_objective(seed):
     worst = max([0.0, *(lower - x), *(x - upper)]
                 + [rhs[i] - lhs[i] for i, r in enumerate(relations) if r != lp.LEQ]
                 + [lhs[i] - rhs[i] for i, r in enumerate(relations) if r != lp.GEQ])
-    violation, objective = prog.evaluate({f"x{j}": float(v) for j, v in enumerate(x)})
+    violation, objective = prog.evaluate(x)
     assert violation == pytest.approx(worst, abs=1e-12)
     assert objective == pytest.approx(float(c @ x), abs=1e-12)
 
     sol = lp.solve(prog)
     if sol.status == lp.OPTIMAL:
-        violation, objective = prog.evaluate(sol.primal)
+        violation, objective = prog.evaluate(sol.x)
         assert sol.max_residual <= violation <= 1e-7
         assert objective == pytest.approx(sol.objective, abs=1e-9)
 
 
-def test_evaluate_names_a_variable_the_point_leaves_out():
+def test_evaluate_refuses_a_point_without_one_value_per_column():
     prog = lp.LinearProgram()
-    prog.add_variable("x", 0.0, 1.0)
-    prog.add_variable("y", 0.0, 1.0)
-    with pytest.raises(ValueError, match="'y'"):
-        prog.evaluate({"x": 0.5})
+    prog.add_variable(0.0, 1.0)
+    prog.add_variable(0.0, 1.0)
+    with pytest.raises(ValueError, match=r"shape \(1,\), not the program's \(2,\)"):
+        prog.evaluate(np.array([0.5]))
 
 
 def test_missing_highs_binding_fails_at_import_naming_the_scipy_floor():
@@ -495,12 +517,11 @@ def test_resolve_after_new_bounds_matches_a_fresh_build(seed):
     prog = _build_lp((a, relations, rhs, lower, upper), c)
     lp.solve(prog)
     j = int(rng.integers(n))
-    name = f"x{j}"
     pin = float(rng.uniform(-2.0, 2.0))
     moved = (pin - float(rng.uniform(0.0, 2.0)), pin + float(rng.uniform(0.0, 2.0)))
     # Pin, move, then free the variable again; each re-solve is warm.
     for lo, hi in [(pin, pin), moved, (lower[j], upper[j])]:
-        prog.set_bounds(name, float(lo), float(hi))
+        prog.set_bounds(j, float(lo), float(hi))
         new_lower, new_upper = lower.copy(), upper.copy()
         new_lower[j], new_upper[j] = lo, hi
         warm = _outcome(prog)
@@ -513,57 +534,66 @@ def test_resolve_after_new_bounds_matches_a_fresh_build(seed):
 
 def test_pin_that_makes_a_row_binding_moves_the_optimum():
     prog = lp.LinearProgram()
-    prog.add_variable("x", 0.0, 10.0)
-    prog.add_variable("y", 0.0, 5.0)
-    prog.add_constraint("cap", {"y": 1.0, "x": -1.0}, lp.LEQ, 2.0)
-    prog.set_objective({"y": -1.0})
+    x = prog.add_variable(0.0, 10.0)
+    y = prog.add_variable(0.0, 5.0)
+    cap = prog.add_constraint({y: 1.0, x: -1.0}, lp.LEQ, 2.0)
+    prog.set_objective({y: -1.0})
     assert lp.solve(prog).objective == pytest.approx(-5.0)
     backend = prog._backend
 
-    prog.set_bounds("x", 1.0, 1.0)  # y <= x + 2 = 3 now binds
+    prog.set_bounds(x, 1.0, 1.0)  # y <= x + 2 = 3 now binds
     sol = lp.solve(prog)
     assert prog._backend is backend  # the loaded model was kept
     assert sol.objective == pytest.approx(-3.0)
-    assert sol.primal == pytest.approx({"x": 1.0, "y": 3.0})
-    assert sol.dual["cap"] == pytest.approx(-1.0)
+    assert sol.x.tolist() == pytest.approx([1.0, 3.0])
+    assert sol.y[cap] == pytest.approx(-1.0)
     assert sol.max_residual <= 1e-7
     assert sol.duality_gap <= 1e-7
 
-    prog.set_bounds("x", 0.0, 10.0)
+    prog.set_bounds(x, 0.0, 10.0)
     assert lp.solve(prog).objective == pytest.approx(-5.0)
 
 
-def test_set_bounds_rejects_crossed_bounds_and_unknown_names():
+def test_set_bounds_rejects_crossed_bounds_and_undeclared_columns():
     prog = lp.LinearProgram()
-    prog.add_variable("x", 0.0, 1.0)
-    with pytest.raises(ValueError, match="lower"):
-        prog.set_bounds("x", 2.0, 1.0)
-    with pytest.raises(ValueError, match="undeclared"):
-        prog.set_bounds("y", 0.0, 1.0)
+    x = prog.add_variable(0.0, 1.0)
+    with pytest.raises(ValueError, match="no finite value"):
+        prog.set_bounds(x, 2.0, 1.0)
+    with pytest.raises(ValueError, match="undeclared variable 1"):
+        prog.set_bounds(x + 1, 0.0, 1.0)
+    with pytest.raises(ValueError, match="undeclared variable -1"):
+        prog.set_bounds(-1, 0.0, 1.0)
 
 
 def test_program_without_variables_is_infeasible_on_a_violated_constant_row():
     prog = lp.LinearProgram()
-    prog.add_constraint("c", {}, lp.EQ, 5.0)
+    prog.add_constraint({}, lp.EQ, 5.0)
     assert lp.solve(prog).status == lp.INFEASIBLE
-    prog.add_variable("x", 0.0, 1.0)  # the same row next to a variable
+    prog.add_variable(0.0, 1.0)  # the same row next to a variable
     assert lp.solve(prog).status == lp.INFEASIBLE
 
     prog = lp.LinearProgram()
-    prog.add_constraint("floor", {}, lp.GEQ, 1e-3)
+    prog.add_constraint({}, lp.GEQ, 1e-3)
     assert lp.solve(prog).status == lp.INFEASIBLE
 
 
 def test_program_without_variables_reports_zero_duals_when_feasible():
     prog = lp.LinearProgram()
-    prog.add_constraint("eq", {}, lp.EQ, 0.0)
-    prog.add_constraint("cap", {}, lp.LEQ, 1.0)
-    prog.add_constraint("floor", {}, lp.GEQ, -1.0)
+    prog.add_constraint({}, lp.EQ, 0.0)
+    prog.add_constraint({}, lp.LEQ, 1.0)
+    prog.add_constraint({}, lp.GEQ, -1.0)
     prog.set_objective({}, constant=3.0)
     sol = lp.solve(prog)
     assert sol.status == lp.OPTIMAL
     assert sol.objective == 3.0
-    assert sol.dual == {"eq": 0.0, "cap": 0.0, "floor": 0.0}
+    assert sol.y.tolist() == [0.0, 0.0, 0.0]
+
+
+def _solution(sol):
+    """Everything a solve returns, comparable with ``==``; SolverError's name as is."""
+    if isinstance(sol, str):
+        return sol
+    return repr(sol), sol.x.tolist(), sol.y.tolist()
 
 
 @settings(max_examples=40, deadline=None)
@@ -577,7 +607,7 @@ def test_restart_after_pinned_bounds_matches_a_fresh_build_exactly(seed, anchore
     _outcome(prog)
     for _ in range(3):  # a cold restart each time, on the kept model
         q = float(rng.normal(scale=3.0))
-        prog.set_bounds("x0", q, q)  # a parameter, as a pinned column
+        prog.set_bounds(0, q, q)  # a parameter, as a pinned column
         prog.restart()
         backend = prog._backend
         try:
@@ -591,52 +621,57 @@ def test_restart_after_pinned_bounds_matches_a_fresh_build_exactly(seed, anchore
             fresh = lp.solve(_build_lp((a, relations, rhs, new_lower, new_upper), c))
         except lp.SolverError:
             fresh = "SolverError"
-        assert kept == fresh
+        assert _solution(kept) == _solution(fresh)
         assert repr(kept) == repr(fresh)
 
 
 def test_a_start_basis_of_the_wrong_size_is_refused():
+    x, y = 0, 1  # the columns of ``program``
+
     def program():
         prog = lp.LinearProgram()
-        prog.add_variable("x", 0.0, 4.0)
-        prog.add_variable("y", 0.0, 4.0)
-        prog.add_constraint("sum", {"x": 1.0, "y": 1.0}, lp.EQ, 3.0)
-        prog.set_objective({"x": 1.0, "y": 2.0})
+        assert prog.add_variable(0.0, 4.0) == x
+        assert prog.add_variable(0.0, 4.0) == y
+        prog.add_constraint({x: 1.0, y: 1.0}, lp.EQ, 3.0)
+        prog.set_objective({x: 1.0, y: 2.0})
         return prog
 
     prog = program()
-    prog.declare_basic(columns=["x", "y"])
+    prog.declare_basic(columns=[x, y])
     with pytest.raises(ValueError, match="2 basic columns and rows, not the program's 1 rows"):
         lp.solve(prog)
     prog = program()
-    prog.declare_basic(columns=["y"])
-    assert lp.solve(prog).primal == {"x": 3.0, "y": 0.0}
-    prog.add_constraint("cap", {"x": 1.0}, lp.LEQ, 2.0)  # a new row, and no new basic
+    prog.declare_basic(columns=[y])
+    assert lp.solve(prog).x.tolist() == [3.0, 0.0]
+    cap = prog.add_constraint({x: 1.0}, lp.LEQ, 2.0)  # a new row, and no new basic
     with pytest.raises(ValueError, match="1 basic columns and rows, not the program's 2 rows"):
         lp.solve(prog)
-    prog.declare_basic(rows=["cap"])
-    assert lp.solve(prog).primal == {"x": 2.0, "y": 1.0}
-    with pytest.raises(ValueError, match="undeclared constraint 'nope'"):
-        prog.declare_basic(rows=["nope"])
-    with pytest.raises(ValueError, match="undeclared variable 'z'"):
-        prog.declare_basic(columns=["z"])
+    prog.declare_basic(rows=[cap])
+    assert lp.solve(prog).x.tolist() == [2.0, 1.0]
+    with pytest.raises(ValueError, match="undeclared constraint 2"):
+        prog.declare_basic(rows=[cap + 1])
+    with pytest.raises(ValueError, match="undeclared variable 2"):
+        prog.declare_basic(columns=[y + 1])
 
 
 def test_a_restart_reads_the_start_statuses_off_the_bounds_at_its_solve():
     # x carries no cost, so it stays nonbasic on the bound it starts at.
+    x, y = 0, 1  # the columns of ``program``
+
     def program(lower, upper):
         prog = lp.LinearProgram()
-        prog.add_variable("x", lower, upper)
-        prog.add_variable("y")
-        prog.add_constraint("r", {"x": 1.0, "y": 1.0}, lp.EQ, 1.0)
-        prog.declare_basic(rows=["r"])
+        assert prog.add_variable(lower, upper) == x
+        assert prog.add_variable() == y
+        r = prog.add_constraint({x: 1.0, y: 1.0}, lp.EQ, 1.0)
+        prog.declare_basic(rows=[r])
         return prog
 
     prog = program(-math.inf, 3.0)
-    assert lp.solve(prog).primal == {"x": 3.0, "y": -2.0}  # at its only finite bound
+    assert lp.solve(prog).x.tolist() == [3.0, -2.0]  # at its only finite bound
     prog.restart()
-    prog.set_bounds("x", -4.0, 2.0)  # moved after the restart: now at its lower bound
-    assert lp.solve(prog).primal == lp.solve(program(-4.0, 2.0)).primal == {"x": -4.0, "y": 5.0}
+    prog.set_bounds(x, -4.0, 2.0)  # moved after the restart: now at its lower bound
+    assert (lp.solve(prog).x.tolist() == lp.solve(program(-4.0, 2.0)).x.tolist()
+            == [-4.0, 5.0])
 
 
 def _cold_outcome(prog):
@@ -647,7 +682,7 @@ def _cold_outcome(prog):
         sol = "SolverError"
     highs = prog._backend.highs
     basis = highs.getBasis()
-    return (repr(sol), sol, highs.getInfoValue("simplex_iteration_count")[1],
+    return (_solution(sol), highs.getInfoValue("simplex_iteration_count")[1],
             [int(s) for s in basis.col_status], [int(s) for s in basis.row_status])
 
 
@@ -664,7 +699,7 @@ def test_restart_from_a_declared_basis_matches_a_fresh_build_exactly(seed, ancho
 
     def build(lo, up):
         prog = _build_lp((a, relations, rhs, lo, up), c)
-        prog.declare_basic(rows=[f"r{i}" for i in range(len(rhs))])
+        prog.declare_basic(rows=range(len(rhs)))
         return prog
 
     prog = build(lower, upper)
@@ -677,7 +712,7 @@ def test_restart_from_a_declared_basis_matches_a_fresh_build_exactly(seed, ancho
                                                  (q - 1.0, q + 1.0), (-np.inf, np.inf)])
         prog.restart()
         for k in range(len(lower)):
-            prog.set_bounds(f"x{k}", float(new_lower[k]), float(new_upper[k]))
+            prog.set_bounds(k, float(new_lower[k]), float(new_upper[k]))
         kept, fresh = _cold_outcome(prog), _cold_outcome(build(new_lower, new_upper))
         assert kept == fresh
         lower, upper = new_lower, new_upper

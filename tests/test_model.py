@@ -1,8 +1,10 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridcoord.caseio import parse_case
+from gridcoord.caseio import parse_case, scenario_from_dict, scenario_to_dict
 from gridcoord.model import (
     Aggregator,
     Block,
@@ -164,3 +166,39 @@ def test_incidence_raises_on_disconnected_network():
     net = small_network([Branch(0, 1, **BR), Branch(2, 3, **BR)], n_nodes=4)
     with pytest.raises(ValueError, match="unreachable"):
         derived_incidence(net)
+
+
+# JSON path of a number in paper_reference's case document -> its violation's field path.
+NUMBERS = {
+    ("network", "base_mva"): "network.base_mva",
+    ("network", "u_min"): "network.u_min",
+    ("network", "u_max"): "network.u_max",
+    ("network", "u_sub"): "network.u_sub",
+    ("network", "nodes", 2, "lp"): "network.nodes[2].lp",
+    ("network", "nodes", 2, "lq"): "network.nodes[2].lq",
+    ("network", "branches", 1, "r"): "network.branches[1].r",
+    ("network", "branches", 1, "x"): "network.branches[1].x",
+    ("network", "branches", 1, "pl_max"): "network.branches[1].pl_max",
+    ("network", "branches", 1, "ql_max"): "network.branches[1].ql_max",
+    ("aggregators", 0, "tan_phi"): "aggregators[0].tan_phi",
+    ("aggregators", 4, "fixed_output"): "aggregators[4].fixed_output",  # the REAG
+    ("aggregators", 0, "blocks", 0, "p_max"): "aggregators[0].offers.blocks[0].p_max",
+    ("aggregators", 5, "blocks", 0, "price"): "aggregators[5].offers.blocks[0].price",
+    ("wholesale", 1, "blocks", 0, "p_max"): "wholesale[1].offers.blocks[0].p_max",
+    ("wholesale", 3, "blocks", 0, "price"): "wholesale[3].offers.blocks[0].price",
+    ("firm_load",): "firm_load",
+    ("tolerance",): "tolerance",  # an infinite one would pass every equivalence check
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", NUMBERS, ids=NUMBERS.values())
+def test_every_nonfinite_number_is_a_violation(where, bad):
+    doc = scenario_to_dict(parse_case("paper_reference"))
+    *parents, key = where
+    node = doc
+    for step in parents:
+        node = node[step]
+    node[key] = bad
+    violations = validate(scenario_from_dict(doc))
+    assert f"{NUMBERS[where]}: must be finite, got {bad}" in violations
