@@ -9,20 +9,20 @@ block fills, the award as the exchange, and the re-dispatch's aggregator
 blocks, flows and voltages), must be feasible and reach the joint optimum.
 Where tied prices leave the optimum non-unique, any optimal split passes,
 so no tie needs detecting; per-participant differences are reported for
-information only. The joint LP is compiled once per scenario object and kept
-on the DSO's compiled model (``dso._Model``); each solve restarts it from
-its start basis: the DistFlow tree plus the wholesale balance row's logical.
+information only. The joint LP is kept and restarted by ``dso.compiled``; its
+start basis is the DistFlow tree plus the wholesale balance row's logical.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import lp as lpmod
 from .distflow import DistFlowVars, build_constraints, dispatch_cost_coeffs, read_solution
-from .dso import BidCurve, DsoDispatch, _Model, _model_for, build_bid_curve, value_at
+from .dso import BidCurve, DsoDispatch, build_bid_curve, compiled, value_at
 from .iso import IsoOutcome, add_wholesale, clear, read_wholesale
 from .lp import InfeasibleError, SolverError
 from .model import Scenario
@@ -93,28 +93,20 @@ def run_coordinated(scenario: Scenario) -> CoordinationResult:
 _Joint = tuple[lpmod.LinearProgram, DistFlowVars, tuple[tuple[int, ...], ...], int]
 
 
-def _joint_lp(model: _Model) -> _Joint:
-    """The scenario's joint LP, its DistFlow indices, wholesale block columns and balance row.
-
-    Built on first use and kept on the scenario's model; hold ``model.lock``.
-    """
-    if model.joint is None:
-        scenario = model.scenario
-        prog, dvars = build_constraints(scenario.network, scenario.aggregators,
-                                        incidence=model.incidence)
-        objective = dispatch_cost_coeffs(scenario.aggregators, dvars)
-        balance: dict[int, float] = {dvars.p_exchange: 1.0}
-        block_vars = add_wholesale(prog, scenario.wholesale, balance, objective)
-        row = prog.add_constraint(balance, lpmod.EQ, scenario.firm_wholesale_load)
-        prog.declare_basic(rows=(row,))  # completes the DistFlow tree basis
-        prog.set_objective(objective)
-        model.joint = prog, dvars, block_vars, row
-    return model.joint
+def _joint_lp(scenario: Scenario) -> _Joint:
+    """The scenario's joint LP, its DistFlow indices, wholesale block columns and balance row."""
+    prog, dvars = build_constraints(scenario.network, scenario.aggregators)
+    objective = dispatch_cost_coeffs(scenario.aggregators, dvars)
+    balance: dict[int, float] = {dvars.p_exchange: 1.0}
+    block_vars = add_wholesale(prog, scenario.wholesale, balance, objective)
+    row = prog.add_constraint(balance, lpmod.EQ, scenario.firm_wholesale_load)
+    prog.declare_basic(rows=(row,))  # completes the DistFlow tree basis
+    prog.set_objective(objective)
+    return prog, dvars, block_vars, row
 
 
 def _solve_joint(scenario: Scenario, prog: lpmod.LinearProgram, dvars: DistFlowVars,
                  block_vars: tuple[tuple[int, ...], ...], balance: int) -> IdealOutcome:
-    prog.restart()  # from the start basis, as on a fresh compile
     sol = lpmod.solve(prog)
     if sol.status != lpmod.OPTIMAL:
         raise InfeasibleError(f"joint dispatch is {sol.status}")
@@ -137,9 +129,8 @@ def _solve_joint(scenario: Scenario, prog: lpmod.LinearProgram, dvars: DistFlowV
 
 def run_ideal(scenario: Scenario) -> IdealOutcome:
     """One LP: wholesale stacks, aggregator stacks, and network constraints."""
-    model = _model_for(scenario)  # validates the scenario, once per object
-    with model.lock:
-        return _solve_joint(scenario, *_joint_lp(model))
+    with compiled(scenario, _joint_lp) as joint:
+        return _solve_joint(scenario, *joint)
 
 
 def _coordinated_point(scenario: Scenario, result: CoordinationResult, joint: _Joint
@@ -165,13 +156,14 @@ def check_equivalence(scenario: Scenario, tolerance: float | None = None) -> Coo
 
     The check passes when the coordinated point violates no row or bound of
     the joint LP by more than the tolerance and its objective is within the
-    tolerance of the joint optimum. A failed check is a result, not an error.
+    tolerance of the joint optimum. A failed check is a result, not an error;
+    a ``tolerance`` that is not finite and > 0 raises ValueError.
     """
-    model = _model_for(scenario)  # validates the scenario, once per object
+    if tolerance is not None and not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"tolerance must be finite and > 0, got {tolerance}")
     tol = scenario.tolerance if tolerance is None else tolerance
     coordinated = run_coordinated(scenario)
-    with model.lock:
-        joint = _joint_lp(model)
+    with compiled(scenario, _joint_lp) as joint:
         ideal = _solve_joint(scenario, *joint)
         residual, objective = joint[0].evaluate(_coordinated_point(scenario, coordinated, joint))
     max_dev = max(residual, abs(objective - ideal.objective))

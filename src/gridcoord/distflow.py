@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import lp as lpmod
-from .model import DRAG, REAG, Aggregator, Incidence, NetworkModel, derived_incidence
+from .model import DRAG, REAG, Aggregator, NetworkModel
 
 
 @dataclass(frozen=True)
@@ -59,18 +59,17 @@ class DistFlowSolution:
 def build_constraints(
     network: NetworkModel,
     aggregators: list[Aggregator] | tuple[Aggregator, ...],
-    incidence: Incidence | None = None,
 ) -> tuple[lpmod.LinearProgram, DistFlowVars]:
     """Emit balance, block, voltage, and flow constraints into a new LP.
 
     The active and reactive exchanges are free variables on the substation
     balances, and each balance's rhs is the node's firm load minus its fixed
-    REAG output. ``incidence`` is the network's ``derived_incidence``, for
-    callers that already hold it. No objective is set. Raises ValueError on
-    a non-radial network or an aggregator placed on an unknown node.
+    REAG output. Branches are oriented by ``network.incidence``. No objective
+    is set. Raises ValueError on a non-radial network or an aggregator placed
+    on an unknown node.
     """
     lp = lpmod.LinearProgram()
-    inc = derived_incidence(network) if incidence is None else incidence  # raises if not radial
+    inc = network.incidence  # raises if not radial
     n = network.n_nodes
 
     for agg in aggregators:

@@ -14,29 +14,29 @@ A curve of k segments then takes k + 3 solves. One free-export LP serves
 every solve of a scenario: the range, the probes, and the end costs and the
 re-dispatch, which pin the export through its bounds.
 
-Each scenario is compiled once: a private model validates it, derives its
-tree incidence and builds that LP on first use (and the joint LP of
-``coordination``, when asked). The model lives in a one-slot cache keyed by
-the scenario's identity (``is``, not equality or hash), so repeat calls on
-one ``Scenario`` object reuse it and a call on another object replaces it.
-Every public call still solves: it restarts the LP from the feeder's
-spanning-tree basis (declared by ``build_constraints``) and runs the same
-solve sequence a fresh compile would, so its answer is bit-for-bit that of a
-fresh compile and never depends on earlier calls. Calls on one scenario
-from several threads take turns on the model's lock.
+Every compiled LP of a scenario, this module's and ``coordination``'s joint
+LP, is reused by one policy, ``compiled(scenario, build)``. A one-slot cache
+keyed by the scenario's identity (``is``) holds the scenario, validated once,
+a lock, and what each builder built from it; another ``Scenario`` object
+replaces it. Each use holds the lock and restarts the LP cold from its start
+basis (the feeder's spanning tree, declared by ``build_constraints``), so a
+public call runs the solve sequence of a fresh compile: its answer is
+bit-for-bit a fresh compile's, whatever came before, and threads take turns.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 
 from . import lp as lpmod
 from .distflow import DistFlowVars, build_constraints, dispatch_cost_coeffs, read_solution
 from .lp import InfeasibleError
-from .model import Scenario, derived_incidence, require_valid
+from .model import Scenario, require_valid
 
 
 @dataclass(frozen=True)
@@ -137,40 +137,44 @@ class DsoDispatch:
 
 
 class _Model:
-    """A validated scenario, its incidence and its compiled LPs, each built on first use.
-
-    ``lock`` is held by every solve sequence on the model's LPs, and while
-    one is built.
-    """
+    """A validated scenario, the lock its LPs are used under, and what each builder built."""
 
     def __init__(self, scenario: Scenario):
         require_valid(scenario)
         self.scenario = scenario
-        self.incidence = derived_incidence(scenario.network)
         self.lock = threading.Lock()
-        self._free: tuple[lpmod.LinearProgram, DistFlowVars, dict[int, float]] | None = None
-        self.joint = None  # the joint LP, built and kept by ``coordination``
-
-    def free_lp(self) -> tuple[lpmod.LinearProgram, DistFlowVars, dict[int, float]]:
-        """The free-export LP, its variables and the dispatch cost; hold ``lock``."""
-        if self._free is None:
-            s = self.scenario
-            prog, dvars = build_constraints(s.network, s.aggregators, incidence=self.incidence)
-            self._free = prog, dvars, dispatch_cost_coeffs(s.aggregators, dvars)
-        return self._free
+        self.built: dict[Callable, tuple] = {}
 
 
 _slot: _Model | None = None
 _slot_lock = threading.Lock()
 
 
-def _model_for(scenario: Scenario) -> _Model:
-    """The compiled model of ``scenario`` (this very object), compiling it on a miss."""
+@contextmanager
+def compiled(scenario: Scenario, build: Callable[[Scenario], tuple]) -> Iterator[tuple]:
+    """``build(scenario)``, built on first use for this scenario object, its LP restarted.
+
+    ``build`` returns a tuple whose first item is the ``LinearProgram``. A new
+    scenario object is validated (ValidationError) and replaces the cached
+    model; the model's lock is held for the ``with`` block.
+    """
     global _slot
     with _slot_lock:
         if _slot is None or _slot.scenario is not scenario:
             _slot = _Model(scenario)
-        return _slot
+        model = _slot
+    with model.lock:
+        if build not in model.built:
+            model.built[build] = build(scenario)
+        built = model.built[build]
+        built[0].restart()
+        yield built
+
+
+def _free_lp(scenario: Scenario) -> tuple[lpmod.LinearProgram, DistFlowVars, dict[int, float]]:
+    """The free-export LP, its variables and the dispatch cost."""
+    prog, dvars = build_constraints(scenario.network, scenario.aggregators)
+    return prog, dvars, dispatch_cost_coeffs(scenario.aggregators, dvars)
 
 
 def _export_range(prog: lpmod.LinearProgram, px: int) -> tuple[float, float]:
@@ -199,10 +203,7 @@ def _pinned_solve(prog: lpmod.LinearProgram, px: int, q: float) -> lpmod.LpSolut
 
 def feasible_range(scenario: Scenario) -> tuple[float, float]:
     """Extreme feasible net exports of the network-plus-blocks polytope."""
-    model = _model_for(scenario)
-    with model.lock:
-        prog, dvars, _ = model.free_lp()
-        prog.restart()
+    with compiled(scenario, _free_lp) as (prog, dvars, _):
         return _export_range(prog, dvars.p_exchange)
 
 
@@ -218,10 +219,7 @@ def value_at(scenario: Scenario, net_export: float) -> DsoDispatch:
     other retail prices are the remaining active balance duals of the same
     optimal dual solution.
     """
-    model = _model_for(scenario)
-    with model.lock:
-        prog, dvars, cost = model.free_lp()
-        prog.restart()
+    with compiled(scenario, _free_lp) as (prog, dvars, cost):
         prog.set_objective(cost)
         sol = _pinned_solve(prog, dvars.p_exchange, net_export)
 
@@ -271,10 +269,7 @@ def build_bid_curve(scenario: Scenario) -> BidCurve:
     add probes (collinear neighbors are extended, not split), as can a
     degenerate basis whose range is narrower than the segment prices.
     """
-    model = _model_for(scenario)
-    with model.lock:
-        prog, dvars, cost = model.free_lp()
-        prog.restart()
+    with compiled(scenario, _free_lp) as (prog, dvars, cost):
         curve = _probe_curve(scenario, prog, dvars.p_exchange, cost)
     problems = curve.violations()
     if problems:

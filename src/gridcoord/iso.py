@@ -24,6 +24,7 @@ as LP columns for the joint LP of ``coordination``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import lp as lpmod
@@ -82,11 +83,13 @@ def clear(
     Fills the blocks in merit order (a stable sort by price, so ties fill
     in declaration order) and prices the balance by the module's rule.
     Nothing is cached between calls but each curve's own checks and
-    segments. Raises ValueError on a non-convex curve, and InfeasibleError
-    when the load left after the curves' minimum exports is below 0 or
-    above what the blocks can supply, by more than 1e-9 of the quantities
-    summed (a load at capacity may round past it).
+    segments. Raises ValueError on a non-finite ``firm_load`` or a non-convex
+    curve, and InfeasibleError when the load left after the curves' minimum
+    exports is below 0 or above what the blocks can supply, by more than
+    1e-9 of the quantities summed (a load at capacity may round past it).
     """
+    if not math.isfinite(firm_load):
+        raise ValueError(f"firm load must be finite, got {firm_load}")
     for k, curve in enumerate(dso_curves):
         problems = curve.violations()
         if problems:

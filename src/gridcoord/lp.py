@@ -17,17 +17,17 @@ is written as a column with pinned bounds (``set_bounds(j, q, q)``).
 ``restart`` keeps the model but drops the basis and all solver state, so
 the next solve starts over, exactly as on a freshly compiled copy: from the
 program's declared start basis (``declare_basic``), loaded from the bounds
-in force at that solve, or else from HiGHS's slack basis. Callers that keep
-one compiled program across public calls restart it at the start of each
-call: a compiled structure is reused, but no answer depends on the calls
-that came before (a warm re-solve can land on another optimal vertex or
-dual where the optimum is not unique). A start basis is a fixed function of
+in force at that solve, or else from HiGHS's slack basis. ``dso.compiled``
+keeps each compiled program across public calls and restarts it at the
+start of each: a compiled structure is reused, but no answer depends on the
+calls that came before (a warm re-solve can land on another optimal vertex
+or dual where the optimum is not unique). A start basis is a fixed function of
 the program, not of its history; the DistFlow fragment declares its
 spanning tree, from which HiGHS needs a few pivots where the slack basis
 takes dozens. Pricing is Devex (see ``_Backend``).
 
-An optimal answer is checked by its residual and by its duality gap, whose
-bound terms come from the columns that sit exactly on a bound (HiGHS puts
+An optimal answer is held to ``SOLVE_BOUND`` by its residual and by its
+duality gap, whose bound terms come from the columns that sit exactly on a bound (HiGHS puts
 nonbasic columns there), not from the basis. Any other verdict is taken
 from a run without a starting basis and without presolve (see ``linprog``),
 so a re-solve and a fresh solve of an LP agree on it. ``evaluate``
@@ -125,7 +125,7 @@ UNBOUNDED = "unbounded"
 # Basis statuses by code: 0 at lower, 1 basic, 2 at upper, 3 at zero (free).
 _STATUS = sorted(HighsBasisStatus.__members__.values(), key=int)
 
-DEFAULT_TOLERANCE = 1e-7  # absolute, on constraint residuals and the duality gap
+SOLVE_BOUND = 1e-5  # absolute, on an optimal solve's constraint residual and duality gap
 
 LEQ = "<="
 EQ = "=="
@@ -171,7 +171,6 @@ class LinearProgram:
         self._row_lower: list[float] = []
         self._row_upper: list[float] = []
         self._objective: dict[int, float] = {}
-        self.objective_constant = 0.0
         self._basic_cols: set[int] = set()  # the declared start basis, by index
         self._basic_rows: set[int] = set()
         self._cost: tuple[np.ndarray, float] | None = None  # built by the next solve
@@ -224,12 +223,11 @@ class LinearProgram:
         self._basic_rows.update(rows)
         self._backend = None
 
-    def set_objective(self, coeffs: dict[int, float], constant: float = 0.0) -> None:
+    def set_objective(self, coeffs: dict[int, float]) -> None:
         _check_indices(coeffs, self.n_cols, "variable")
         if coeffs != self._objective:  # an equal objective keeps its built cost vector
             self._objective = dict(coeffs)
             self._cost = None
-        self.objective_constant = float(constant)
 
     def _lifted_cost(self) -> tuple[np.ndarray, float]:
         """The cost vector HiGHS is given and the power of two it was lifted by.
@@ -285,8 +283,7 @@ class LinearProgram:
                            np.array(self._row_lower), np.array(self._row_upper), x),
         )
         values = x.tolist()
-        objective = self.objective_constant + sum(
-            coef * values[j] for j, coef in self._objective.items())
+        objective = sum(coef * values[j] for j, coef in self._objective.items())
         return violation, objective
 
 
@@ -431,7 +428,7 @@ def solve_stats() -> dict[str, float]:
     return dict(_gap_stats)
 
 
-def solve(lp: LinearProgram, tolerance: float = DEFAULT_TOLERANCE) -> LpSolution:
+def solve(lp: LinearProgram) -> LpSolution:
     """Solve ``lp``; Optimal solutions carry primal, duals, and the duality gap.
 
     Infeasible/unbounded come back as statuses; anything the backend cannot
@@ -443,8 +440,7 @@ def solve(lp: LinearProgram, tolerance: float = DEFAULT_TOLERANCE) -> LpSolution
     if nvar == 0:  # every row is a constant 0 against its bounds
         if any(lo > 0.0 or up < 0.0 for lo, up in zip(lp._row_lower, lp._row_upper)):
             return LpSolution(status=INFEASIBLE)
-        return LpSolution(status=OPTIMAL, objective=lp.objective_constant,
-                          duality_gap=0.0, max_residual=0.0,
+        return LpSolution(status=OPTIMAL, objective=0.0, duality_gap=0.0, max_residual=0.0,
                           y=np.zeros(len(lp._rhs)))
     if lp._backend is None:
         lp._backend = _Backend(lp)
@@ -485,14 +481,14 @@ def solve(lp: LinearProgram, tolerance: float = DEFAULT_TOLERANCE) -> LpSolution
     _gap_stats["solves"] += 1
     _gap_stats["max_gap"] = max(_gap_stats["max_gap"], gap)
     _gap_stats["max_residual"] = max(_gap_stats["max_residual"], max_residual)
-    if max_residual > max(100 * tolerance, 1e-9):
+    if max_residual > SOLVE_BOUND:
         raise SolverError(f"optimal solution violates constraints by {max_residual:g}")
-    if gap > max(100 * tolerance, 1e-9):
+    if gap > SOLVE_BOUND:
         raise SolverError(f"duality gap {gap:g} exceeds tolerance")
 
     return LpSolution(
         status=OPTIMAL,
-        objective=run.objective / scale + lp.objective_constant,
+        objective=run.objective / scale,
         duality_gap=gap,
         max_residual=max_residual,
         x=x, y=y, reduced=reduced,

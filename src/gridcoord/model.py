@@ -4,12 +4,16 @@ All types are frozen dataclasses and safe to share across concurrent solves.
 ``validate`` collects every broken structural invariant instead of raising,
 so a caller can report all problems in one pass. Every number must be
 finite: Python's ``json`` reads ``NaN`` and ``Infinity``.
+
+The one derived value kept is ``NetworkModel.incidence``, the tree's branch
+orientation, worked out on first use once per network object.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 NodeId = int
 BranchId = int
@@ -111,6 +115,11 @@ class NetworkModel:
         object.__setattr__(self, "load_q", tuple(self.load_q))
         object.__setattr__(self, "branches", tuple(self.branches))
 
+    @cached_property
+    def incidence(self) -> Incidence:
+        """``derived_incidence`` of this network, once per object; ValueError if not radial."""
+        return derived_incidence(self)
+
 
 @dataclass(frozen=True)
 class Aggregator:
@@ -198,7 +207,7 @@ def _network_violations(net: NetworkModel) -> list[str]:
         )
     elif not out:
         try:
-            derived_incidence(net)
+            net.incidence
         except ValueError as exc:
             out.append(f"network.branches: {exc}")
     return out

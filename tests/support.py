@@ -40,7 +40,6 @@ from gridcoord.model import (
     Incidence,
     NetworkModel,
     Scenario,
-    derived_incidence,
 )
 
 # Loaded by file path: putting bench/ on sys.path would let its modules
@@ -463,8 +462,7 @@ def probe_only_curve(scenario: Scenario) -> BidCurve:
     that the certificates skip. Those probes leave the basis where it was, so
     the two must agree bit for bit.
     """
-    prog, dvars = build_constraints(scenario.network, scenario.aggregators,
-                                    incidence=derived_incidence(scenario.network))
+    prog, dvars = build_constraints(scenario.network, scenario.aggregators)
     px = dvars.p_exchange
     ends = []
     for sense in (1.0, -1.0):
@@ -519,7 +517,7 @@ def lp_clearing(wholesale, curves, firm_load) -> lp.LpSolution:
     One balance row over the wholesale blocks (through ``iso.add_wholesale``)
     and one bounded variable per curve segment at its price, with each
     curve's minimum export taken off the rhs and its cost there added to the
-    objective. The balance dual is a clearing price.
+    solution's objective. The balance dual is a clearing price.
     """
     prog = lp.LinearProgram()
     balance: dict[int, float] = {}
@@ -532,5 +530,7 @@ def lp_clearing(wholesale, curves, firm_load) -> lp.LpSolution:
             objective[j] = seg.price
     prog.add_constraint(balance, lp.EQ,
                         firm_load - sum(curve.q_min for curve in curves))
-    prog.set_objective(objective, constant=sum(curve.breakpoints[0][1] for curve in curves))
-    return lp.solve(prog)
+    prog.set_objective(objective)
+    sol = lp.solve(prog)
+    sol.objective += sum(curve.breakpoints[0][1] for curve in curves)  # stays nan unless optimal
+    return sol

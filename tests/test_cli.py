@@ -124,6 +124,14 @@ def test_verify_fail_exit_code(tmp_path, monkeypatch):
     assert report["tolerance"] == 1e-18
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+def test_verify_with_a_tolerance_not_finite_and_positive_exits_one(tmp_path, capsys, tol):
+    code = run(["verify", "--case", "paper_reference", f"--tol={tol}", "--out", str(tmp_path)])
+    assert code == 1
+    assert "tolerance must be finite and > 0" in capsys.readouterr().err
+    assert not (tmp_path / "equivalence_report.json").exists()
+
+
 def test_parse_and_usage_errors_exit_one(tmp_path):
     assert run(["dso-bid", "--case", str(tmp_path / "missing.json")]) == 1
     bad = tmp_path / "bad.json"

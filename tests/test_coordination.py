@@ -492,6 +492,18 @@ def test_equivalence_check_validates_once_and_derives_the_incidence_at_most_twic
     assert len(incidences) <= 2  # once inside the validation, once for the model
 
 
+@pytest.mark.parametrize("name", BUNDLED_CASES)
+def test_a_network_derives_its_incidence_once(name, monkeypatch):
+    incidences = count_calls(monkeypatch, model, "derived_incidence")
+    scenario = parse_case(name)  # validates the case
+    assert model.validate(scenario) == []
+    feasible_range(scenario)  # builds the DSO's LP
+    run_ideal(scenario)  # builds the joint LP
+    # A new scenario object on the same network is validated and compiled anew.
+    assert check_equivalence(dataclasses.replace(scenario)).equivalence.passed
+    assert len(incidences) == 1
+
+
 @pytest.mark.parametrize("call", [
     feasible_range, build_bid_curve, lambda scenario: value_at(scenario, 0.0),
     run_coordinated, check_equivalence,

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 
 import numpy as np
@@ -43,6 +44,12 @@ def test_paper_clearing(reference, reference_curve):
     assert outcome.clearing_price == pytest.approx(22.0, abs=1e-6)  # Gen3 marginal
     for pid, share in EXPECTED_CLEARING.items():
         assert outcome.cleared[pid] == pytest.approx(share, abs=1e-6)
+
+
+@pytest.mark.parametrize("load", [math.inf, -math.inf, math.nan])
+def test_a_nonfinite_firm_load_is_a_value_error(reference, reference_curve, load):
+    with pytest.raises(ValueError, match="^firm load must be finite, got"):
+        clear(reference.wholesale, [reference_curve], load)
 
 
 def test_paper_clearing_with_as_printed_demand_capacity():

@@ -178,13 +178,6 @@ def test_offers_a_hundredth_of_a_cent_apart_clear_in_merit_order_in_any_price_un
     assert sol.y[balance] == pytest.approx(30.7525 * factor, rel=1e-12)
 
 
-def test_objective_constant_passes_through():
-    prog = lp.LinearProgram()
-    x = prog.add_variable(1.0, 2.0)
-    prog.set_objective({x: 1.0}, constant=10.0)
-    assert lp.solve(prog).objective == pytest.approx(11.0)
-
-
 def test_solve_stats_track_gap():
     before = lp.solve_stats()
     prog = lp.LinearProgram()
@@ -258,8 +251,8 @@ def test_an_equal_objective_keeps_the_cost_vector_and_a_new_one_replaces_it():
     prog.set_objective({x: 1.0, y: 2.0})
     lp.solve(prog)
     sent = prog._backend.cost
-    prog.set_objective({y: 2.0, x: 1.0}, constant=5.0)  # equal coefficients
-    assert lp.solve(prog).objective == pytest.approx(9.0)
+    prog.set_objective({y: 2.0, x: 1.0})  # equal coefficients
+    assert lp.solve(prog).objective == pytest.approx(4.0)
     assert prog._backend.cost is sent  # not built or sent to HiGHS again
     prog.set_objective({x: 3.0, y: 2.0})
     assert lp.solve(prog).objective == pytest.approx(8.0)
@@ -582,10 +575,10 @@ def test_program_without_variables_reports_zero_duals_when_feasible():
     prog.add_constraint({}, lp.EQ, 0.0)
     prog.add_constraint({}, lp.LEQ, 1.0)
     prog.add_constraint({}, lp.GEQ, -1.0)
-    prog.set_objective({}, constant=3.0)
+    prog.set_objective({})
     sol = lp.solve(prog)
     assert sol.status == lp.OPTIMAL
-    assert sol.objective == 3.0
+    assert sol.objective == 0.0
     assert sol.y.tolist() == [0.0, 0.0, 0.0]
 
 
