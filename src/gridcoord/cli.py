@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -146,26 +147,23 @@ def write_coordination(scenario: Scenario, result: CoordinationResult, out: Path
 
 
 def write_equivalence_report(report: EquivalenceReport, out: Path) -> None:
-    """The file of ``verify``: equivalence_report.json."""
-    doc = {
-        "passed": report.passed,
+    """The file of ``verify``: equivalence_report.json.
+
+    A failed check can carry an infinite bound or gap (or NaN, for a point
+    missing a column); JSON has no such numbers, so they are written as null.
+    """
+    numbers = {
         "tolerance": report.tolerance,
-        "objective_ideal": report.objective_ideal,
         "objective_coordinated": report.objective_coordinated,
+        "dual_objective": report.dual_objective,
+        "duality_gap": report.duality_gap,
         "max_deviation": report.max_deviation,
         "primal_residual": report.primal_residual,
-        "participants": [
-            {
-                "name": row.name,
-                "ideal_mw": row.ideal,
-                "coordinated_mw": row.coordinated,
-                "deviation": row.deviation,
-            }
-            for row in report.rows
-        ],
     }
+    doc = {"passed": report.passed,
+           **{k: v if math.isfinite(v) else None for k, v in numbers.items()}}
     with open(out / "equivalence_report.json", "w", newline="\n") as fh:
-        fh.write(json.dumps(doc, indent=2) + "\n")
+        fh.write(json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
 
 def _cmd_dso_bid(args) -> int:
@@ -250,7 +248,7 @@ def _build_parser() -> _Parser:
     common(p)
     p.set_defaults(func=_cmd_ideal)
 
-    p = sub.add_parser("verify", help="check coordinated vs ideal equivalence")
+    p = sub.add_parser("verify", help="certify the coordinated outcome as a joint optimum")
     common(p)
     p.add_argument("--tol", type=float, help="deviation tolerance (default: case tolerance)")
     p.set_defaults(func=_cmd_verify)

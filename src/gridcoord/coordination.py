@@ -1,16 +1,25 @@
-"""End-to-end pipeline and the joint-dispatch oracle it is checked against.
+"""End-to-end pipeline, its optimality certificate, and the joint-dispatch oracle.
 
 ``run_coordinated`` chains bid-curve construction, wholesale clearing, and
-aggregator re-dispatch at the awarded export. ``run_ideal`` solves the whole
-thing as one LP (aggregators bidding straight into the wholesale balance,
-network constraints included). ``check_equivalence`` certifies that the two
-agree: the coordinated outcome, read as a point of the joint LP (wholesale
-block fills, the award as the exchange, and the re-dispatch's aggregator
-blocks, flows and voltages), must be feasible and reach the joint optimum.
-Where tied prices leave the optimum non-unique, any optimal split passes,
-so no tie needs detecting; per-participant differences are reported for
-information only. The joint LP is kept and restarted by ``dso.compiled``; its
-start basis is the DistFlow tree plus the wholesale balance row's logical.
+aggregator re-dispatch at the award and its clearing price. ``run_ideal``
+solves the whole thing as one LP (aggregators bidding straight into the
+wholesale balance, network constraints included); it is the oracle that
+tests and the ``ideal`` command run.
+
+``check_equivalence`` certifies the coordinated outcome as an optimum of
+that joint LP without solving it. This is the parametric decomposition the
+pipeline rests on: the DSO's problem at slope lambda, dispatch cost minus
+lambda times export, is the joint LP with its wholesale balance row
+dualised at lambda. So the re-dispatch's row duals, with the clearing price
+on the balance row, are a dual point of the joint LP, and the outcome
+(wholesale block fills, the award as the exchange, and the re-dispatch's
+aggregator blocks, flows and voltages) a primal point. A primal point that
+is feasible and scores the dual point's Lagrangian bound is optimal by weak
+duality. Where tied prices leave the optimum non-unique, any optimal split
+passes, so no tie needs detecting. The joint LP is built and kept by
+``dso.compiled`` for its rows alone, so the check never compiles it into
+HiGHS; when ``run_ideal`` solves it, its start basis is the DistFlow tree
+plus the wholesale balance row's logical.
 """
 
 from __future__ import annotations
@@ -46,25 +55,14 @@ class IdealOutcome:
 
 
 @dataclass(frozen=True)
-class EquivalenceRow:
-    name: str
-    ideal: float
-    coordinated: float
-
-    @property
-    def deviation(self) -> float:
-        return abs(self.ideal - self.coordinated)
-
-
-@dataclass(frozen=True)
 class EquivalenceReport:
     passed: bool
-    max_deviation: float                  # max(primal_residual, objective gap)
+    max_deviation: float                  # max(primal_residual, |duality_gap|)
     primal_residual: float                # coordinated point's worst joint-LP violation
     tolerance: float
-    objective_ideal: float
-    objective_coordinated: float
-    rows: tuple[EquivalenceRow, ...]
+    objective_coordinated: float          # the point's joint-LP objective
+    dual_objective: float                 # the Lagrangian bound of the coordinated duals
+    duality_gap: float                    # objective_coordinated - dual_objective
 
 
 @dataclass(frozen=True)
@@ -72,16 +70,15 @@ class CoordinationResult:
     bid_curve: BidCurve
     iso: IsoOutcome
     dso_dispatch: DsoDispatch
-    ideal: IdealOutcome | None = None
     equivalence: EquivalenceReport | None = None
 
 
 def run_coordinated(scenario: Scenario) -> CoordinationResult:
-    """Bid curve -> wholesale clearing -> re-dispatch at the award."""
+    """Bid curve -> wholesale clearing -> re-dispatch at the award and its clearing price."""
     curve = build_bid_curve(scenario)  # validates the scenario, once per object
     outcome = clear(scenario.wholesale, [curve], scenario.firm_wholesale_load)
     award = outcome.dso_awards[0]
-    dispatch = value_at(scenario, award)
+    dispatch = value_at(scenario, award, outcome.clearing_price)
     drift = abs(dispatch.cost - curve.cost_at(award))
     if drift > max(scenario.tolerance, 1e-6):
         raise SolverError(
@@ -105,9 +102,10 @@ def _joint_lp(scenario: Scenario) -> _Joint:
     return prog, dvars, block_vars, row
 
 
-def _solve_joint(scenario: Scenario, prog: lpmod.LinearProgram, dvars: DistFlowVars,
-                 block_vars: tuple[tuple[int, ...], ...], balance: int) -> IdealOutcome:
-    sol = lpmod.solve(prog)
+def run_ideal(scenario: Scenario) -> IdealOutcome:
+    """One LP: wholesale stacks, aggregator stacks, and network constraints."""
+    with compiled(scenario, _joint_lp) as (prog, dvars, block_vars, balance):
+        sol = lpmod.solve(prog)
     if sol.status != lpmod.OPTIMAL:
         raise InfeasibleError(f"joint dispatch is {sol.status}")
     cleared, blocks = read_wholesale(sol, scenario.wholesale, block_vars)
@@ -125,12 +123,6 @@ def _solve_joint(scenario: Scenario, prog: lpmod.LinearProgram, dvars: DistFlowV
         flows_q=out.flows_q,
         voltages_sq=out.voltages_sq,
     )
-
-
-def run_ideal(scenario: Scenario) -> IdealOutcome:
-    """One LP: wholesale stacks, aggregator stacks, and network constraints."""
-    with compiled(scenario, _joint_lp) as joint:
-        return _solve_joint(scenario, *joint)
 
 
 def _coordinated_point(scenario: Scenario, result: CoordinationResult, joint: _Joint
@@ -152,35 +144,37 @@ def _coordinated_point(scenario: Scenario, result: CoordinationResult, joint: _J
 
 
 def check_equivalence(scenario: Scenario, tolerance: float | None = None) -> CoordinationResult:
-    """Run both pipelines and certify the coordinated outcome as a joint optimum.
+    """Run the pipeline and certify its outcome as a joint optimum, solving no joint LP.
 
-    The check passes when the coordinated point violates no row or bound of
-    the joint LP by more than the tolerance and its objective is within the
-    tolerance of the joint optimum. A failed check is a result, not an error;
-    a ``tolerance`` that is not finite and > 0 raises ValueError.
+    The coordinated outcome is read as a primal point of the joint LP and
+    the re-dispatch's row duals, with the clearing price on the wholesale
+    balance row, as a dual point. The check passes when the primal point
+    violates no row or bound of the joint LP by more than the tolerance and
+    its objective is within the tolerance of the dual point's Lagrangian
+    bound (``LinearProgram.dual_bound``), which by weak duality no feasible
+    point beats. The gap is held to the tolerance on both sides: a point
+    that scores below the bound is not feasible, or the duals are not
+    optimal. A failed check is a result, not an error; a ``tolerance``
+    that is not finite and > 0 raises ValueError.
     """
     if tolerance is not None and not (math.isfinite(tolerance) and tolerance > 0):
         raise ValueError(f"tolerance must be finite and > 0, got {tolerance}")
     tol = scenario.tolerance if tolerance is None else tolerance
     coordinated = run_coordinated(scenario)
     with compiled(scenario, _joint_lp) as joint:
-        ideal = _solve_joint(scenario, *joint)
-        residual, objective = joint[0].evaluate(_coordinated_point(scenario, coordinated, joint))
-    max_dev = max(residual, abs(objective - ideal.objective))
-
-    rows = [EquivalenceRow("dso_exchange", ideal.net_export, coordinated.iso.dso_awards[0])]
-    rows += [EquivalenceRow(wp.id, ideal.cleared[wp.id], coordinated.iso.cleared[wp.id])
-             for wp in scenario.wholesale]
-    rows += [EquivalenceRow(agg.id, ideal.aggregator_dispatch[agg.id],
-                            coordinated.dso_dispatch.by_aggregator[agg.id])
-             for agg in scenario.aggregators]
+        prog, _, _, balance = joint
+        residual, objective = prog.evaluate(_coordinated_point(scenario, coordinated, joint))
+        duals = coordinated.dso_dispatch.row_duals
+        assert len(duals) == balance, "the DistFlow rows lead both LPs; the balance row follows"
+        bound = prog.dual_bound(np.array(duals + (coordinated.iso.clearing_price,)))
+    gap = objective - bound
     report = EquivalenceReport(
-        passed=max_dev <= tol,
-        max_deviation=max_dev,
+        passed=max(residual, abs(gap)) <= tol,
+        max_deviation=max(residual, abs(gap)),
         primal_residual=residual,
         tolerance=tol,
-        objective_ideal=ideal.objective,
         objective_coordinated=objective,
-        rows=tuple(rows),
+        dual_objective=bound,
+        duality_gap=gap,
     )
-    return replace(coordinated, ideal=ideal, equivalence=report)
+    return replace(coordinated, equivalence=report)

@@ -11,8 +11,11 @@ gives, through the export's cost range (``lp.cost_range``), the slopes of
 supporting lines at its breakpoint, and those certify the adjacent segments
 without a probe of their own (``build_bid_curve`` says why that is sound).
 A curve of k segments then takes k + 3 solves. One free-export LP serves
-every solve of a scenario: the range, the probes, and the end costs and the
-re-dispatch, which pin the export through its bounds.
+every solve of a scenario: the range, the probes, the end costs, which pin
+the export through its bounds, and the re-dispatch. Given the clearing
+price, the re-dispatch is one more probe, at that price's slope: its duals,
+with the price on the wholesale balance, are a dual solution of the joint
+LP, which ``coordination.check_equivalence`` certifies the outcome with.
 
 Every compiled LP of a scenario, this module's and ``coordination``'s joint
 LP, is reused by one policy, ``compiled(scenario, build)``. A one-slot cache
@@ -30,7 +33,7 @@ import math
 import threading
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 from . import lp as lpmod
@@ -130,6 +133,7 @@ class DsoDispatch:
     by_aggregator: dict[str, float]               # MW; consumption positive for demand side
     block_dispatch: dict[str, tuple[float, ...]]
     retail_prices: dict[int, float]               # node -> $/MWh, active balance duals
+    row_duals: tuple[float, ...]                  # every row of the DSO's LP, by index
     flows_p: tuple[float, ...]
     flows_q: tuple[float, ...]
     voltages_sq: tuple[float, ...]
@@ -207,30 +211,56 @@ def feasible_range(scenario: Scenario) -> tuple[float, float]:
         return _export_range(prog, dvars.p_exchange)
 
 
-def value_at(scenario: Scenario, net_export: float) -> DsoDispatch:
-    """Minimum-cost aggregator dispatch serving the given net export.
+def value_at(scenario: Scenario, net_export: float, price: float | None = None) -> DsoDispatch:
+    """Minimum-cost aggregator dispatch serving the given net export, and its prices.
 
-    The scenario's free-export LP is restarted and solved once at the
-    dispatch cost, with the export pinned to ``net_export`` through its
-    bounds. The substation balance dual (``marginal_price``) is then the
-    marginal cost of export: inside a segment of the bid curve, the
-    segment's price; at a breakpoint, some value between the two adjacent
-    prices (open at the curve's ends), picked by the optimal basis. The
-    other retail prices are the remaining active balance duals of the same
-    optimal dual solution.
+    Without a ``price``, the scenario's free-export LP is restarted and
+    solved once at the dispatch cost, with the export pinned to
+    ``net_export`` through its bounds. The substation balance dual
+    (``marginal_price``) is then the marginal cost of export: inside a
+    segment of the bid curve, the segment's price; at a breakpoint, some
+    value between the two adjacent prices (open at the curve's ends), picked
+    by the optimal basis.
+
+    With a ``price``, the clearing price of the award, the LP is solved
+    once at ``dispatch cost - price * export`` instead. A clearing price lies
+    between the prices of the segments either side of its award, so that
+    solve's duals, with the price on the wholesale balance, are optimal
+    duals of the joint LP, and the substation price is ``price`` itself.
+    Where the award lies inside a segment priced at ``price``, the optimum
+    is the whole segment: if the solve's export misses ``net_export`` by
+    more than 1e-9 of max(1, |net_export|), the call re-solves, warm, with
+    the export pinned and takes that primal, keeping the first solve's duals
+    (still optimal, by complementary slackness). A pinned solve never needs
+    a second one, so it stays the rule without a price.
+
+    ``retail_prices`` are the active balance duals and ``row_duals`` every
+    row's dual, by the LP's row index.
     """
     with compiled(scenario, _free_lp) as (prog, dvars, cost):
-        prog.set_objective(cost)
-        sol = _pinned_solve(prog, dvars.p_exchange, net_export)
+        px = dvars.p_exchange
+        if price is None:
+            prog.set_objective(cost)
+            sol = _pinned_solve(prog, px, net_export)
+            dispatch_cost = sol.objective
+        else:
+            prog.set_objective({**cost, px: -price})
+            sol = lpmod.solve(prog)
+            if sol.status != lpmod.OPTIMAL:
+                raise InfeasibleError(f"dispatch at {price} $/MWh is {sol.status}")
+            if abs(sol.x[px] - net_export) > 1e-9 * max(1.0, abs(net_export)):
+                sol = replace(sol, x=_pinned_solve(prog, px, net_export).x)
+            dispatch_cost = sol.objective + price * float(sol.x[px])
 
     out = read_solution(sol, scenario.aggregators, dvars)
     return DsoDispatch(
         net_export=net_export,
-        cost=sol.objective,
+        cost=dispatch_cost,
         marginal_price=out.retail_prices[scenario.network.substation],
         by_aggregator=out.shares,
         block_dispatch=out.blocks,
         retail_prices=out.retail_prices,
+        row_duals=tuple(sol.y.tolist()),
         flows_p=out.flows_p,
         flows_q=out.flows_q,
         voltages_sq=out.voltages_sq,

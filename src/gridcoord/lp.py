@@ -32,7 +32,10 @@ nonbasic columns there), not from the basis. Any other verdict is taken
 from a run without a starting basis and without presolve (see ``linprog``),
 so a re-solve and a fresh solve of an LP agree on it. ``evaluate``
 measures a point found some other way against the same row ranges and the
-variable bounds, and scores it, so it can be certified against an optimum.
+variable bounds, and scores it; ``dual_bound`` scores row duals found some
+other way by their Lagrangian bound. A point that meets every row and bound
+and scores within a tolerance of that bound is optimal within it, so the
+pair certifies an outcome without a solve.
 
 Duals are reported in shadow price convention: for a minimization, the dual
 of any constraint is the derivative of the optimal objective with respect
@@ -285,6 +288,46 @@ class LinearProgram:
         values = x.tolist()
         objective = sum(coef * values[j] for j, coef in self._objective.items())
         return violation, objective
+
+    def dual_bound(self, y: np.ndarray) -> float:
+        """The Lagrangian bound of the row duals ``y``: no feasible point scores below it.
+
+        ``y`` holds one dual per row, by index, in the shadow-price convention
+        of ``solve``. With the reduced costs d = c - A'y, the bound is the
+        least value of y.s + d.x over row activities s within the row ranges
+        and x within the variable bounds: each row dual takes the side its
+        sign presses on (the lower for y > 0, the upper for y < 0), and so
+        does each reduced cost. A dual or reduced cost pressing on an infinite
+        side makes the bound -inf, unless it is rounding noise: a reduced cost
+        within 1e-12 of |c_j| + sum_i |a_ij y_i| (the terms it is summed from),
+        or a row dual within 1e-12 of the largest |y_i|, is taken as 0 there.
+        It is the dual counterpart of ``evaluate``: a point that meets every
+        row and bound and scores the bound is optimal (weak duality).
+        """
+        y = np.asarray(y, dtype=float)
+        if y.shape != (len(self._rhs),):
+            raise ValueError(f"duals have shape {y.shape}, not the program's ({len(self._rhs)},)")
+        cost, scale = self._lifted_cost()  # lifted by a power of two, so undone exactly
+        cost = cost / scale
+        cols = np.array(self._cols, dtype=np.int32)
+        terms = np.array(self._vals) * y[np.array(self._rows, dtype=np.int32)]
+        reduced = cost - np.bincount(cols, weights=terms, minlength=self.n_cols)
+        noise = 1e-12 * (np.abs(cost) + np.bincount(cols, weights=np.abs(terms),
+                                                    minlength=self.n_cols))
+        return (_least(y, np.array(self._row_lower), np.array(self._row_upper),
+                       1e-12 * float(np.max(np.abs(y), initial=0.0)))
+                + _least(reduced, np.array(self._lower), np.array(self._upper), noise))
+
+
+def _least(coef: np.ndarray, lower: np.ndarray, upper: np.ndarray,
+           noise: float | np.ndarray) -> float:
+    """Least value of ``coef . v`` over ``lower <= v <= upper``; -inf if unbounded below.
+
+    A coefficient within ``noise`` of 0 that presses on an infinite side counts as 0.
+    """
+    side = np.where(coef > 0.0, lower, upper)
+    keep = (coef != 0.0) & (np.isfinite(side) | (np.abs(coef) > noise))
+    return float(coef[keep] @ side[keep])
 
 
 class _Backend:

@@ -5,8 +5,10 @@ All types are frozen dataclasses and safe to share across concurrent solves.
 so a caller can report all problems in one pass. Every number must be
 finite: Python's ``json`` reads ``NaN`` and ``Infinity``.
 
-The one derived value kept is ``NetworkModel.incidence``, the tree's branch
-orientation, worked out on first use once per network object.
+Two derived values are kept, each worked out on first use once per object:
+``NetworkModel.incidence``, the tree's branch orientation, and a scenario's
+``validate`` verdict, which ``require_valid`` reads. The types are deeply
+immutable, so neither can go stale.
 """
 
 from __future__ import annotations
@@ -150,6 +152,11 @@ class Scenario:
     def __post_init__(self):
         object.__setattr__(self, "aggregators", tuple(self.aggregators))
         object.__setattr__(self, "wholesale", tuple(self.wholesale))
+
+    @cached_property
+    def _violations(self) -> tuple[str, ...]:
+        """``validate`` of this scenario, once per object."""
+        return tuple(validate(self))
 
 
 @dataclass(frozen=True)
@@ -300,6 +307,6 @@ def validate(scenario: Scenario) -> list[str]:
 
 
 def require_valid(scenario: Scenario) -> None:
-    violations = validate(scenario)
-    if violations:
-        raise ValidationError(violations)
+    """Raise ValidationError unless ``validate`` finds nothing; its verdict is kept per object."""
+    if scenario._violations:
+        raise ValidationError(list(scenario._violations))

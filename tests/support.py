@@ -176,11 +176,14 @@ def root_paths(inc: Incidence, substation: int) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 
 
-def redispatch_with_duals(scenario: Scenario, net_export: float):
-    """``value_at(scenario, net_export)`` and the row duals, by name, of the one solve it ran.
+def redispatch_with_duals(scenario: Scenario, net_export: float, price: float | None = None):
+    """``value_at(scenario, net_export, price)`` and its row duals by name.
 
     The DistFlow fragment's rows are ``bal_p[i]`` and ``bal_q[i]`` for each
-    node i in turn, then ``volt[j]`` for each branch j.
+    node i in turn, then ``volt[j]`` for each branch j. The call's solves
+    are counted: without a price it runs one, with a price one at the
+    price's slope, and a second, pinned, only when the first one's export
+    misses ``net_export``; the duals are those of the first solve.
     """
     solves = []
     original = lp.solve
@@ -191,13 +194,20 @@ def redispatch_with_duals(scenario: Scenario, net_export: float):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lp, "solve", recording)
-        dispatch = value_at(scenario, net_export)
-    (sol,) = solves
+        dispatch = value_at(scenario, net_export, price)
+    first = solves[0]
+    if price is None:
+        assert len(solves) == 1
+    else:
+        px = build_constraints(scenario.network, scenario.aggregators)[1].p_exchange
+        missed = abs(first.x[px] - net_export) > 1e-9 * max(1.0, abs(net_export))
+        assert len(solves) == 1 + missed
+    assert first.y.tolist() == list(dispatch.row_duals)
     net = scenario.network
     names = [f"{row}[{i}]" for i in range(net.n_nodes) for row in ("bal_p", "bal_q")]
     names += [f"volt[{j}]" for j in range(len(net.branches))]
-    assert len(names) == len(sol.y)
-    return dispatch, dict(zip(names, sol.y.tolist()))
+    assert len(names) == len(dispatch.row_duals)
+    return dispatch, dict(zip(names, dispatch.row_duals))
 
 
 def redispatch_dual_violations(scenario: Scenario, dispatch, duals: dict[str, float],

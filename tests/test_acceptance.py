@@ -15,7 +15,7 @@ import pytest
 import gridcoord.lp as lp
 from gridcoord.caseio import parse_case, resolve_case_path
 from gridcoord.cli import main as cli_main
-from gridcoord.coordination import check_equivalence
+from gridcoord.coordination import check_equivalence, run_ideal
 from gridcoord.distflow import build_constraints, dispatch_cost_coeffs
 from gridcoord.dso import build_bid_curve, feasible_range, value_at
 from gridcoord.iso import clear
@@ -148,10 +148,9 @@ def test_criterion_6_distflow_correctness():
         )
         worst_recursion = max(worst_recursion, recursion)
         worst_bounds = max(worst_bounds, bounds)
-    result = check_equivalence(scenario)
+    ideal = run_ideal(scenario)
     recursion, bounds = distflow_residuals(
-        scenario.network, result.ideal.voltages_sq,
-        result.ideal.flows_p, result.ideal.flows_q,
+        scenario.network, ideal.voltages_sq, ideal.flows_p, ideal.flows_q,
     )
     worst_recursion = max(worst_recursion, recursion)
     worst_bounds = max(worst_bounds, bounds)

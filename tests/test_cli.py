@@ -1,9 +1,11 @@
 import json
+import math
 
 import pytest
 
 from gridcoord.caseio import resolve_case_path
-from gridcoord.cli import main, read_curve
+from gridcoord.cli import main, read_curve, write_equivalence_report
+from gridcoord.coordination import EquivalenceReport
 from gridcoord.dso import build_bid_curve
 from gridcoord.caseio import parse_case
 
@@ -108,10 +110,11 @@ def test_verify_pass_and_report(tmp_path, capsys):
     report = json.loads((tmp_path / "equivalence_report.json").read_text())
     assert report["passed"] is True
     assert report["max_deviation"] <= 1e-6
-    assert report["objective_ideal"] == pytest.approx(report["objective_coordinated"])
-    names = {row["name"] for row in report["participants"]}
-    assert {"dso_exchange", "Gen1", "DDGAG1"} <= names
-    assert "objective" not in names  # a $/h figure, reported at the top level only
+    assert report["dual_objective"] == pytest.approx(report["objective_coordinated"])
+    assert report["duality_gap"] == report["objective_coordinated"] - report["dual_objective"]
+    assert sorted(report) == ["dual_objective", "duality_gap", "max_deviation",
+                              "objective_coordinated", "passed", "primal_residual",
+                              "tolerance"]
 
 
 def test_verify_fail_exit_code(tmp_path, monkeypatch):
@@ -122,6 +125,22 @@ def test_verify_fail_exit_code(tmp_path, monkeypatch):
     report = json.loads((tmp_path / "equivalence_report.json").read_text())
     assert report["passed"] is False
     assert report["tolerance"] == 1e-18
+
+
+def test_an_infinite_bound_is_written_as_strict_json(tmp_path):
+    report = EquivalenceReport(
+        passed=False, max_deviation=math.inf, primal_residual=0.0, tolerance=1e-6,
+        objective_coordinated=math.nan, dual_objective=-math.inf, duality_gap=math.inf)
+    write_equivalence_report(report, tmp_path)
+
+    def refuse(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    text = (tmp_path / "equivalence_report.json").read_text()
+    doc = json.loads(text, parse_constant=refuse)
+    assert doc == {"passed": False, "tolerance": 1e-6, "objective_coordinated": None,
+                   "dual_objective": None, "duality_gap": None, "max_deviation": None,
+                   "primal_residual": 0.0}
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])

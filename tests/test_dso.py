@@ -341,17 +341,22 @@ def test_a_cold_range_solve_on_a_feeder_starts_from_its_tree(monkeypatch):
 
 
 def _assert_redispatches_publish_optimal_duals(scenario):
-    """At every breakpoint, every segment midpoint and the award (when the load clears)."""
+    """At every breakpoint, every segment midpoint and the award (when the load clears),
+    the award both without and with its clearing price."""
     curve = build_bid_curve(scenario)
     qs = [q for q, _ in curve.breakpoints]
     qs += [0.5 * (a + b) for a, b in zip(qs, qs[1:])]
+    calls = [(q, None) for q in qs]
     try:
-        qs.append(clear(scenario.wholesale, [curve], scenario.firm_wholesale_load).dso_awards[0])
+        outcome = clear(scenario.wholesale, [curve], scenario.firm_wholesale_load)
+        calls += [(outcome.dso_awards[0], None), (outcome.dso_awards[0], outcome.clearing_price)]
     except InfeasibleError:
         pass
-    for q in qs:
-        dispatch, duals = redispatch_with_duals(scenario, q)
-        assert redispatch_dual_violations(scenario, dispatch, duals) == [], q
+    for q, price in calls:
+        dispatch, duals = redispatch_with_duals(scenario, q, price)
+        assert redispatch_dual_violations(scenario, dispatch, duals) == [], (q, price)
+        if price is not None:
+            assert dispatch.marginal_price == pytest.approx(price, abs=1e-9)
 
 
 @pytest.mark.parametrize("name", BUNDLED_CASES)
@@ -364,6 +369,24 @@ def test_every_redispatch_publishes_optimal_duals_on_the_bundled_cases(name):
 @example(seed=3184)  # its firm load cannot clear: breakpoints and midpoints only
 def test_every_redispatch_publishes_optimal_duals_on_random_feeders(seed):
     _assert_redispatches_publish_optimal_duals(random_scenario(seed))
+
+
+# Random seeds whose award lies inside a curve segment priced at the clearing
+# price: the priced solve's optimum is that whole segment, and HiGHS ends at
+# one of its ends.
+@pytest.mark.parametrize("seed", [4, 13, 29])
+def test_an_award_inside_a_segment_at_its_price_is_re_solved_pinned(seed):
+    scenario = random_scenario(seed)
+    curve = build_bid_curve(scenario)
+    outcome = clear(scenario.wholesale, [curve], scenario.firm_wholesale_load)
+    award, price = outcome.dso_awards[0], outcome.clearing_price
+    assert any(seg.q_lo < award < seg.q_hi and seg.price == price for seg in curve.segments)
+    before = lp.solve_stats()["solves"]
+    dispatch, duals = redispatch_with_duals(scenario, award, price)
+    assert lp.solve_stats()["solves"] - before == 2
+    assert redispatch_dual_violations(scenario, dispatch, duals) == []
+    assert dispatch.marginal_price == price
+    assert dispatch.cost == pytest.approx(value_at(scenario, award).cost, abs=1e-9)
 
 
 def test_the_dual_check_rejects_shifted_prices():

@@ -426,6 +426,74 @@ def test_evaluate_refuses_a_point_without_one_value_per_column():
         prog.evaluate(np.array([0.5]))
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_dual_bound_is_the_optimum_at_an_optimal_dual_and_below_it_elsewhere(seed):
+    rng = np.random.default_rng(seed)
+    prog, _, _ = _random_box_lp(rng)
+    sol = lp.solve(prog)
+    assert prog.dual_bound(sol.y) == pytest.approx(sol.objective, abs=1e-9)
+    moved = np.minimum(sol.y + rng.normal(size=len(sol.y)), 0.0)  # <= rows: duals <= 0
+    bound = prog.dual_bound(moved)
+    assert -math.inf < bound <= sol.objective + 1e-9  # weak duality
+
+
+def test_dual_bound_at_the_solvers_duals_is_the_optimum_on_random_lps():
+    # HiGHS leaves some reduced costs of free or half-bounded columns at
+    # +-1e-16 instead of 0 (69 of these 246 optimal LPs); that is rounding
+    # noise, not a dual pressing on an infinite side.
+    optimal = 0
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        data = _random_lp_data(rng, anchored=True)
+        prog = _build_lp(data, rng.normal(size=len(data[3])))
+        sol = lp.solve(prog)
+        if sol.status == lp.OPTIMAL:
+            optimal += 1
+            assert prog.dual_bound(sol.y) == pytest.approx(sol.objective, abs=1e-9), seed
+    assert optimal == 246
+
+
+def test_dual_bound_takes_a_reduced_cost_of_rounding_size_as_zero():
+    prog = lp.LinearProgram()
+    x = prog.add_variable()  # free
+    prog.add_constraint({x: 3.0}, lp.EQ, 3.0)
+    prog.set_objective({x: 0.1})
+    exact = 0.1 / 3.0
+    for y in (exact, math.nextafter(exact, 0.0), math.nextafter(exact, 1.0)):
+        assert prog.dual_bound(np.array([y])) == pytest.approx(0.1, abs=1e-15)
+    assert prog.dual_bound(np.array([exact * (1.0 + 1e-9)])) == -math.inf
+
+
+def test_dual_bound_is_minus_infinity_for_a_dual_pressing_on_an_infinite_side():
+    prog = lp.LinearProgram()
+    x = prog.add_variable()  # free
+    z = prog.add_variable(0.0, 2.0)
+    prog.add_constraint({x: 1.0, z: 1.0}, lp.GEQ, 3.0)
+    prog.set_objective({x: 1.0, z: 2.0})
+    sol = lp.solve(prog)
+    assert sol.y.tolist() == [1.0]
+    assert prog.dual_bound(np.array([1.0])) == sol.objective == 3.0
+    # x's reduced cost 1 - 0.5 presses on its lower bound, -inf.
+    assert prog.dual_bound(np.array([0.5])) == -math.inf
+
+    boxed = lp.LinearProgram()
+    x = boxed.add_variable(0.0, 10.0)
+    boxed.add_constraint({x: 1.0}, lp.GEQ, 3.0)
+    boxed.set_objective({x: 1.0})
+    assert boxed.dual_bound(np.array([0.5])) == 1.5  # 0.5 * 3 + 0.5 * 0
+    # A >= row's dual below 0 presses on the row's infinite upper side.
+    assert boxed.dual_bound(np.array([-1.0])) == -math.inf
+
+
+def test_dual_bound_refuses_duals_without_one_value_per_row():
+    prog = lp.LinearProgram()
+    x = prog.add_variable(0.0, 1.0)
+    prog.add_constraint({x: 1.0}, lp.LEQ, 1.0)
+    with pytest.raises(ValueError, match=r"shape \(2,\), not the program's \(1,\)"):
+        prog.dual_bound(np.array([0.0, 0.0]))
+
+
 def test_missing_highs_binding_fails_at_import_naming_the_scipy_floor():
     code = "import sys; sys.modules['scipy.optimize._highspy._core'] = None; import gridcoord"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
