@@ -96,7 +96,7 @@ def _joint_lp(scenario: Scenario) -> _Joint:
     objective = dispatch_cost_coeffs(scenario.aggregators, dvars)
     balance: dict[int, float] = {dvars.p_exchange: 1.0}
     block_vars = add_wholesale(prog, scenario.wholesale, balance, objective)
-    row = prog.add_constraint(balance, lpmod.EQ, scenario.firm_wholesale_load)
+    row = prog.add_constraint(balance, scenario.firm_wholesale_load)
     prog.declare_basic(rows=(row,))  # completes the DistFlow tree basis
     prog.set_objective(objective)
     return prog, dvars, block_vars, row
@@ -168,9 +168,10 @@ def check_equivalence(scenario: Scenario, tolerance: float | None = None) -> Coo
         assert len(duals) == balance, "the DistFlow rows lead both LPs; the balance row follows"
         bound = prog.dual_bound(np.array(duals + (coordinated.iso.clearing_price,)))
     gap = objective - bound
+    deviation = float(np.max((residual, abs(gap))))  # NaN if either is, unlike max()
     report = EquivalenceReport(
-        passed=max(residual, abs(gap)) <= tol,
-        max_deviation=max(residual, abs(gap)),
+        passed=deviation <= tol,
+        max_deviation=deviation,
         primal_residual=residual,
         tolerance=tol,
         objective_coordinated=objective,

@@ -115,8 +115,8 @@ def build_constraints(
 
     balance_p = []
     for i in range(n):
-        balance_p.append(lp.add_constraint(p_coeffs[i], lpmod.EQ, network.load_p[i] - reag_p[i]))
-        lp.add_constraint(q_coeffs[i], lpmod.EQ, network.load_q[i] - reag_q[i])
+        balance_p.append(lp.add_constraint(p_coeffs[i], network.load_p[i] - reag_p[i]))
+        lp.add_constraint(q_coeffs[i], network.load_q[i] - reag_q[i])
 
     base = network.base_mva
     for j, br in enumerate(network.branches):
@@ -127,7 +127,6 @@ def build_constraints(
                 p_flow[j]: 2.0 * br.r / base,
                 q_flow[j]: 2.0 * br.x / base,
             },
-            lpmod.EQ,
             0.0,
         )
 

@@ -8,12 +8,16 @@ Solving goes through scipy's HiGHS binding. Only the binding's extension
 file is loaded (``_load_core``), so importing gridcoord does not import
 ``scipy.optimize`` and its start-up cost. On its first solve a
 ``LinearProgram`` is compiled to column-wise sparse arrays and loaded into
-one HiGHS instance that the program keeps. Each constraint is a range row
-``row_lower <= a.x <= row_upper``: ``==`` rows are (rhs, rhs), ``<=`` rows
-(-inf, rhs) and ``>=`` rows (rhs, +inf). A new objective or new variable
-bounds keep the loaded model, so the next solve starts from the previous
-basis; a new variable or constraint discards it. A parameter on a row's rhs
-is written as a column with pinned bounds (``set_bounds(j, q, q)``).
+one HiGHS instance that the program keeps. The program is in equality
+form: minimize c.x subject to A x = b and l <= x <= u. Every row is an
+equality ``a.x = rhs`` and every limit is a variable bound; an inequality
+is written as an equality plus a slack column bounded on one side
+(``a.x + s = b`` with ``s >= 0`` for ``a.x <= b``), a limit on an affine
+expression the same way with the slack bounded by the limit. A new
+objective or new variable bounds keep the loaded model, so the next solve
+starts from the previous basis; a new variable or constraint discards it.
+A parameter on a row's rhs is written as a column with pinned bounds
+(``set_bounds(j, q, q)``).
 ``restart`` keeps the model but drops the basis and all solver state, so
 the next solve starts over, exactly as on a freshly compiled copy: from the
 program's declared start basis (``declare_basic``), loaded from the bounds
@@ -31,7 +35,7 @@ duality gap, whose bound terms come from the columns that sit exactly on a bound
 nonbasic columns there), not from the basis. Any other verdict is taken
 from a run without a starting basis and without presolve (see ``linprog``),
 so a re-solve and a fresh solve of an LP agree on it. ``evaluate``
-measures a point found some other way against the same row ranges and the
+measures a point found some other way against the same rows and the
 variable bounds, and scores it; ``dual_bound`` scores row duals found some
 other way by their Lagrangian bound. A point that meets every row and bound
 and scores within a tolerance of that bound is optimal within it, so the
@@ -41,8 +45,8 @@ Duals are reported in shadow price convention: for a minimization, the dual
 of any constraint is the derivative of the optimal objective with respect
 to that constraint's rhs where that derivative exists. At a kink of the
 optimal value in the rhs, it is some value between the left and the right
-derivative, picked by the optimal basis. HiGHS reports row duals that way
-for all three relations.
+derivative, picked by the optimal basis. HiGHS reports row duals that way.
+An equality row's dual may take either sign.
 
 An ``LpSolution`` carries its numbers as arrays: ``x`` and the reduced
 costs ``reduced`` by column index, ``y`` by row index. The cost vector is
@@ -51,7 +55,7 @@ equal one keeps it), and is sent to HiGHS only when it is not the one HiGHS
 already holds.
 ``cost_range`` reads, from the basis of the last optimal solve, the range
 of one column's cost over which that basis stays optimal: one row of
-B^-1 and of B^-1 A, then a ratio test over the nonbasic columns and rows.
+B^-1 A, then a ratio test over the nonbasic columns.
 It replaces HiGHS's ``getRanging``, which ranges every row and column.
 
 ``linprog`` reads the status, objective and iteration count one value at a
@@ -130,10 +134,6 @@ _STATUS = sorted(HighsBasisStatus.__members__.values(), key=int)
 
 SOLVE_BOUND = 1e-5  # absolute, on an optimal solve's constraint residual and duality gap
 
-LEQ = "<="
-EQ = "=="
-GEQ = ">="
-
 
 class SolverError(RuntimeError):
     """Backend failed to classify the problem (numerical trouble, limits)."""
@@ -143,10 +143,10 @@ class InfeasibleError(RuntimeError):
     """Raised by callers that require an optimal solution and got none."""
 
 
-def _row_violation(rows, cols, vals, row_lower, row_upper, x) -> float:
-    """Largest amount by which a row of the coordinate-form matrix misses its range at x."""
-    lhs = np.bincount(rows, weights=vals * x[cols], minlength=len(row_lower))
-    return float(np.max(np.maximum(row_lower - lhs, lhs - row_upper), initial=0.0))
+def _row_violation(rows, cols, vals, rhs, x) -> float:
+    """Largest amount by which a row of the coordinate-form matrix misses its rhs at x."""
+    lhs = np.bincount(rows, weights=vals * x[cols], minlength=len(rhs))
+    return float(np.max(np.abs(lhs - rhs), initial=0.0))
 
 
 def _check_bounds(lower: float, upper: float) -> None:
@@ -161,7 +161,7 @@ def _check_indices(indices: Iterable[int], count: int, what: str) -> None:
 
 
 class LinearProgram:
-    """Indexed variables, {<=,==,>=} constraints, minimize a linear objective."""
+    """Indexed bounded variables, equality constraints, minimize a linear objective."""
 
     def __init__(self):
         self._lower: list[float] = []
@@ -171,8 +171,6 @@ class LinearProgram:
         self._cols: list[int] = []
         self._vals: list[float] = []
         self._rhs: list[float] = []
-        self._row_lower: list[float] = []
-        self._row_upper: list[float] = []
         self._objective: dict[int, float] = {}
         self._basic_cols: set[int] = set()  # the declared start basis, by index
         self._basic_rows: set[int] = set()
@@ -191,10 +189,8 @@ class LinearProgram:
         self._cost = self._backend = None
         return len(self._lower) - 1
 
-    def add_constraint(self, coeffs: dict[int, float], relation: str, rhs: float) -> int:
-        """Add the row ``sum(coeffs[j] * x[j]) relation rhs`` and return its index."""
-        if relation not in (LEQ, EQ, GEQ):
-            raise ValueError(f"unknown relation {relation!r}")
+    def add_constraint(self, coeffs: dict[int, float], rhs: float) -> int:
+        """Add the row ``sum(coeffs[j] * x[j]) == rhs`` and return its index."""
         _check_indices(coeffs, self.n_cols, "variable")
         vals = [float(coef) for coef in coeffs.values()]
         rhs = float(rhs)
@@ -203,8 +199,6 @@ class LinearProgram:
         self._cols.extend(coeffs)
         self._vals.extend(vals)
         self._rhs.append(rhs)
-        self._row_lower.append(-math.inf if relation == LEQ else rhs)
-        self._row_upper.append(math.inf if relation == GEQ else rhs)
         self._backend = None
         return row
 
@@ -272,8 +266,8 @@ class LinearProgram:
     def evaluate(self, x: np.ndarray) -> tuple[float, float]:
         """Largest row-or-bound violation of the point ``x`` and its objective value.
 
-        ``x`` holds one value per column, by index; rows are held to the same
-        ranges as the residual of ``solve``.
+        ``x`` holds one value per column, by index; rows are held to their
+        rhs as in the residual of ``solve``.
         """
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n_cols,):
@@ -283,7 +277,7 @@ class LinearProgram:
             float(np.max(np.maximum(lower - x, x - upper), initial=0.0)),
             _row_violation(np.array(self._rows, dtype=np.int32),
                            np.array(self._cols, dtype=np.int32), np.array(self._vals),
-                           np.array(self._row_lower), np.array(self._row_upper), x),
+                           np.array(self._rhs), x),
         )
         values = x.tolist()
         objective = sum(coef * values[j] for j, coef in self._objective.items())
@@ -293,16 +287,16 @@ class LinearProgram:
         """The Lagrangian bound of the row duals ``y``: no feasible point scores below it.
 
         ``y`` holds one dual per row, by index, in the shadow-price convention
-        of ``solve``. With the reduced costs d = c - A'y, the bound is the
-        least value of y.s + d.x over row activities s within the row ranges
-        and x within the variable bounds: each row dual takes the side its
-        sign presses on (the lower for y > 0, the upper for y < 0), and so
-        does each reduced cost. A dual or reduced cost pressing on an infinite
-        side makes the bound -inf, unless it is rounding noise: a reduced cost
-        within 1e-12 of |c_j| + sum_i |a_ij y_i| (the terms it is summed from),
-        or a row dual within 1e-12 of the largest |y_i|, is taken as 0 there.
-        It is the dual counterpart of ``evaluate``: a point that meets every
-        row and bound and scores the bound is optimal (weak duality).
+        of ``solve``. With the reduced costs d = c - A'y, the bound is y.b
+        plus the least value of d.x over x within the variable bounds: each
+        reduced cost takes the bound its sign presses on (the lower for
+        d > 0, the upper for d < 0). Every row is an equality, so a row dual
+        of either sign is feasible and its term is exact. A reduced cost
+        pressing on an infinite bound makes the bound -inf, unless it is
+        rounding noise: one within 1e-12 of |c_j| + sum_i |a_ij y_i| (the
+        terms it is summed from) is taken as 0 there. It is the dual
+        counterpart of ``evaluate``: a point that meets every row and bound
+        and scores the bound is optimal (weak duality).
         """
         y = np.asarray(y, dtype=float)
         if y.shape != (len(self._rhs),):
@@ -314,20 +308,10 @@ class LinearProgram:
         reduced = cost - np.bincount(cols, weights=terms, minlength=self.n_cols)
         noise = 1e-12 * (np.abs(cost) + np.bincount(cols, weights=np.abs(terms),
                                                     minlength=self.n_cols))
-        return (_least(y, np.array(self._row_lower), np.array(self._row_upper),
-                       1e-12 * float(np.max(np.abs(y), initial=0.0)))
-                + _least(reduced, np.array(self._lower), np.array(self._upper), noise))
-
-
-def _least(coef: np.ndarray, lower: np.ndarray, upper: np.ndarray,
-           noise: float | np.ndarray) -> float:
-    """Least value of ``coef . v`` over ``lower <= v <= upper``; -inf if unbounded below.
-
-    A coefficient within ``noise`` of 0 that presses on an infinite side counts as 0.
-    """
-    side = np.where(coef > 0.0, lower, upper)
-    keep = (coef != 0.0) & (np.isfinite(side) | (np.abs(coef) > noise))
-    return float(coef[keep] @ side[keep])
+        priced = y != 0.0  # zero terms would still regroup the dot product's rounding
+        side = np.where(reduced > 0.0, np.array(self._lower), np.array(self._upper))
+        keep = (reduced != 0.0) & (np.isfinite(side) | (np.abs(reduced) > noise))
+        return float(y[priced] @ np.array(self._rhs)[priced]) + float(reduced[keep] @ side[keep])
 
 
 class _Backend:
@@ -357,20 +341,16 @@ class _Backend:
         self.cols = np.array(prog._cols, dtype=np.int32)
         self.vals = np.array(prog._vals, dtype=float)
         self.rhs = np.array(prog._rhs, dtype=float)
-        self.row_lower = np.array(prog._row_lower, dtype=float)
-        self.row_upper = np.array(prog._row_upper, dtype=float)
         self.lower = np.array(prog._lower, dtype=float)
         self.upper = np.array(prog._upper, dtype=float)
         self.col_ids = np.arange(n, dtype=np.int32)
-        # +1 for a >= row, -1 for a <= row, 0 for an == row: the sign of its dual when active
-        self.row_sign = np.isfinite(self.row_lower) * 1.0 - np.isfinite(self.row_upper)
         self.cost: np.ndarray | None = None  # the cost vector HiGHS holds, once one is sent
 
         model = HighsLp()
         model.num_col_, model.num_row_ = n, m
         model.col_cost_ = np.zeros(n)
         model.col_lower_, model.col_upper_ = self.lower, self.upper
-        model.row_lower_, model.row_upper_ = self.row_lower, self.row_upper
+        model.row_lower_ = model.row_upper_ = self.rhs
         matrix = model.a_matrix_
         matrix.format_ = MatrixFormat.kColwise
         matrix.num_col_, matrix.num_row_ = n, m
@@ -397,9 +377,8 @@ class _Backend:
         self.start_due = False
         if self.basic is None:
             return
-        lower = np.concatenate((self.lower, self.row_lower))
-        upper = np.concatenate((self.upper, self.row_upper))
-        code = np.where(np.isfinite(lower), 0, np.where(np.isfinite(upper), 2, 3))
+        code = np.where(np.isfinite(self.lower), 0, np.where(np.isfinite(self.upper), 2, 3))
+        code = np.concatenate((code, np.zeros(len(self.rhs), dtype=int)))  # rows: at their rhs
         code[self.basic] = 1
         status = [_STATUS[k] for k in code.tolist()]
         basis = HighsBasis()
@@ -480,8 +459,8 @@ def solve(lp: LinearProgram) -> LpSolution:
     LinearProgram must not be solved from two threads at once.
     """
     nvar = lp.n_cols
-    if nvar == 0:  # every row is a constant 0 against its bounds
-        if any(lo > 0.0 or up < 0.0 for lo, up in zip(lp._row_lower, lp._row_upper)):
+    if nvar == 0:  # every row is a constant 0 against its rhs
+        if any(rhs != 0.0 for rhs in lp._rhs):
             return LpSolution(status=INFEASIBLE)
         return LpSolution(status=OPTIMAL, objective=0.0, duality_gap=0.0, max_residual=0.0,
                           y=np.zeros(len(lp._rhs)))
@@ -518,15 +497,14 @@ def solve(lp: LinearProgram) -> LpSolution:
                 + reduced[at_upper] @ backend.upper[at_upper])
     gap = abs(run.objective / scale - float(dual_obj))
 
-    max_residual = _row_violation(backend.rows, backend.cols, backend.vals,
-                                  backend.row_lower, backend.row_upper, x)
+    max_residual = _row_violation(backend.rows, backend.cols, backend.vals, backend.rhs, x)
 
     _gap_stats["solves"] += 1
     _gap_stats["max_gap"] = max(_gap_stats["max_gap"], gap)
     _gap_stats["max_residual"] = max(_gap_stats["max_residual"], max_residual)
-    if max_residual > SOLVE_BOUND:
+    if not max_residual <= SOLVE_BOUND:  # so a NaN fails too
         raise SolverError(f"optimal solution violates constraints by {max_residual:g}")
-    if gap > SOLVE_BOUND:
+    if not gap <= SOLVE_BOUND:
         raise SolverError(f"duality gap {gap:g} exceeds tolerance")
 
     return LpSolution(
@@ -542,16 +520,16 @@ def cost_range(lp: LinearProgram, sol: LpSolution, j: int) -> tuple[float, float
     """Costs of column ``j`` over which the basis of ``sol`` stays optimal.
 
     ``sol`` must be the last solve of ``lp`` and optimal. Moving column j's
-    cost by d, with j basic in row r of the basis B, moves the row duals by
-    d times row r of B^-1 (rho) and every reduced cost by -d times row r of
-    B^-1 A (alpha, ``getReducedRow``). The basis stays optimal while each
-    nonbasic column keeps the reduced-cost sign of the bound it sits on
-    (>= 0 at a lower bound, <= 0 at an upper, 0 for a free column left at 0)
-    and each inequality row at its bound keeps its dual's sign (>= 0 on a
-    >= row, <= 0 on a <= row); fixed columns and == rows may take any. The
-    widest such interval of d comes from a ratio test. Returns the costs at
-    its ends, or None when column j is nonbasic: such a column's cost range
-    is one-sided and says nothing about where the optimum moves.
+    cost by d, with j basic in row r of the basis B, moves every reduced
+    cost by -d times row r of B^-1 A (alpha, ``getReducedRow``). The basis
+    stays optimal while each nonbasic column keeps the reduced-cost sign of
+    the bound it sits on (>= 0 at a lower bound, <= 0 at an upper, 0 for a
+    free column left at 0); fixed columns may take any. The row duals move
+    too, but every row is an equality, whose dual may take either sign, so
+    no row limits the range. The widest such interval of d comes from a
+    ratio test over the columns. Returns the costs at its ends, or None when
+    column j is nonbasic: such a column's cost range is one-sided and says
+    nothing about where the optimum moves.
     """
     backend = lp._backend
     highs = backend.highs
@@ -561,27 +539,25 @@ def cost_range(lp: LinearProgram, sol: LpSolution, j: int) -> tuple[float, float
     r = np.flatnonzero(basic == j)
     if r.size == 0:
         return None
-    rho = highs.getBasisInverseRow(int(r[0]))[1]
     alpha = highs.getReducedRow(int(r[0]))[1]
 
-    n = len(sol.x)
     at_lower, at_upper = sol.x == backend.lower, sol.x == backend.upper
-    in_basis = np.where(basic >= 0, basic, n - 1 - basic)
+    basic_cols = basic[basic >= 0]
     # A free column HiGHS left nonbasic at 0 pins its reduced cost to 0.
     off_bound = ~(at_lower | at_upper)
-    off_bound[basic[basic >= 0]] = False
+    off_bound[basic_cols] = False
     cost, scale = lp._lifted_cost()
     c = float(cost[j]) / scale
     if alpha[off_bound].any():
         return c, c
-    # The sign each reduced cost and row dual must keep: +1 for >= 0, -1
-    # for <= 0, 0 for any (basic and fixed columns, == rows).
-    sign = np.concatenate((at_lower * 1.0 - at_upper, backend.row_sign))
-    sign[in_basis] = 0.0
+    # The sign each reduced cost must keep: +1 for >= 0, -1 for <= 0, 0
+    # for any (basic and fixed columns).
+    sign = at_lower * 1.0 - at_upper
+    sign[basic_cols] = 0.0
     # Each entry of v + d * w must stay >= 0; HiGHS's own tolerance can
     # leave an entry of v a hair below 0, which is read as 0.
-    v = np.maximum(sign * np.concatenate((sol.reduced, sol.y)), 0.0)
-    w = sign * np.concatenate((-alpha, rho))
+    v = np.maximum(sign * sol.reduced, 0.0)
+    w = sign * -alpha
     up, down = w < 0.0, w > 0.0
     return (c + float(np.max(v[down] / -w[down], initial=-math.inf)),
             c + float(np.min(v[up] / -w[up], initial=math.inf)))

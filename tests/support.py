@@ -538,8 +538,7 @@ def lp_clearing(wholesale, curves, firm_load) -> lp.LpSolution:
             j = prog.add_variable(0.0, seg.q_hi - seg.q_lo)
             balance[j] = 1.0
             objective[j] = seg.price
-    prog.add_constraint(balance, lp.EQ,
-                        firm_load - sum(curve.q_min for curve in curves))
+    prog.add_constraint(balance, firm_load - sum(curve.q_min for curve in curves))
     prog.set_objective(objective)
     sol = lp.solve(prog)
     sol.objective += sum(curve.breakpoints[0][1] for curve in curves)  # stays nan unless optimal

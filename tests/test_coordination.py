@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 
 import pytest
@@ -275,6 +276,28 @@ def test_corrupted_row_duals_fail_the_check(reference, monkeypatch, corrupt):
     assert report.primal_residual <= 1e-9  # the point is as optimal as before
     assert report.duality_gap > 1e-3
     assert report.dual_objective < run_ideal(reference).objective  # weak duality
+
+
+def _with_nan_row_dual(result):
+    dispatch = result.dso_dispatch
+    duals = (math.nan,) + dispatch.row_duals[1:]
+    return dataclasses.replace(result, dso_dispatch=dataclasses.replace(dispatch, row_duals=duals))
+
+
+def _with_nan_clearing_price(result):
+    return dataclasses.replace(result, iso=dataclasses.replace(result.iso, clearing_price=math.nan))
+
+
+@pytest.mark.parametrize("edit", [_with_nan_row_dual, _with_nan_clearing_price],
+                         ids=["row_dual", "clearing_price"])
+def test_a_nan_dual_fails_the_check(reference, monkeypatch, edit):
+    # The point itself is optimal, so only the gap carries the NaN; a max()
+    # that dropped it would pass the check.
+    report = _check_tampered(monkeypatch, reference, edit)
+    assert report.primal_residual <= 1e-9
+    assert math.isnan(report.duality_gap)
+    assert math.isnan(report.max_deviation)
+    assert not report.passed
 
 
 def test_pipeline_is_deterministic(reference):

@@ -18,7 +18,8 @@ from support import dso_cost_oracle
 def test_min_x_above_three():
     prog = lp.LinearProgram()
     x = prog.add_variable(0.0, 10.0)
-    floor = prog.add_constraint({x: 1.0}, lp.GEQ, 3.0)
+    surplus = prog.add_variable(0.0)
+    floor = prog.add_constraint({x: 1.0, surplus: -1.0}, 3.0)  # x - s = 3, s >= 0: x >= 3
     prog.set_objective({x: 1.0})
     sol = lp.solve(prog)
     assert sol.status == lp.OPTIMAL
@@ -30,7 +31,8 @@ def test_min_x_above_three():
 def test_max_x_below_five():
     prog = lp.LinearProgram()
     x = prog.add_variable()
-    cap = prog.add_constraint({x: 1.0}, lp.LEQ, 5.0)
+    slack = prog.add_variable(0.0)
+    cap = prog.add_constraint({x: 1.0, slack: 1.0}, 5.0)  # x + s = 5, s >= 0: x <= 5
     prog.set_objective({x: -1.0})
     sol = lp.solve(prog)
     assert sol.objective == pytest.approx(-5.0, abs=1e-9)
@@ -41,7 +43,7 @@ def test_equality_dual_matches_marginal_cost():
     prog = lp.LinearProgram()
     a = prog.add_variable(0.0, 10.0)
     b = prog.add_variable(0.0, 10.0)
-    demand = prog.add_constraint({a: 1.0, b: 1.0}, lp.EQ, 4.0)
+    demand = prog.add_constraint({a: 1.0, b: 1.0}, 4.0)
     prog.set_objective({a: 2.0, b: 3.0})
     sol = lp.solve(prog)
     assert sol.objective == pytest.approx(8.0)
@@ -51,8 +53,9 @@ def test_equality_dual_matches_marginal_cost():
 def test_infeasible_and_unbounded_statuses():
     prog = lp.LinearProgram()
     x = prog.add_variable()
-    prog.add_constraint({x: 1.0}, lp.GEQ, 2.0)
-    prog.add_constraint({x: 1.0}, lp.LEQ, 1.0)
+    surplus, slack = prog.add_variable(0.0), prog.add_variable(0.0)
+    prog.add_constraint({x: 1.0, surplus: -1.0}, 2.0)  # x >= 2
+    prog.add_constraint({x: 1.0, slack: 1.0}, 1.0)  # x <= 1
     prog.set_objective({x: 1.0})
     assert lp.solve(prog).status == lp.INFEASIBLE
 
@@ -66,11 +69,11 @@ def test_malformed_input_is_a_validation_failure():
     prog = lp.LinearProgram()
     x = prog.add_variable()
     with pytest.raises(ValueError, match="undeclared variable 1"):
-        prog.add_constraint({x + 1: 1.0}, lp.LEQ, 0.0)
+        prog.add_constraint({x + 1: 1.0}, 0.0)
     with pytest.raises(ValueError, match="undeclared variable -1"):
         prog.set_objective({-1: 1.0})
-    with pytest.raises(ValueError, match="unknown relation"):
-        prog.add_constraint({x: 1.0}, "<", 0.0)
+    with pytest.raises(TypeError):  # every row is an equality: there is no relation to give
+        prog.add_constraint({x: 1.0}, "<=", 0.0)
     with pytest.raises(ValueError, match="no finite value"):
         prog.add_variable(2.0, 1.0)
     assert prog.n_cols == 1 and prog._rhs == []  # nothing refused was added
@@ -113,7 +116,9 @@ def test_dso_problem_objective_matches_brute_force_enumeration():
 def _random_box_lp(rng):
     """Random LP that is feasible by construction (constraints anchored at a point).
 
-    Returns the program with its objective coefficients and variable bounds.
+    Each row is a <= row, written as an equality with a slack column
+    ``s >= 0``. Returns the program with its objective coefficients and the
+    bounds of every column, the slacks' last.
     """
     prog = lp.LinearProgram()
     n = int(rng.integers(2, 6))
@@ -126,7 +131,9 @@ def _random_box_lp(rng):
         if not coeffs:
             continue
         lhs_at_anchor = sum(c * anchor[j] for j, c in coeffs.items())
-        prog.add_constraint(coeffs, lp.LEQ, lhs_at_anchor + float(rng.uniform(0, 2)))
+        coeffs[prog.add_variable(0.0)] = 1.0
+        bounds.append((0.0, math.inf))
+        prog.add_constraint(coeffs, lhs_at_anchor + float(rng.uniform(0, 2)))
     objective = {j: float(rng.normal()) for j in cols}
     prog.set_objective(objective)
     return prog, objective, bounds
@@ -169,13 +176,30 @@ def test_offers_a_hundredth_of_a_cent_apart_clear_in_merit_order_in_any_price_un
     prog = lp.LinearProgram()
     offers = {"cheap": (9.36, 30.7524), "dear": (0.759, 30.7525), "dearest": (1.22, 34.4185)}
     cols = {name: prog.add_variable(0.0, p_max) for name, (p_max, _) in offers.items()}
-    balance = prog.add_constraint(dict.fromkeys(cols.values(), 1.0), lp.EQ, 9.731)
+    balance = prog.add_constraint(dict.fromkeys(cols.values(), 1.0), 9.731)
     prog.set_objective({cols[name]: price * factor for name, (_, price) in offers.items()})
     sol = lp.solve(prog)
     assert sol.x[cols["cheap"]] == 9.36
     assert sol.x[cols["dear"]] == pytest.approx(0.371, abs=1e-12)
     assert sol.x[cols["dearest"]] == 0.0
     assert sol.y[balance] == pytest.approx(30.7525 * factor, rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", ["residual", "gap"])
+def test_a_nan_residual_or_gap_is_a_solver_error(monkeypatch, bad):
+    prog = lp.LinearProgram()
+    x = prog.add_variable(0.0, 1.0)
+    prog.add_constraint({x: 1.0, prog.add_variable(0.0): 1.0}, 1.0)
+    prog.set_objective({x: 1.0})
+    if bad == "residual":
+        monkeypatch.setattr(lp, "_row_violation", lambda *args: math.nan)
+        match = "violates constraints by nan"
+    else:  # a NaN objective makes the gap NaN
+        run = lp.linprog
+        monkeypatch.setattr(lp, "linprog", lambda highs: run(highs)._replace(objective=math.nan))
+        match = "duality gap nan"
+    with pytest.raises(lp.SolverError, match=match):
+        lp.solve(prog)
 
 
 def test_solve_stats_track_gap():
@@ -191,6 +215,10 @@ def test_solve_stats_track_gap():
     assert after["max_gap"] <= 1e-7
 
 
+LEQ, EQ, GEQ = "<=", "==", ">="
+SLACK_SIGN = {LEQ: 1.0, EQ: 0.0, GEQ: -1.0}  # a.x + sign * s = b with s >= 0
+
+
 def _random_lp_data(rng, anchored):
     """Random LP as plain arrays: ==, <= and >= rows, some infinite bounds.
 
@@ -204,22 +232,36 @@ def _random_lp_data(rng, anchored):
     lower[rng.random(n) < 0.3] = -np.inf
     upper[rng.random(n) < 0.3] = np.inf
     a = rng.normal(size=(m, n)) * (rng.random((m, n)) < 0.8)
-    relations = [str(r) for r in rng.choice([lp.LEQ, lp.EQ, lp.GEQ], m)]
+    relations = [str(r) for r in rng.choice([LEQ, EQ, GEQ], m)]
     if anchored:
-        slack = {lp.LEQ: 1.0, lp.EQ: 0.0, lp.GEQ: -1.0}
-        rhs = a @ anchor + np.array([slack[r] for r in relations]) * rng.uniform(0.0, 2.0, m)
+        rhs = a @ anchor + np.array([SLACK_SIGN[r] for r in relations]) * rng.uniform(0.0, 2.0, m)
     else:
         rhs = rng.normal(scale=3.0, size=m)
     return a, relations, rhs, lower, upper
 
 
-def _build_lp(data, c):
+def _equality_form(data):
+    """``data``'s LP as ``A x = b`` and bounds: one slack column per <= or >= row.
+
+    A <= row reads a.x + s = b and a >= row a.x - s = b, with s >= 0.
+    Returns A, b, and the lower and upper bounds, by column: the original
+    columns first, then the slacks in row order.
+    """
     a, relations, rhs, lower, upper = data
+    rows = [i for i, r in enumerate(relations) if r != EQ]
+    slacks = np.zeros((len(rhs), len(rows)))
+    slacks[rows, range(len(rows))] = [SLACK_SIGN[relations[i]] for i in rows]
+    return (np.hstack((a, slacks)), rhs, np.concatenate((lower, np.zeros(len(rows)))),
+            np.concatenate((upper, np.full(len(rows), np.inf))))
+
+
+def _build_lp(data, c):
+    """``data``'s LP in equality form, with the costs ``c`` on its original columns."""
+    a, rhs, lower, upper = _equality_form(data)
     prog = lp.LinearProgram()
-    cols = [prog.add_variable(float(lower[j]), float(upper[j])) for j in range(len(c))]
-    for i, relation in enumerate(relations):
-        coeffs = {cols[j]: float(a[i, j]) for j in range(len(c)) if a[i, j] != 0.0}
-        prog.add_constraint(coeffs, relation, float(rhs[i]))
+    cols = [prog.add_variable(float(lo), float(up)) for lo, up in zip(lower, upper)]
+    for i in range(len(rhs)):
+        prog.add_constraint({j: float(a[i, j]) for j in cols if a[i, j] != 0.0}, float(rhs[i]))
     prog.set_objective(dict(zip(cols, map(float, c))))
     return prog
 
@@ -247,7 +289,7 @@ def test_an_equal_objective_keeps_the_cost_vector_and_a_new_one_replaces_it():
     prog = lp.LinearProgram()
     x = prog.add_variable(0.0, 10.0)
     y = prog.add_variable(0.0, 10.0)
-    prog.add_constraint({x: 1.0, y: 1.0}, lp.GEQ, 4.0)
+    prog.add_constraint({x: 1.0, y: 1.0, prog.add_variable(0.0): -1.0}, 4.0)  # x + y >= 4
     prog.set_objective({x: 1.0, y: 2.0})
     lp.solve(prog)
     sent = prog._backend.cost
@@ -263,14 +305,15 @@ def test_new_variable_or_constraint_after_a_solve_takes_effect():
     prog = lp.LinearProgram()
     x = prog.add_variable(0.0, 10.0)
     y = prog.add_variable(0.0, 10.0)
-    prog.add_constraint({x: 1.0, y: 1.0}, lp.GEQ, 4.0)
+    prog.add_constraint({x: 1.0, y: 1.0, prog.add_variable(0.0): -1.0}, 4.0)  # x + y >= 4
     prog.set_objective({x: 1.0, y: 2.0})
     assert lp.solve(prog).objective == pytest.approx(4.0)
 
-    cap_x = prog.add_constraint({x: 1.0}, lp.LEQ, 1.0)  # binding: y takes the rest
+    # x <= 1, binding: y takes the rest
+    cap_x = prog.add_constraint({x: 1.0, prog.add_variable(0.0): 1.0}, 1.0)
     sol = lp.solve(prog)
     assert sol.objective == pytest.approx(7.0)
-    assert sol.x.tolist() == pytest.approx([1.0, 3.0])
+    assert sol.x[[x, y]].tolist() == pytest.approx([1.0, 3.0])
     assert sol.y[cap_x] == pytest.approx(-1.0)
 
     z = prog.add_variable(0.0, 3.0)
@@ -279,7 +322,7 @@ def test_new_variable_or_constraint_after_a_solve_takes_effect():
     assert sol.objective == pytest.approx(4.0)
     assert sol.x[z] == pytest.approx(3.0)
 
-    prog.add_constraint({z: 1.0}, lp.LEQ, 2.0)
+    prog.add_constraint({z: 1.0, prog.add_variable(0.0): 1.0}, 2.0)  # z <= 2
     assert lp.solve(prog).objective == pytest.approx(5.0)
 
 
@@ -295,7 +338,7 @@ def test_solve_agrees_with_scipy_linprog(seed, anchored):
     data = _random_lp_data(rng, anchored)
     a, relations, rhs, lower, upper = data
     c = rng.normal(size=len(lower))
-    sign = np.array([{lp.LEQ: 1.0, lp.GEQ: -1.0}.get(r, 0.0) for r in relations])
+    sign = np.array([SLACK_SIGN[r] for r in relations])
     ub, eq = sign != 0.0, sign == 0.0
     rows = dict(A_ub=sign[ub, None] * a[ub] if ub.any() else None,
                 b_ub=sign[ub] * rhs[ub] if ub.any() else None,
@@ -322,14 +365,17 @@ def test_cost_range_of_a_basic_column_and_none_for_a_nonbasic_one():
     prog = lp.LinearProgram()
     x = prog.add_variable(0.0, 5.0)
     y = prog.add_variable(0.0, 5.0)
-    prog.add_constraint({x: 1.0, y: 1.0}, lp.GEQ, 1.0)
+    surplus = prog.add_variable(0.0)
+    prog.add_constraint({x: 1.0, y: 1.0, surplus: -1.0}, 1.0)  # x + y >= 1
     prog.set_objective({x: 1.0, y: 2.0})
     sol = lp.solve(prog)
-    assert sol.x.tolist() == [1.0, 0.0]
+    assert sol.x.tolist() == [1.0, 0.0, 0.0]
     # x serves the floor while its cost lies in [0, 2]: below 0 it fills up
-    # to its bound, above 2 y takes over. y sits on its bound: no interval.
+    # to its bound, above 2 y takes over. y and the surplus sit on their
+    # bounds: no interval.
     assert lp.cost_range(prog, sol, x) == pytest.approx((0.0, 2.0), abs=1e-12)
     assert lp.cost_range(prog, sol, y) is None
+    assert lp.cost_range(prog, sol, surplus) is None
 
 
 def test_cost_range_is_one_cost_when_a_free_column_is_left_nonbasic():
@@ -338,7 +384,7 @@ def test_cost_range_is_one_cost_when_a_free_column_is_left_nonbasic():
     prog = lp.LinearProgram()
     x = prog.add_variable(0.0, 10.0)
     z = prog.add_variable()
-    prog.add_constraint({x: 1.0, z: 1.0}, lp.EQ, 1.0)
+    prog.add_constraint({x: 1.0, z: 1.0}, 1.0)
     prog.set_objective({x: 1.0, z: 1.0})
     lp.solve(prog)
     highs, status = prog._backend.highs, lp._core.HighsBasisStatus
@@ -373,9 +419,9 @@ def test_cost_range_matches_highs_ranging(seed):
     if sol.status != lp.OPTIMAL:
         return
     highs = prog._backend.highs
-    ranges = [lp.cost_range(prog, sol, j) for j in range(n)]
+    ranges = [lp.cost_range(prog, sol, j) for j in range(prog.n_cols)]  # slacks too
     if highs.getNumNz() == 0:  # no basis factorization to read
-        assert ranges == [None] * n
+        assert ranges == [None] * prog.n_cols
         return
     status = highs.getBasis().col_status
     costs = np.array(highs.getLp().col_cost_)
@@ -384,7 +430,7 @@ def test_cost_range_matches_highs_ranging(seed):
     assert scale > 1.0
     ok, ranging = highs.getRanging()
     assert ok == lp.HighsStatus.kOk
-    for j in range(n):
+    for j in range(prog.n_cols):
         if status[j] != lp._core.HighsBasisStatus.kBasic:
             assert ranges[j] is None  # a nonbasic column's segment gets probed
             continue
@@ -398,18 +444,15 @@ def test_cost_range_matches_highs_ranging(seed):
 def test_evaluate_measures_row_and_bound_violation_and_objective(seed):
     rng = np.random.default_rng(seed)
     data = _random_lp_data(rng, anchored=True)
-    a, relations, rhs, lower, upper = data
-    c = rng.normal(size=len(lower))
+    c = rng.normal(size=len(data[3]))
     prog = _build_lp(data, c)
+    a, rhs, lower, upper = _equality_form(data)
 
-    x = rng.normal(scale=3.0, size=len(c))  # most draws break some row or bound
-    lhs = a @ x
-    worst = max([0.0, *(lower - x), *(x - upper)]
-                + [rhs[i] - lhs[i] for i, r in enumerate(relations) if r != lp.LEQ]
-                + [lhs[i] - rhs[i] for i, r in enumerate(relations) if r != lp.GEQ])
+    x = rng.normal(scale=3.0, size=prog.n_cols)  # most draws break some row or bound
+    worst = max([0.0, *(lower - x), *(x - upper), *np.abs(a @ x - rhs)])
     violation, objective = prog.evaluate(x)
     assert violation == pytest.approx(worst, abs=1e-12)
-    assert objective == pytest.approx(float(c @ x), abs=1e-12)
+    assert objective == pytest.approx(float(c @ x[:len(c)]), abs=1e-12)
 
     sol = lp.solve(prog)
     if sol.status == lp.OPTIMAL:
@@ -457,7 +500,7 @@ def test_dual_bound_at_the_solvers_duals_is_the_optimum_on_random_lps():
 def test_dual_bound_takes_a_reduced_cost_of_rounding_size_as_zero():
     prog = lp.LinearProgram()
     x = prog.add_variable()  # free
-    prog.add_constraint({x: 3.0}, lp.EQ, 3.0)
+    prog.add_constraint({x: 3.0}, 3.0)
     prog.set_objective({x: 0.1})
     exact = 0.1 / 3.0
     for y in (exact, math.nextafter(exact, 0.0), math.nextafter(exact, 1.0)):
@@ -469,7 +512,7 @@ def test_dual_bound_is_minus_infinity_for_a_dual_pressing_on_an_infinite_side():
     prog = lp.LinearProgram()
     x = prog.add_variable()  # free
     z = prog.add_variable(0.0, 2.0)
-    prog.add_constraint({x: 1.0, z: 1.0}, lp.GEQ, 3.0)
+    prog.add_constraint({x: 1.0, z: 1.0, prog.add_variable(0.0): -1.0}, 3.0)  # x + z >= 3
     prog.set_objective({x: 1.0, z: 2.0})
     sol = lp.solve(prog)
     assert sol.y.tolist() == [1.0]
@@ -479,17 +522,18 @@ def test_dual_bound_is_minus_infinity_for_a_dual_pressing_on_an_infinite_side():
 
     boxed = lp.LinearProgram()
     x = boxed.add_variable(0.0, 10.0)
-    boxed.add_constraint({x: 1.0}, lp.GEQ, 3.0)
+    boxed.add_constraint({x: 1.0, boxed.add_variable(0.0): -1.0}, 3.0)  # x >= 3
     boxed.set_objective({x: 1.0})
-    assert boxed.dual_bound(np.array([0.5])) == 1.5  # 0.5 * 3 + 0.5 * 0
-    # A >= row's dual below 0 presses on the row's infinite upper side.
+    assert boxed.dual_bound(np.array([0.5])) == 1.5  # 0.5 * 3 + 0.5 * 0 + 0.5 * 0
+    # A dual below 0 on x >= 3 gives its surplus column a reduced cost of -1,
+    # which presses on the surplus's infinite upper bound.
     assert boxed.dual_bound(np.array([-1.0])) == -math.inf
 
 
 def test_dual_bound_refuses_duals_without_one_value_per_row():
     prog = lp.LinearProgram()
     x = prog.add_variable(0.0, 1.0)
-    prog.add_constraint({x: 1.0}, lp.LEQ, 1.0)
+    prog.add_constraint({x: 1.0}, 1.0)
     with pytest.raises(ValueError, match=r"shape \(2,\), not the program's \(1,\)"):
         prog.dual_bound(np.array([0.0, 0.0]))
 
@@ -597,7 +641,7 @@ def test_pin_that_makes_a_row_binding_moves_the_optimum():
     prog = lp.LinearProgram()
     x = prog.add_variable(0.0, 10.0)
     y = prog.add_variable(0.0, 5.0)
-    cap = prog.add_constraint({y: 1.0, x: -1.0}, lp.LEQ, 2.0)
+    cap = prog.add_constraint({y: 1.0, x: -1.0, prog.add_variable(0.0): 1.0}, 2.0)  # y - x <= 2
     prog.set_objective({y: -1.0})
     assert lp.solve(prog).objective == pytest.approx(-5.0)
     backend = prog._backend
@@ -606,7 +650,7 @@ def test_pin_that_makes_a_row_binding_moves_the_optimum():
     sol = lp.solve(prog)
     assert prog._backend is backend  # the loaded model was kept
     assert sol.objective == pytest.approx(-3.0)
-    assert sol.x.tolist() == pytest.approx([1.0, 3.0])
+    assert sol.x.tolist() == pytest.approx([1.0, 3.0, 0.0])  # the slack at 0: y - x = 2
     assert sol.y[cap] == pytest.approx(-1.0)
     assert sol.max_residual <= 1e-7
     assert sol.duality_gap <= 1e-7
@@ -628,26 +672,27 @@ def test_set_bounds_rejects_crossed_bounds_and_undeclared_columns():
 
 def test_program_without_variables_is_infeasible_on_a_violated_constant_row():
     prog = lp.LinearProgram()
-    prog.add_constraint({}, lp.EQ, 5.0)
+    prog.add_constraint({}, 5.0)
     assert lp.solve(prog).status == lp.INFEASIBLE
     prog.add_variable(0.0, 1.0)  # the same row next to a variable
     assert lp.solve(prog).status == lp.INFEASIBLE
 
-    prog = lp.LinearProgram()
-    prog.add_constraint({}, lp.GEQ, 1e-3)
-    assert lp.solve(prog).status == lp.INFEASIBLE
+    for rhs in (1e-3, -1e-3):
+        prog = lp.LinearProgram()
+        prog.add_constraint({}, 0.0)
+        prog.add_constraint({}, rhs)
+        assert lp.solve(prog).status == lp.INFEASIBLE
 
 
 def test_program_without_variables_reports_zero_duals_when_feasible():
     prog = lp.LinearProgram()
-    prog.add_constraint({}, lp.EQ, 0.0)
-    prog.add_constraint({}, lp.LEQ, 1.0)
-    prog.add_constraint({}, lp.GEQ, -1.0)
+    prog.add_constraint({}, 0.0)
+    prog.add_constraint({}, -0.0)
     prog.set_objective({})
     sol = lp.solve(prog)
     assert sol.status == lp.OPTIMAL
     assert sol.objective == 0.0
-    assert sol.y.tolist() == [0.0, 0.0, 0.0]
+    assert sol.y.tolist() == [0.0, 0.0]
 
 
 def _solution(sol):
@@ -693,7 +738,7 @@ def test_a_start_basis_of_the_wrong_size_is_refused():
         prog = lp.LinearProgram()
         assert prog.add_variable(0.0, 4.0) == x
         assert prog.add_variable(0.0, 4.0) == y
-        prog.add_constraint({x: 1.0, y: 1.0}, lp.EQ, 3.0)
+        prog.add_constraint({x: 1.0, y: 1.0}, 3.0)
         prog.set_objective({x: 1.0, y: 2.0})
         return prog
 
@@ -704,15 +749,16 @@ def test_a_start_basis_of_the_wrong_size_is_refused():
     prog = program()
     prog.declare_basic(columns=[y])
     assert lp.solve(prog).x.tolist() == [3.0, 0.0]
-    cap = prog.add_constraint({x: 1.0}, lp.LEQ, 2.0)  # a new row, and no new basic
+    slack = prog.add_variable(0.0)
+    cap = prog.add_constraint({x: 1.0, slack: 1.0}, 2.0)  # x <= 2: a new row, no new basic
     with pytest.raises(ValueError, match="1 basic columns and rows, not the program's 2 rows"):
         lp.solve(prog)
-    prog.declare_basic(rows=[cap])
-    assert lp.solve(prog).x.tolist() == [2.0, 1.0]
+    prog.declare_basic(columns=[slack])
+    assert lp.solve(prog).x.tolist() == [2.0, 1.0, 0.0]
     with pytest.raises(ValueError, match="undeclared constraint 2"):
         prog.declare_basic(rows=[cap + 1])
-    with pytest.raises(ValueError, match="undeclared variable 2"):
-        prog.declare_basic(columns=[y + 1])
+    with pytest.raises(ValueError, match="undeclared variable 3"):
+        prog.declare_basic(columns=[slack + 1])
 
 
 def test_a_restart_reads_the_start_statuses_off_the_bounds_at_its_solve():
@@ -723,7 +769,7 @@ def test_a_restart_reads_the_start_statuses_off_the_bounds_at_its_solve():
         prog = lp.LinearProgram()
         assert prog.add_variable(lower, upper) == x
         assert prog.add_variable() == y
-        r = prog.add_constraint({x: 1.0, y: 1.0}, lp.EQ, 1.0)
+        r = prog.add_constraint({x: 1.0, y: 1.0}, 1.0)
         prog.declare_basic(rows=[r])
         return prog
 

@@ -46,7 +46,9 @@ def test_run_paper_case_writes_the_cli_files_without_solving_again(tmp_path, cap
 
 def test_random_campaign_passes_a_short_batch(capsys):
     assert load("random_campaign").main(["--cases", "3"]) == 0
-    assert "3/3 cases equivalent" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "3/3 cases equivalent" in out
+    assert "  |duality gap| median " in out  # the check holds the gap's magnitude
 
 
 def test_random_campaign_reports_an_infeasible_seed_and_goes_on(capsys):
