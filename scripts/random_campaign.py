@@ -17,6 +17,7 @@ count nor the statistics. Exit code 0 when every feasible case passes.
 
 import argparse
 import importlib.util
+import math
 import sys
 import time
 from pathlib import Path
@@ -30,11 +31,19 @@ _GEN.loader.exec_module(_gen)
 small_scenario = _gen.small_scenario
 
 
+def _tolerance(text):
+    """A tolerance that ``check_equivalence`` accepts: finite and > 0, else a usage error."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--cases", type=int, default=200)
     parser.add_argument("--seed", type=int, default=0, help="first seed of the batch")
-    parser.add_argument("--tol", type=float, default=1e-6)
+    parser.add_argument("--tol", type=_tolerance, default=1e-6)
     args = parser.parse_args(argv)
 
     start = time.time()

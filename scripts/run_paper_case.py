@@ -60,7 +60,7 @@ def main(argv=None):
     print(f"\n  clearing price: {result.iso.clearing_price:.4f} $/MWh")
     table(
         "Aggregator re-dispatch at the award",
-        [(agg.id, f"{result.dso_dispatch.by_aggregator[agg.id]:.4f}")
+        [(agg.id, f"{result.dso_dispatch.aggregator_dispatch[agg.id]:.4f}")
          for agg in scenario.aggregators],
         ["aggregator", "share_mw"],
     )

@@ -16,7 +16,7 @@ from .coordination import (
     run_coordinated,
     run_ideal,
 )
-from .distflow import DistFlowVars, build_constraints
+from .distflow import DistFlowSolution, DistFlowVars, build_constraints
 from .dso import (
     BidCurve,
     DsoDispatch,

@@ -134,7 +134,7 @@ def write_coordination(scenario: Scenario, result: CoordinationResult, out: Path
     _write_table(
         out / "dso_dispatch.csv",
         ["aggregator", "mw"],
-        [(agg.id, result.dso_dispatch.by_aggregator[agg.id]) for agg in scenario.aggregators],
+        [(agg.id, result.dso_dispatch.aggregator_dispatch[agg.id]) for agg in scenario.aggregators],
         fmt,
     )
     _write_table(

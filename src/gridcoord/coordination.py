@@ -4,7 +4,8 @@
 aggregator re-dispatch at the award and its clearing price. ``run_ideal``
 solves the whole thing as one LP (aggregators bidding straight into the
 wholesale balance, network constraints included); it is the oracle that
-tests and the ``ideal`` command run.
+tests and the ``ideal`` command run. Its ``IdealOutcome``, like the
+re-dispatch's ``dso.DsoDispatch``, is a ``distflow.DistFlowSolution``.
 
 ``check_equivalence`` certifies the coordinated outcome as an optimum of
 that joint LP without solving it. This is the parametric decomposition the
@@ -30,7 +31,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import lp as lpmod
-from .distflow import DistFlowVars, build_constraints, dispatch_cost_coeffs, read_solution
+from .distflow import (DistFlowSolution, DistFlowVars, build_constraints, dispatch_cost_coeffs,
+                       read_solution)
 from .dso import BidCurve, DsoDispatch, build_bid_curve, compiled, value_at
 from .iso import IsoOutcome, add_wholesale, clear, read_wholesale
 from .lp import InfeasibleError, SolverError
@@ -38,20 +40,14 @@ from .model import Scenario
 
 
 @dataclass(frozen=True)
-class IdealOutcome:
+class IdealOutcome(DistFlowSolution):
     """Joint dispatch of wholesale participants and aggregators (one LP)."""
 
     cleared: dict[str, float]             # wholesale id -> MW
-    blocks: dict[str, tuple[float, ...]]
-    aggregator_dispatch: dict[str, float]
-    aggregator_blocks: dict[str, tuple[float, ...]]
+    blocks: dict[str, tuple[float, ...]]  # wholesale id -> block fills
     net_export: float                     # distribution -> wholesale exchange
     clearing_price: float
     objective: float
-    retail_prices: dict[int, float]
-    flows_p: tuple[float, ...]
-    flows_q: tuple[float, ...]
-    voltages_sq: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -109,20 +105,10 @@ def run_ideal(scenario: Scenario) -> IdealOutcome:
     if sol.status != lpmod.OPTIMAL:
         raise InfeasibleError(f"joint dispatch is {sol.status}")
     cleared, blocks = read_wholesale(sol, scenario.wholesale, block_vars)
-    out = read_solution(sol, scenario.aggregators, dvars)
-    return IdealOutcome(
-        cleared=cleared,
-        blocks=blocks,
-        aggregator_dispatch=out.shares,
-        aggregator_blocks=out.blocks,
-        net_export=float(sol.x[dvars.p_exchange]),
-        clearing_price=float(sol.y[balance]),
-        objective=sol.objective,
-        retail_prices=out.retail_prices,
-        flows_p=out.flows_p,
-        flows_q=out.flows_q,
-        voltages_sq=out.voltages_sq,
-    )
+    return read_solution(
+        IdealOutcome, sol, scenario.aggregators, dvars, cleared=cleared, blocks=blocks,
+        net_export=float(sol.x[dvars.p_exchange]), clearing_price=float(sol.y[balance]),
+        objective=sol.objective)
 
 
 def _coordinated_point(scenario: Scenario, result: CoordinationResult, joint: _Joint
@@ -132,11 +118,11 @@ def _coordinated_point(scenario: Scenario, result: CoordinationResult, joint: _J
     dispatch = result.dso_dispatch
     x = np.full(prog.n_cols, np.nan)  # a column left out fails the check
     x[dvars.p_exchange] = result.iso.dso_awards[0]
-    x[dvars.q_exchange] = dispatch.reactive_exchange
+    x[dvars.q_exchange] = dispatch.q_exchange
     for wp, cols in zip(scenario.wholesale, block_vars):
         x[list(cols)] = result.iso.blocks[wp.id]
     for agg_id, cols in dvars.blocks.items():
-        x[list(cols)] = dispatch.block_dispatch[agg_id]
+        x[list(cols)] = dispatch.aggregator_blocks[agg_id]
     x[list(dvars.p_flow)] = dispatch.flows_p
     x[list(dvars.q_flow)] = dispatch.flows_q
     x[list(dvars.voltage_sq)] = dispatch.voltages_sq

@@ -14,12 +14,14 @@ lossless linearization, so branch flows carry no loss term.
 
 ``build_constraints`` emits the fragment into a new LP, and returns the
 column and row indices it was given (``DistFlowVars``); ``read_solution``
-reads it back from an optimal solution by those indices. The DSO's LP and
-the joint LP use both. Per node the fragment adds an active then a reactive
-balance row, then one voltage row per branch. The exchange is always a free
-variable: the DSO pins it through its bounds to evaluate one export. The
-fragment declares the network's spanning tree as its LP's start basis
-(``LinearProgram.declare_basic``).
+reads it back from an optimal solution by those indices, into the
+``DistFlowSolution`` subclass its caller names: ``dso.DsoDispatch`` or
+``coordination.IdealOutcome``, so the coordinated and the joint outcome
+share their field names. Per node the fragment adds an active then a
+reactive balance row, then one voltage row per branch. The exchange is
+always a free variable: the DSO pins it through its bounds to evaluate one
+export. The fragment declares the network's spanning tree as its LP's start
+basis (``LinearProgram.declare_basic``).
 """
 
 from __future__ import annotations
@@ -45,15 +47,15 @@ class DistFlowVars:
 
 @dataclass(frozen=True)
 class DistFlowSolution:
-    """The DistFlow part of an optimal solution, read by ``read_solution``."""
+    """The distribution outcome of an optimal solution, read by ``read_solution``."""
 
-    shares: dict[str, float]                   # aggregator id -> MW, consumption positive for DRAG
-    blocks: dict[str, tuple[float, ...]]       # aggregator id -> block fills, () for REAG
-    retail_prices: dict[int, float]            # node -> active balance dual
-    flows_p: tuple[float, ...]
-    flows_q: tuple[float, ...]
-    voltages_sq: tuple[float, ...]
-    q_exchange: float
+    aggregator_dispatch: dict[str, float]      # aggregator id -> MW, consumption positive for DRAG
+    aggregator_blocks: dict[str, tuple[float, ...]]  # aggregator id -> block fills, () for REAG
+    retail_prices: dict[int, float]            # node -> $/MWh, active balance dual
+    flows_p: tuple[float, ...]                 # per branch, MW
+    flows_q: tuple[float, ...]                 # per branch, MVAr
+    voltages_sq: tuple[float, ...]             # per node, p.u.^2
+    q_exchange: float                          # substation MVAr exchange
 
 
 def build_constraints(
@@ -159,19 +161,20 @@ def dispatch_cost_coeffs(
 
 
 def read_solution(
-    sol: lpmod.LpSolution, aggregators: list[Aggregator] | tuple[Aggregator, ...],
-    vars: DistFlowVars,
+    cls: type[DistFlowSolution], sol: lpmod.LpSolution,
+    aggregators: list[Aggregator] | tuple[Aggregator, ...], vars: DistFlowVars, **more,
 ) -> DistFlowSolution:
-    """The aggregator shares, network state and retail prices of an optimal ``sol``."""
+    """A ``cls``, the DistFlow outcome of an optimal ``sol`` plus the fields ``more`` names."""
     x, y = sol.x.tolist(), sol.y.tolist()
     blocks = {agg.id: tuple(x[j] for j in vars.blocks[agg.id]) for agg in aggregators}
-    return DistFlowSolution(
-        shares={agg.id: agg.fixed_output if agg.kind == REAG else sum(blocks[agg.id])
-                for agg in aggregators},
-        blocks=blocks,
+    return cls(
+        aggregator_dispatch={agg.id: agg.fixed_output if agg.kind == REAG
+                             else sum(blocks[agg.id]) for agg in aggregators},
+        aggregator_blocks=blocks,
         retail_prices={i: y[row] for i, row in enumerate(vars.balance_p)},
         flows_p=tuple(x[j] for j in vars.p_flow),
         flows_q=tuple(x[j] for j in vars.q_flow),
         voltages_sq=tuple(x[j] for j in vars.voltage_sq),
         q_exchange=x[vars.q_exchange],
+        **more,
     )

@@ -16,6 +16,7 @@ the export through its bounds, and the re-dispatch. Given the clearing
 price, the re-dispatch is one more probe, at that price's slope: its duals,
 with the price on the wholesale balance, are a dual solution of the joint
 LP, which ``coordination.check_equivalence`` certifies the outcome with.
+The re-dispatch is a ``DsoDispatch``, a ``distflow.DistFlowSolution``.
 
 Every compiled LP of a scenario, this module's and ``coordination``'s joint
 LP, is reused by one policy, ``compiled(scenario, build)``. A one-slot cache
@@ -37,7 +38,8 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 from . import lp as lpmod
-from .distflow import DistFlowVars, build_constraints, dispatch_cost_coeffs, read_solution
+from .distflow import (DistFlowSolution, DistFlowVars, build_constraints, dispatch_cost_coeffs,
+                       read_solution)
 from .lp import InfeasibleError
 from .model import Scenario, require_valid
 
@@ -124,20 +126,13 @@ class BidCurve:
 
 
 @dataclass(frozen=True)
-class DsoDispatch:
-    """Aggregator shares and network state for one awarded net export."""
+class DsoDispatch(DistFlowSolution):
+    """The DSO's re-dispatch of one awarded net export: its DistFlow outcome and prices."""
 
     net_export: float
     cost: float
-    marginal_price: float
-    by_aggregator: dict[str, float]               # MW; consumption positive for demand side
-    block_dispatch: dict[str, tuple[float, ...]]
-    retail_prices: dict[int, float]               # node -> $/MWh, active balance duals
+    marginal_price: float                         # $/MWh, the substation balance dual
     row_duals: tuple[float, ...]                  # every row of the DSO's LP, by index
-    flows_p: tuple[float, ...]
-    flows_q: tuple[float, ...]
-    voltages_sq: tuple[float, ...]
-    reactive_exchange: float
 
 
 class _Model:
@@ -235,8 +230,11 @@ def value_at(scenario: Scenario, net_export: float, price: float | None = None) 
     a second one, so it stays the rule without a price.
 
     ``retail_prices`` are the active balance duals and ``row_duals`` every
-    row's dual, by the LP's row index.
+    row's dual, by the LP's row index. A ``net_export``, or a ``price``,
+    that is not finite raises ValueError.
     """
+    if not (math.isfinite(net_export) and (price is None or math.isfinite(price))):
+        raise ValueError(f"net export and price must be finite, got {net_export} and {price}")
     with compiled(scenario, _free_lp) as (prog, dvars, cost):
         px = dvars.p_exchange
         if price is None:
@@ -252,20 +250,10 @@ def value_at(scenario: Scenario, net_export: float, price: float | None = None) 
                 sol = replace(sol, x=_pinned_solve(prog, px, net_export).x)
             dispatch_cost = sol.objective + price * float(sol.x[px])
 
-    out = read_solution(sol, scenario.aggregators, dvars)
-    return DsoDispatch(
-        net_export=net_export,
-        cost=dispatch_cost,
-        marginal_price=out.retail_prices[scenario.network.substation],
-        by_aggregator=out.shares,
-        block_dispatch=out.blocks,
-        retail_prices=out.retail_prices,
-        row_duals=tuple(sol.y.tolist()),
-        flows_p=out.flows_p,
-        flows_q=out.flows_q,
-        voltages_sq=out.voltages_sq,
-        reactive_exchange=out.q_exchange,
-    )
+    return read_solution(
+        DsoDispatch, sol, scenario.aggregators, dvars, net_export=net_export, cost=dispatch_cost,
+        marginal_price=float(sol.y[dvars.balance_p[scenario.network.substation]]),
+        row_duals=tuple(sol.y.tolist()))
 
 
 def build_bid_curve(scenario: Scenario) -> BidCurve:

@@ -154,6 +154,14 @@ def _check_bounds(lower: float, upper: float) -> None:
         raise ValueError(f"bounds [{lower}, {upper}] admit no finite value")
 
 
+def _check_finite(coeffs: dict[int, float], what: str) -> None:
+    """Raise ValueError naming the first index whose coefficient is nan or infinite."""
+    if not math.isfinite(sum(coeffs.values())):  # one C-level screen: nan, inf or overflow
+        for j, coef in coeffs.items():
+            if not math.isfinite(coef):
+                raise ValueError(f"{what} {j}: {coef} is not finite")
+
+
 def _check_indices(indices: Iterable[int], count: int, what: str) -> None:
     for k in indices:
         if not 0 <= k < count:
@@ -190,11 +198,14 @@ class LinearProgram:
         return len(self._lower) - 1
 
     def add_constraint(self, coeffs: dict[int, float], rhs: float) -> int:
-        """Add the row ``sum(coeffs[j] * x[j]) == rhs`` and return its index."""
+        """Add the row ``sum(coeffs[j] * x[j]) == rhs``, all finite, and return its index."""
         _check_indices(coeffs, self.n_cols, "variable")
+        _check_finite(coeffs, "coefficient of variable")
         vals = [float(coef) for coef in coeffs.values()]
         rhs = float(rhs)
         row = len(self._rhs)
+        if not math.isfinite(rhs):
+            raise ValueError(f"rhs of constraint {row}: {rhs} is not finite")
         self._rows.extend([row] * len(vals))
         self._cols.extend(coeffs)
         self._vals.extend(vals)
@@ -221,8 +232,10 @@ class LinearProgram:
         self._backend = None
 
     def set_objective(self, coeffs: dict[int, float]) -> None:
+        """Minimize ``sum(coeffs[j] * x[j])``; a cost that is not finite raises ValueError."""
         _check_indices(coeffs, self.n_cols, "variable")
         if coeffs != self._objective:  # an equal objective keeps its built cost vector
+            _check_finite(coeffs, "objective coefficient of variable")
             self._objective = dict(coeffs)
             self._cost = None
 
@@ -273,12 +286,12 @@ class LinearProgram:
         if x.shape != (self.n_cols,):
             raise ValueError(f"point has shape {x.shape}, not the program's ({self.n_cols},)")
         lower, upper = np.array(self._lower), np.array(self._upper)
-        violation = max(
-            float(np.max(np.maximum(lower - x, x - upper), initial=0.0)),
+        violation = float(np.max((  # NaN if either term is, unlike max()
+            np.max(np.maximum(lower - x, x - upper), initial=0.0),
             _row_violation(np.array(self._rows, dtype=np.int32),
                            np.array(self._cols, dtype=np.int32), np.array(self._vals),
                            np.array(self._rhs), x),
-        )
+        )))
         values = x.tolist()
         objective = sum(coef * values[j] for j, coef in self._objective.items())
         return violation, objective

@@ -250,7 +250,7 @@ def redispatch_dual_violations(scenario: Scenario, dispatch, duals: dict[str, fl
             rhs_p[agg.node] -= agg.fixed_output
             rhs_q[agg.node] -= agg.fixed_output * agg.tan_phi
         sign = -1.0 if agg.kind == DRAG else 1.0
-        for b, (blk, x) in enumerate(zip(agg.offers.blocks, dispatch.block_dispatch[agg.id])):
+        for b, (blk, x) in enumerate(zip(agg.offers.blocks, dispatch.aggregator_blocks[agg.id])):
             reduced = sign * (blk.price - y_p[agg.node] - agg.tan_phi * y_q[agg.node])
             columns.append((f"{agg.id}[{b}]", x, 0.0, blk.p_max, reduced))
     for j, br in enumerate(net.branches):
@@ -264,7 +264,7 @@ def redispatch_dual_violations(scenario: Scenario, dispatch, duals: dict[str, fl
         reduced = (sum(y_v[j] for j in parent if parent[j] == i)
                    - sum(y_v[j] for j in child if child[j] == i))
         columns.append((f"usq[{i}]", dispatch.voltages_sq[i], lo, hi, reduced))
-    columns.append(("qx", dispatch.reactive_exchange, -math.inf, math.inf, y_q[net.substation]))
+    columns.append(("qx", dispatch.q_exchange, -math.inf, math.inf, y_q[net.substation]))
     columns.append(("px", dispatch.net_export, dispatch.net_export, dispatch.net_export,
                     y_p[net.substation]))
 

@@ -69,7 +69,7 @@ def test_criterion_1_bid_curve_reproduction(reference):
 def test_criterion_2_dso_dispatch(reference):
     dispatch = value_at(reference, 1.2)
     expected = {"DDGAG1": 0.5, "DDGAG2": 1.0, "DDGAG3": 1.2, "DDGAG4": 0.0, "DRAG": 2.5}
-    worst = max(abs(dispatch.by_aggregator[k] - v) for k, v in expected.items())
+    worst = max(abs(dispatch.aggregator_dispatch[k] - v) for k, v in expected.items())
     report(2, "DSO dispatch at award", worst <= 1e-6, f"max share error {worst:.2e} MW")
 
 

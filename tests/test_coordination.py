@@ -11,6 +11,7 @@ import gridcoord.lp as lp
 import gridcoord.model as model
 from gridcoord.caseio import BUNDLED_CASES, parse_case
 from gridcoord.coordination import check_equivalence, run_coordinated, run_ideal
+from gridcoord.distflow import DistFlowSolution
 from gridcoord.dso import build_bid_curve, feasible_range, value_at
 from gridcoord.iso import clear
 from gridcoord.model import (
@@ -54,7 +55,7 @@ def test_coordinated_pipeline_reproduces_award_and_dispatch(reference):
     result = run_coordinated(reference)
     assert result.iso.dso_awards[0] == pytest.approx(1.2, abs=1e-6)
     for agg_id, share in EXPECTED_AGGREGATORS.items():
-        assert result.dso_dispatch.by_aggregator[agg_id] == pytest.approx(share, abs=1e-6)
+        assert result.dso_dispatch.aggregator_dispatch[agg_id] == pytest.approx(share, abs=1e-6)
     assert result.dso_dispatch.net_export == result.iso.dso_awards[0]
     assert result.dso_dispatch.cost == pytest.approx(
         result.bid_curve.cost_at(result.iso.dso_awards[0]), abs=1e-6
@@ -105,7 +106,7 @@ def test_award_equals_firm_load_when_dso_is_the_only_supply():
     )
     result = run_coordinated(scenario)
     assert result.iso.dso_awards[0] == pytest.approx(2.0, abs=1e-7)
-    assert result.dso_dispatch.by_aggregator["g"] == pytest.approx(2.0, abs=1e-7)
+    assert result.dso_dispatch.aggregator_dispatch["g"] == pytest.approx(2.0, abs=1e-7)
 
 
 def test_equivalence_reference_case(reference):
@@ -154,6 +155,28 @@ def test_joint_lp_cache_hit_answers_exactly_like_a_fresh_compile(which, monkeypa
     assert len(compiles) == 3 + 3 + 2
     assert hits == fresh
     assert repr(hits) == repr(fresh)  # bit for bit, signs of zero included
+
+
+def _assert_close(got, want, where):
+    """Dicts per key and tuples per element, numbers within 1e-6."""
+    if isinstance(want, dict):
+        assert got.keys() == want.keys(), where
+        for key in want:
+            _assert_close(got[key], want[key], f"{where}[{key!r}]")
+    elif isinstance(want, tuple):
+        assert len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_close(g, w, f"{where}[{i}]")
+    else:
+        assert abs(got - want) <= 1e-6, f"{where}: {got} != {want}"
+
+
+@pytest.mark.parametrize("which", [*BUNDLED_CASES, *range(30)])
+def test_the_coordinated_distribution_outcome_is_the_joint_one_field_by_field(which):
+    scenario = named_scenario(which)
+    coordinated, joint = check_equivalence(scenario).dso_dispatch, run_ideal(scenario)
+    for field in dataclasses.fields(DistFlowSolution):
+        _assert_close(getattr(coordinated, field.name), getattr(joint, field.name), field.name)
 
 
 def test_equivalence_holds_with_binding_voltage_constraints():
@@ -245,11 +268,11 @@ def test_a_fill_cut_inside_the_tolerance_that_lowers_the_objective_is_rejected(
 def test_dso_block_shifted_without_rebalancing_is_rejected(reference, monkeypatch):
     def edit(result):
         dispatch = result.dso_dispatch
-        shifted = dispatch.block_dispatch["DDGAG4"][0] + 0.1
+        shifted = dispatch.aggregator_blocks["DDGAG4"][0] + 0.1
         return dataclasses.replace(result, dso_dispatch=dataclasses.replace(
             dispatch,
-            block_dispatch={**dispatch.block_dispatch, "DDGAG4": (shifted,)},
-            by_aggregator={**dispatch.by_aggregator, "DDGAG4": shifted},
+            aggregator_blocks={**dispatch.aggregator_blocks, "DDGAG4": (shifted,)},
+            aggregator_dispatch={**dispatch.aggregator_dispatch, "DDGAG4": shifted},
         ))
 
     report = _check_tampered(monkeypatch, reference, edit)
@@ -306,7 +329,7 @@ def test_pipeline_is_deterministic(reference):
     assert first.bid_curve == second.bid_curve
     assert first.iso.cleared == second.iso.cleared
     assert first.iso.objective == second.iso.objective
-    assert first.dso_dispatch.by_aggregator == second.dso_dispatch.by_aggregator
+    assert first.dso_dispatch.aggregator_dispatch == second.dso_dispatch.aggregator_dispatch
 
 
 # Random seeds in 0-10,000 whose firm load cannot clear: the feeder's minimum
@@ -525,8 +548,8 @@ def _assert_same_awards_and_passes(scenario, variant):
     assert result.equivalence.passed, result.equivalence.max_deviation
     assert result.iso.dso_awards == pytest.approx(base.iso.dso_awards, abs=1e-9)
     assert result.iso.cleared == pytest.approx(base.iso.cleared, abs=1e-9)
-    assert result.dso_dispatch.by_aggregator == pytest.approx(
-        base.dso_dispatch.by_aggregator, abs=1e-9)
+    assert result.dso_dispatch.aggregator_dispatch == pytest.approx(
+        base.dso_dispatch.aggregator_dispatch, abs=1e-9)
 
 
 @pytest.mark.parametrize("factor", [1e-3, 1e3])  # $/kWh, and a thousandfold currency unit

@@ -141,10 +141,10 @@ def test_nodal_conservation_at_any_feasible_point(seed, frac):
     dispatch = value_at(scenario, q)
     gen = sum(
         v for a in scenario.aggregators if a.kind != "DRAG"
-        for v in [dispatch.by_aggregator[a.id]]
+        for v in [dispatch.aggregator_dispatch[a.id]]
     )
     demand = sum(
-        dispatch.by_aggregator[a.id] for a in scenario.aggregators if a.kind == "DRAG"
+        dispatch.aggregator_dispatch[a.id] for a in scenario.aggregators if a.kind == "DRAG"
     )
     firm = sum(scenario.network.load_p)
     assert gen == pytest.approx(demand + firm + q, abs=1e-7)

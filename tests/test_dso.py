@@ -105,26 +105,26 @@ def test_feasible_range_shrinks_under_binding_voltage():
 def test_value_at_award_reproduces_aggregator_shares(reference):
     dispatch = value_at(reference, 1.2)
     for agg_id, expected in AWARD_SHARES.items():
-        assert dispatch.by_aggregator[agg_id] == pytest.approx(expected, abs=1e-6)
-    assert dispatch.by_aggregator["REAG"] == 1.0
+        assert dispatch.aggregator_dispatch[agg_id] == pytest.approx(expected, abs=1e-6)
+    assert dispatch.aggregator_dispatch["REAG"] == 1.0
     assert dispatch.cost == pytest.approx(-32.0, abs=1e-6)
 
 
 def test_value_at_range_minimum_all_generation_off(reference):
     dispatch = value_at(reference, -1.5)
     for agg_id in ("DDGAG1", "DDGAG2", "DDGAG3", "DDGAG4"):
-        assert dispatch.by_aggregator[agg_id] == pytest.approx(0.0, abs=1e-9)
-    assert dispatch.by_aggregator["DRAG"] == pytest.approx(2.5, abs=1e-9)
+        assert dispatch.aggregator_dispatch[agg_id] == pytest.approx(0.0, abs=1e-9)
+    assert dispatch.aggregator_dispatch["DRAG"] == pytest.approx(2.5, abs=1e-9)
     assert dispatch.cost == pytest.approx(-70.0, abs=1e-6)  # -2.5 * 28
 
 
 def test_value_at_range_maximum_everything_at_cap(reference):
     dispatch = value_at(reference, 5.7)
-    assert dispatch.by_aggregator["DDGAG1"] == pytest.approx(0.5, abs=1e-9)
-    assert dispatch.by_aggregator["DDGAG2"] == pytest.approx(1.0, abs=1e-9)
-    assert dispatch.by_aggregator["DDGAG3"] == pytest.approx(1.2, abs=1e-9)
-    assert dispatch.by_aggregator["DDGAG4"] == pytest.approx(2.0, abs=1e-9)
-    assert dispatch.by_aggregator["DRAG"] == pytest.approx(0.0, abs=1e-9)
+    assert dispatch.aggregator_dispatch["DDGAG1"] == pytest.approx(0.5, abs=1e-9)
+    assert dispatch.aggregator_dispatch["DDGAG2"] == pytest.approx(1.0, abs=1e-9)
+    assert dispatch.aggregator_dispatch["DDGAG3"] == pytest.approx(1.2, abs=1e-9)
+    assert dispatch.aggregator_dispatch["DDGAG4"] == pytest.approx(2.0, abs=1e-9)
+    assert dispatch.aggregator_dispatch["DRAG"] == pytest.approx(0.0, abs=1e-9)
     assert dispatch.cost == pytest.approx(86.0, abs=1e-6)  # .5*20 + 1*10 + 1.2*15 + 2*24
 
 
@@ -430,9 +430,9 @@ def test_monotone_merit_order_dispatch_along_the_sweep(reference):
         dispatch = value_at(reference, float(q))
         if previous is not None:
             for agg_id in ("DDGAG1", "DDGAG2", "DDGAG3", "DDGAG4"):
-                assert dispatch.by_aggregator[agg_id] >= previous[agg_id] - 1e-8
-            assert dispatch.by_aggregator["DRAG"] <= previous["DRAG"] + 1e-8
-        previous = dispatch.by_aggregator
+                assert dispatch.aggregator_dispatch[agg_id] >= previous[agg_id] - 1e-8
+            assert dispatch.aggregator_dispatch["DRAG"] <= previous["DRAG"] + 1e-8
+        previous = dispatch.aggregator_dispatch
 
 
 def test_curve_domain_equals_feasible_range(reference, reference_curve):
@@ -474,10 +474,20 @@ def test_curve_validation_catches_nonfinite_numbers(bad):
 @pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf])
 def test_a_nonfinite_export_is_a_value_error_that_leaves_the_model_as_it_was(q):
     scenario = parse_case("paper_reference")
-    with pytest.raises(ValueError, match="admit no finite value"):
-        value_at(scenario, q)
+    for price in (None, 22.0):  # the priced path's miss test cannot reject a non-finite export
+        with pytest.raises(ValueError, match=f"net export and price must be finite, got {q} "):
+            value_at(scenario, q, price)
     after = value_at(scenario, 1.0)  # the same compiled LP, its export bounds untouched
     assert repr(after) == repr(value_at(dataclasses.replace(scenario), 1.0))
+
+
+@pytest.mark.parametrize("price", [math.nan, math.inf, -math.inf])
+def test_a_nonfinite_price_is_a_value_error_before_any_solve(price):
+    scenario = parse_case("paper_reference")
+    before = lp.solve_stats()["solves"]
+    with pytest.raises(ValueError, match=f"must be finite, got 1.0 and {price}"):
+        value_at(scenario, 1.0, price)
+    assert lp.solve_stats()["solves"] == before
 
 
 @settings(max_examples=15, deadline=None)

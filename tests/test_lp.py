@@ -98,6 +98,31 @@ def test_bounds_that_admit_no_finite_value_are_refused(lower, upper):
     assert lp.solve(prog).objective == -1.0  # the compiled model kept its bounds too
 
 
+@pytest.mark.parametrize("bad", [NAN, INF, -INF])
+def test_a_coefficient_rhs_or_cost_that_is_not_finite_is_refused_by_index(bad):
+    prog = lp.LinearProgram()
+    x, y = prog.add_variable(0.0, 1.0), prog.add_variable(0.0, 1.0)
+    with pytest.raises(ValueError, match=f"^rhs of constraint 0: {bad} is not finite$"):
+        prog.add_constraint({x: 1.0}, bad)
+    with pytest.raises(ValueError, match=f"^coefficient of variable 1: {bad} is not finite$"):
+        prog.add_constraint({x: 1.0, y: bad}, 0.5)
+    with pytest.raises(ValueError,
+                       match=f"^objective coefficient of variable 1: {bad} is not finite$"):
+        prog.set_objective({x: 1.0, y: bad})
+    assert prog._rhs == [] and prog._vals == [] and prog._objective == {}  # nothing was added
+    prog.add_constraint({x: 1.0, y: 1.0}, 0.5)
+    prog.set_objective({x: -1.0, y: 1.0})
+    assert lp.solve(prog).objective == -0.5
+
+
+def test_finite_coefficients_whose_sum_overflows_are_accepted():
+    prog = lp.LinearProgram()
+    x, y = prog.add_variable(0.0, 1.0), prog.add_variable(0.0, 1.0)
+    prog.add_constraint({x: 1e308, y: 1e308}, 1.0)
+    prog.set_objective({x: 1e308, y: 1e308})
+    assert prog._vals == [1e308, 1e308] and prog._objective == {x: 1e308, y: 1e308}
+
+
 def test_dso_problem_objective_matches_brute_force_enumeration():
     # Independent oracle: enumerate vertex dispatches of the aggregator stack.
     scenario = parse_case("paper_reference")
@@ -467,6 +492,18 @@ def test_evaluate_refuses_a_point_without_one_value_per_column():
     prog.add_variable(0.0, 1.0)
     with pytest.raises(ValueError, match=r"shape \(1,\), not the program's \(2,\)"):
         prog.evaluate(np.array([0.5]))
+
+
+def test_evaluate_reports_a_nan_row_term_as_a_nan_violation():
+    prog = lp.LinearProgram()
+    x, y = prog.add_variable(0.0, 10.0), prog.add_variable(0.0, 10.0)
+    prog.add_constraint({x: 1e308, y: -1e308}, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # the row reads inf - inf
+        violation, _ = prog.evaluate(np.array([10.0, 10.0]))  # inside the bounds
+    assert math.isnan(violation)
+    prog.set_objective({x: 1.0})
+    violation, objective = prog.evaluate(np.array([NAN, 1.0]))
+    assert math.isnan(violation) and math.isnan(objective)
 
 
 @settings(max_examples=40, deadline=None)

@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 import gridcoord.lp as lp
 from gridcoord.cli import main as cli_main
 
@@ -65,3 +67,12 @@ def test_random_campaign_of_infeasible_seeds_only_prints_no_statistics(capsys):
     assert load("random_campaign").main(["--seed", "3184", "--cases", "1"]) == 0
     out = capsys.readouterr().out
     assert "0/0 cases equivalent" in out and "median" not in out
+
+
+@pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf"])
+def test_random_campaign_refuses_a_tolerance_that_is_not_finite_and_positive(tol, capsys):
+    with pytest.raises(SystemExit) as exit:
+        load("random_campaign").main(["--cases", "1", "--tol", tol])
+    assert exit.value.code == 2  # a usage error, before any scenario runs
+    err = capsys.readouterr().err
+    assert f"argument --tol: must be finite and > 0, got {tol}" in err
