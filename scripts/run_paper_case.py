@@ -10,15 +10,15 @@ solve of the joint LP, by ``run_ideal``), and the equivalence report, which
 certifies the coordinated outcome without that solve. With --out, also
 writes the files of ``gridcoord coordinate`` and ``gridcoord verify`` (CSV),
 from the same result and with the CLI's own writers, so the numbers can be
-plotted.
+plotted. Exits 0 on PASS, 2 on FAIL, and 1 when the case cannot be loaded.
 """
 
 import argparse
 import sys
 from pathlib import Path
 
-from gridcoord import check_equivalence, run_ideal
-from gridcoord.cli import load_scenario, write_coordination, write_equivalence_report
+from gridcoord import CaseFileError, ValidationError, check_equivalence, parse_case, run_ideal
+from gridcoord.cli import write_coordination, write_equivalence_report
 
 
 def table(title, rows, headers):
@@ -36,7 +36,11 @@ def main(argv=None):
     parser.add_argument("--out", type=Path, help="also write CSV artifacts here")
     args = parser.parse_args(argv)
 
-    scenario = load_scenario(args.case)
+    try:
+        scenario = parse_case(args.case)
+    except (CaseFileError, ValidationError, OSError) as exc:
+        print(f"run_paper_case: error: {exc}", file=sys.stderr)
+        return 1
     result = check_equivalence(scenario)
     curve = result.bid_curve
 

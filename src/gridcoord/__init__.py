@@ -7,7 +7,7 @@ re-dispatched to the aggregators. The joint (direct participation) dispatch
 serves as the equivalence oracle for the whole pipeline.
 """
 
-from .caseio import BUNDLED_CASES, CaseFileError, dump_case, parse_case
+from .caseio import BUNDLED_CASES, CaseFileError, parse_case
 from .coordination import (
     CoordinationResult,
     EquivalenceReport,

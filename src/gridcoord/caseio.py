@@ -1,4 +1,4 @@
-"""Case-file ingestion and emission.
+"""Case-file reading.
 
 Cases are JSON documents (schema below); three fixtures ship with the
 package and can be named in place of a path: ``paper_reference``,
@@ -13,8 +13,8 @@ package and can be named in place of a path: ``paper_reference``,
       "firm_load", "sweep_step", "tolerance"
     }
 
-``sweep_step`` is accepted and round-tripped but ignored: the bid curve is
-built exactly, with no step to tune.
+``sweep_step`` is accepted but ignored: the bid curve is built exactly,
+with no step to tune.
 
 Parse errors come in three distinct flavors: CaseSyntaxError (bad JSON,
 with line/column), CaseSchemaError (wrong shape, with the JSON path), and
@@ -29,7 +29,6 @@ from pathlib import Path
 
 from .model import (
     AGGREGATOR_KINDS,
-    REAG,
     WHOLESALE_KINDS,
     Aggregator,
     Block,
@@ -56,19 +55,13 @@ class CaseSchemaError(CaseFileError):
     pass
 
 
-def bundled_case_path(name: str) -> Path:
-    stem = name.removesuffix(".json")
-    if stem not in BUNDLED_CASES:
-        raise CaseFileError(f"unknown bundled case {name!r}; have {', '.join(BUNDLED_CASES)}")
-    return Path(str(resources.files("gridcoord").joinpath(f"cases/{stem}.json")))
-
-
 def resolve_case_path(case: str | Path) -> Path:
     path = Path(case)
     if path.exists():
         return path
-    if str(case).removesuffix(".json") in BUNDLED_CASES:
-        return bundled_case_path(str(case))
+    stem = str(case).removesuffix(".json")
+    if stem in BUNDLED_CASES:
+        return Path(str(resources.files("gridcoord").joinpath(f"cases/{stem}.json")))
     raise CaseFileError(f"case file not found: {case}")
 
 
@@ -208,59 +201,3 @@ def parse_case(case: str | Path) -> Scenario:
     scenario = scenario_from_dict(doc)
     require_valid(scenario)
     return scenario
-
-
-def scenario_to_dict(scenario: Scenario) -> dict:
-    net = scenario.network
-    doc = {
-        "network": {
-            "base_mva": net.base_mva,
-            "u_min": net.u_min,
-            "u_max": net.u_max,
-            "u_sub": net.u_sub,
-            "substation": net.substation,
-            "nodes": [
-                {"id": i, "lp": net.load_p[i], "lq": net.load_q[i]} for i in range(net.n_nodes)
-            ],
-            "branches": [
-                {
-                    "from": br.from_node,
-                    "to": br.to_node,
-                    "r": br.r,
-                    "x": br.x,
-                    "pl_max": br.pl_max,
-                    "ql_max": br.ql_max,
-                }
-                for br in net.branches
-            ],
-        },
-        "aggregators": [],
-        "wholesale": [],
-        "firm_load": scenario.firm_wholesale_load,
-        "sweep_step": scenario.sweep_step,
-        "tolerance": scenario.tolerance,
-    }
-    for agg in scenario.aggregators:
-        item = {
-            "id": agg.id,
-            "kind": agg.kind,
-            "node": agg.node,
-            "tan_phi": agg.tan_phi,
-            "blocks": [{"p_max": b.p_max, "price": b.price} for b in agg.offers.blocks],
-        }
-        if agg.kind == REAG:
-            item["fixed_output"] = agg.fixed_output
-        doc["aggregators"].append(item)
-    for wp in scenario.wholesale:
-        doc["wholesale"].append(
-            {
-                "id": wp.id,
-                "kind": wp.kind,
-                "blocks": [{"p_max": b.p_max, "price": b.price} for b in wp.offers.blocks],
-            }
-        )
-    return doc
-
-
-def dump_case(scenario: Scenario, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(scenario_to_dict(scenario), indent=2) + "\n")

@@ -1,8 +1,7 @@
 """Command-line front end: case ingestion, subcommands, deterministic emission.
 
 Exit codes: 0 success, 1 usage/parse/validation problem, 2 verification
-failure, 3 infeasible problem, 4 solver failure. The environment variable
-GRIDCOORD_TOL overrides a case file's default tolerance.
+failure, 3 infeasible problem, 4 solver failure.
 
 Tabular outputs are CSV by default (header row, '.' decimal, LF endings,
 6 decimal places) or JSON record lists with ``--format json``; repeated runs
@@ -14,18 +13,16 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
-from .caseio import CaseFileError, parse_case
+from .caseio import CaseFileError, _get, parse_case
 from .coordination import (CoordinationResult, EquivalenceReport, check_equivalence,
                            run_coordinated, run_ideal)
 from .dso import BidCurve, build_bid_curve
 from .iso import IsoOutcome, clear
 from .lp import InfeasibleError, SolverError
-from .model import Scenario, ValidationError, require_valid
+from .model import Scenario, ValidationError
 
 
 def _fmt(value: float) -> str:
@@ -78,8 +75,9 @@ def read_curve(path: str | Path) -> BidCurve:
     try:
         if path.suffix == ".json":
             records = json.loads(path.read_text())
-            rows = [(float(r["q_mw"]), float(r["total_cost"]), float(r["marginal_price"]))
-                    for r in records]
+            rows = [tuple(_get(r, key, float, f"{path}[{i}]")
+                          for key in ("q_mw", "total_cost", "marginal_price"))
+                    for i, r in enumerate(records)]
         else:
             lines = path.read_text().splitlines()
             if not lines or lines[0].split(",") != ["q_mw", "total_cost", "marginal_price"]:
@@ -104,19 +102,6 @@ def read_curve(path: str | Path) -> BidCurve:
     if problems:
         raise CaseFileError(f"{path}: " + "; ".join(problems))
     return curve
-
-
-def load_scenario(case: str) -> Scenario:
-    """Parse a case file or bundled case; GRIDCOORD_TOL, when set, overrides its tolerance."""
-    scenario = parse_case(case)
-    tol_env = os.environ.get("GRIDCOORD_TOL")
-    if tol_env is not None:
-        try:
-            scenario = replace(scenario, tolerance=float(tol_env))
-        except ValueError:
-            raise CaseFileError(f"GRIDCOORD_TOL is not a number: {tol_env!r}")
-        require_valid(scenario)  # iso-clear never reaches the DSO model's validation
-    return scenario
 
 
 def _iso_rows(scenario: Scenario, outcome: IsoOutcome) -> list[tuple]:
@@ -167,7 +152,7 @@ def write_equivalence_report(report: EquivalenceReport, out: Path) -> None:
 
 
 def _cmd_dso_bid(args) -> int:
-    scenario = load_scenario(args.case)
+    scenario = parse_case(args.case)
     curve = build_bid_curve(scenario)
     _write_curve(curve, args.out, args.format)
     print(f"bid curve: {len(curve.prices)} segments on "
@@ -176,7 +161,7 @@ def _cmd_dso_bid(args) -> int:
 
 
 def _cmd_iso_clear(args) -> int:
-    scenario = load_scenario(args.case)
+    scenario = parse_case(args.case)
     curve = read_curve(args.curve)
     outcome = clear(scenario.wholesale, [curve], scenario.firm_wholesale_load)
     _write_table(args.out / "iso_outcome.csv", ["participant", "cleared_mw"],
@@ -186,7 +171,7 @@ def _cmd_iso_clear(args) -> int:
 
 
 def _cmd_coordinate(args) -> int:
-    scenario = load_scenario(args.case)
+    scenario = parse_case(args.case)
     result = run_coordinated(scenario)
     write_coordination(scenario, result, args.out, args.format)
     print(f"clearing price: {_fmt(result.iso.clearing_price)} $/MWh")
@@ -195,7 +180,7 @@ def _cmd_coordinate(args) -> int:
 
 
 def _cmd_ideal(args) -> int:
-    scenario = load_scenario(args.case)
+    scenario = parse_case(args.case)
     outcome = run_ideal(scenario)
     rows: list[tuple] = [(wp.id, outcome.cleared[wp.id]) for wp in scenario.wholesale]
     rows += [(agg.id, outcome.aggregator_dispatch[agg.id]) for agg in scenario.aggregators]
@@ -206,7 +191,7 @@ def _cmd_ideal(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    scenario = load_scenario(args.case)
+    scenario = parse_case(args.case)
     report = check_equivalence(scenario, tolerance=args.tol).equivalence
     write_equivalence_report(report, args.out)
     status = "PASS" if report.passed else "FAIL"
@@ -264,7 +249,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args.out.mkdir(parents=True, exist_ok=True)
         return args.func(args)
-    except (CaseFileError, ValidationError, ValueError) as exc:
+    except (CaseFileError, ValidationError, ValueError, OSError) as exc:
         print(f"gridcoord: error: {exc}", file=sys.stderr)
         return 1
     except InfeasibleError as exc:

@@ -131,7 +131,6 @@ class DsoDispatch(DistFlowSolution):
 
     net_export: float
     cost: float
-    marginal_price: float                         # $/MWh, the substation balance dual
     row_duals: tuple[float, ...]                  # every row of the DSO's LP, by index
 
 
@@ -212,10 +211,10 @@ def value_at(scenario: Scenario, net_export: float, price: float | None = None) 
     Without a ``price``, the scenario's free-export LP is restarted and
     solved once at the dispatch cost, with the export pinned to
     ``net_export`` through its bounds. The substation balance dual
-    (``marginal_price``) is then the marginal cost of export: inside a
-    segment of the bid curve, the segment's price; at a breakpoint, some
-    value between the two adjacent prices (open at the curve's ends), picked
-    by the optimal basis.
+    (``retail_prices[substation]``) is then the marginal cost of export:
+    inside a segment of the bid curve, the segment's price; at a breakpoint,
+    some value between the two adjacent prices (open at the curve's ends),
+    picked by the optimal basis.
 
     With a ``price``, the clearing price of the award, the LP is solved
     once at ``dispatch cost - price * export`` instead. A clearing price lies
@@ -252,7 +251,6 @@ def value_at(scenario: Scenario, net_export: float, price: float | None = None) 
 
     return read_solution(
         DsoDispatch, sol, scenario.aggregators, dvars, net_export=net_export, cost=dispatch_cost,
-        marginal_price=float(sol.y[dvars.balance_p[scenario.network.substation]]),
         row_duals=tuple(sol.y.tolist()))
 
 

@@ -1,23 +1,27 @@
 import json
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from gridcoord.caseio import (
     BUNDLED_CASES,
     CaseFileError,
     CaseSchemaError,
     CaseSyntaxError,
-    dump_case,
     parse_case,
     resolve_case_path,
     scenario_from_dict,
-    scenario_to_dict,
 )
-from gridcoord.model import ValidationError
-
-from support import random_scenario
+from gridcoord.model import (
+    Aggregator,
+    Block,
+    BlockOfferStack,
+    Branch,
+    NetworkModel,
+    Scenario,
+    ValidationError,
+    WholesaleParticipant,
+    validate,
+)
 
 
 def test_bundled_cases_resolve_and_parse():
@@ -87,16 +91,88 @@ def test_unknown_case_name(tmp_path):
         parse_case(tmp_path / "nope.json")
 
 
-def test_round_trip_bundled_cases(tmp_path):
-    for name in BUNDLED_CASES:
-        scenario = parse_case(name)
-        out = tmp_path / f"{name}.json"
-        dump_case(scenario, out)
-        assert parse_case(out) == scenario
+def test_every_field_is_read(tmp_path):
+    # Every field the reader reads, each set away from its default; node ids
+    # out of order and a branch declared toward the substation.
+    doc = {
+        "network": {
+            "base_mva": 10.0, "u_min": 0.9, "u_max": 1.1, "u_sub": 1.05, "substation": 1,
+            "nodes": [{"id": 1, "lp": 0.0, "lq": 0.0},
+                      {"id": 0, "lp": 0.5, "lq": -0.25},
+                      {"id": 2, "lp": 0.75, "lq": 0.125}],
+            "branches": [
+                {"from": 1, "to": 0, "r": 0.01, "x": 0.02, "pl_max": 3.0, "ql_max": 1.5},
+                {"from": 2, "to": 1, "r": 0.03, "x": 0.04, "pl_max": 2.5, "ql_max": 1.25},
+            ],
+        },
+        "aggregators": [
+            {"id": "G", "kind": "DDGAG", "node": 0, "tan_phi": 0.2,
+             "blocks": [{"p_max": 1.0, "price": 12.0}, {"p_max": 0.5, "price": 15.0}]},
+            {"id": "D", "kind": "DRAG", "node": 2, "tan_phi": 0.1,
+             "blocks": [{"p_max": 0.4, "price": 30.0}]},
+            {"id": "R", "kind": "REAG", "node": 2, "blocks": [], "fixed_output": 0.6},
+        ],
+        "wholesale": [
+            {"id": "G1", "kind": "Gen", "blocks": [{"p_max": 5.0, "price": 20.0}]},
+            {"id": "DR1", "kind": "DR", "blocks": [{"p_max": 2.0, "price": 40.0},
+                                                   {"p_max": 1.0, "price": 35.0}]},
+        ],
+        "firm_load": 3.0,
+        "sweep_step": 0.05,
+        "tolerance": 1e-7,
+    }
+    expected = Scenario(
+        network=NetworkModel(
+            n_nodes=3,
+            load_p=(0.5, 0.0, 0.75),
+            load_q=(-0.25, 0.0, 0.125),
+            branches=(Branch(1, 0, r=0.01, x=0.02, pl_max=3.0, ql_max=1.5),
+                      Branch(2, 1, r=0.03, x=0.04, pl_max=2.5, ql_max=1.25)),
+            substation=1, u_min=0.9, u_max=1.1, u_sub=1.05, base_mva=10.0,
+        ),
+        aggregators=(
+            Aggregator("G", "DDGAG", 0, BlockOfferStack((Block(1.0, 12.0), Block(0.5, 15.0))),
+                       tan_phi=0.2),
+            Aggregator("D", "DRAG", 2, BlockOfferStack((Block(0.4, 30.0),)), tan_phi=0.1),
+            Aggregator("R", "REAG", 2, BlockOfferStack(()), fixed_output=0.6),
+        ),
+        wholesale=(
+            WholesaleParticipant("G1", "Gen", BlockOfferStack((Block(5.0, 20.0),))),
+            WholesaleParticipant("DR1", "DR", BlockOfferStack((Block(2.0, 40.0),
+                                                               Block(1.0, 35.0)))),
+        ),
+        firm_wholesale_load=3.0,
+        sweep_step=0.05,
+        tolerance=1e-7,
+    )
+    assert validate(expected) == []
+    path = tmp_path / "full.json"
+    path.write_text(json.dumps(doc))
+    assert parse_case(path) == expected
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000))
-def test_round_trip_random_scenarios(seed):
-    scenario = random_scenario(seed)
-    assert scenario_from_dict(scenario_to_dict(scenario)) == scenario
+def test_omitted_optional_fields_get_their_defaults():
+    doc = {
+        "network": {
+            "u_min": 0.9, "u_max": 1.1, "u_sub": 1.0, "substation": 0,
+            "nodes": [{"id": 0}, {"id": 1}],
+            "branches": [{"from": 0, "to": 1, "r": 0.01, "x": 0.01,
+                          "pl_max": 1.0, "ql_max": 1.0}],
+        },
+        "aggregators": [{"id": "R", "kind": "REAG", "node": 1}],
+        "wholesale": [{"id": "G1", "kind": "Gen", "blocks": [{"p_max": 5.0, "price": 20.0}]}],
+        "firm_load": 1.0,
+    }
+    assert scenario_from_dict(doc) == Scenario(
+        network=NetworkModel(
+            n_nodes=2, load_p=(0.0, 0.0), load_q=(0.0, 0.0),
+            branches=(Branch(0, 1, r=0.01, x=0.01, pl_max=1.0, ql_max=1.0),),
+            substation=0, u_min=0.9, u_max=1.1, u_sub=1.0, base_mva=1.0,
+        ),
+        aggregators=(Aggregator("R", "REAG", 1, BlockOfferStack(()), tan_phi=0.0,
+                                fixed_output=0.0),),
+        wholesale=(WholesaleParticipant("G1", "Gen", BlockOfferStack((Block(5.0, 20.0),))),),
+        firm_wholesale_load=1.0,
+        sweep_step=0.1,
+        tolerance=1e-6,
+    )

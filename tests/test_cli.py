@@ -168,23 +168,31 @@ def test_infeasible_case_exits_three(tmp_path):
     assert run(["coordinate", "--case", str(case), "--out", str(tmp_path)]) == 3
 
 
-def test_env_var_overrides_tolerance(tmp_path, monkeypatch):
-    force_equivalence_failure(monkeypatch)
-    monkeypatch.setenv("GRIDCOORD_TOL", "1e-18")
-    assert run(["verify", "--case", "paper_reference", "--out", str(tmp_path)]) == 2
-    report = json.loads((tmp_path / "equivalence_report.json").read_text())
-    assert report["passed"] is False
-    assert report["tolerance"] == 1e-18
-    monkeypatch.setenv("GRIDCOORD_TOL", "not-a-number")
-    assert run(["verify", "--case", "paper_reference", "--out", str(tmp_path)]) == 1
-    monkeypatch.delenv("GRIDCOORD_TOL")
+def test_a_case_with_a_negative_tolerance_exits_one(tmp_path, capsys):
     assert run(["dso-bid", "--case", "paper_reference", "--out", str(tmp_path)]) == 0
     curve = ["--curve", str(tmp_path / "bid_curve.csv")]
-    monkeypatch.setenv("GRIDCOORD_TOL", "-1")
+    doc = json.loads(resolve_case_path("paper_reference").read_text())
+    doc["tolerance"] = -1
+    case = tmp_path / "negative_tolerance.json"
+    case.write_text(json.dumps(doc))
     for command, extra in (("dso-bid", []), ("iso-clear", curve), ("coordinate", []),
                            ("ideal", []), ("verify", [])):
-        argv = [command, "--case", "paper_reference", "--out", str(tmp_path), *extra]
+        capsys.readouterr()
+        argv = [command, "--case", str(case), "--out", str(tmp_path / command), *extra]
         assert run(argv) == 1, command
+        assert "gridcoord: error: tolerance: must be > 0" in capsys.readouterr().err, command
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["dso-bid", "--case", "{tmp}", "--out", "{tmp}/out"], "[Errno 21] Is a directory"),
+    (["dso-bid", "--case", "paper_reference", "--out", "{tmp}/taken"], "[Errno 17] File exists"),
+    (["iso-clear", "--case", "paper_reference", "--curve", "{tmp}", "--out", "{tmp}/out"],
+     "[Errno 21] Is a directory"),
+], ids=["case-is-a-directory", "out-is-a-file", "curve-is-a-directory"])
+def test_an_os_error_exits_one(tmp_path, capsys, argv, message):
+    (tmp_path / "taken").write_text("")
+    assert run([arg.format(tmp=tmp_path) for arg in argv]) == 1
+    assert f"gridcoord: error: {message}" in capsys.readouterr().err
 
 
 def test_verify_on_a_case_with_a_nan_load_exits_one(tmp_path, capsys):
@@ -209,6 +217,32 @@ def test_iso_clear_against_a_curve_with_a_nan_exits_one(tmp_path, capsys, column
     cells[column] = "nan"
     lines[3] = ",".join(cells)
     path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = run(["iso-clear", "--case", "paper_reference", "--curve", str(path),
+                "--out", str(tmp_path)])
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "iso_outcome.csv").exists()
+
+
+def _string_q(records):
+    records[1]["q_mw"] = "-0.5"
+    return records, "bid_curve.json[1].q_mw: expected a number, got '-0.5'"
+
+
+def _boolean_qs(_):
+    records = [{"q_mw": False, "total_cost": 0.0, "marginal_price": 20.0},
+               {"q_mw": True, "total_cost": 20.0, "marginal_price": 20.0}]
+    return records, "bid_curve.json[0].q_mw: expected a number, got False"
+
+
+@pytest.mark.parametrize("edit", [_string_q, _boolean_qs])
+def test_iso_clear_against_a_json_curve_with_a_non_number_exits_one(tmp_path, capsys, edit):
+    assert run(["dso-bid", "--case", "paper_reference", "--out", str(tmp_path),
+                "--format", "json"]) == 0
+    path = tmp_path / "bid_curve.json"
+    records, message = edit(json.loads(path.read_text()))
+    path.write_text(json.dumps(records))
     capsys.readouterr()
     code = run(["iso-clear", "--case", "paper_reference", "--curve", str(path),
                 "--out", str(tmp_path)])

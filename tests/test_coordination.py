@@ -392,7 +392,7 @@ def _assert_priced_redispatch_publishes_the_joint_prices(scenario):
     assert dispatch == result.dso_dispatch
     ideal = run_ideal(scenario)
     assert dispatch.retail_prices == pytest.approx(ideal.retail_prices, abs=1e-6)
-    assert dispatch.marginal_price == pytest.approx(price, abs=1e-9)
+    assert dispatch.retail_prices[scenario.network.substation] == pytest.approx(price, abs=1e-9)
 
 
 @pytest.mark.parametrize("name", BUNDLED_CASES)
@@ -403,8 +403,9 @@ def test_priced_redispatch_publishes_the_joint_prices_on_the_bundled_cases(name)
 def test_priced_redispatch_moves_the_bundled_substation_prices_to_the_clearing_price():
     # Pinned at the award, the basis picked 20 and 0 $/MWh at these kinks.
     for name, price in (("paper_reference", 22.0), ("voltage_binding", 8.0)):
-        dispatch = run_coordinated(parse_case(name)).dso_dispatch
-        assert dispatch.marginal_price == price
+        scenario = parse_case(name)
+        dispatch = run_coordinated(scenario).dso_dispatch
+        assert dispatch.retail_prices[scenario.network.substation] == price
 
 
 @settings(max_examples=15, deadline=None)

@@ -356,7 +356,8 @@ def _assert_redispatches_publish_optimal_duals(scenario):
         dispatch, duals = redispatch_with_duals(scenario, q, price)
         assert redispatch_dual_violations(scenario, dispatch, duals) == [], (q, price)
         if price is not None:
-            assert dispatch.marginal_price == pytest.approx(price, abs=1e-9)
+            assert dispatch.retail_prices[scenario.network.substation] == pytest.approx(
+                price, abs=1e-9)
 
 
 @pytest.mark.parametrize("name", BUNDLED_CASES)
@@ -385,7 +386,7 @@ def test_an_award_inside_a_segment_at_its_price_is_re_solved_pinned(seed):
     dispatch, duals = redispatch_with_duals(scenario, award, price)
     assert lp.solve_stats()["solves"] - before == 2
     assert redispatch_dual_violations(scenario, dispatch, duals) == []
-    assert dispatch.marginal_price == price
+    assert dispatch.retail_prices[scenario.network.substation] == price
     assert dispatch.cost == pytest.approx(value_at(scenario, award).cost, abs=1e-9)
 
 
@@ -445,7 +446,7 @@ def test_retail_prices_uniform_when_network_unconstrained(reference):
     dispatch = value_at(reference, 1.0)  # interior of the 20 $/MWh segment
     for price in dispatch.retail_prices.values():
         assert price == pytest.approx(20.0, abs=1e-6)
-    assert dispatch.marginal_price == pytest.approx(20.0, abs=1e-6)
+    assert dispatch.retail_prices[reference.network.substation] == pytest.approx(20.0, abs=1e-6)
 
 
 def test_curve_validation_catches_bad_curves():
@@ -529,15 +530,16 @@ def test_random_network_curve_convexity_and_dual_consistency(seed):
         (qa, ca), (qb, cb), (qc, cc) = points[i], points[i + 1], points[i + 2]
         interp = ca + (qb - qa) / (qc - qa) * (cc - ca)
         assert cb <= interp + 1e-5
+    substation = scenario.network.substation
     for i, seg in enumerate(curve.segments):
         mid = 0.5 * (seg.q_lo + seg.q_hi)
         dispatch = value_at(scenario, mid)
         fd = (curve.cost_at(seg.q_hi) - curve.cost_at(seg.q_lo)) / (seg.q_hi - seg.q_lo)
-        assert dispatch.marginal_price == pytest.approx(seg.price, abs=1e-5)
+        assert dispatch.retail_prices[substation] == pytest.approx(seg.price, abs=1e-5)
         assert fd == pytest.approx(seg.price, abs=1e-5)
     # At a breakpoint the dual is not unique: any value between the adjacent
     # segment prices is a valid one (open at the curve's ends).
     prices = (-float("inf"),) + curve.prices + (float("inf"),)
     for i, (q, _) in enumerate(points):
-        price = value_at(scenario, q).marginal_price
+        price = value_at(scenario, q).retail_prices[substation]
         assert prices[i] - 1e-6 <= price <= prices[i + 1] + 1e-6, (i, q, price)

@@ -1,10 +1,11 @@
+import json
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridcoord.caseio import parse_case, scenario_from_dict, scenario_to_dict
+from gridcoord.caseio import parse_case, resolve_case_path, scenario_from_dict
 from gridcoord.model import (
     Aggregator,
     Block,
@@ -194,7 +195,7 @@ NUMBERS = {
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("where", NUMBERS, ids=NUMBERS.values())
 def test_every_nonfinite_number_is_a_violation(where, bad):
-    doc = scenario_to_dict(parse_case("paper_reference"))
+    doc = json.loads(resolve_case_path("paper_reference").read_text())
     *parents, key = where
     node = doc
     for step in parents:

@@ -46,6 +46,13 @@ def test_run_paper_case_writes_the_cli_files_without_solving_again(tmp_path, cap
         assert (tmp_path / "script" / name).read_bytes() == (tmp_path / "cli" / name).read_bytes()
 
 
+def test_run_paper_case_reports_a_case_it_cannot_load(capsys):
+    assert load("run_paper_case").main(["--case", "nope"]) == 1
+    captured = capsys.readouterr()
+    assert "run_paper_case: error: case file not found: nope" in captured.err
+    assert captured.out == ""
+
+
 def test_random_campaign_passes_a_short_batch(capsys):
     assert load("random_campaign").main(["--cases", "3"]) == 0
     out = capsys.readouterr().out
