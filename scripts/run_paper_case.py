@@ -10,7 +10,8 @@ solve of the joint LP, by ``run_ideal``), and the equivalence report, which
 certifies the coordinated outcome without that solve. With --out, also
 writes the files of ``gridcoord coordinate`` and ``gridcoord verify`` (CSV),
 from the same result and with the CLI's own writers, so the numbers can be
-plotted. Exits 0 on PASS, 2 on FAIL, and 1 when the case cannot be loaded.
+plotted. Exits 0 on PASS, 2 on FAIL, and 1 when the case cannot be loaded
+or the files cannot be written.
 """
 
 import argparse
@@ -90,9 +91,12 @@ def main(argv=None):
     print(f"  joint LP optimum:      {ideal.objective:.6f} $/h")
 
     if args.out:
-        args.out.mkdir(parents=True, exist_ok=True)
-        write_coordination(scenario, result, args.out)
-        write_equivalence_report(report, args.out)
+        try:
+            write_coordination(scenario, result, args.out)
+            write_equivalence_report(report, args.out)
+        except OSError as exc:
+            print(f"run_paper_case: error: {exc}", file=sys.stderr)
+            return 1
         print(f"\nartifacts written to {args.out}")
     return 0 if report.passed else 2
 

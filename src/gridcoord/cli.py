@@ -29,7 +29,7 @@ def _fmt(value: float) -> str:
     return f"{value + 0.0:.6f}"  # + 0.0 normalizes -0.0
 
 
-def _write_table(path: Path, header: list[str], rows: list[tuple], fmt: str) -> Path:
+def _write_table(path: Path, header: list[str], rows: list[tuple], fmt: str) -> None:
     if fmt == "json":
         path = path.with_suffix(".json")
         records = []
@@ -44,9 +44,8 @@ def _write_table(path: Path, header: list[str], rows: list[tuple], fmt: str) -> 
         for row in rows:
             lines.append(",".join(v if isinstance(v, str) else _fmt(v) for v in row))
         text = "\n".join(lines) + "\n"
-    with open(path, "w", newline="\n") as fh:
-        fh.write(text)
-    return path
+    path.parent.mkdir(parents=True, exist_ok=True)  # only once there is a result to write
+    path.write_text(text, newline="\n")
 
 
 def _curve_rows(curve: BidCurve) -> list[tuple]:
@@ -147,8 +146,9 @@ def write_equivalence_report(report: EquivalenceReport, out: Path) -> None:
     }
     doc = {"passed": report.passed,
            **{k: v if math.isfinite(v) else None for k, v in numbers.items()}}
-    with open(out / "equivalence_report.json", "w", newline="\n") as fh:
-        fh.write(json.dumps(doc, indent=2, allow_nan=False) + "\n")
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "equivalence_report.json").write_text(
+        json.dumps(doc, indent=2, allow_nan=False) + "\n", newline="\n")
 
 
 def _cmd_dso_bid(args) -> int:
@@ -247,7 +247,6 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        args.out.mkdir(parents=True, exist_ok=True)
         return args.func(args)
     except (CaseFileError, ValidationError, ValueError, OSError) as exc:
         print(f"gridcoord: error: {exc}", file=sys.stderr)

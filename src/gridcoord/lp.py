@@ -6,15 +6,15 @@ their own indices (``distflow.DistFlowVars``, say).
 
 Solving goes through scipy's HiGHS binding. Only the binding's extension
 file is loaded (``_load_core``), so importing gridcoord does not import
-``scipy.optimize`` and its start-up cost. On its first solve a
-``LinearProgram`` is compiled to column-wise sparse arrays and loaded into
-one HiGHS instance that the program keeps. The program is in equality
+``scipy.optimize`` and its start-up cost. A ``LinearProgram`` is compiled
+to arrays on first use and, on its first solve, loaded into one HiGHS
+instance that it keeps (``_Backend``). The program is in equality
 form: minimize c.x subject to A x = b and l <= x <= u. Every row is an
 equality ``a.x = rhs`` and every limit is a variable bound; an inequality
 is written as an equality plus a slack column bounded on one side
 (``a.x + s = b`` with ``s >= 0`` for ``a.x <= b``), a limit on an affine
 expression the same way with the slack bounded by the limit. A new
-objective or new variable bounds keep the loaded model, so the next solve
+objective or new variable bounds keep the compiled model, so the next solve
 starts from the previous basis; a new variable or constraint discards it.
 A parameter on a row's rhs is written as a column with pinned bounds
 (``set_bounds(j, q, q)``).
@@ -30,16 +30,16 @@ the program, not of its history; the DistFlow fragment declares its
 spanning tree, from which HiGHS needs a few pivots where the slack basis
 takes dozens. Pricing is Devex (see ``_Backend``).
 
-An optimal answer is held to ``SOLVE_BOUND`` by its residual and by its
-duality gap, whose bound terms come from the columns that sit exactly on a bound (HiGHS puts
-nonbasic columns there), not from the basis. Any other verdict is taken
-from a run without a starting basis and without presolve (see ``linprog``),
-so a re-solve and a fresh solve of an LP agree on it. ``evaluate``
-measures a point found some other way against the same rows and the
-variable bounds, and scores it; ``dual_bound`` scores row duals found some
-other way by their Lagrangian bound. A point that meets every row and bound
-and scores within a tolerance of that bound is optimal within it, so the
-pair certifies an outcome without a solve.
+``dual_bound``, the Lagrangian bound of row duals, is the one optimality
+certificate. ``solve`` holds an optimal answer to ``SOLVE_BOUND`` by its
+residual and by its duality gap, its objective's distance from the
+``dual_bound`` of its own duals. Any other verdict is taken from a run
+without a starting basis and without presolve (see ``linprog``), so a
+re-solve and a fresh solve of an LP agree on it. ``evaluate`` measures a
+point found some other way against the rows and the variable bounds, and
+scores it; ``dual_bound`` scores row duals found some other way. A point
+that meets every row and bound and scores within a tolerance of that bound
+is optimal within it, so the pair certifies an outcome without a solve.
 
 Duals are reported in shadow price convention: for a minimization, the dual
 of any constraint is the derivative of the optimal objective with respect
@@ -143,12 +143,6 @@ class InfeasibleError(RuntimeError):
     """Raised by callers that require an optimal solution and got none."""
 
 
-def _row_violation(rows, cols, vals, rhs, x) -> float:
-    """Largest amount by which a row of the coordinate-form matrix misses its rhs at x."""
-    lhs = np.bincount(rows, weights=vals * x[cols], minlength=len(rhs))
-    return float(np.max(np.abs(lhs - rhs), initial=0.0))
-
-
 def _check_bounds(lower: float, upper: float) -> None:
     if not (lower <= upper and lower < math.inf and upper > -math.inf):
         raise ValueError(f"bounds [{lower}, {upper}] admit no finite value")
@@ -182,8 +176,8 @@ class LinearProgram:
         self._objective: dict[int, float] = {}
         self._basic_cols: set[int] = set()  # the declared start basis, by index
         self._basic_rows: set[int] = set()
-        self._cost: tuple[np.ndarray, float] | None = None  # built by the next solve
-        self._backend: _Backend | None = None  # built by the first solve
+        self._cost: tuple[np.ndarray, float] | None = None  # built on first use (_lifted_cost)
+        self._backend: _Backend | None = None  # built on first use (_compiled)
 
     @property
     def n_cols(self) -> int:
@@ -263,8 +257,8 @@ class LinearProgram:
         backend = self._backend
         if backend is not None:
             backend.lower[j], backend.upper[j] = lower, upper
-            backend.highs.changeColsBounds(1, backend.col_ids[j:j + 1], backend.lower[j:j + 1],
-                                           backend.upper[j:j + 1])
+            if backend.highs is not None:
+                backend.highs.changeColBounds(j, backend.lower[j], backend.upper[j])
 
     def restart(self) -> None:
         """Drop the solver state, so the next solve starts cold; the compiled model stays.
@@ -272,9 +266,14 @@ class LinearProgram:
         That solve starts from the declared start basis, loaded then, as the
         first solve of a fresh compile does, or else from the slack basis.
         """
-        if self._backend is not None:
+        if self._backend is not None and self._backend.highs is not None:
             self._backend.highs.clearSolver()
             self._backend.start_due = True
+
+    def _compiled(self) -> _Backend:
+        if self._backend is None:
+            self._backend = _Backend(self)
+        return self._backend
 
     def evaluate(self, x: np.ndarray) -> tuple[float, float]:
         """Largest row-or-bound violation of the point ``x`` and its objective value.
@@ -285,12 +284,10 @@ class LinearProgram:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n_cols,):
             raise ValueError(f"point has shape {x.shape}, not the program's ({self.n_cols},)")
-        lower, upper = np.array(self._lower), np.array(self._upper)
+        b = self._compiled()
         violation = float(np.max((  # NaN if either term is, unlike max()
-            np.max(np.maximum(lower - x, x - upper), initial=0.0),
-            _row_violation(np.array(self._rows, dtype=np.int32),
-                           np.array(self._cols, dtype=np.int32), np.array(self._vals),
-                           np.array(self._rhs), x),
+            np.max(np.maximum(b.lower - x, x - b.upper), initial=0.0),
+            b.row_violation(x),
         )))
         values = x.tolist()
         objective = sum(coef * values[j] for j, coef in self._objective.items())
@@ -314,26 +311,30 @@ class LinearProgram:
         y = np.asarray(y, dtype=float)
         if y.shape != (len(self._rhs),):
             raise ValueError(f"duals have shape {y.shape}, not the program's ({len(self._rhs)},)")
+        b = self._compiled()
         cost, scale = self._lifted_cost()  # lifted by a power of two, so undone exactly
         cost = cost / scale
-        cols = np.array(self._cols, dtype=np.int32)
-        terms = np.array(self._vals) * y[np.array(self._rows, dtype=np.int32)]
-        reduced = cost - np.bincount(cols, weights=terms, minlength=self.n_cols)
-        noise = 1e-12 * (np.abs(cost) + np.bincount(cols, weights=np.abs(terms),
-                                                    minlength=self.n_cols))
+        terms = b.vals * y[b.rows]
+        reduced = cost - np.bincount(b.cols, weights=terms, minlength=self.n_cols)
         priced = y != 0.0  # zero terms would still regroup the dot product's rounding
-        side = np.where(reduced > 0.0, np.array(self._lower), np.array(self._upper))
-        keep = (reduced != 0.0) & (np.isfinite(side) | (np.abs(reduced) > noise))
-        return float(y[priced] @ np.array(self._rhs)[priced]) + float(reduced[keep] @ side[keep])
+        side = np.where(reduced > 0.0, b.lower, b.upper)
+        keep = reduced != 0.0
+        bound = float(reduced[keep] @ side[keep])
+        if not math.isfinite(bound):  # a reduced cost met an infinite side: is it noise?
+            noise = 1e-12 * (np.abs(cost) + np.bincount(b.cols, weights=np.abs(terms),
+                                                        minlength=self.n_cols))
+            keep &= np.isfinite(side) | (np.abs(reduced) > noise)
+            bound = float(reduced[keep] @ side[keep])
+        return float(y[priced] @ b.rhs[priced]) + bound
 
 
 class _Backend:
-    """A LinearProgram's arrays and the HiGHS instance they are loaded into.
+    """A LinearProgram's arrays, and the HiGHS instance its first solve loads them into.
 
-    The arrays are gridcoord's own copy of the model: the residual and
-    duality-gap checks in ``solve`` read them, not HiGHS's echo of them.
-    The declared start basis is loaded by the first solve after a compile
-    or a restart (``start``), from the bounds in force then: loaded at the
+    The arrays are gridcoord's own copy of the model: ``evaluate``,
+    ``dual_bound`` and ``solve``'s residual read them, not HiGHS's echo.
+    The declared start basis is loaded by the first solve after a load or
+    a restart (``start``), from the bounds in force then: loaded at the
     restart itself, a later ``set_bounds`` would move a nonbasic column by
     HiGHS's own rule, which can differ from a fresh compile's start.
     """
@@ -342,23 +343,31 @@ class _Backend:
         n, m = prog.n_cols, len(prog._rhs)
         self.basic: np.ndarray | None = None  # basic mask over columns, then rows
         if prog._basic_cols or prog._basic_rows:
-            count = len(prog._basic_cols) + len(prog._basic_rows)
-            if count != m:
-                raise ValueError(f"start basis has {count} basic columns and rows, not the "
-                                 f"program's {m} rows")
             self.basic = np.zeros(n + m, dtype=bool)
             self.basic[list(prog._basic_cols)] = True
             self.basic[[n + i for i in prog._basic_rows]] = True
         self.start_due = True  # the start basis is loaded by the next solve
-        self.rows = np.array(prog._rows, dtype=np.int32)
-        self.cols = np.array(prog._cols, dtype=np.int32)
+        self.rows = np.array(prog._rows, dtype=np.intp)  # numpy's index type: no cast per use
+        self.cols = np.array(prog._cols, dtype=np.intp)
         self.vals = np.array(prog._vals, dtype=float)
         self.rhs = np.array(prog._rhs, dtype=float)
         self.lower = np.array(prog._lower, dtype=float)
         self.upper = np.array(prog._upper, dtype=float)
         self.col_ids = np.arange(n, dtype=np.int32)
         self.cost: np.ndarray | None = None  # the cost vector HiGHS holds, once one is sent
+        self.highs: _Highs | None = None  # loaded by the first solve
 
+    def row_violation(self, x: np.ndarray) -> float:
+        """Largest amount by which a row misses its rhs at the point x."""
+        lhs = np.bincount(self.rows, weights=self.vals * x[self.cols], minlength=len(self.rhs))
+        return float(np.max(np.abs(lhs - self.rhs), initial=0.0))
+
+    def load(self) -> _Highs:
+        """Pass the arrays, under today's bounds, to a new HiGHS instance, and keep it."""
+        n, m = len(self.lower), len(self.rhs)
+        if self.basic is not None and (count := int(self.basic.sum())) != m:
+            raise ValueError(f"start basis has {count} basic columns and rows, not the "
+                             f"program's {m} rows")
         model = HighsLp()
         model.num_col_, model.num_row_ = n, m
         model.col_cost_ = np.zeros(n)
@@ -372,18 +381,20 @@ class _Backend:
         matrix.index_ = self.rows[order]
         matrix.value_ = self.vals[order]
 
-        self.highs = _Highs()
-        self.highs.setOptionValue("output_flag", False)
+        highs = _Highs()
+        highs.setOptionValue("output_flag", False)
         # Devex pricing: from a handed-in basis, dual steepest edge first
         # computes its exact weights, one BTRAN per row; Devex's start at 1.
         # A rebuild always refactors: by default HiGHS keeps an updated
         # factor that its test solve passes, and under Devex the x read off
         # it can miss a row by 1e-13, which 1e8 duals ($/MWh x 1e6) turn
         # into a duality gap beyond the bound in ``solve``.
-        self.highs.setOptionValue("simplex_dual_edge_weight_strategy", 1)
-        self.highs.setOptionValue("no_unnecessary_rebuild_refactor", False)
-        if self.highs.passModel(model) == HighsStatus.kError:
+        highs.setOptionValue("simplex_dual_edge_weight_strategy", 1)
+        highs.setOptionValue("no_unnecessary_rebuild_refactor", False)
+        if highs.passModel(model) == HighsStatus.kError:
             raise SolverError("HiGHS rejected the model")
+        self.highs = highs
+        return highs
 
     def start(self) -> None:
         """Load the start basis, if declared, its nonbasic statuses read off today's bounds."""
@@ -477,10 +488,8 @@ def solve(lp: LinearProgram) -> LpSolution:
             return LpSolution(status=INFEASIBLE)
         return LpSolution(status=OPTIMAL, objective=0.0, duality_gap=0.0, max_residual=0.0,
                           y=np.zeros(len(lp._rhs)))
-    if lp._backend is None:
-        lp._backend = _Backend(lp)
-    backend = lp._backend
-    highs = backend.highs
+    backend = lp._compiled()
+    highs = backend.highs or backend.load()
 
     cost, scale = lp._lifted_cost()
     if backend.cost is not cost:
@@ -500,17 +509,8 @@ def solve(lp: LinearProgram) -> LpSolution:
     x = np.array(solution.col_value)
     y = np.array(solution.row_dual) / scale
     reduced = np.array(solution.col_dual) / scale
-
-    # Dual objective: y'b plus reduced-cost terms at the bound each column
-    # sits exactly on (a fixed column counts once); other columns contribute
-    # nothing, so a nonbasic column off its bound could only widen the gap.
-    at_lower = x == backend.lower
-    at_upper = (x == backend.upper) & ~at_lower
-    dual_obj = (y @ backend.rhs + reduced[at_lower] @ backend.lower[at_lower]
-                + reduced[at_upper] @ backend.upper[at_upper])
-    gap = abs(run.objective / scale - float(dual_obj))
-
-    max_residual = _row_violation(backend.rows, backend.cols, backend.vals, backend.rhs, x)
+    gap = abs(run.objective / scale - lp.dual_bound(y))
+    max_residual = backend.row_violation(x)
 
     _gap_stats["solves"] += 1
     _gap_stats["max_gap"] = max(_gap_stats["max_gap"], gap)

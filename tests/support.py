@@ -447,7 +447,7 @@ def named_scenario(which) -> Scenario:
 
 def count_compiles(monkeypatch) -> list:
     """Count LinearPrograms loaded into a new HiGHS instance."""
-    return count_calls(monkeypatch, lp, "_Backend")
+    return count_calls(monkeypatch, lp, "_Highs")
 
 
 def answer(call, *args):

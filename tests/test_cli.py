@@ -195,6 +195,15 @@ def test_an_os_error_exits_one(tmp_path, capsys, argv, message):
     assert f"gridcoord: error: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["dso-bid", "iso-clear", "coordinate", "ideal", "verify"])
+def test_a_case_that_cannot_be_loaded_leaves_no_output_directory(tmp_path, capsys, command):
+    out = tmp_path / "new"
+    extra = ["--curve", "nope.csv"] if command == "iso-clear" else []
+    assert run([command, "--case", "nope", "--out", str(out), *extra]) == 1
+    assert "gridcoord: error: case file not found: nope" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_on_a_case_with_a_nan_load_exits_one(tmp_path, capsys):
     doc = json.loads(resolve_case_path("paper_reference").read_text())
     doc["network"]["nodes"][1]["lp"] = float("nan")

@@ -12,7 +12,7 @@ import gridcoord.model as model
 from gridcoord.caseio import BUNDLED_CASES, parse_case
 from gridcoord.coordination import check_equivalence, run_coordinated, run_ideal
 from gridcoord.distflow import DistFlowSolution
-from gridcoord.dso import build_bid_curve, feasible_range, value_at
+from gridcoord.dso import build_bid_curve, compiled, feasible_range, value_at
 from gridcoord.iso import clear
 from gridcoord.model import (
     GEN,
@@ -133,6 +133,17 @@ def test_equivalence_takes_nine_solves_on_the_reference_case(reference):
     before = lp.solve_stats()["solves"]
     check_equivalence(reference)
     assert lp.solve_stats()["solves"] - before == 9
+
+
+def test_the_check_scores_the_joint_lp_without_loading_it_and_compiles_it_once(monkeypatch):
+    scenario = parse_case("paper_reference")
+    arrays = count_calls(monkeypatch, lp, "_Backend")
+    first = check_equivalence(scenario)
+    assert len(arrays) == 2  # the DSO's LP and the joint LP
+    with compiled(scenario, coordination._joint_lp) as (prog, *_):
+        assert prog._backend.highs is None  # scored, never passed to HiGHS
+    assert repr(check_equivalence(scenario)) == repr(first)
+    assert len(arrays) == 2  # the second check reused both
 
 
 @pytest.mark.parametrize("which", [*BUNDLED_CASES, *range(10), *TRANSFORMED])

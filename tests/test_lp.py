@@ -171,6 +171,7 @@ def test_strong_duality_on_random_feasible_lps(seed):
     sol = lp.solve(prog)
     assert sol.status == lp.OPTIMAL
     assert sol.duality_gap <= 1e-7
+    assert sol.duality_gap == abs(sol.objective - prog.dual_bound(sol.y))  # the one certificate
     assert sol.max_residual <= 1e-7
 
 
@@ -217,13 +218,27 @@ def test_a_nan_residual_or_gap_is_a_solver_error(monkeypatch, bad):
     prog.add_constraint({x: 1.0, prog.add_variable(0.0): 1.0}, 1.0)
     prog.set_objective({x: 1.0})
     if bad == "residual":
-        monkeypatch.setattr(lp, "_row_violation", lambda *args: math.nan)
+        monkeypatch.setattr(lp._Backend, "row_violation", lambda self, x: math.nan)
         match = "violates constraints by nan"
     else:  # a NaN objective makes the gap NaN
         run = lp.linprog
         monkeypatch.setattr(lp, "linprog", lambda highs: run(highs)._replace(objective=math.nan))
         match = "duality gap nan"
     with pytest.raises(lp.SolverError, match=match):
+        lp.solve(prog)
+
+
+def test_solve_measures_its_gap_by_the_dual_bound_of_its_duals(monkeypatch):
+    prog = lp.LinearProgram()
+    x = prog.add_variable(0.0, 1.0)
+    prog.add_constraint({x: 1.0, prog.add_variable(0.0): 1.0}, 1.0)
+    prog.set_objective({x: 1.0})  # optimum 0 at x = 0
+    # The made-up gaps go to a record of this test's own, not the session's.
+    monkeypatch.setattr(lp, "_gap_stats", {"solves": 0, "max_gap": 0.0, "max_residual": 0.0})
+    monkeypatch.setattr(lp.LinearProgram, "dual_bound", lambda self, y: -1e-6)
+    assert lp.solve(prog).duality_gap == 1e-6
+    monkeypatch.setattr(lp.LinearProgram, "dual_bound", lambda self, y: -1.0)
+    with pytest.raises(lp.SolverError, match="duality gap 1 exceeds tolerance"):
         lp.solve(prog)
 
 
@@ -486,6 +501,39 @@ def test_evaluate_measures_row_and_bound_violation_and_objective(seed):
         assert objective == pytest.approx(sol.objective, abs=1e-9)
 
 
+def test_bounds_set_after_an_unsolved_program_was_scored_are_scored():
+    prog = lp.LinearProgram()
+    x, y = prog.add_variable(0.0, 4.0), prog.add_variable(0.0)
+    prog.add_constraint({x: 1.0, y: 1.0}, 3.0)
+    prog.set_objective({x: 1.0, y: 2.0})
+    assert prog.evaluate(np.array([4.0, -1.0])) == (1.0, 2.0)  # y below its lower bound 0
+    assert prog.dual_bound(np.array([1.0])) == 3.0  # the optimum, x = 3 and y = 0
+    assert prog.dual_bound(np.array([2.0])) == 2.0  # x's reduced cost -1 at its upper bound 4
+    prog.set_bounds(x, 0.0, 2.0)
+    assert prog.evaluate(np.array([4.0, -1.0])) == (2.0, 2.0)  # x above its upper bound 2
+    assert prog.dual_bound(np.array([2.0])) == 4.0  # the new optimum, x = 2 and y = 1
+    prog.set_bounds(x, 0.0, math.inf)
+    assert prog.dual_bound(np.array([2.0])) == -math.inf
+    assert prog._backend.highs is None  # scored, never passed to HiGHS
+    assert lp.solve(prog).x.tolist() == [3.0, 0.0]
+
+
+def test_a_new_column_or_row_after_a_solve_is_scored():
+    prog = lp.LinearProgram()
+    x = prog.add_variable(0.0, 4.0)
+    prog.add_constraint({x: 1.0}, 3.0)
+    prog.set_objective({x: 1.0})
+    assert lp.solve(prog).objective == 3.0
+    z = prog.add_variable(0.0, 1.0)
+    assert prog.evaluate(np.array([3.0, 5.0])) == (4.0, 3.0)  # z above its upper bound 1
+    prog.add_constraint({x: 1.0, z: -1.0}, 2.0)
+    assert prog.evaluate(np.array([3.0, 1.0])) == (0.0, 3.0)
+    assert prog.evaluate(np.array([3.0, 0.0])) == (1.0, 3.0)  # misses the new row by 1
+    assert prog.dual_bound(np.array([1.0, 0.0])) == 3.0
+    sol = lp.solve(prog)
+    assert sol.objective == 3.0 and sol.x.tolist() == [3.0, 1.0]
+
+
 def test_evaluate_refuses_a_point_without_one_value_per_column():
     prog = lp.LinearProgram()
     prog.add_variable(0.0, 1.0)
@@ -531,6 +579,7 @@ def test_dual_bound_at_the_solvers_duals_is_the_optimum_on_random_lps():
         if sol.status == lp.OPTIMAL:
             optimal += 1
             assert prog.dual_bound(sol.y) == pytest.approx(sol.objective, abs=1e-9), seed
+            assert sol.duality_gap == abs(sol.objective - prog.dual_bound(sol.y)), seed
     assert optimal == 246
 
 

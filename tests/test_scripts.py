@@ -53,6 +53,16 @@ def test_run_paper_case_reports_a_case_it_cannot_load(capsys):
     assert captured.out == ""
 
 
+def test_run_paper_case_reports_an_out_path_it_cannot_write(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert load("run_paper_case").main(["--case", "voltage_binding", "--out", str(taken)]) == 1
+    captured = capsys.readouterr()
+    assert "run_paper_case: error: [Errno 17] File exists" in captured.err
+    assert "Equivalence: PASS" in captured.out  # the tables were printed before the write
+    assert "artifacts written" not in captured.out
+
+
 def test_random_campaign_passes_a_short_batch(capsys):
     assert load("random_campaign").main(["--cases", "3"]) == 0
     out = capsys.readouterr().out
