@@ -5,7 +5,10 @@ failure, 3 infeasible problem, 4 solver failure.
 
 Tabular outputs are CSV by default (header row, '.' decimal, LF endings,
 6 decimal places) or JSON record lists with ``--format json``; repeated runs
-on the same input produce byte-identical files.
+on the same input produce byte-identical files. The two curve files,
+``bid_curve`` and ``breakpoints``, hold round-trip floats (``repr``)
+instead, so ``iso-clear --curve`` clears the very curve ``coordinate``
+clears.
 """
 
 from __future__ import annotations
@@ -29,20 +32,26 @@ def _fmt(value: float) -> str:
     return f"{value + 0.0:.6f}"  # + 0.0 normalizes -0.0
 
 
-def _write_table(path: Path, header: list[str], rows: list[tuple], fmt: str) -> None:
+def _exact(value: float) -> str:
+    return repr(float(value) + 0.0)  # + 0.0 normalizes -0.0
+
+
+def _write_table(path: Path, header: list[str], rows: list[tuple], fmt: str,
+                 number=_fmt) -> None:
+    """Write ``rows`` under ``header``; ``number`` spells each float."""
     if fmt == "json":
         path = path.with_suffix(".json")
         records = []
         for row in rows:
             rec = {}
             for key, value in zip(header, row):
-                rec[key] = float(_fmt(value)) if isinstance(value, float) else value
+                rec[key] = float(number(value)) if isinstance(value, float) else value
             records.append(rec)
         text = json.dumps(records, indent=2) + "\n"
     else:
         lines = [",".join(header)]
         for row in rows:
-            lines.append(",".join(v if isinstance(v, str) else _fmt(v) for v in row))
+            lines.append(",".join(v if isinstance(v, str) else number(v) for v in row))
         text = "\n".join(lines) + "\n"
     path.parent.mkdir(parents=True, exist_ok=True)  # only once there is a result to write
     path.write_text(text, newline="\n")
@@ -60,10 +69,11 @@ def _curve_rows(curve: BidCurve) -> list[tuple]:
 
 
 def _write_curve(curve: BidCurve, out: Path, fmt: str) -> None:
+    """The curve files, in round-trip floats: ``read_curve`` gives back ``curve`` itself."""
     _write_table(out / "bid_curve.csv", ["q_mw", "total_cost", "marginal_price"],
-                 _curve_rows(curve), fmt)
+                 _curve_rows(curve), fmt, _exact)
     _write_table(out / "breakpoints.csv", ["q_mw", "total_cost"],
-                 [(q, c) for q, c in curve.breakpoints], fmt)
+                 [(q, c) for q, c in curve.breakpoints], fmt, _exact)
 
 
 def read_curve(path: str | Path) -> BidCurve:

@@ -12,21 +12,40 @@ Voltage is tracked as squared p.u. magnitude; the recursion
 ``u[child] = u[parent] - 2 (r * p_flow + x * q_flow) / base_mva`` is the
 lossless linearization, so branch flows carry no loss term.
 
-``build_constraints`` emits the fragment into a new LP, and returns the
-column and row indices it was given (``DistFlowVars``); ``read_solution``
-reads it back from an optimal solution by those indices, into the
-``DistFlowSolution`` subclass its caller names: ``dso.DsoDispatch`` or
-``coordination.IdealOutcome``, so the coordinated and the joint outcome
-share their field names. Per node the fragment adds an active then a
+``build_constraints`` emits the fragment into a new LP, the joint LP of
+``coordination``, and returns the column and row indices it was given
+(``DistFlowVars``); ``read_solution`` reads it back from an optimal
+solution by those indices. Per node the fragment adds an active then a
 reactive balance row, then one voltage row per branch. The exchange is
-always a free variable: the DSO pins it through its bounds to evaluate one
-export. The fragment declares the network's spanning tree as its LP's start
-basis (``LinearProgram.declare_basic``).
+always a free variable. The fragment declares the network's spanning tree
+as its LP's start basis (``LinearProgram.declare_basic``).
+``read_solution`` and ``TreeSensitivities.read`` (below) fill the
+``DistFlowSolution`` subclass their caller names,
+``coordination.IdealOutcome`` or ``dso.DsoDispatch``, so the joint and the
+coordinated outcome share their field names.
+
+On a radial tree every flow and voltage is affine in the aggregator blocks,
+so the DSO's own LP (``dso``) is written over the blocks alone.
+``tree_sensitivities`` works out, per block column, what the tree variables
+read (``TreeSensitivities``): a branch flow is the net consumption of the
+child's subtree, a squared voltage is ``u_sub`` minus the drops
+``2 (r p + x q) / base_mva`` summed along its path, and the reactive
+exchange is the negated net reactive consumption of the whole tree. One
+sweep from the leaves up sums the subtrees and one from the root down sums
+the paths, once per network and offer set; no node-by-node matrix is built.
+``TreeSensitivities.read`` takes the LP's block fills back to the full
+outcome, the tree variables by one matrix-vector product, and
+``row_duals`` takes the block LP's duals (the balance's and those of the
+limits it kept) back to every row of the fragment: a transposed sweep,
+voltage-row duals up the tree and balance duals down it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import lp as lpmod
 from .model import DRAG, REAG, Aggregator, NetworkModel
@@ -58,6 +77,12 @@ class DistFlowSolution:
     q_exchange: float                          # substation MVAr exchange
 
 
+def _check_nodes(n: int, aggregators) -> None:
+    for agg in aggregators:
+        if not (0 <= agg.node < n):
+            raise ValueError(f"aggregator {agg.id!r} on unknown node {agg.node}")
+
+
 def build_constraints(
     network: NetworkModel,
     aggregators: list[Aggregator] | tuple[Aggregator, ...],
@@ -73,10 +98,7 @@ def build_constraints(
     lp = lpmod.LinearProgram()
     inc = network.incidence  # raises if not radial
     n = network.n_nodes
-
-    for agg in aggregators:
-        if not (0 <= agg.node < n):
-            raise ValueError(f"aggregator {agg.id!r} on unknown node {agg.node}")
+    _check_nodes(n, aggregators)
 
     blocks = {  # a REAG's offer stack is empty, so it gets no variables
         agg.id: tuple(lp.add_variable(0.0, blk.p_max) for blk in agg.offers.blocks)
@@ -148,8 +170,167 @@ def build_constraints(
     )
 
 
+@dataclass(frozen=True, eq=False)
+class TreeSensitivities:
+    """The fragment's tree variables as affine functions of the block columns.
+
+    Block column k is the k-th offer block, aggregator by aggregator in
+    order, as in ``build_constraints``. At block fills x, tree variable t
+    reads ``base[t] + matrix[t] @ x``. The tree variables are the active
+    flow of each branch, the reactive flow of each branch, the squared
+    voltage of each node and the reactive exchange, in that order; ``lower``
+    and ``upper`` are their limits, infinite for the substation's voltage,
+    which is ``u_sub`` whatever the blocks do, and for the free exchange.
+    """
+
+    blocks: dict[str, tuple[int, ...]]         # aggregator id -> block columns, () for REAG
+    capacity: np.ndarray                       # per block column, MW
+    injection: np.ndarray                      # per block column, +1 supply, -1 demand
+    net_load: float                            # firm load less REAG output, all nodes, MW
+    base: np.ndarray                           # per tree variable
+    matrix: np.ndarray                         # tree variable x block column
+    lower: np.ndarray                          # per tree variable
+    upper: np.ndarray                          # per tree variable
+    order: tuple[int, ...]                     # the nodes, each after its parent
+    parent: tuple[int, ...]                    # per node, its parent; the substation's is itself
+    branch: tuple[int, ...]                    # per node, the branch to its parent, -1 at the top
+    drop_p: tuple[float, ...]                  # per branch, 2 r / base_mva
+    drop_q: tuple[float, ...]                  # per branch, 2 x / base_mva
+
+    def read(self, cls: type[DistFlowSolution], x: np.ndarray, y: np.ndarray,
+             aggregators: list[Aggregator] | tuple[Aggregator, ...], **more) -> DistFlowSolution:
+        """A ``cls``: the outcome at block fills ``x`` and fragment row duals ``y``, and ``more``."""
+        n, m = len(self.order), len(self.drop_p)
+        fills, values, prices = x.tolist(), (self.base + self.matrix @ x).tolist(), y[0:2 * n:2]
+        blocks = {agg.id: tuple(fills[j] for j in self.blocks[agg.id]) for agg in aggregators}
+        return cls(
+            aggregator_dispatch=_dispatch(aggregators, blocks),
+            aggregator_blocks=blocks,
+            retail_prices=dict(enumerate(prices.tolist())),
+            flows_p=tuple(values[:m]),
+            flows_q=tuple(values[m:2 * m]),
+            voltages_sq=tuple(values[2 * m:2 * m + n]),
+            q_exchange=values[-1],
+            **more,
+        )
+
+    def row_duals(self, balance: float, limits: np.ndarray) -> np.ndarray:
+        """Duals of the fragment's rows, in ``build_constraints``' order, from a block LP's.
+
+        ``balance`` is the dual of the block LP's balance row and
+        ``limits[t]`` that of tree variable t's limit, 0 where none is kept.
+        They are chosen so that each tree variable's reduced cost in the
+        fragment is its limit's dual, and each block's is the block LP's. A
+        branch's voltage-row dual is then minus the voltage limit duals
+        summed over its subtree; a node's balance dual is its parent's, less
+        the branch's drop coefficient times that voltage-row dual, less the
+        branch's flow limit dual. At the substation the active balance dual
+        is ``balance`` and the reactive one 0.
+        """
+        n, m = len(self.order), len(self.drop_p)
+        mu = limits.tolist()
+        below = mu[2 * m:2 * m + n]  # per node, voltage limit duals over its subtree
+        volt = [0.0] * m
+        for node in reversed(self.order[1:]):
+            below[self.parent[node]] += below[node]
+            volt[self.branch[node]] = -below[node]
+        price_p, price_q = [0.0] * n, [0.0] * n
+        price_p[self.order[0]] = balance
+        for node in self.order[1:]:
+            j, up = self.branch[node], self.parent[node]
+            price_p[node] = price_p[up] - self.drop_p[j] * volt[j] - mu[j]
+            price_q[node] = price_q[up] - self.drop_q[j] * volt[j] - mu[m + j]
+        y = np.empty(2 * n + m)
+        y[0:2 * n:2], y[1:2 * n:2], y[2 * n:] = price_p, price_q, volt
+        return y
+
+
+def tree_sensitivities(
+    network: NetworkModel,
+    aggregators: list[Aggregator] | tuple[Aggregator, ...],
+) -> TreeSensitivities:
+    """What every tree variable of ``build_constraints`` reads, per block column.
+
+    Raises ValueError where ``build_constraints`` does. The sweeps carry,
+    per node, two rows of block coefficients and a constant: the active and
+    the reactive terms.
+    """
+    inc = network.incidence  # raises if not radial
+    n, m = network.n_nodes, len(network.branches)
+    _check_nodes(n, aggregators)
+    parent, branch = [network.substation] * n, [-1] * n
+    children: list[list[int]] = [[] for _ in range(n)]
+    for j, (up, node) in enumerate(zip(inc.parent, inc.child)):
+        parent[node], branch[node] = up, j
+        children[up].append(node)
+    order = [network.substation]
+    for node in order:  # breadth first: each node after its parent
+        order.extend(children[node])
+
+    blocks, nb = {}, 0
+    for agg in aggregators:
+        blocks[agg.id] = tuple(range(nb, nb + len(agg.offers.blocks)))
+        nb += len(agg.offers.blocks)
+    sub = np.zeros((n, 2, nb + 1))  # per node, its net consumption, active and reactive
+    capacity, injection = np.zeros(nb), np.zeros(nb)
+    reag_p, reag_q = [0.0] * n, [0.0] * n
+    for agg in aggregators:
+        if agg.kind == REAG:
+            reag_p[agg.node] += agg.fixed_output
+            reag_q[agg.node] += agg.fixed_output * agg.tan_phi
+        sign = -1.0 if agg.kind == DRAG else 1.0
+        for col, blk in zip(blocks[agg.id], agg.offers.blocks):
+            capacity[col], injection[col] = blk.p_max, sign
+            sub[agg.node, :, col] = -sign, -sign * agg.tan_phi
+    sub[:, 0, nb] = [load - reag for load, reag in zip(network.load_p, reag_p)]
+    sub[:, 1, nb] = [load - reag for load, reag in zip(network.load_q, reag_q)]
+
+    # Up the tree: each node's rows become its subtree's, the flow into it.
+    for node in reversed(order[1:]):
+        sub[parent[node]] += sub[node]
+    flow = sub[list(inc.child)]
+    # Down the tree: each node's voltage is its parent's less its branch's drop.
+    drop_p = [2.0 * br.r / network.base_mva for br in network.branches]
+    drop_q = [2.0 * br.x / network.base_mva for br in network.branches]
+    dp, dq = np.array(drop_p)[:, None], np.array(drop_q)[:, None]
+    volt = np.zeros((n, nb + 1))
+    volt[list(inc.child)] = -(dp * flow[:, 0] + dq * flow[:, 1])
+    volt[network.substation, nb] = network.u_sub
+    for node in order[1:]:
+        volt[node] += volt[parent[node]]
+
+    root = sub[network.substation]
+    affine = np.vstack((flow[:, 0], flow[:, 1], volt, -root[1]))
+    upper = np.array([br.pl_max for br in network.branches] + [br.ql_max for br in network.branches]
+                     + [network.u_max] * n + [math.inf])
+    lower = np.concatenate((-upper[:2 * m], [network.u_min] * n, [-math.inf]))
+    lower[2 * m + network.substation], upper[2 * m + network.substation] = -math.inf, math.inf
+    return TreeSensitivities(
+        blocks=blocks,
+        capacity=capacity,
+        injection=injection,
+        net_load=float(root[0, nb]),
+        base=affine[:, nb],
+        matrix=affine[:, :nb],
+        lower=lower,
+        upper=upper,
+        order=tuple(order),
+        parent=tuple(parent),
+        branch=tuple(branch),
+        drop_p=tuple(drop_p),
+        drop_q=tuple(drop_q),
+    )
+
+
+def _dispatch(aggregators, blocks: dict[str, tuple[float, ...]]) -> dict[str, float]:
+    """Per aggregator, its MW: the fixed output of a REAG, else the sum of its block fills."""
+    return {agg.id: agg.fixed_output if agg.kind == REAG else sum(blocks[agg.id])
+            for agg in aggregators}
+
+
 def dispatch_cost_coeffs(
-    aggregators: list[Aggregator] | tuple[Aggregator, ...], vars: DistFlowVars
+    aggregators: list[Aggregator] | tuple[Aggregator, ...],
+    vars: DistFlowVars | TreeSensitivities,
 ) -> dict[int, float]:
     """Objective terms: supply blocks at their price, demand blocks at minus theirs."""
     coeffs: dict[int, float] = {}
@@ -168,8 +349,7 @@ def read_solution(
     x, y = sol.x.tolist(), sol.y.tolist()
     blocks = {agg.id: tuple(x[j] for j in vars.blocks[agg.id]) for agg in aggregators}
     return cls(
-        aggregator_dispatch={agg.id: agg.fixed_output if agg.kind == REAG
-                             else sum(blocks[agg.id]) for agg in aggregators},
+        aggregator_dispatch=_dispatch(aggregators, blocks),
         aggregator_blocks=blocks,
         retail_prices={i: y[row] for i, row in enumerate(vars.balance_p)},
         flows_p=tuple(x[j] for j in vars.p_flow),

@@ -18,28 +18,48 @@ with the price on the wholesale balance, are a dual solution of the joint
 LP, which ``coordination.check_equivalence`` certifies the outcome with.
 The re-dispatch is a ``DsoDispatch``, a ``distflow.DistFlowSolution``.
 
+The free-export LP is solved in block space (``_free_lp``). On a radial
+tree every branch flow and squared voltage is affine in the block outputs
+(``distflow.tree_sensitivities``), so the LP keeps only the block columns,
+the export ``px`` and one balance row (sum of sign * block - px = the net
+firm load), plus, for each network limit that can bind, one row
+``a . blocks - s = -base`` whose slack ``s`` carries the limit as its
+bounds. The screen (``_bindable``) drops a limit that the tree variable
+cannot reach, by interval arithmetic over the block boxes, and keeps any
+it reaches or misses by no more than rounding. A dropped limit is
+redundant, so the LP's optimum is the full DistFlow LP's. The start basis
+is ``px`` and the slacks. The re-dispatch reads the full outcome back
+through the same sensitivities, and its duals over every row of the
+DistFlow fragment (``TreeSensitivities.row_duals``); the joint LP keeps the
+whole fragment, so ``check_equivalence`` scores every original row and
+limit, and a screening or mapping fault fails it.
+
 Every compiled LP of a scenario, this module's and ``coordination``'s joint
 LP, is reused by one policy, ``compiled(scenario, build)``. A one-slot cache
 keyed by the scenario's identity (``is``) holds the scenario, validated once,
 a lock, and what each builder built from it; another ``Scenario`` object
-replaces it. Each use holds the lock and restarts the LP cold from its start
-basis (the feeder's spanning tree, declared by ``build_constraints``), so a
-public call runs the solve sequence of a fresh compile: its answer is
-bit-for-bit a fresh compile's, whatever came before, and threads take turns.
+replaces it. Each use holds the lock and restarts the LP cold from its
+declared start basis, so a public call runs the solve sequence of a fresh
+compile: its answer is bit-for-bit a fresh compile's, whatever came before,
+and threads take turns.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cached_property
 
+import numpy as np
+
 from . import lp as lpmod
-from .distflow import (DistFlowSolution, DistFlowVars, build_constraints, dispatch_cost_coeffs,
-                       read_solution)
+from .distflow import build_constraints  # noqa: F401  (the benchmark's tracer looks it up here)
+from .distflow import (DistFlowSolution, TreeSensitivities, dispatch_cost_coeffs,
+                       tree_sensitivities)
 from .lp import InfeasibleError
 from .model import Scenario, require_valid
 
@@ -131,7 +151,7 @@ class DsoDispatch(DistFlowSolution):
 
     net_export: float
     cost: float
-    row_duals: tuple[float, ...]                  # every row of the DSO's LP, by index
+    row_duals: tuple[float, ...]  # the DistFlow fragment's rows (build_constraints'), not the LP's
 
 
 class _Model:
@@ -169,10 +189,48 @@ def compiled(scenario: Scenario, build: Callable[[Scenario], tuple]) -> Iterator
         yield built
 
 
-def _free_lp(scenario: Scenario) -> tuple[lpmod.LinearProgram, DistFlowVars, dict[int, float]]:
-    """The free-export LP, its variables and the dispatch cost."""
-    prog, dvars = build_constraints(scenario.network, scenario.aggregators)
-    return prog, dvars, dispatch_cost_coeffs(scenario.aggregators, dvars)
+_FreeLp = tuple[lpmod.LinearProgram, TreeSensitivities, int, np.ndarray, dict[int, float]]
+
+
+def _free_lp(scenario: Scenario) -> _FreeLp:
+    """The free-export LP, its tree, export column, kept limits and the dispatch cost.
+
+    Its columns are the blocks (by their column in the tree), the export
+    and one slack per kept limit; its rows the balance, then one per kept
+    limit. The start basis is the export and the slacks.
+    """
+    tree = tree_sensitivities(scenario.network, scenario.aggregators)
+    kept = _bindable(tree)
+    prog = lpmod.LinearProgram()
+    for cap in tree.capacity.tolist():
+        prog.add_variable(0.0, cap)
+    px = prog.add_variable()
+    prog.add_constraint({**dict(enumerate(tree.injection.tolist())), px: -1.0}, tree.net_load)
+    slacks = []
+    for t in kept.tolist():
+        slacks.append(prog.add_variable(float(tree.lower[t]), float(tree.upper[t])))
+        row = {j: a for j, a in enumerate(tree.matrix[t].tolist()) if a}
+        prog.add_constraint({**row, slacks[-1]: -1.0}, -float(tree.base[t]))
+    prog.declare_basic((px, *slacks))
+    return prog, tree, px, kept, dispatch_cost_coeffs(scenario.aggregators, tree)
+
+
+def _bindable(tree: TreeSensitivities) -> np.ndarray:
+    """The tree variables whose limits the blocks can reach, by index.
+
+    Over the block boxes, tree variable t spans base + the sum of its
+    negative reaches to base + the sum of its positive ones. A limit that
+    interval does not reach is redundant, and the LP leaves it out. One it
+    reaches, touches or misses by no more than rounding is kept: rounding
+    is N eps times the magnitudes summed, |base| plus every |reach|, with N
+    the count of tree variables and blocks, more than the terms of any sum.
+    """
+    reach = tree.matrix * tree.capacity
+    low = tree.base + np.minimum(reach, 0.0).sum(axis=1)
+    high = tree.base + np.maximum(reach, 0.0).sum(axis=1)
+    magnitude = np.abs(tree.base) + np.abs(reach).sum(axis=1)
+    rounding = sum(tree.matrix.shape) * sys.float_info.epsilon * magnitude
+    return np.flatnonzero((low <= tree.lower + rounding) | (high >= tree.upper - rounding))
 
 
 def _export_range(prog: lpmod.LinearProgram, px: int) -> tuple[float, float]:
@@ -201,8 +259,8 @@ def _pinned_solve(prog: lpmod.LinearProgram, px: int, q: float) -> lpmod.LpSolut
 
 def feasible_range(scenario: Scenario) -> tuple[float, float]:
     """Extreme feasible net exports of the network-plus-blocks polytope."""
-    with compiled(scenario, _free_lp) as (prog, dvars, _):
-        return _export_range(prog, dvars.p_exchange)
+    with compiled(scenario, _free_lp) as (prog, _, px, _, _):
+        return _export_range(prog, px)
 
 
 def value_at(scenario: Scenario, net_export: float, price: float | None = None) -> DsoDispatch:
@@ -228,14 +286,14 @@ def value_at(scenario: Scenario, net_export: float, price: float | None = None) 
     (still optimal, by complementary slackness). A pinned solve never needs
     a second one, so it stays the rule without a price.
 
-    ``retail_prices`` are the active balance duals and ``row_duals`` every
-    row's dual, by the LP's row index. A ``net_export``, or a ``price``,
-    that is not finite raises ValueError.
+    ``row_duals`` holds a dual for every row of the DistFlow fragment, in
+    ``build_constraints``' order, read back from the block LP's balance and
+    limit duals; ``retail_prices`` are its active balance duals. A
+    ``net_export``, or a ``price``, that is not finite raises ValueError.
     """
     if not (math.isfinite(net_export) and (price is None or math.isfinite(price))):
         raise ValueError(f"net export and price must be finite, got {net_export} and {price}")
-    with compiled(scenario, _free_lp) as (prog, dvars, cost):
-        px = dvars.p_exchange
+    with compiled(scenario, _free_lp) as (prog, tree, px, kept, cost):
         if price is None:
             prog.set_objective(cost)
             sol = _pinned_solve(prog, px, net_export)
@@ -249,9 +307,11 @@ def value_at(scenario: Scenario, net_export: float, price: float | None = None) 
                 sol = replace(sol, x=_pinned_solve(prog, px, net_export).x)
             dispatch_cost = sol.objective + price * float(sol.x[px])
 
-    return read_solution(
-        DsoDispatch, sol, scenario.aggregators, dvars, net_export=net_export, cost=dispatch_cost,
-        row_duals=tuple(sol.y.tolist()))
+    limits = np.zeros(len(tree.base))
+    limits[kept] = sol.y[1:]
+    y = tree.row_duals(float(sol.y[0]), limits)
+    return tree.read(DsoDispatch, sol.x[:px], y, scenario.aggregators, net_export=net_export,
+                     cost=dispatch_cost, row_duals=tuple(y.tolist()))
 
 
 def build_bid_curve(scenario: Scenario) -> BidCurve:
@@ -285,8 +345,8 @@ def build_bid_curve(scenario: Scenario) -> BidCurve:
     add probes (collinear neighbors are extended, not split), as can a
     degenerate basis whose range is narrower than the segment prices.
     """
-    with compiled(scenario, _free_lp) as (prog, dvars, cost):
-        curve = _probe_curve(scenario, prog, dvars.p_exchange, cost)
+    with compiled(scenario, _free_lp) as (prog, _, px, _, cost):
+        curve = _probe_curve(scenario, prog, px, cost)
     problems = curve.violations()
     if problems:
         raise lpmod.SolverError("assembled bid curve is inconsistent: " + "; ".join(problems))

@@ -28,7 +28,8 @@ calls that came before (a warm re-solve can land on another optimal vertex
 or dual where the optimum is not unique). A start basis is a fixed function of
 the program, not of its history; the DistFlow fragment declares its
 spanning tree, from which HiGHS needs a few pivots where the slack basis
-takes dozens. Pricing is Devex (see ``_Backend``).
+takes dozens, and the DSO's block LP its export and limit slacks. Pricing
+is Devex (see ``_Backend``).
 
 ``dual_bound``, the Lagrangian bound of row duals, is the one optimality
 certificate. ``solve`` holds an optimal answer to ``SOLVE_BOUND`` by its

@@ -1,8 +1,10 @@
 """Shared test machinery: random scenarios, brute-force oracles, residual checks,
 a dual-optimality check of the re-dispatch, unit rescaling, metamorphic network transforms, a forced equivalence
 failure for the CLI, call counters for the compiled-model caches, the
-probe-only bid curve that the certified one must reproduce exactly, and the
-clearing LP that the merit-order clearing must match.
+probe-only bid curve (on the DSO's block LP, which the certified curve must
+reproduce exactly, or on the full DistFlow LP, which it must match within
+the scenario's tolerance), and the clearing LP that the merit-order clearing
+must match.
 
 The dispatch oracles here are deliberately independent of the package's LP
 path: dispatch problems are solved by enumerating vertex dispatches (every
@@ -26,6 +28,7 @@ from pathlib import Path
 import pytest
 
 import gridcoord.cli as cli
+import gridcoord.dso as dso
 import gridcoord.lp as lp
 from gridcoord.caseio import BUNDLED_CASES, parse_case
 from gridcoord.distflow import build_constraints, dispatch_cost_coeffs
@@ -183,7 +186,9 @@ def redispatch_with_duals(scenario: Scenario, net_export: float, price: float | 
     node i in turn, then ``volt[j]`` for each branch j. The call's solves
     are counted: without a price it runs one, with a price one at the
     price's slope, and a second, pinned, only when the first one's export
-    misses ``net_export``; the duals are those of the first solve.
+    misses ``net_export``. The duals are read back from the first solve's,
+    which are the block LP's: its balance row's dual is the substation's
+    ``bal_p`` dual.
     """
     solves = []
     original = lp.solve
@@ -199,11 +204,11 @@ def redispatch_with_duals(scenario: Scenario, net_export: float, price: float | 
     if price is None:
         assert len(solves) == 1
     else:
-        px = build_constraints(scenario.network, scenario.aggregators)[1].p_exchange
+        px = dso._free_lp(scenario)[2]
         missed = abs(first.x[px] - net_export) > 1e-9 * max(1.0, abs(net_export))
         assert len(solves) == 1 + missed
-    assert first.y.tolist() == list(dispatch.row_duals)
     net = scenario.network
+    assert dispatch.row_duals[2 * net.substation] == first.y[0]
     names = [f"{row}[{i}]" for i in range(net.n_nodes) for row in ("bal_p", "bal_q")]
     names += [f"volt[{j}]" for j in range(len(net.branches))]
     assert len(names) == len(dispatch.row_duals)
@@ -426,6 +431,19 @@ def count_calls(monkeypatch, module, name: str) -> list:
     return calls
 
 
+def congested_reference() -> Scenario:
+    """``paper_reference`` with every branch limited to 2 MW and 2 MVAr.
+
+    The award then congests the branches towards the demand response, and
+    four flow limits can bind: the retail prices split (28 $/MWh at nodes 8
+    and 9, 22 elsewhere).
+    """
+    scenario = parse_case("paper_reference")
+    net = scenario.network
+    branches = tuple(dataclasses.replace(br, pl_max=2.0, ql_max=2.0) for br in net.branches)
+    return dataclasses.replace(scenario, network=dataclasses.replace(net, branches=branches))
+
+
 # Bundled cases and random seeds with their branches declared from the other
 # end, or with their node ids reversed (which moves the substation too).
 TRANSFORMED = tuple(f"{how}:{base}" for how in ("reversed", "relabelled")
@@ -433,11 +451,15 @@ TRANSFORMED = tuple(f"{how}:{base}" for how in ("reversed", "relabelled")
 
 
 def named_scenario(which) -> Scenario:
-    """A bundled case by name, a ``random_scenario`` by seed, or one of ``TRANSFORMED``."""
+    """A bundled case by name, ``congested`` (``congested_reference``), a
+    ``random_scenario`` by seed, or one of ``TRANSFORMED``."""
     if isinstance(which, int):
         return random_scenario(which)
     how, _, base = which.rpartition(":")
-    scenario = random_scenario(int(base)) if base.isdigit() else parse_case(base)
+    if base == "congested":
+        scenario = congested_reference()
+    else:
+        scenario = random_scenario(int(base)) if base.isdigit() else parse_case(base)
     if how == "reversed":
         return reverse_branches(scenario)
     if how == "relabelled":
@@ -463,23 +485,35 @@ def answer(call, *args):
 # ---------------------------------------------------------------------------
 
 
-def probe_only_curve(scenario: Scenario) -> BidCurve:
+def full_free_lp(scenario: Scenario):
+    """The free-export LP over the whole DistFlow fragment, its export column and its cost."""
+    prog, dvars = build_constraints(scenario.network, scenario.aggregators)
+    return prog, dvars.p_exchange, dispatch_cost_coeffs(scenario.aggregators, dvars)
+
+
+def block_free_lp(scenario: Scenario):
+    """``dso``'s free-export LP over the blocks, freshly built, its export column and its cost."""
+    prog, _, px, _, cost = dso._free_lp(scenario)
+    return prog, px, cost
+
+
+def probe_only_curve(scenario: Scenario, free_lp=full_free_lp) -> BidCurve:
     """The bid curve by chord probes alone, as built before basis certificates.
 
-    Every interval is probed, so a k-segment curve takes 2k + 3 solves. It
-    runs the same solves in the same order on a freshly compiled free-export
-    LP as ``dso.build_bid_curve`` does, except that it also solves the probes
-    that the certificates skip. Those probes leave the basis where it was, so
-    the two must agree bit for bit.
+    Every interval is probed, so a k-segment curve takes 2k + 3 solves, on
+    the LP that ``free_lp`` builds. On ``block_free_lp`` it runs the same
+    solves in the same order as ``dso.build_bid_curve`` does, except that it
+    also solves the probes that the certificates skip. Those probes leave
+    the basis where it was, so the two must agree bit for bit. On
+    ``full_free_lp``, the default, every network limit is a row or a bound
+    of the LP, as in the joint LP, so no limit is screened out.
     """
-    prog, dvars = build_constraints(scenario.network, scenario.aggregators)
-    px = dvars.p_exchange
+    prog, px, cost = free_lp(scenario)
     ends = []
     for sense in (1.0, -1.0):
         prog.set_objective({px: sense})
         ends.append(float(lp.solve(prog).x[px]))
     q_min, q_max = ends
-    cost = dispatch_cost_coeffs(scenario.aggregators, dvars)
     prog.set_objective(cost)
 
     def pinned_cost(q):

@@ -3,13 +3,14 @@ import math
 
 import pytest
 
+import gridcoord.cli as cli
 from gridcoord.caseio import resolve_case_path
 from gridcoord.cli import main, read_curve, write_equivalence_report
 from gridcoord.coordination import EquivalenceReport
 from gridcoord.dso import build_bid_curve
 from gridcoord.caseio import parse_case
 
-from support import force_equivalence_failure
+from support import force_equivalence_failure, random_scenario, scale_prices
 
 EXPECTED_BREAKPOINTS = [-1.5, -0.5, 0.7, 1.2, 3.2, 5.7]
 
@@ -58,6 +59,26 @@ def test_saved_curve_round_trips(tmp_path):
     assert [q for q, _ in curve.breakpoints] == pytest.approx(
         [q for q, _ in reference.breakpoints], abs=1e-6
     )
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_saved_curve_clears_like_coordinate(tmp_path, capsys, monkeypatch, fmt):
+    # At $/kWh, seed 398's wholesale offer sits 1e-7 below a segment's price,
+    # so a curve file rounded to 6 decimals moved its award by 20 %.
+    scenario = scale_prices(random_scenario(398), 1e-3)
+    monkeypatch.setattr(cli, "parse_case", lambda case: scenario)
+    common = ["--case", "seed398", "--format", fmt]
+    assert run(["dso-bid", *common, "--out", str(tmp_path / "bid")]) == 0
+    curve = tmp_path / "bid" / f"bid_curve.{fmt}"
+    assert read_curve(curve) == build_bid_curve(scenario)
+    capsys.readouterr()
+    assert run(["iso-clear", *common, "--curve", str(curve), "--out", str(tmp_path / "split")]) == 0
+    split = capsys.readouterr().out
+    assert run(["coordinate", *common, "--out", str(tmp_path / "joint")]) == 0
+    joint = capsys.readouterr().out
+    assert split.splitlines()[0] == joint.splitlines()[0]  # the clearing price
+    assert read(tmp_path / "split" / f"iso_outcome.{fmt}") == read(
+        tmp_path / "joint" / f"iso_outcome.{fmt}")
 
 
 def test_coordinate_outputs_match_aggregator_shares(tmp_path, capsys):

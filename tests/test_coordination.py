@@ -599,10 +599,11 @@ def _assert_passes_at_ten_million_times_the_prices(seed, monkeypatch):
     assert lp.solve_stats()["max_gap"] <= 1e-7
 
 
-# Failed while the check solved the joint LP, whose objective and duality gap
-# exceeded the bounds; without that solve the check's gap is -9.5e-7 and the
-# largest solve gap 8.9e-8.
-@pytest.mark.parametrize("seed", [69])
+# 69 failed while the check solved the joint LP, whose objective and duality
+# gap exceeded the bounds; without that solve the check's gap is -9.5e-7 and
+# the largest solve gap 8.9e-8. 189 failed on a solve gap of 2.4e-7 while the
+# DSO's LP carried every DistFlow row; on the block LP its largest is 6.0e-8.
+@pytest.mark.parametrize("seed", [69, 189])
 def test_random_feeders_at_ten_million_times_the_prices_pass(seed, monkeypatch):
     _assert_passes_at_ten_million_times_the_prices(seed, monkeypatch)
 
@@ -611,7 +612,7 @@ def test_random_feeders_at_ten_million_times_the_prices_pass(seed, monkeypatch):
                    reason="ROADMAP item 5: the check's objective gap and the solves' "
                           "duality gaps are absolute, so at x1e7 prices rounding alone "
                           "exceeds their bounds")
-@pytest.mark.parametrize("seed", [39, 66, 110, 167, 189])
+@pytest.mark.parametrize("seed", [39, 66, 110, 167])
 def test_random_feeders_at_ten_million_times_the_prices_still_pass(seed, monkeypatch):
     _assert_passes_at_ten_million_times_the_prices(seed, monkeypatch)
 

@@ -1,12 +1,13 @@
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gridcoord.lp as lp
 from gridcoord.caseio import BUNDLED_CASES, parse_case
-from gridcoord.distflow import build_constraints, dispatch_cost_coeffs
+from gridcoord.distflow import build_constraints, dispatch_cost_coeffs, tree_sensitivities
 from gridcoord.dso import feasible_range, value_at
 from gridcoord.model import (
     Aggregator,
@@ -19,8 +20,11 @@ from gridcoord.model import (
 )
 
 from support import (
+    TRANSFORMED,
     capacity_export_range,
     distflow_residuals,
+    feeder_scenario,
+    named_scenario,
     random_scenario,
     reverse_branches,
     root_paths,
@@ -204,3 +208,30 @@ def test_the_feeder_tree_is_the_declared_start_basis(name, reverse):
     assert prog._basic_cols == tree
     assert not prog._basic_rows
     assert len(tree) == 3 * net.n_nodes - 1 == len(prog._rhs)
+
+
+@pytest.mark.parametrize("which", [*BUNDLED_CASES, "congested", *TRANSFORMED, *range(20),
+                                   "feeder"])
+def test_tree_sensitivities_meet_every_row_of_the_fragment(which):
+    # At any block fills, the tree variables read off the sensitivities, and
+    # the export off the balance, solve every row that build_constraints emits.
+    scenario = feeder_scenario(1) if which == "feeder" else named_scenario(which)
+    net = scenario.network
+    tree = tree_sensitivities(net, scenario.aggregators)
+    prog, dvars = build_constraints(net, scenario.aggregators)
+    assert tree.blocks == dvars.blocks
+    m, n = len(net.branches), net.n_nodes
+    scale = max(1.0, np.max(np.abs(tree.base) + np.abs(tree.matrix) @ tree.capacity))
+    rng = np.random.default_rng(0)
+    for fill in (0.0 * tree.capacity, tree.capacity, rng.uniform(size=len(tree.capacity))
+                 * tree.capacity):
+        values = tree.base + tree.matrix @ fill
+        point = np.zeros(prog.n_cols)
+        point[:len(fill)] = fill
+        point[list(dvars.p_flow)] = values[:m]
+        point[list(dvars.q_flow)] = values[m:2 * m]
+        point[list(dvars.voltage_sq)] = values[2 * m:2 * m + n]
+        point[dvars.q_exchange] = values[-1]
+        point[dvars.p_exchange] = tree.injection @ fill - tree.net_load
+        assert prog._compiled().row_violation(point) <= 1e-12 * scale
+        assert values[2 * m + net.substation] == net.u_sub

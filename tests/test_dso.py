@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 import gridcoord.dso as dso
 import gridcoord.lp as lp
 from gridcoord.caseio import BUNDLED_CASES, parse_case
-from gridcoord.distflow import build_constraints
+from gridcoord.coordination import check_equivalence, run_ideal
+from gridcoord.distflow import tree_sensitivities
 from gridcoord.dso import BidCurve, build_bid_curve, feasible_range, value_at
 from gridcoord.iso import clear
 from gridcoord.lp import InfeasibleError
@@ -21,6 +22,7 @@ from gridcoord.model import (
     Aggregator,
     Block,
     BlockOfferStack,
+    Branch,
     NetworkModel,
     Scenario,
 )
@@ -28,6 +30,7 @@ from gridcoord.model import (
 from support import (
     TRANSFORMED,
     answer,
+    block_free_lp,
     capacity_export_range,
     count_compiles,
     dso_cost_oracle,
@@ -37,6 +40,8 @@ from support import (
     random_scenario,
     redispatch_dual_violations,
     redispatch_with_duals,
+    relabel_nodes,
+    reverse_branches,
     scale_power,
 )
 
@@ -261,9 +266,83 @@ def test_curve_takes_one_solve_per_segment_plus_three(name, solves):
 @pytest.mark.parametrize("which", [*BUNDLED_CASES, "tied"])
 def test_certified_curve_equals_the_probe_only_curve(which):
     scenario = tied_blocks_scenario() if which == "tied" else parse_case(which)
-    curve, reference = build_bid_curve(scenario), probe_only_curve(scenario)
+    curve, reference = build_bid_curve(scenario), probe_only_curve(scenario, block_free_lp)
     assert curve.breakpoints == reference.breakpoints
     assert curve.prices == reference.prices
+
+
+def _assert_matches_the_full_distflow_lp(scenario):
+    """The curve over the block LP, limits screened, is the full DistFlow LP's within
+    tolerance, and the re-dispatch at the award has optimal duals for every DistFlow row."""
+    curve, reference = build_bid_curve(scenario), probe_only_curve(scenario)
+    tol = scenario.tolerance
+    assert len(curve.prices) == len(reference.prices)
+    got = [v for bp in curve.breakpoints for v in bp] + list(curve.prices)
+    want = [v for bp in reference.breakpoints for v in bp] + list(reference.prices)
+    assert all(abs(g - w) <= tol * max(1.0, abs(w)) for g, w in zip(got, want)), (got, want)
+    outcome = clear(scenario.wholesale, [curve], scenario.firm_wholesale_load)
+    dispatch, duals = redispatch_with_duals(scenario, outcome.dso_awards[0],
+                                            outcome.clearing_price)
+    assert redispatch_dual_violations(scenario, dispatch, duals) == []
+
+
+@pytest.mark.parametrize("which", [*BUNDLED_CASES, "congested", *range(100)])
+def test_curve_and_duals_match_the_full_distflow_lp(which):
+    _assert_matches_the_full_distflow_lp(named_scenario(which))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_feeder_curve_and_duals_match_the_full_distflow_lp(seed):
+    _assert_matches_the_full_distflow_lp(feeder_scenario(seed))
+
+
+def _kept_limits(scenario):
+    """The tree variables whose limits the DSO's LP keeps, and the LP's row count."""
+    prog, _, _, kept, _ = dso._free_lp(scenario)
+    return kept.tolist(), len(prog._rhs)
+
+
+@pytest.mark.parametrize("which, kept", [
+    ("paper_reference", []),
+    ("voltage_binding", [5, 6]),  # the voltages of nodes 1 and 2, after 2 + 2 flows
+    ("congested", [0, 1, 4, 7]),  # the active flows on the way to the demand response
+    ("feeder", []),
+])
+def test_the_screen_keeps_only_the_limits_that_can_bind(which, kept):
+    scenario = feeder_scenario(1) if which == "feeder" else named_scenario(which)
+    assert _kept_limits(scenario) == (kept, 1 + len(kept))
+
+
+@pytest.mark.parametrize("which", [*BUNDLED_CASES, "congested", 3, 17])
+def test_the_screen_keeps_the_same_limits_of_a_relabelled_or_reversed_network(which):
+    scenario = named_scenario(which)
+    kept, _ = _kept_limits(scenario)
+    assert _kept_limits(reverse_branches(scenario))[0] == kept
+    n, m = scenario.network.n_nodes, len(scenario.network.branches)
+    perm = [(i + 1) % n for i in range(n)]  # moves the substation too
+    # Flows keep their branch's index; the voltage of node i becomes node perm[i]'s.
+    moved = sorted(t if t < 2 * m or t == 2 * m + n else 2 * m + perm[t - 2 * m] for t in kept)
+    assert _kept_limits(relabel_nodes(scenario, perm))[0] == moved
+
+
+@pytest.mark.parametrize("limit, kept", [(1.0, [0]), (1.5, [])])
+def test_a_limit_that_the_blocks_reach_exactly_is_kept(limit, kept):
+    # One 1 MW generator behind one branch: its flow spans [-1, 0] MW exactly.
+    network = NetworkModel(n_nodes=2, load_p=(0.0, 0.0), load_q=(0.0, 0.0),
+                           branches=(Branch(0, 1, 0.001, 0.001, limit, 10.0),),
+                           substation=0, u_min=0.81, u_max=1.21, u_sub=1.0)
+    gen = Aggregator(id="g", kind="DDGAG", node=1, offers=BlockOfferStack((Block(1.0, 10.0),)))
+    scenario = Scenario(network=network, aggregators=(gen,), wholesale=(), firm_wholesale_load=0.0)
+    assert _kept_limits(scenario) == (kept, 1 + len(kept))
+    assert feasible_range(scenario) == pytest.approx((0.0, 1.0), abs=1e-12)
+
+
+def test_a_screen_that_drops_limits_that_can_bind_fails_the_check(monkeypatch):
+    assert check_equivalence(parse_case("voltage_binding")).equivalence.passed
+    monkeypatch.setattr(dso, "_bindable", lambda tree: np.zeros(0, dtype=int))
+    report = check_equivalence(parse_case("voltage_binding")).equivalence
+    assert not report.passed
+    assert report.primal_residual > report.tolerance
 
 
 @settings(max_examples=20, deadline=None)
@@ -275,7 +354,7 @@ def test_certified_curve_equals_the_probe_only_curve(which):
 @example(seed=29, factor=1e-3)
 def test_random_certified_curves_equal_the_probe_only_curves(seed, factor):
     scenario = scale_power(random_scenario(seed), factor)
-    curve, reference = build_bid_curve(scenario), probe_only_curve(scenario)
+    curve, reference = build_bid_curve(scenario), probe_only_curve(scenario, block_free_lp)
     assert curve.breakpoints == reference.breakpoints
     assert curve.prices == reference.prices
 
@@ -286,9 +365,9 @@ def test_curve_builds_one_lp_and_its_end_costs_match_value_at(name, monkeypatch)
 
     def counting(*args, **kwargs):
         calls.append(1)
-        return build_constraints(*args, **kwargs)
+        return tree_sensitivities(*args, **kwargs)
 
-    monkeypatch.setattr(dso, "build_constraints", counting)
+    monkeypatch.setattr(dso, "tree_sensitivities", counting)
     compiles = count_compiles(monkeypatch)
     scenario = parse_case(name)
     curve = build_bid_curve(scenario)
@@ -322,7 +401,7 @@ def test_cache_hit_answers_exactly_like_a_fresh_compile(which, monkeypatch):
     assert repr(hits) == repr(fresh)  # bit for bit, signs of zero included
 
 
-def test_a_cold_range_solve_on_a_feeder_starts_from_its_tree(monkeypatch):
+def test_cold_solves_on_a_feeder_start_from_their_declared_bases(monkeypatch):
     iterations = []
     real = lp.linprog
 
@@ -333,11 +412,14 @@ def test_a_cold_range_solve_on_a_feeder_starts_from_its_tree(monkeypatch):
 
     monkeypatch.setattr(lp, "linprog", counting)
     scenario = feeder_scenario(1)  # 120 nodes
-    feasible_range(scenario)  # compiles the LP
-    feasible_range(scenario)  # restarts it
-    assert len(iterations) == 4
+    run_ideal(scenario)  # compiles the joint LP, whose start is the feeder's tree
+    run_ideal(scenario)  # restarts it
+    feasible_range(scenario)  # compiles the block LP, whose start is the export
+    feasible_range(scenario)
+    assert len(iterations) == 6
     assert iterations[0] <= 5  # the first solve of a fresh compile
-    assert iterations[2] <= 5  # and of a restart; 78 from the slack basis
+    assert iterations[1] <= 5  # and of a restart; 76 from the slack basis
+    assert iterations[2:] == [0, 0, 0, 0]
 
 
 def _assert_redispatches_publish_optimal_duals(scenario):
@@ -360,9 +442,9 @@ def _assert_redispatches_publish_optimal_duals(scenario):
                 price, abs=1e-9)
 
 
-@pytest.mark.parametrize("name", BUNDLED_CASES)
+@pytest.mark.parametrize("name", [*BUNDLED_CASES, "congested"])
 def test_every_redispatch_publishes_optimal_duals_on_the_bundled_cases(name):
-    _assert_redispatches_publish_optimal_duals(parse_case(name))
+    _assert_redispatches_publish_optimal_duals(named_scenario(name))
 
 
 @settings(max_examples=20, deadline=None)
