@@ -39,9 +39,17 @@ def _tolerance(text):
     return value
 
 
+def _count(text):
+    """A case count of at least 1, else a usage error."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text}")
+    return value
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--cases", type=int, default=200)
+    parser.add_argument("--cases", type=_count, default=200)
     parser.add_argument("--seed", type=int, default=0, help="first seed of the batch")
     parser.add_argument("--tol", type=_tolerance, default=1e-6)
     args = parser.parse_args(argv)

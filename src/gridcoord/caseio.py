@@ -79,7 +79,10 @@ def _get(obj, key, kind, path, default=_MISSING):
     if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise CaseSchemaError(f"{path}.{key}: expected a number, got {value!r}")
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:  # a JSON integer past float range
+            raise CaseSchemaError(f"{path}.{key}: number out of float range") from None
     if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise CaseSchemaError(f"{path}.{key}: expected an integer, got {value!r}")

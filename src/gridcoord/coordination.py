@@ -19,8 +19,7 @@ is feasible and scores the dual point's Lagrangian bound is optimal by weak
 duality. Where tied prices leave the optimum non-unique, any optimal split
 passes, so no tie needs detecting. The joint LP is built and kept by
 ``dso.compiled`` for its rows alone, so the check never compiles it into
-HiGHS; when ``run_ideal`` solves it, its start basis is the DistFlow tree
-plus the wholesale balance row's logical.
+HiGHS; ``run_ideal`` solves it cold, from the slack basis, on every call.
 """
 
 from __future__ import annotations
@@ -93,7 +92,6 @@ def _joint_lp(scenario: Scenario) -> _Joint:
     balance: dict[int, float] = {dvars.p_exchange: 1.0}
     block_vars = add_wholesale(prog, scenario.wholesale, balance, objective)
     row = prog.add_constraint(balance, scenario.firm_wholesale_load)
-    prog.declare_basic(rows=(row,))  # completes the DistFlow tree basis
     prog.set_objective(objective)
     return prog, dvars, block_vars, row
 

@@ -17,8 +17,7 @@ lossless linearization, so branch flows carry no loss term.
 (``DistFlowVars``); ``read_solution`` reads it back from an optimal
 solution by those indices. Per node the fragment adds an active then a
 reactive balance row, then one voltage row per branch. The exchange is
-always a free variable. The fragment declares the network's spanning tree
-as its LP's start basis (``LinearProgram.declare_basic``).
+always a free variable.
 ``read_solution`` and ``TreeSensitivities.read`` (below) fill the
 ``DistFlowSolution`` subclass their caller names,
 ``coordination.IdealOutcome`` or ``dso.DsoDispatch``, so the joint and the
@@ -153,11 +152,6 @@ def build_constraints(
             },
             0.0,
         )
-
-    # The tree is a start basis: the branch flows, every voltage but the
-    # substation's and the two exchanges, 3n - 1 columns for 3n - 1 rows.
-    lp.declare_basic(p_flow + q_flow + voltage_sq[:network.substation]
-                     + voltage_sq[network.substation + 1:] + (q_exchange, p_exchange))
 
     return lp, DistFlowVars(
         blocks=blocks,

@@ -27,21 +27,21 @@ firm load), plus, for each network limit that can bind, one row
 bounds. The screen (``_bindable``) drops a limit that the tree variable
 cannot reach, by interval arithmetic over the block boxes, and keeps any
 it reaches or misses by no more than rounding. A dropped limit is
-redundant, so the LP's optimum is the full DistFlow LP's. The start basis
-is ``px`` and the slacks. The re-dispatch reads the full outcome back
-through the same sensitivities, and its duals over every row of the
-DistFlow fragment (``TreeSensitivities.row_duals``); the joint LP keeps the
-whole fragment, so ``check_equivalence`` scores every original row and
-limit, and a screening or mapping fault fails it.
+redundant, so the LP's optimum is the full DistFlow LP's. The
+re-dispatch reads the full outcome back through the same sensitivities,
+and its duals over every row of the DistFlow fragment
+(``TreeSensitivities.row_duals``); the joint LP keeps the whole fragment,
+so ``check_equivalence`` scores every original row and limit, and a
+screening or mapping fault fails it.
 
 Every compiled LP of a scenario, this module's and ``coordination``'s joint
 LP, is reused by one policy, ``compiled(scenario, build)``. A one-slot cache
 keyed by the scenario's identity (``is``) holds the scenario, validated once,
 a lock, and what each builder built from it; another ``Scenario`` object
-replaces it. Each use holds the lock and restarts the LP cold from its
-declared start basis, so a public call runs the solve sequence of a fresh
-compile: its answer is bit-for-bit a fresh compile's, whatever came before,
-and threads take turns.
+replaces it. Each use holds the lock and restarts the LP cold, from the
+slack basis, so a public call runs the solve sequence of a fresh compile:
+its answer is bit-for-bit a fresh compile's, whatever came before, and
+threads take turns.
 """
 
 from __future__ import annotations
@@ -197,7 +197,7 @@ def _free_lp(scenario: Scenario) -> _FreeLp:
 
     Its columns are the blocks (by their column in the tree), the export
     and one slack per kept limit; its rows the balance, then one per kept
-    limit. The start basis is the export and the slacks.
+    limit.
     """
     tree = tree_sensitivities(scenario.network, scenario.aggregators)
     kept = _bindable(tree)
@@ -206,12 +206,10 @@ def _free_lp(scenario: Scenario) -> _FreeLp:
         prog.add_variable(0.0, cap)
     px = prog.add_variable()
     prog.add_constraint({**dict(enumerate(tree.injection.tolist())), px: -1.0}, tree.net_load)
-    slacks = []
     for t in kept.tolist():
-        slacks.append(prog.add_variable(float(tree.lower[t]), float(tree.upper[t])))
+        slack = prog.add_variable(float(tree.lower[t]), float(tree.upper[t]))
         row = {j: a for j, a in enumerate(tree.matrix[t].tolist()) if a}
-        prog.add_constraint({**row, slacks[-1]: -1.0}, -float(tree.base[t]))
-    prog.declare_basic((px, *slacks))
+        prog.add_constraint({**row, slack: -1.0}, -float(tree.base[t]))
     return prog, tree, px, kept, dispatch_cost_coeffs(scenario.aggregators, tree)
 
 

@@ -18,29 +18,26 @@ objective or new variable bounds keep the compiled model, so the next solve
 starts from the previous basis; a new variable or constraint discards it.
 A parameter on a row's rhs is written as a column with pinned bounds
 (``set_bounds(j, q, q)``).
-``restart`` keeps the model but drops the basis and all solver state, so
-the next solve starts over, exactly as on a freshly compiled copy: from the
-program's declared start basis (``declare_basic``), loaded from the bounds
-in force at that solve, or else from HiGHS's slack basis. ``dso.compiled``
-keeps each compiled program across public calls and restarts it at the
-start of each: a compiled structure is reused, but no answer depends on the
-calls that came before (a warm re-solve can land on another optimal vertex
-or dual where the optimum is not unique). A start basis is a fixed function of
-the program, not of its history; the DistFlow fragment declares its
-spanning tree, from which HiGHS needs a few pivots where the slack basis
-takes dozens, and the DSO's block LP its export and limit slacks. Pricing
-is Devex (see ``_Backend``).
+Presolve is off for every run (``_Backend.load``), so every cold solve
+(the first after a compile, and each after ``restart``) starts from HiGHS's
+slack basis and runs the simplex on the LP as written. ``restart`` keeps
+the model but drops the basis and all solver state, so the next solve
+starts over exactly as on a freshly compiled copy. ``dso.compiled`` keeps
+each compiled program across public calls and restarts it at the start of
+each: a compiled structure is reused, but no answer depends on the calls
+that came before (a warm re-solve can land on another optimal vertex or
+dual where the optimum is not unique). Pricing is Devex (see ``_Backend``).
 
 ``dual_bound``, the Lagrangian bound of row duals, is the one optimality
 certificate. ``solve`` holds an optimal answer to ``SOLVE_BOUND`` by its
 residual and by its duality gap, its objective's distance from the
-``dual_bound`` of its own duals. Any other verdict is taken from a run
-without a starting basis and without presolve (see ``linprog``), so a
-re-solve and a fresh solve of an LP agree on it. ``evaluate`` measures a
-point found some other way against the rows and the variable bounds, and
-scores it; ``dual_bound`` scores row duals found some other way. A point
-that meets every row and bound and scores within a tolerance of that bound
-is optimal within it, so the pair certifies an outcome without a solve.
+``dual_bound`` of its own duals. Any other verdict is taken from a run on
+a freshly loaded model (see ``linprog``), so a re-solve and a fresh solve
+of an LP agree on it. ``evaluate`` measures a point found some other way
+against the rows and the variable bounds, and scores it; ``dual_bound``
+scores row duals found some other way. A point that meets every row and
+bound and scores within a tolerance of that bound is optimal within it, so
+the pair certifies an outcome without a solve.
 
 Duals are reported in shadow price convention: for a minimization, the dual
 of any constraint is the derivative of the optimal objective with respect
@@ -49,14 +46,13 @@ optimal value in the rhs, it is some value between the left and the right
 derivative, picked by the optimal basis. HiGHS reports row duals that way.
 An equality row's dual may take either sign.
 
-An ``LpSolution`` carries its numbers as arrays: ``x`` and the reduced
-costs ``reduced`` by column index, ``y`` by row index. The cost vector is
-built, and lifted by its power of two, once per new objective (setting an
-equal one keeps it), and is sent to HiGHS only when it is not the one HiGHS
-already holds.
-``cost_range`` reads, from the basis of the last optimal solve, the range
-of one column's cost over which that basis stays optimal: one row of
-B^-1 A, then a ratio test over the nonbasic columns.
+An ``LpSolution`` carries its numbers as arrays: ``x`` by column index,
+``y`` by row index. The cost vector is built, and lifted by its power of
+two, once per new objective (setting an equal one keeps it), and is sent to
+HiGHS only when it is not the one HiGHS already holds.
+``cost_range`` reads, from the basis and reduced costs of the last optimal
+solve, the range of one column's cost over which that basis stays optimal:
+one row of B^-1 A, then a ratio test over the nonbasic columns.
 It replaces HiGHS's ``getRanging``, which ranges every row and column.
 
 ``linprog`` reads the status, objective and iteration count one value at a
@@ -118,9 +114,9 @@ def _load_core():
 
 try:
     _core = _load_core()
-    HighsBasis, HighsBasisStatus, HighsLp, HighsModelStatus, HighsStatus, MatrixFormat, _Highs = (
-        _core.HighsBasis, _core.HighsBasisStatus, _core.HighsLp, _core.HighsModelStatus,
-        _core.HighsStatus, _core.MatrixFormat, _core._Highs)
+    HighsLp, HighsModelStatus, HighsStatus, MatrixFormat, _Highs = (
+        _core.HighsLp, _core.HighsModelStatus, _core.HighsStatus, _core.MatrixFormat,
+        _core._Highs)
 except (ImportError, AttributeError) as exc:
     raise ImportError(
         f"gridcoord needs scipy>=1.15: it solves LPs through the HiGHS binding {_CORE}"
@@ -129,9 +125,6 @@ except (ImportError, AttributeError) as exc:
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
-
-# Basis statuses by code: 0 at lower, 1 basic, 2 at upper, 3 at zero (free).
-_STATUS = sorted(HighsBasisStatus.__members__.values(), key=int)
 
 SOLVE_BOUND = 1e-5  # absolute, on an optimal solve's constraint residual and duality gap
 
@@ -175,8 +168,6 @@ class LinearProgram:
         self._vals: list[float] = []
         self._rhs: list[float] = []
         self._objective: dict[int, float] = {}
-        self._basic_cols: set[int] = set()  # the declared start basis, by index
-        self._basic_rows: set[int] = set()
         self._cost: tuple[np.ndarray, float] | None = None  # built on first use (_lifted_cost)
         self._backend: _Backend | None = None  # built on first use (_compiled)
 
@@ -207,24 +198,6 @@ class LinearProgram:
         self._rhs.append(rhs)
         self._backend = None
         return row
-
-    def declare_basic(self, columns: Iterable[int] = (), rows: Iterable[int] = ()) -> None:
-        """Add columns, and the logicals of rows, to the program's start basis.
-
-        Every cold solve (the first, and each after ``restart``) of a program
-        with a declared start basis starts from it: the declared columns and
-        rows are basic, and every other column or row sits at its finite
-        lower bound, else at its finite upper bound, else at zero, under the
-        bounds in force at that solve. The basic count must equal the row
-        count when the program is compiled, or that solve raises ValueError.
-        A program with none starts from HiGHS's slack basis.
-        """
-        columns, rows = list(columns), list(rows)
-        _check_indices(columns, self.n_cols, "variable")
-        _check_indices(rows, len(self._rhs), "constraint")
-        self._basic_cols.update(columns)
-        self._basic_rows.update(rows)
-        self._backend = None
 
     def set_objective(self, coeffs: dict[int, float]) -> None:
         """Minimize ``sum(coeffs[j] * x[j])``; a cost that is not finite raises ValueError."""
@@ -264,12 +237,11 @@ class LinearProgram:
     def restart(self) -> None:
         """Drop the solver state, so the next solve starts cold; the compiled model stays.
 
-        That solve starts from the declared start basis, loaded then, as the
-        first solve of a fresh compile does, or else from the slack basis.
+        That solve starts from the slack basis, as the first solve of a
+        fresh compile does.
         """
         if self._backend is not None and self._backend.highs is not None:
             self._backend.highs.clearSolver()
-            self._backend.start_due = True
 
     def _compiled(self) -> _Backend:
         if self._backend is None:
@@ -334,27 +306,18 @@ class _Backend:
 
     The arrays are gridcoord's own copy of the model: ``evaluate``,
     ``dual_bound`` and ``solve``'s residual read them, not HiGHS's echo.
-    The declared start basis is loaded by the first solve after a load or
-    a restart (``start``), from the bounds in force then: loaded at the
-    restart itself, a later ``set_bounds`` would move a nonbasic column by
-    HiGHS's own rule, which can differ from a fresh compile's start.
+    HiGHS is told once, at the load, that presolve is off, so every cold
+    run starts from its slack basis on the model as loaded.
     """
 
     def __init__(self, prog: LinearProgram):
-        n, m = prog.n_cols, len(prog._rhs)
-        self.basic: np.ndarray | None = None  # basic mask over columns, then rows
-        if prog._basic_cols or prog._basic_rows:
-            self.basic = np.zeros(n + m, dtype=bool)
-            self.basic[list(prog._basic_cols)] = True
-            self.basic[[n + i for i in prog._basic_rows]] = True
-        self.start_due = True  # the start basis is loaded by the next solve
         self.rows = np.array(prog._rows, dtype=np.intp)  # numpy's index type: no cast per use
         self.cols = np.array(prog._cols, dtype=np.intp)
         self.vals = np.array(prog._vals, dtype=float)
         self.rhs = np.array(prog._rhs, dtype=float)
         self.lower = np.array(prog._lower, dtype=float)
         self.upper = np.array(prog._upper, dtype=float)
-        self.col_ids = np.arange(n, dtype=np.int32)
+        self.col_ids = np.arange(prog.n_cols, dtype=np.int32)
         self.cost: np.ndarray | None = None  # the cost vector HiGHS holds, once one is sent
         self.highs: _Highs | None = None  # loaded by the first solve
 
@@ -366,9 +329,6 @@ class _Backend:
     def load(self) -> _Highs:
         """Pass the arrays, under today's bounds, to a new HiGHS instance, and keep it."""
         n, m = len(self.lower), len(self.rhs)
-        if self.basic is not None and (count := int(self.basic.sum())) != m:
-            raise ValueError(f"start basis has {count} basic columns and rows, not the "
-                             f"program's {m} rows")
         model = HighsLp()
         model.num_col_, model.num_row_ = n, m
         model.col_cost_ = np.zeros(n)
@@ -384,8 +344,10 @@ class _Backend:
 
         highs = _Highs()
         highs.setOptionValue("output_flag", False)
-        # Devex pricing: from a handed-in basis, dual steepest edge first
-        # computes its exact weights, one BTRAN per row; Devex's start at 1.
+        highs.setOptionValue("presolve", "off")
+        # Devex pricing: from the slack basis the 1,000-node joint LP took
+        # 89-95 ms under Devex and 110-139 ms under HiGHS's default pricing
+        # (median runs on a shared 2-CPU machine).
         # A rebuild always refactors: by default HiGHS keeps an updated
         # factor that its test solve passes, and under Devex the x read off
         # it can miss a row by 1e-13, which 1e8 duals ($/MWh x 1e6) turn
@@ -396,22 +358,6 @@ class _Backend:
             raise SolverError("HiGHS rejected the model")
         self.highs = highs
         return highs
-
-    def start(self) -> None:
-        """Load the start basis, if declared, its nonbasic statuses read off today's bounds."""
-        self.start_due = False
-        if self.basic is None:
-            return
-        code = np.where(np.isfinite(self.lower), 0, np.where(np.isfinite(self.upper), 2, 3))
-        code = np.concatenate((code, np.zeros(len(self.rhs), dtype=int)))  # rows: at their rhs
-        code[self.basic] = 1
-        status = [_STATUS[k] for k in code.tolist()]
-        basis = HighsBasis()
-        n = len(self.lower)
-        basis.col_status, basis.row_status = status[:n], status[n:]
-        basis.valid = True
-        if self.highs.setBasis(basis) == HighsStatus.kError:
-            raise SolverError("HiGHS rejected the start basis")
 
 
 class _Run(NamedTuple):
@@ -424,12 +370,11 @@ def linprog(highs: _Highs) -> _Run:
     """Run HiGHS on its loaded model, starting from its current basis.
 
     A run that does not end optimal is repeated once on a freshly loaded
-    copy of the model with presolve off, and that run's status is returned,
-    so the verdict does not depend on earlier solves. Warm starts and
-    presolve can both misjudge an LP that is not optimal: HiGHS 1.12
+    copy of the model, from the slack basis, and that run's status is
+    returned, so the verdict does not depend on earlier solves: HiGHS 1.12
     reports ``kUnknown`` on some warm re-solves whose new objective is
-    unbounded, and its presolve reports some feasible, unbounded LPs as
-    infeasible.
+    unbounded. Presolve, off since the load, would report some feasible,
+    unbounded LPs as infeasible.
 
     ``solve`` calls this exactly once per backend solve; see the module
     docstring for why it keeps its name and ``nit``.
@@ -438,9 +383,7 @@ def linprog(highs: _Highs) -> _Run:
     nit = highs.getInfoValue("simplex_iteration_count")[1]
     if highs.getModelStatus() != HighsModelStatus.kOptimal:
         highs.passModel(highs.getLp())  # drops the basis and all solver state
-        highs.setOptionValue("presolve", "off")
         highs.run()
-        highs.setOptionValue("presolve", "choose")
         nit += highs.getInfoValue("simplex_iteration_count")[1]
     return _Run(highs.getModelStatus(), highs.getObjectiveValue(), nit)
 
@@ -453,8 +396,8 @@ def _empty() -> np.ndarray:
 class LpSolution:
     """A solve's status and, when optimal, its values by column and row index.
 
-    ``x`` (primal values) and ``reduced`` (reduced costs) follow the
-    program's columns, ``y`` (row duals) its rows.
+    ``x`` (primal values) follows the program's columns, ``y`` (row duals)
+    its rows.
     """
 
     status: str
@@ -463,7 +406,6 @@ class LpSolution:
     max_residual: float = math.nan
     x: np.ndarray = field(default_factory=_empty, repr=False)
     y: np.ndarray = field(default_factory=_empty, repr=False)
-    reduced: np.ndarray = field(default_factory=_empty, repr=False)
 
 
 # Running record of solve quality, so a test run can assert the duality gap
@@ -496,8 +438,6 @@ def solve(lp: LinearProgram) -> LpSolution:
     if backend.cost is not cost:
         highs.changeColsCost(nvar, backend.col_ids, cost)
         backend.cost = cost
-    if backend.start_due:
-        backend.start()
     run = linprog(highs)
     if run.status == HighsModelStatus.kInfeasible:
         return LpSolution(status=INFEASIBLE)
@@ -509,7 +449,6 @@ def solve(lp: LinearProgram) -> LpSolution:
     solution = highs.getSolution()
     x = np.array(solution.col_value)
     y = np.array(solution.row_dual) / scale
-    reduced = np.array(solution.col_dual) / scale
     gap = abs(run.objective / scale - lp.dual_bound(y))
     max_residual = backend.row_violation(x)
 
@@ -526,7 +465,7 @@ def solve(lp: LinearProgram) -> LpSolution:
         objective=run.objective / scale,
         duality_gap=gap,
         max_residual=max_residual,
-        x=x, y=y, reduced=reduced,
+        x=x, y=y,
     )
 
 
@@ -570,7 +509,7 @@ def cost_range(lp: LinearProgram, sol: LpSolution, j: int) -> tuple[float, float
     sign[basic_cols] = 0.0
     # Each entry of v + d * w must stay >= 0; HiGHS's own tolerance can
     # leave an entry of v a hair below 0, which is read as 0.
-    v = np.maximum(sign * sol.reduced, 0.0)
+    v = np.maximum(sign * np.array(highs.getSolution().col_dual) / scale, 0.0)
     w = sign * -alpha
     up, down = w < 0.0, w > 0.0
     return (c + float(np.max(v[down] / -w[down], initial=-math.inf)),

@@ -65,6 +65,15 @@ def test_schema_error_names_the_offending_field(tmp_path):
         parse_case(path)
 
 
+def test_an_integer_beyond_float_range_is_a_schema_error(tmp_path):
+    doc = json.loads(resolve_case_path("paper_reference").read_text())
+    doc["firm_load"] = 10**400
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))  # 401 digits, which json reads back as an int
+    with pytest.raises(CaseSchemaError, match=r"\$\.firm_load: number out of float range"):
+        parse_case(path)
+
+
 def test_missing_field_is_a_schema_error(tmp_path):
     doc = json.loads(resolve_case_path("paper_reference").read_text())
     del doc["network"]["u_min"]

@@ -235,6 +235,16 @@ def test_verify_on_a_case_with_a_nan_load_exits_one(tmp_path, capsys):
     assert "network.nodes[1].lp: must be finite, got nan" in capsys.readouterr().err
 
 
+def test_verify_on_a_case_with_an_integer_beyond_float_range_exits_one(tmp_path, capsys):
+    doc = json.loads(resolve_case_path("paper_reference").read_text())
+    doc["firm_load"] = 10**400
+    case = tmp_path / "huge.json"
+    case.write_text(json.dumps(doc))
+    assert run(["verify", "--case", str(case), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "gridcoord: error: $.firm_load: number out of float range\n"
+
+
 @pytest.mark.parametrize("column, message", [
     (2, "segment 2: price must be finite, got nan"),
     (0, "breakpoint 2: export and cost must be finite, got (nan, "),
@@ -266,7 +276,12 @@ def _boolean_qs(_):
     return records, "bid_curve.json[0].q_mw: expected a number, got False"
 
 
-@pytest.mark.parametrize("edit", [_string_q, _boolean_qs])
+def _huge_q(records):
+    records[1]["q_mw"] = 10**400
+    return records, "bid_curve.json[1].q_mw: number out of float range\n"
+
+
+@pytest.mark.parametrize("edit", [_string_q, _boolean_qs, _huge_q])
 def test_iso_clear_against_a_json_curve_with_a_non_number_exits_one(tmp_path, capsys, edit):
     assert run(["dso-bid", "--case", "paper_reference", "--out", str(tmp_path),
                 "--format", "json"]) == 0
@@ -277,5 +292,6 @@ def test_iso_clear_against_a_json_curve_with_a_non_number_exits_one(tmp_path, ca
     code = run(["iso-clear", "--case", "paper_reference", "--curve", str(path),
                 "--out", str(tmp_path)])
     assert code == 1
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("gridcoord: error: ") and message in err
     assert not (tmp_path / "iso_outcome.csv").exists()

@@ -197,17 +197,30 @@ def test_recursion_holds_on_branches_declared_child_to_parent(name):
 
 @pytest.mark.parametrize("reverse", [False, True])
 @pytest.mark.parametrize("name", BUNDLED_CASES)
-def test_the_feeder_tree_is_the_declared_start_basis(name, reverse):
+def test_the_feeder_lp_restarts_from_the_slack_basis_like_a_fresh_build(name, reverse):
     scenario = parse_case(name)
     if reverse:
         scenario = reverse_branches(scenario)
-    net = scenario.network
-    prog, dvars = build_constraints(net, scenario.aggregators)
-    tree = {*dvars.p_flow, *dvars.q_flow, dvars.q_exchange, dvars.p_exchange,
-            *(v for i, v in enumerate(dvars.voltage_sq) if i != net.substation)}
-    assert prog._basic_cols == tree
-    assert not prog._basic_rows
-    assert len(tree) == 3 * net.n_nodes - 1 == len(prog._rhs)
+
+    def build():
+        prog, dvars = build_constraints(scenario.network, scenario.aggregators)
+        prog.set_objective(dispatch_cost_coeffs(scenario.aggregators, dvars))
+        return prog
+
+    def cold(prog):
+        sol = lp.solve(prog)
+        highs = prog._backend.highs
+        basis = highs.getBasis()
+        assert highs.getOptionValue("presolve")[1] == "off"
+        return (repr(sol), sol.x.tolist(), sol.y.tolist(),
+                highs.getInfoValue("simplex_iteration_count")[1],
+                [int(s) for s in basis.col_status], [int(s) for s in basis.row_status])
+
+    prog = build()
+    fresh = cold(prog)
+    assert fresh[3] > 0  # pivots from the slack basis, not from a declared tree
+    prog.restart()
+    assert cold(prog) == fresh == cold(build())
 
 
 @pytest.mark.parametrize("which", [*BUNDLED_CASES, "congested", *TRANSFORMED, *range(20),

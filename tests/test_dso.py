@@ -401,25 +401,27 @@ def test_cache_hit_answers_exactly_like_a_fresh_compile(which, monkeypatch):
     assert repr(hits) == repr(fresh)  # bit for bit, signs of zero included
 
 
-def test_cold_solves_on_a_feeder_start_from_their_declared_bases(monkeypatch):
-    iterations = []
+@pytest.mark.parametrize("call", [run_ideal, feasible_range],
+                         ids=["joint_lp", "block_lp"])
+def test_restarted_solves_on_a_feeder_repeat_a_fresh_compile_without_presolve(call,
+                                                                           monkeypatch):
+    runs = []
     real = lp.linprog
 
-    def counting(highs):
+    def recording(highs):
         run = real(highs)
-        iterations.append(run.nit)
+        runs.append((highs, run.nit))
         return run
 
-    monkeypatch.setattr(lp, "linprog", counting)
-    scenario = feeder_scenario(1)  # 120 nodes
-    run_ideal(scenario)  # compiles the joint LP, whose start is the feeder's tree
-    run_ideal(scenario)  # restarts it
-    feasible_range(scenario)  # compiles the block LP, whose start is the export
-    feasible_range(scenario)
-    assert len(iterations) == 6
-    assert iterations[0] <= 5  # the first solve of a fresh compile
-    assert iterations[1] <= 5  # and of a restart; 76 from the slack basis
-    assert iterations[2:] == [0, 0, 0, 0]
+    monkeypatch.setattr(lp, "linprog", recording)
+    scenario = dataclasses.replace(feeder_scenario(1))  # 120 nodes, compiled by no other test
+    fresh = call(scenario)  # compiles the LP
+    fresh_runs, runs[:] = runs[:], []
+    restarted = call(scenario)  # restarts it, at the optimal basis the last call left
+    assert [nit for _, nit in runs] == [nit for _, nit in fresh_runs]
+    assert runs[0][1] > 0  # a cold start, not from the basis the last call left
+    assert repr(restarted) == repr(fresh)
+    assert {highs.getOptionValue("presolve")[1] for highs, _ in fresh_runs + runs} == {"off"}
 
 
 def _assert_redispatches_publish_optimal_duals(scenario):

@@ -817,36 +817,6 @@ def test_restart_after_pinned_bounds_matches_a_fresh_build_exactly(seed, anchore
         assert repr(kept) == repr(fresh)
 
 
-def test_a_start_basis_of_the_wrong_size_is_refused():
-    x, y = 0, 1  # the columns of ``program``
-
-    def program():
-        prog = lp.LinearProgram()
-        assert prog.add_variable(0.0, 4.0) == x
-        assert prog.add_variable(0.0, 4.0) == y
-        prog.add_constraint({x: 1.0, y: 1.0}, 3.0)
-        prog.set_objective({x: 1.0, y: 2.0})
-        return prog
-
-    prog = program()
-    prog.declare_basic(columns=[x, y])
-    with pytest.raises(ValueError, match="2 basic columns and rows, not the program's 1 rows"):
-        lp.solve(prog)
-    prog = program()
-    prog.declare_basic(columns=[y])
-    assert lp.solve(prog).x.tolist() == [3.0, 0.0]
-    slack = prog.add_variable(0.0)
-    cap = prog.add_constraint({x: 1.0, slack: 1.0}, 2.0)  # x <= 2: a new row, no new basic
-    with pytest.raises(ValueError, match="1 basic columns and rows, not the program's 2 rows"):
-        lp.solve(prog)
-    prog.declare_basic(columns=[slack])
-    assert lp.solve(prog).x.tolist() == [2.0, 1.0, 0.0]
-    with pytest.raises(ValueError, match="undeclared constraint 2"):
-        prog.declare_basic(rows=[cap + 1])
-    with pytest.raises(ValueError, match="undeclared variable 3"):
-        prog.declare_basic(columns=[slack + 1])
-
-
 def test_a_restart_reads_the_start_statuses_off_the_bounds_at_its_solve():
     # x carries no cost, so it stays nonbasic on the bound it starts at.
     x, y = 0, 1  # the columns of ``program``
@@ -855,15 +825,15 @@ def test_a_restart_reads_the_start_statuses_off_the_bounds_at_its_solve():
         prog = lp.LinearProgram()
         assert prog.add_variable(lower, upper) == x
         assert prog.add_variable() == y
-        r = prog.add_constraint({x: 1.0, y: 1.0}, 1.0)
-        prog.declare_basic(rows=[r])
+        prog.add_constraint({x: 1.0, y: 1.0}, 1.0)
         return prog
 
     prog = program(-math.inf, 3.0)
     assert lp.solve(prog).x.tolist() == [3.0, -2.0]  # at its only finite bound
     prog.restart()
-    prog.set_bounds(x, -4.0, 2.0)  # moved after the restart: now at its lower bound
-    assert (lp.solve(prog).x.tolist() == lp.solve(program(-4.0, 2.0)).x.tolist()
+    prog.set_bounds(x, -4.0, 5.0)  # moved after the restart: a hot start would keep
+    # x at its upper bound, 5; the slack basis puts it at its lower bound
+    assert (lp.solve(prog).x.tolist() == lp.solve(program(-4.0, 5.0)).x.tolist()
             == [-4.0, 5.0])
 
 
@@ -881,19 +851,16 @@ def _cold_outcome(prog):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000), st.booleans())
-def test_restart_from_a_declared_basis_matches_a_fresh_build_exactly(seed, anchored):
-    # Every row's logical is declared basic, so each column's start status
-    # follows the declared rule from the bounds in force at the solve, here
-    # moved after the restart.
+def test_a_restart_takes_a_fresh_builds_pivots_to_its_final_basis(seed, anchored):
+    # The bounds are moved after the restart: the cold solve must start as a
+    # fresh build's does, from the bounds in force at that solve.
     rng = np.random.default_rng(seed)
     a, relations, rhs, lower, upper = _random_lp_data(rng, anchored)
     c = rng.normal(size=len(lower)) * (rng.random(len(lower)) < 0.6)  # a zero cost keeps
     # a nonbasic column on whichever bound it starts at
 
     def build(lo, up):
-        prog = _build_lp((a, relations, rhs, lo, up), c)
-        prog.declare_basic(rows=range(len(rhs)))
-        return prog
+        return _build_lp((a, relations, rhs, lo, up), c)
 
     prog = build(lower, upper)
     _cold_outcome(prog)

@@ -93,3 +93,12 @@ def test_random_campaign_refuses_a_tolerance_that_is_not_finite_and_positive(tol
     assert exit.value.code == 2  # a usage error, before any scenario runs
     err = capsys.readouterr().err
     assert f"argument --tol: must be finite and > 0, got {tol}" in err
+
+
+@pytest.mark.parametrize("cases", ["0", "-5"])
+def test_random_campaign_refuses_a_case_count_below_one(cases, capsys):
+    with pytest.raises(SystemExit) as exit:
+        load("random_campaign").main(["--cases", cases])
+    assert exit.value.code == 2  # a usage error, not "0/0 cases equivalent"
+    err = capsys.readouterr().err
+    assert f"argument --cases: must be an integer >= 1, got {cases}" in err
