@@ -47,10 +47,18 @@ def _count(text):
     return value
 
 
+def _seed(text):
+    """A first seed of at least 0, as the scenario generator needs, else a usage error."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text}")
+    return value
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--cases", type=_count, default=200)
-    parser.add_argument("--seed", type=int, default=0, help="first seed of the batch")
+    parser.add_argument("--seed", type=_seed, default=0, help="first seed of the batch")
     parser.add_argument("--tol", type=_tolerance, default=1e-6)
     args = parser.parse_args(argv)
 

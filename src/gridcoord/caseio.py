@@ -16,8 +16,10 @@ package and can be named in place of a path: ``paper_reference``,
 ``sweep_step`` is accepted but ignored: the bid curve is built exactly,
 with no step to tune.
 
-Parse errors come in three distinct flavors: CaseSyntaxError (bad JSON,
-with line/column), CaseSchemaError (wrong shape, with the JSON path), and
+Parse errors come in three distinct flavors: CaseSyntaxError (a file that
+is not JSON text, with line/column where the JSON is malformed; bytes that
+are not UTF-8, and an integer longer than Python converts, name the file
+alone), CaseSchemaError (wrong shape, with the JSON path), and
 model.ValidationError (structurally sound but invariant-breaking scenario).
 """
 
@@ -194,11 +196,12 @@ def scenario_from_dict(doc: dict) -> Scenario:
 def parse_case(case: str | Path) -> Scenario:
     """Load, schema-check, and validate a case file (or bundled case name)."""
     path = resolve_case_path(case)
-    text = path.read_text()
     try:
-        doc = json.loads(text)
+        doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise CaseSyntaxError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # not UTF-8, or an integer past the int-to-str digit limit
+        raise CaseSyntaxError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise CaseSchemaError(f"{path}: top level must be an object")
     scenario = scenario_from_dict(doc)

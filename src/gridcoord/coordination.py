@@ -31,7 +31,7 @@ import numpy as np
 
 from . import lp as lpmod
 from .distflow import (DistFlowSolution, DistFlowVars, build_constraints, dispatch_cost_coeffs,
-                       read_solution)
+                       read_outcome)
 from .dso import BidCurve, DsoDispatch, build_bid_curve, compiled, value_at
 from .iso import IsoOutcome, add_wholesale, clear, read_wholesale
 from .lp import InfeasibleError, SolverError
@@ -82,49 +82,45 @@ def run_coordinated(scenario: Scenario) -> CoordinationResult:
     return CoordinationResult(bid_curve=curve, iso=outcome, dso_dispatch=dispatch)
 
 
-_Joint = tuple[lpmod.LinearProgram, DistFlowVars, tuple[tuple[int, ...], ...], int]
+_Joint = tuple[lpmod.LinearProgram, DistFlowVars, int]
 
 
 def _joint_lp(scenario: Scenario) -> _Joint:
-    """The scenario's joint LP, its DistFlow indices, wholesale block columns and balance row."""
+    """The scenario's joint LP, where its DistFlow fragment's columns sit, and its balance row.
+
+    Its columns and rows are the fragment's, laid out as ``distflow`` states,
+    then the wholesale blocks and the wholesale balance row.
+    """
     prog, dvars = build_constraints(scenario.network, scenario.aggregators)
-    objective = dispatch_cost_coeffs(scenario.aggregators, dvars)
+    objective = dispatch_cost_coeffs(scenario.aggregators)
     balance: dict[int, float] = {dvars.p_exchange: 1.0}
-    block_vars = add_wholesale(prog, scenario.wholesale, balance, objective)
+    add_wholesale(prog, scenario.wholesale, balance, objective)
     row = prog.add_constraint(balance, scenario.firm_wholesale_load)
     prog.set_objective(objective)
-    return prog, dvars, block_vars, row
+    return prog, dvars, row
 
 
 def run_ideal(scenario: Scenario) -> IdealOutcome:
     """One LP: wholesale stacks, aggregator stacks, and network constraints."""
-    with compiled(scenario, _joint_lp) as (prog, dvars, block_vars, balance):
+    with compiled(scenario, _joint_lp) as (prog, dvars, balance):
         sol = lpmod.solve(prog)
     if sol.status != lpmod.OPTIMAL:
         raise InfeasibleError(f"joint dispatch is {sol.status}")
-    cleared, blocks = read_wholesale(sol, scenario.wholesale, block_vars)
-    return read_solution(
-        IdealOutcome, sol, scenario.aggregators, dvars, cleared=cleared, blocks=blocks,
+    cleared, blocks = read_wholesale(sol.x, scenario.wholesale)
+    return read_outcome(
+        IdealOutcome, scenario.network, scenario.aggregators, sol.x[:dvars.tree.start],
+        sol.x[dvars.tree], sol.y, cleared=cleared, blocks=blocks,
         net_export=float(sol.x[dvars.p_exchange]), clearing_price=float(sol.y[balance]),
         objective=sol.objective)
 
 
-def _coordinated_point(scenario: Scenario, result: CoordinationResult, joint: _Joint
-                       ) -> np.ndarray:
-    """The coordinated outcome as a value for every column of the joint LP."""
-    prog, dvars, block_vars, _ = joint
+def _coordinated_point(result: CoordinationResult) -> np.ndarray:
+    """The coordinated outcome as a value for every column of the joint LP, in column order."""
     dispatch = result.dso_dispatch
-    x = np.full(prog.n_cols, np.nan)  # a column left out fails the check
-    x[dvars.p_exchange] = result.iso.dso_awards[0]
-    x[dvars.q_exchange] = dispatch.q_exchange
-    for wp, cols in zip(scenario.wholesale, block_vars):
-        x[list(cols)] = result.iso.blocks[wp.id]
-    for agg_id, cols in dvars.blocks.items():
-        x[list(cols)] = dispatch.aggregator_blocks[agg_id]
-    x[list(dvars.p_flow)] = dispatch.flows_p
-    x[list(dvars.q_flow)] = dispatch.flows_q
-    x[list(dvars.voltage_sq)] = dispatch.voltages_sq
-    return x
+    return np.concatenate((*dispatch.aggregator_blocks.values(), dispatch.flows_p,
+                           dispatch.flows_q, dispatch.voltages_sq,
+                           (dispatch.q_exchange, result.iso.dso_awards[0]),
+                           *result.iso.blocks.values()))
 
 
 def check_equivalence(scenario: Scenario, tolerance: float | None = None) -> CoordinationResult:
@@ -145,9 +141,10 @@ def check_equivalence(scenario: Scenario, tolerance: float | None = None) -> Coo
         raise ValueError(f"tolerance must be finite and > 0, got {tolerance}")
     tol = scenario.tolerance if tolerance is None else tolerance
     coordinated = run_coordinated(scenario)
-    with compiled(scenario, _joint_lp) as joint:
-        prog, _, _, balance = joint
-        residual, objective = prog.evaluate(_coordinated_point(scenario, coordinated, joint))
+    with compiled(scenario, _joint_lp) as (prog, _, balance):
+        point = _coordinated_point(coordinated)
+        assert len(point) == prog.n_cols, "the fragment's columns lead; the wholesale blocks follow"
+        residual, objective = prog.evaluate(point)
         duals = coordinated.dso_dispatch.row_duals
         assert len(duals) == balance, "the DistFlow rows lead both LPs; the balance row follows"
         bound = prog.dual_bound(np.array(duals + (coordinated.iso.clearing_price,)))

@@ -12,16 +12,24 @@ Voltage is tracked as squared p.u. magnitude; the recursion
 ``u[child] = u[parent] - 2 (r * p_flow + x * q_flow) / base_mva`` is the
 lossless linearization, so branch flows carry no loss term.
 
-``build_constraints`` emits the fragment into a new LP, the joint LP of
-``coordination``, and returns the column and row indices it was given
-(``DistFlowVars``); ``read_solution`` reads it back from an optimal
-solution by those indices. Per node the fragment adds an active then a
-reactive balance row, then one voltage row per branch. The exchange is
-always a free variable.
-``read_solution`` and ``TreeSensitivities.read`` (below) fill the
-``DistFlowSolution`` subclass their caller names,
-``coordination.IdealOutcome`` or ``dso.DsoDispatch``, so the joint and the
-coordinated outcome share their field names.
+The fragment's layout, which every reader and writer of it uses by
+position, for a network of n nodes and m branches:
+  - columns: first the block columns from 0, aggregator by aggregator and
+    offer by offer (a REAG has none); then the 2m + n + 1 tree variables,
+    the active flow of each branch, the reactive flow of each branch, the
+    squared voltage of each node and the reactive exchange; then the active
+    exchange. The joint LP of ``coordination`` appends the wholesale blocks,
+    participant by participant;
+  - rows: each node's active then reactive balance, then one voltage row
+    per branch. The joint LP appends its wholesale balance row.
+
+``build_constraints`` emits the fragment into a new LP, the joint LP, and
+returns where its tree variables and its active exchange sit
+(``DistFlowVars``). Both exchanges are free variables. ``read_outcome``
+fills the ``DistFlowSolution`` subclass its caller names,
+``coordination.IdealOutcome`` or ``dso.DsoDispatch``, from block fills,
+tree values and row duals, so the joint and the coordinated outcome share
+their field names.
 
 On a radial tree every flow and voltage is affine in the aggregator blocks,
 so the DSO's own LP (``dso``) is written over the blocks alone.
@@ -32,8 +40,7 @@ child's subtree, a squared voltage is ``u_sub`` minus the drops
 exchange is the negated net reactive consumption of the whole tree. One
 sweep from the leaves up sums the subtrees and one from the root down sums
 the paths, once per network and offer set; no node-by-node matrix is built.
-``TreeSensitivities.read`` takes the LP's block fills back to the full
-outcome, the tree variables by one matrix-vector product, and
+The tree variables at block fills x are one matrix-vector product, and
 ``row_duals`` takes the block LP's duals (the balance's and those of the
 limits it kept) back to every row of the fragment: a transposed sweep,
 voltage-row duals up the tree and balance duals down it.
@@ -52,20 +59,15 @@ from .model import DRAG, REAG, Aggregator, NetworkModel
 
 @dataclass(frozen=True)
 class DistFlowVars:
-    """Column and row indices into the LP of one distribution network."""
+    """Where the fragment's tree variables and active exchange sit in its LP."""
 
-    blocks: dict[str, tuple[int, ...]]         # aggregator id -> block columns, () for REAG
-    p_flow: tuple[int, ...]                    # per branch, MW
-    q_flow: tuple[int, ...]                    # per branch, MVAr
-    voltage_sq: tuple[int, ...]                # per node, p.u.^2
-    q_exchange: int                            # substation MVAr exchange, free
+    tree: slice                                # the tree variables' columns
     p_exchange: int                            # substation MW exchange, free
-    balance_p: tuple[int, ...]                 # active balance row per node
 
 
 @dataclass(frozen=True)
 class DistFlowSolution:
-    """The distribution outcome of an optimal solution, read by ``read_solution``."""
+    """The distribution outcome of an optimal solution, read by ``read_outcome``."""
 
     aggregator_dispatch: dict[str, float]      # aggregator id -> MW, consumption positive for DRAG
     aggregator_blocks: dict[str, tuple[float, ...]]  # aggregator id -> block fills, () for REAG
@@ -104,6 +106,7 @@ def build_constraints(
         for agg in aggregators
     }
 
+    first = lp.n_cols
     p_flow = tuple(lp.add_variable(-br.pl_max, br.pl_max) for br in network.branches)
     q_flow = tuple(lp.add_variable(-br.ql_max, br.ql_max) for br in network.branches)
     voltage_sq = tuple(
@@ -136,9 +139,8 @@ def build_constraints(
     q_coeffs[network.substation][q_exchange] = -1.0
     p_coeffs[network.substation][p_exchange] = -1.0
 
-    balance_p = []
     for i in range(n):
-        balance_p.append(lp.add_constraint(p_coeffs[i], network.load_p[i] - reag_p[i]))
+        lp.add_constraint(p_coeffs[i], network.load_p[i] - reag_p[i])
         lp.add_constraint(q_coeffs[i], network.load_q[i] - reag_q[i])
 
     base = network.base_mva
@@ -153,31 +155,20 @@ def build_constraints(
             0.0,
         )
 
-    return lp, DistFlowVars(
-        blocks=blocks,
-        p_flow=p_flow,
-        q_flow=q_flow,
-        voltage_sq=voltage_sq,
-        q_exchange=q_exchange,
-        p_exchange=p_exchange,
-        balance_p=tuple(balance_p),
-    )
+    return lp, DistFlowVars(tree=slice(first, p_exchange), p_exchange=p_exchange)
 
 
 @dataclass(frozen=True, eq=False)
 class TreeSensitivities:
     """The fragment's tree variables as affine functions of the block columns.
 
-    Block column k is the k-th offer block, aggregator by aggregator in
-    order, as in ``build_constraints``. At block fills x, tree variable t
-    reads ``base[t] + matrix[t] @ x``. The tree variables are the active
-    flow of each branch, the reactive flow of each branch, the squared
-    voltage of each node and the reactive exchange, in that order; ``lower``
-    and ``upper`` are their limits, infinite for the substation's voltage,
-    which is ``u_sub`` whatever the blocks do, and for the free exchange.
+    Block columns and tree variables are numbered as in the module's
+    layout. At block fills x, tree variable t reads ``base[t] + matrix[t] @ x``;
+    ``lower`` and ``upper`` are their limits, infinite for the substation's
+    voltage, which is ``u_sub`` whatever the blocks do, and for the free
+    exchange.
     """
 
-    blocks: dict[str, tuple[int, ...]]         # aggregator id -> block columns, () for REAG
     capacity: np.ndarray                       # per block column, MW
     injection: np.ndarray                      # per block column, +1 supply, -1 demand
     net_load: float                            # firm load less REAG output, all nodes, MW
@@ -190,23 +181,6 @@ class TreeSensitivities:
     branch: tuple[int, ...]                    # per node, the branch to its parent, -1 at the top
     drop_p: tuple[float, ...]                  # per branch, 2 r / base_mva
     drop_q: tuple[float, ...]                  # per branch, 2 x / base_mva
-
-    def read(self, cls: type[DistFlowSolution], x: np.ndarray, y: np.ndarray,
-             aggregators: list[Aggregator] | tuple[Aggregator, ...], **more) -> DistFlowSolution:
-        """A ``cls``: the outcome at block fills ``x`` and fragment row duals ``y``, and ``more``."""
-        n, m = len(self.order), len(self.drop_p)
-        fills, values, prices = x.tolist(), (self.base + self.matrix @ x).tolist(), y[0:2 * n:2]
-        blocks = {agg.id: tuple(fills[j] for j in self.blocks[agg.id]) for agg in aggregators}
-        return cls(
-            aggregator_dispatch=_dispatch(aggregators, blocks),
-            aggregator_blocks=blocks,
-            retail_prices=dict(enumerate(prices.tolist())),
-            flows_p=tuple(values[:m]),
-            flows_q=tuple(values[m:2 * m]),
-            voltages_sq=tuple(values[2 * m:2 * m + n]),
-            q_exchange=values[-1],
-            **more,
-        )
 
     def row_duals(self, balance: float, limits: np.ndarray) -> np.ndarray:
         """Duals of the fragment's rows, in ``build_constraints``' order, from a block LP's.
@@ -252,30 +226,24 @@ def tree_sensitivities(
     inc = network.incidence  # raises if not radial
     n, m = network.n_nodes, len(network.branches)
     _check_nodes(n, aggregators)
-    parent, branch = [network.substation] * n, [-1] * n
-    children: list[list[int]] = [[] for _ in range(n)]
+    parent, branch, order = [network.substation] * n, [-1] * n, inc.order
     for j, (up, node) in enumerate(zip(inc.parent, inc.child)):
         parent[node], branch[node] = up, j
-        children[up].append(node)
-    order = [network.substation]
-    for node in order:  # breadth first: each node after its parent
-        order.extend(children[node])
 
-    blocks, nb = {}, 0
-    for agg in aggregators:
-        blocks[agg.id] = tuple(range(nb, nb + len(agg.offers.blocks)))
-        nb += len(agg.offers.blocks)
+    nb = sum(len(agg.offers.blocks) for agg in aggregators)
     sub = np.zeros((n, 2, nb + 1))  # per node, its net consumption, active and reactive
     capacity, injection = np.zeros(nb), np.zeros(nb)
     reag_p, reag_q = [0.0] * n, [0.0] * n
+    col = 0
     for agg in aggregators:
         if agg.kind == REAG:
             reag_p[agg.node] += agg.fixed_output
             reag_q[agg.node] += agg.fixed_output * agg.tan_phi
         sign = -1.0 if agg.kind == DRAG else 1.0
-        for col, blk in zip(blocks[agg.id], agg.offers.blocks):
+        for blk in agg.offers.blocks:
             capacity[col], injection[col] = blk.p_max, sign
             sub[agg.node, :, col] = -sign, -sign * agg.tan_phi
+            col += 1
     sub[:, 0, nb] = [load - reag for load, reag in zip(network.load_p, reag_p)]
     sub[:, 1, nb] = [load - reag for load, reag in zip(network.load_q, reag_q)]
 
@@ -300,7 +268,6 @@ def tree_sensitivities(
     lower = np.concatenate((-upper[:2 * m], [network.u_min] * n, [-math.inf]))
     lower[2 * m + network.substation], upper[2 * m + network.substation] = -math.inf, math.inf
     return TreeSensitivities(
-        blocks=blocks,
         capacity=capacity,
         injection=injection,
         net_load=float(root[0, nb]),
@@ -308,7 +275,7 @@ def tree_sensitivities(
         matrix=affine[:, :nb],
         lower=lower,
         upper=upper,
-        order=tuple(order),
+        order=order,
         parent=tuple(parent),
         branch=tuple(branch),
         drop_p=tuple(drop_p),
@@ -316,39 +283,31 @@ def tree_sensitivities(
     )
 
 
-def _dispatch(aggregators, blocks: dict[str, tuple[float, ...]]) -> dict[str, float]:
-    """Per aggregator, its MW: the fixed output of a REAG, else the sum of its block fills."""
-    return {agg.id: agg.fixed_output if agg.kind == REAG else sum(blocks[agg.id])
-            for agg in aggregators}
+def dispatch_cost_coeffs(aggregators: list[Aggregator] | tuple[Aggregator, ...]
+                         ) -> dict[int, float]:
+    """Objective terms by block column: supply blocks at their price, demand at minus theirs."""
+    return dict(enumerate((-1.0 if agg.kind == DRAG else 1.0) * blk.price
+                          for agg in aggregators for blk in agg.offers.blocks))
 
 
-def dispatch_cost_coeffs(
+def read_outcome(
+    cls: type[DistFlowSolution], network: NetworkModel,
     aggregators: list[Aggregator] | tuple[Aggregator, ...],
-    vars: DistFlowVars | TreeSensitivities,
-) -> dict[int, float]:
-    """Objective terms: supply blocks at their price, demand blocks at minus theirs."""
-    coeffs: dict[int, float] = {}
-    for agg in aggregators:
-        sign = -1.0 if agg.kind == DRAG else 1.0
-        for col, blk in zip(vars.blocks[agg.id], agg.offers.blocks):
-            coeffs[col] = sign * blk.price
-    return coeffs
-
-
-def read_solution(
-    cls: type[DistFlowSolution], sol: lpmod.LpSolution,
-    aggregators: list[Aggregator] | tuple[Aggregator, ...], vars: DistFlowVars, **more,
+    fills: np.ndarray, values: np.ndarray, y: np.ndarray, **more,
 ) -> DistFlowSolution:
-    """A ``cls``, the DistFlow outcome of an optimal ``sol`` plus the fields ``more`` names."""
-    x, y = sol.x.tolist(), sol.y.tolist()
-    blocks = {agg.id: tuple(x[j] for j in vars.blocks[agg.id]) for agg in aggregators}
+    """A ``cls``: the outcome at block ``fills``, tree variable ``values`` and the fragment's
+    row duals ``y`` (a longer ``y`` is read from its start), plus the fields ``more`` names."""
+    n, m = network.n_nodes, len(network.branches)
+    fills, values = iter(fills.tolist()), values.tolist()
+    blocks = {agg.id: tuple(next(fills) for _ in agg.offers.blocks) for agg in aggregators}
     return cls(
-        aggregator_dispatch=_dispatch(aggregators, blocks),
+        aggregator_dispatch={agg.id: agg.fixed_output if agg.kind == REAG else sum(blocks[agg.id])
+                             for agg in aggregators},
         aggregator_blocks=blocks,
-        retail_prices={i: y[row] for i, row in enumerate(vars.balance_p)},
-        flows_p=tuple(x[j] for j in vars.p_flow),
-        flows_q=tuple(x[j] for j in vars.q_flow),
-        voltages_sq=tuple(x[j] for j in vars.voltage_sq),
-        q_exchange=x[vars.q_exchange],
+        retail_prices=dict(enumerate(y[0:2 * n:2].tolist())),
+        flows_p=tuple(values[:m]),
+        flows_q=tuple(values[m:2 * m]),
+        voltages_sq=tuple(values[2 * m:2 * m + n]),
+        q_exchange=values[2 * m + n],
         **more,
     )

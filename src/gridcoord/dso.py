@@ -58,7 +58,7 @@ import numpy as np
 
 from . import lp as lpmod
 from .distflow import build_constraints  # noqa: F401  (the benchmark's tracer looks it up here)
-from .distflow import (DistFlowSolution, TreeSensitivities, dispatch_cost_coeffs,
+from .distflow import (DistFlowSolution, TreeSensitivities, dispatch_cost_coeffs, read_outcome,
                        tree_sensitivities)
 from .lp import InfeasibleError
 from .model import Scenario, require_valid
@@ -195,9 +195,9 @@ _FreeLp = tuple[lpmod.LinearProgram, TreeSensitivities, int, np.ndarray, dict[in
 def _free_lp(scenario: Scenario) -> _FreeLp:
     """The free-export LP, its tree, export column, kept limits and the dispatch cost.
 
-    Its columns are the blocks (by their column in the tree), the export
-    and one slack per kept limit; its rows the balance, then one per kept
-    limit.
+    Its columns are the blocks (numbered as in the DistFlow fragment), the
+    export and one slack per kept limit; its rows the balance, then one per
+    kept limit.
     """
     tree = tree_sensitivities(scenario.network, scenario.aggregators)
     kept = _bindable(tree)
@@ -210,7 +210,7 @@ def _free_lp(scenario: Scenario) -> _FreeLp:
         slack = prog.add_variable(float(tree.lower[t]), float(tree.upper[t]))
         row = {j: a for j, a in enumerate(tree.matrix[t].tolist()) if a}
         prog.add_constraint({**row, slack: -1.0}, -float(tree.base[t]))
-    return prog, tree, px, kept, dispatch_cost_coeffs(scenario.aggregators, tree)
+    return prog, tree, px, kept, dispatch_cost_coeffs(scenario.aggregators)
 
 
 def _bindable(tree: TreeSensitivities) -> np.ndarray:
@@ -308,8 +308,10 @@ def value_at(scenario: Scenario, net_export: float, price: float | None = None) 
     limits = np.zeros(len(tree.base))
     limits[kept] = sol.y[1:]
     y = tree.row_duals(float(sol.y[0]), limits)
-    return tree.read(DsoDispatch, sol.x[:px], y, scenario.aggregators, net_export=net_export,
-                     cost=dispatch_cost, row_duals=tuple(y.tolist()))
+    fills = sol.x[:px]
+    return read_outcome(DsoDispatch, scenario.network, scenario.aggregators, fills,
+                        tree.base + tree.matrix @ fills, y, net_export=net_export,
+                        cost=dispatch_cost, row_duals=tuple(y.tolist()))
 
 
 def build_bid_curve(scenario: Scenario) -> BidCurve:

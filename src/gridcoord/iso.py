@@ -18,14 +18,17 @@ block of positive size (the highest valid dual), and with no such block it
 is 0.0. Each call computes its answer from its arguments alone; only a
 curve keeps its own checks and segments, once worked out.
 
-``add_wholesale`` and ``read_wholesale`` emit and read the wholesale blocks
-as LP columns for the joint LP of ``coordination``.
+``add_wholesale`` appends the wholesale blocks to the joint LP of
+``coordination`` as its last columns, participant by participant, and
+``read_wholesale`` reads them back from there.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import lp as lpmod
 from .dso import BidCurve
@@ -44,32 +47,22 @@ class IsoOutcome:
 
 
 def add_wholesale(prog: lpmod.LinearProgram, wholesale: tuple[WholesaleParticipant, ...],
-                  balance: dict[int, float], objective: dict[int, float]
-                  ) -> tuple[tuple[int, ...], ...]:
-    """Add each participant's block columns to ``prog``, and their terms
-    (+1 supply, -1 demand) to the ``balance`` row and ``objective`` being built.
-
-    Returns each participant's block columns, for ``read_wholesale``.
-    """
-    block_vars = []
+                  balance: dict[int, float], objective: dict[int, float]) -> None:
+    """Append each participant's block columns to ``prog``, and their terms
+    (+1 supply, -1 demand) to the ``balance`` row and ``objective`` being built."""
     for wp in wholesale:
         sign = -1.0 if wp.kind == DR else 1.0
-        cols = []
         for blk in wp.offers.blocks:
             j = prog.add_variable(0.0, blk.p_max)
             balance[j] = sign
             objective[j] = sign * blk.price
-            cols.append(j)
-        block_vars.append(tuple(cols))
-    return tuple(block_vars)
 
 
-def read_wholesale(sol: lpmod.LpSolution, wholesale: tuple[WholesaleParticipant, ...],
-                   block_vars: tuple[tuple[int, ...], ...]
+def read_wholesale(x: np.ndarray, wholesale: tuple[WholesaleParticipant, ...]
                    ) -> tuple[dict[str, float], dict[str, tuple[float, ...]]]:
-    """Cleared MW and block fills per participant id, from an optimal ``sol``."""
-    x = sol.x.tolist()
-    blocks = {wp.id: tuple(x[j] for j in cols) for wp, cols in zip(wholesale, block_vars)}
+    """Cleared MW and block fills per participant id, from the fills that end ``x``."""
+    fills = iter(x[len(x) - sum(len(wp.offers.blocks) for wp in wholesale):].tolist())
+    blocks = {wp.id: tuple(next(fills) for _ in wp.offers.blocks) for wp in wholesale}
     return {wp_id: sum(values) for wp_id, values in blocks.items()}, blocks
 
 

@@ -165,11 +165,15 @@ class Incidence:
 
     ``parent[j]`` / ``child[j]`` orient branch j so flow is positive toward
     the child; the voltage recursion then reads
-    ``u[child] = u[parent] - 2 (r * p_flow + x * q_flow)``.
+    ``u[child] = u[parent] - 2 (r * p_flow + x * q_flow)``. ``order`` lists
+    the nodes as the walk discovers them: the substation first, each node
+    after its parent, and the nodes below one parent together, in branch
+    order.
     """
 
     parent: tuple[NodeId, ...]          # per branch
     child: tuple[NodeId, ...]           # per branch
+    order: tuple[NodeId, ...]           # per node, each after its parent
 
 
 def _network_violations(net: NetworkModel) -> list[str]:
@@ -234,6 +238,7 @@ def derived_incidence(network: NetworkModel) -> Incidence:
 
     parent = [-1] * len(network.branches)
     child = [-1] * len(network.branches)
+    order = [network.substation]
     seen_nodes = {network.substation}
     seen_branches = set()
     stack = [network.substation]
@@ -246,13 +251,14 @@ def derived_incidence(network: NetworkModel) -> Incidence:
             if v in seen_nodes:
                 raise ValueError("not a tree (cycle reachable from the substation)")
             seen_nodes.add(v)
+            order.append(v)
             parent[j] = u
             child[j] = v
             stack.append(v)
     if len(seen_nodes) != n:
         missing = sorted(set(range(n)) - seen_nodes)
         raise ValueError(f"nodes {missing} unreachable from the substation")
-    return Incidence(parent=tuple(parent), child=tuple(child))
+    return Incidence(parent=tuple(parent), child=tuple(child), order=tuple(order))
 
 
 def validate(scenario: Scenario) -> list[str]:

@@ -1,6 +1,6 @@
 """Shared test machinery: random scenarios, brute-force oracles, residual checks,
 a dual-optimality check of the re-dispatch, unit rescaling, metamorphic network transforms, a forced equivalence
-failure for the CLI, call counters for the compiled-model caches, the
+failure and unreadable case files for the CLI, call counters for the compiled-model caches, the
 probe-only bid curve (on the DSO's block LP, which the certified curve must
 reproduce exactly, or on the full DistFlow LP, which it must match within
 the scenario's tolerance), and the clearing LP that the merit-order clearing
@@ -21,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import importlib.util
 import itertools
+import json
 import math
 import sys
 from pathlib import Path
@@ -30,7 +31,7 @@ import pytest
 import gridcoord.cli as cli
 import gridcoord.dso as dso
 import gridcoord.lp as lp
-from gridcoord.caseio import BUNDLED_CASES, parse_case
+from gridcoord.caseio import BUNDLED_CASES, parse_case, resolve_case_path
 from gridcoord.distflow import build_constraints, dispatch_cost_coeffs
 from gridcoord.dso import BidCurve, value_at
 from gridcoord.iso import add_wholesale
@@ -384,7 +385,7 @@ def relabel_nodes(scenario: Scenario, perm) -> Scenario:
 
 
 # ---------------------------------------------------------------------------
-# Forced verification failure
+# Forced verification failure, and case files that cannot be read
 # ---------------------------------------------------------------------------
 
 
@@ -403,6 +404,18 @@ def force_equivalence_failure(monkeypatch) -> None:
         )
 
     monkeypatch.setattr(cli, "check_equivalence", failing)
+
+
+def unreadable_case(tmp_path, which: str) -> Path:
+    """A case file that is not JSON text: a 5,001-digit firm load, or UTF-16 bytes."""
+    doc = json.loads(resolve_case_path("paper_reference").read_text())
+    path = tmp_path / f"{which}.json"
+    if which == "long-integer":  # json.dumps would refuse to write the integer itself
+        doc["firm_load"] = "FIRM_LOAD"
+        path.write_text(json.dumps(doc).replace('"FIRM_LOAD"', "1" * 5001))
+    else:
+        path.write_bytes(b"\xff\xfe" + json.dumps(doc).encode("utf-16-le"))
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +501,7 @@ def answer(call, *args):
 def full_free_lp(scenario: Scenario):
     """The free-export LP over the whole DistFlow fragment, its export column and its cost."""
     prog, dvars = build_constraints(scenario.network, scenario.aggregators)
-    return prog, dvars.p_exchange, dispatch_cost_coeffs(scenario.aggregators, dvars)
+    return prog, dvars.p_exchange, dispatch_cost_coeffs(scenario.aggregators)
 
 
 def block_free_lp(scenario: Scenario):

@@ -170,7 +170,7 @@ def test_criterion_7_lp_contract(reference, campaign):
     for q in (5.8, -1.6):
         prog, dvars = build_constraints(reference.network, reference.aggregators)
         prog.set_bounds(dvars.p_exchange, q, q)
-        prog.set_objective(dispatch_cost_coeffs(reference.aggregators, dvars))
+        prog.set_objective(dispatch_cost_coeffs(reference.aggregators))
         statuses.append(lp.solve(prog).status)
     ok = stats["max_gap"] <= 1e-7 and statuses == [lp.INFEASIBLE, lp.INFEASIBLE]
     report(

@@ -23,6 +23,8 @@ from gridcoord.model import (
     validate,
 )
 
+from support import unreadable_case
+
 
 def test_bundled_cases_resolve_and_parse():
     for name in BUNDLED_CASES:
@@ -54,6 +56,14 @@ def test_empty_file_is_a_syntax_error(tmp_path):
     path.write_text("")
     with pytest.raises(CaseSyntaxError, match=r":1:1"):
         parse_case(path)
+
+
+@pytest.mark.parametrize("which", ["long-integer", "utf-16"])
+def test_a_file_that_is_not_json_text_is_a_syntax_error_naming_it(tmp_path, which):
+    path = unreadable_case(tmp_path, which)
+    with pytest.raises(CaseSyntaxError) as info:
+        parse_case(path)
+    assert str(info.value).startswith(f"{path}: ")
 
 
 def test_schema_error_names_the_offending_field(tmp_path):

@@ -10,7 +10,7 @@ from gridcoord.coordination import EquivalenceReport
 from gridcoord.dso import build_bid_curve
 from gridcoord.caseio import parse_case
 
-from support import force_equivalence_failure, random_scenario, scale_prices
+from support import force_equivalence_failure, random_scenario, scale_prices, unreadable_case
 
 EXPECTED_BREAKPOINTS = [-1.5, -0.5, 0.7, 1.2, 3.2, 5.7]
 
@@ -179,6 +179,15 @@ def test_parse_and_usage_errors_exit_one(tmp_path):
     assert run(["dso-bid", "--case", str(bad), "--out", str(tmp_path)]) == 1
     assert run(["frobnicate"]) == 1
     assert run(["dso-bid"]) == 1  # --case required
+
+
+@pytest.mark.parametrize("which", ["long-integer", "utf-16"])
+def test_a_case_that_is_not_json_text_exits_one_naming_the_file(tmp_path, capsys, which):
+    case = unreadable_case(tmp_path, which)
+    assert run(["verify", "--case", str(case), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"gridcoord: error: {case}: ")
+    assert err.count("\n") == 1
 
 
 def test_infeasible_case_exits_three(tmp_path):

@@ -53,12 +53,12 @@ def test_single_branch_forced_dispatch_and_flow_direction():
     )
     prog, dvars = build_constraints(net, [gen])
     prog.set_bounds(dvars.p_exchange, 1.0, 1.0)
-    prog.set_objective(dispatch_cost_coeffs([gen], dvars))
+    prog.set_objective(dispatch_cost_coeffs([gen]))
     sol = lp.solve(prog)
     assert sol.status == lp.OPTIMAL
-    assert sol.x[dvars.blocks["g"][0]] == pytest.approx(1.0)
+    assert sol.x[0] == pytest.approx(1.0)  # the block column comes first
     # Positive flow points parent->child; exporting 1 MW flows toward the root.
-    assert sol.x[dvars.p_flow[0]] == pytest.approx(-1.0)
+    assert sol.x[dvars.tree][0] == pytest.approx(-1.0)
 
 
 def test_variable_count_matches_contract_in_pinned_mode():
@@ -75,7 +75,7 @@ def test_export_beyond_capacity_is_infeasible_not_garbage():
     for q in (5.8, -1.6):
         prog, dvars = build_constraints(scenario.network, scenario.aggregators)
         prog.set_bounds(dvars.p_exchange, q, q)
-        prog.set_objective(dispatch_cost_coeffs(scenario.aggregators, dvars))
+        prog.set_objective(dispatch_cost_coeffs(scenario.aggregators))
         assert lp.solve(prog).status == lp.INFEASIBLE
 
 
@@ -90,12 +90,13 @@ def test_reactive_balance_carries_power_factor_draw():
     )
     prog, dvars = build_constraints(net, [gen])
     prog.set_bounds(dvars.p_exchange, 2.0, 2.0)
-    prog.set_objective(dispatch_cost_coeffs([gen], dvars))
+    prog.set_objective(dispatch_cost_coeffs([gen]))
     sol = lp.solve(prog)
     assert sol.status == lp.OPTIMAL
     # 2 MW at tan(phi)=0.5 injects 1 MVAr, which leaves through the substation.
-    assert sol.x[dvars.q_flow[0]] == pytest.approx(-1.0)
-    assert sol.x[dvars.q_exchange] == pytest.approx(1.0)
+    _, flow_q, _, _, q_exchange = sol.x[dvars.tree]  # p and q flow, two voltages, q exchange
+    assert flow_q == pytest.approx(-1.0)
+    assert q_exchange == pytest.approx(1.0)
 
 
 def test_builder_rejects_unknown_node_and_nonradial_network():
@@ -204,7 +205,7 @@ def test_the_feeder_lp_restarts_from_the_slack_basis_like_a_fresh_build(name, re
 
     def build():
         prog, dvars = build_constraints(scenario.network, scenario.aggregators)
-        prog.set_objective(dispatch_cost_coeffs(scenario.aggregators, dvars))
+        prog.set_objective(dispatch_cost_coeffs(scenario.aggregators))
         return prog
 
     def cold(prog):
@@ -232,19 +233,18 @@ def test_tree_sensitivities_meet_every_row_of_the_fragment(which):
     net = scenario.network
     tree = tree_sensitivities(net, scenario.aggregators)
     prog, dvars = build_constraints(net, scenario.aggregators)
-    assert tree.blocks == dvars.blocks
-    m, n = len(net.branches), net.n_nodes
+    m, n, nb = len(net.branches), net.n_nodes, len(tree.capacity)
+    # The layout: the blocks, then the tree variables, then the active exchange.
+    assert dvars.tree.start == nb
+    assert dvars.tree.stop == dvars.p_exchange == prog.n_cols - 1
+    assert len(tree.base) == 2 * m + n + 1
     scale = max(1.0, np.max(np.abs(tree.base) + np.abs(tree.matrix) @ tree.capacity))
     rng = np.random.default_rng(0)
-    for fill in (0.0 * tree.capacity, tree.capacity, rng.uniform(size=len(tree.capacity))
-                 * tree.capacity):
+    for fill in (0.0 * tree.capacity, tree.capacity, rng.uniform(size=nb) * tree.capacity):
         values = tree.base + tree.matrix @ fill
         point = np.zeros(prog.n_cols)
-        point[:len(fill)] = fill
-        point[list(dvars.p_flow)] = values[:m]
-        point[list(dvars.q_flow)] = values[m:2 * m]
-        point[list(dvars.voltage_sq)] = values[2 * m:2 * m + n]
-        point[dvars.q_exchange] = values[-1]
+        point[:nb] = fill
+        point[dvars.tree] = values
         point[dvars.p_exchange] = tree.injection @ fill - tree.net_load
         assert prog._compiled().row_violation(point) <= 1e-12 * scale
         assert values[2 * m + net.substation] == net.u_sub

@@ -131,7 +131,7 @@ def test_dso_problem_objective_matches_brute_force_enumeration():
 
     prog, dvars = build_constraints(scenario.network, scenario.aggregators)
     prog.set_bounds(dvars.p_exchange, 1.2, 1.2)
-    prog.set_objective(dispatch_cost_coeffs(scenario.aggregators, dvars))
+    prog.set_objective(dispatch_cost_coeffs(scenario.aggregators))
     sol = lp.solve(prog)
     assert sol.status == lp.OPTIMAL
     assert sol.objective == pytest.approx(expected, abs=1e-7)

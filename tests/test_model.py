@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridcoord.caseio import parse_case, resolve_case_path, scenario_from_dict
+from gridcoord.caseio import BUNDLED_CASES, parse_case, resolve_case_path, scenario_from_dict
 from gridcoord.model import (
     Aggregator,
     Block,
@@ -17,7 +17,7 @@ from gridcoord.model import (
     validate,
 )
 
-from support import random_scenario
+from support import TRANSFORMED, feeder_scenario, named_scenario, random_scenario
 
 
 def small_network(branches, n_nodes, substation=0):
@@ -143,6 +143,16 @@ def test_incidence_orientation_survives_reversed_branch_declarations():
     fwd = small_network([Branch(0, 1, **BR), Branch(1, 2, **BR)], n_nodes=3)
     rev = small_network([Branch(1, 0, **BR), Branch(2, 1, **BR)], n_nodes=3)
     assert derived_incidence(fwd) == derived_incidence(rev)
+
+
+@pytest.mark.parametrize("which", [*BUNDLED_CASES, *TRANSFORMED, "feeder"])
+def test_incidence_order_lists_every_node_once_each_after_its_parent(which):
+    net = (feeder_scenario(1) if which == "feeder" else named_scenario(which)).network
+    inc = derived_incidence(net)
+    assert sorted(inc.order) == list(range(net.n_nodes))
+    assert inc.order[0] == net.substation
+    position = {node: k for k, node in enumerate(inc.order)}
+    assert all(position[up] < position[node] for up, node in zip(inc.parent, inc.child))
 
 
 @settings(max_examples=30, deadline=None)

@@ -102,3 +102,12 @@ def test_random_campaign_refuses_a_case_count_below_one(cases, capsys):
     assert exit.value.code == 2  # a usage error, not "0/0 cases equivalent"
     err = capsys.readouterr().err
     assert f"argument --cases: must be an integer >= 1, got {cases}" in err
+
+
+@pytest.mark.parametrize("seed", ["-1", "-300"])
+def test_random_campaign_refuses_a_negative_seed(seed, capsys):
+    with pytest.raises(SystemExit) as exit:
+        load("random_campaign").main(["--seed", seed, "--cases", "1"])
+    assert exit.value.code == 2  # a usage error, not numpy's traceback
+    err = capsys.readouterr().err
+    assert f"argument --seed: must be an integer >= 0, got {seed}" in err
