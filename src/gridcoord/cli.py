@@ -54,7 +54,7 @@ def _write_table(path: Path, header: list[str], rows: list[tuple], fmt: str,
             lines.append(",".join(v if isinstance(v, str) else number(v) for v in row))
         text = "\n".join(lines) + "\n"
     path.parent.mkdir(parents=True, exist_ok=True)  # only once there is a result to write
-    path.write_text(text, newline="\n")
+    path.write_text(text, encoding="utf-8", newline="\n")
 
 
 def _curve_rows(curve: BidCurve) -> list[tuple]:
@@ -83,12 +83,14 @@ def read_curve(path: str | Path) -> BidCurve:
         raise CaseFileError(f"curve file not found: {path}")
     try:
         if path.suffix == ".json":
-            records = json.loads(path.read_text())
+            records = json.loads(path.read_text(encoding="utf-8"))
+            if not isinstance(records, list):
+                raise CaseFileError(f"{path}: expected a list of records")
             rows = [tuple(_get(r, key, float, f"{path}[{i}]")
                           for key in ("q_mw", "total_cost", "marginal_price"))
                     for i, r in enumerate(records)]
         else:
-            lines = path.read_text().splitlines()
+            lines = path.read_text(encoding="utf-8").splitlines()
             if not lines or lines[0].split(",") != ["q_mw", "total_cost", "marginal_price"]:
                 raise CaseFileError(f"{path}: expected header q_mw,total_cost,marginal_price")
             rows = []
@@ -158,7 +160,7 @@ def write_equivalence_report(report: EquivalenceReport, out: Path) -> None:
            **{k: v if math.isfinite(v) else None for k, v in numbers.items()}}
     out.mkdir(parents=True, exist_ok=True)
     (out / "equivalence_report.json").write_text(
-        json.dumps(doc, indent=2, allow_nan=False) + "\n", newline="\n")
+        json.dumps(doc, indent=2, allow_nan=False) + "\n", encoding="utf-8", newline="\n")
 
 
 def _cmd_dso_bid(args) -> int:

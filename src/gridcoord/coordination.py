@@ -5,7 +5,10 @@ aggregator re-dispatch at the award and its clearing price. ``run_ideal``
 solves the whole thing as one LP (aggregators bidding straight into the
 wholesale balance, network constraints included); it is the oracle that
 tests and the ``ideal`` command run. Its ``IdealOutcome``, like the
-re-dispatch's ``dso.DsoDispatch``, is a ``distflow.DistFlowSolution``.
+re-dispatch's ``dso.DsoDispatch``, is a ``distflow.DistFlowSolution``. The
+joint LP is the DistFlow fragment that ``distflow`` writes and reads,
+followed by the wholesale block columns and balance row, which this module
+alone writes and reads back.
 
 ``check_equivalence`` certifies the coordinated outcome as an optimum of
 that joint LP without solving it. This is the parametric decomposition the
@@ -31,11 +34,11 @@ import numpy as np
 
 from . import lp as lpmod
 from .distflow import (DistFlowSolution, DistFlowVars, build_constraints, dispatch_cost_coeffs,
-                       read_outcome)
+                       fragment_point, read_outcome)
 from .dso import BidCurve, DsoDispatch, build_bid_curve, compiled, value_at
-from .iso import IsoOutcome, add_wholesale, clear, read_wholesale
+from .iso import IsoOutcome, clear
 from .lp import InfeasibleError, SolverError
-from .model import Scenario
+from .model import DR, Scenario
 
 
 @dataclass(frozen=True)
@@ -89,12 +92,18 @@ def _joint_lp(scenario: Scenario) -> _Joint:
     """The scenario's joint LP, where its DistFlow fragment's columns sit, and its balance row.
 
     Its columns and rows are the fragment's, laid out as ``distflow`` states,
-    then the wholesale blocks and the wholesale balance row.
+    then one column per wholesale block, participant by participant, and the
+    wholesale balance row, where a block supplies +1 (a DR block -1).
     """
     prog, dvars = build_constraints(scenario.network, scenario.aggregators)
     objective = dispatch_cost_coeffs(scenario.aggregators)
     balance: dict[int, float] = {dvars.p_exchange: 1.0}
-    add_wholesale(prog, scenario.wholesale, balance, objective)
+    for wp in scenario.wholesale:
+        sign = -1.0 if wp.kind == DR else 1.0
+        for blk in wp.offers.blocks:
+            j = prog.add_variable(0.0, blk.p_max)
+            balance[j] = sign
+            objective[j] = sign * blk.price
     row = prog.add_constraint(balance, scenario.firm_wholesale_load)
     prog.set_objective(objective)
     return prog, dvars, row
@@ -106,21 +115,14 @@ def run_ideal(scenario: Scenario) -> IdealOutcome:
         sol = lpmod.solve(prog)
     if sol.status != lpmod.OPTIMAL:
         raise InfeasibleError(f"joint dispatch is {sol.status}")
-    cleared, blocks = read_wholesale(sol.x, scenario.wholesale)
+    fills = iter(sol.x[dvars.p_exchange + 1:].tolist())  # after the active exchange
+    blocks = {wp.id: tuple(next(fills) for _ in wp.offers.blocks) for wp in scenario.wholesale}
     return read_outcome(
         IdealOutcome, scenario.network, scenario.aggregators, sol.x[:dvars.tree.start],
-        sol.x[dvars.tree], sol.y, cleared=cleared, blocks=blocks,
+        sol.x[dvars.tree], sol.y, blocks=blocks,
+        cleared={wp_id: sum(values) for wp_id, values in blocks.items()},
         net_export=float(sol.x[dvars.p_exchange]), clearing_price=float(sol.y[balance]),
         objective=sol.objective)
-
-
-def _coordinated_point(result: CoordinationResult) -> np.ndarray:
-    """The coordinated outcome as a value for every column of the joint LP, in column order."""
-    dispatch = result.dso_dispatch
-    return np.concatenate((*dispatch.aggregator_blocks.values(), dispatch.flows_p,
-                           dispatch.flows_q, dispatch.voltages_sq,
-                           (dispatch.q_exchange, result.iso.dso_awards[0]),
-                           *result.iso.blocks.values()))
 
 
 def check_equivalence(scenario: Scenario, tolerance: float | None = None) -> CoordinationResult:
@@ -142,7 +144,9 @@ def check_equivalence(scenario: Scenario, tolerance: float | None = None) -> Coo
     tol = scenario.tolerance if tolerance is None else tolerance
     coordinated = run_coordinated(scenario)
     with compiled(scenario, _joint_lp) as (prog, _, balance):
-        point = _coordinated_point(coordinated)
+        point = np.concatenate((fragment_point(coordinated.dso_dispatch,
+                                               coordinated.iso.dso_awards[0]),
+                                *coordinated.iso.blocks.values()))
         assert len(point) == prog.n_cols, "the fragment's columns lead; the wholesale blocks follow"
         residual, objective = prog.evaluate(point)
         duals = coordinated.dso_dispatch.row_duals

@@ -29,7 +29,8 @@ returns where its tree variables and its active exchange sit
 fills the ``DistFlowSolution`` subclass its caller names,
 ``coordination.IdealOutcome`` or ``dso.DsoDispatch``, from block fills,
 tree values and row duals, so the joint and the coordinated outcome share
-their field names.
+their field names. ``fragment_point`` is its inverse: the fragment's columns
+at an outcome and an active exchange.
 
 On a radial tree every flow and voltage is affine in the aggregator blocks,
 so the DSO's own LP (``dso``) is written over the blocks alone.
@@ -311,3 +312,9 @@ def read_outcome(
         q_exchange=values[2 * m + n],
         **more,
     )
+
+
+def fragment_point(outcome: DistFlowSolution, p_exchange: float) -> np.ndarray:
+    """The fragment's columns, in order, at ``outcome`` and active exchange ``p_exchange``."""
+    return np.concatenate((*outcome.aggregator_blocks.values(), outcome.flows_p, outcome.flows_q,
+                           outcome.voltages_sq, (outcome.q_exchange, p_exchange)))

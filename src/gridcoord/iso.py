@@ -17,10 +17,6 @@ the marginal block; when no block fills it is the price of the cheapest
 block of positive size (the highest valid dual), and with no such block it
 is 0.0. Each call computes its answer from its arguments alone; only a
 curve keeps its own checks and segments, once worked out.
-
-``add_wholesale`` appends the wholesale blocks to the joint LP of
-``coordination`` as its last columns, participant by participant, and
-``read_wholesale`` reads them back from there.
 """
 
 from __future__ import annotations
@@ -28,9 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import lp as lpmod
 from .dso import BidCurve
 from .lp import InfeasibleError
 from .model import DR, WholesaleParticipant
@@ -44,26 +37,6 @@ class IsoOutcome:
     dso_segment_fill: tuple[tuple[float, ...], ...]
     clearing_price: float
     objective: float                     # $/h, includes each curve's cost at its minimum
-
-
-def add_wholesale(prog: lpmod.LinearProgram, wholesale: tuple[WholesaleParticipant, ...],
-                  balance: dict[int, float], objective: dict[int, float]) -> None:
-    """Append each participant's block columns to ``prog``, and their terms
-    (+1 supply, -1 demand) to the ``balance`` row and ``objective`` being built."""
-    for wp in wholesale:
-        sign = -1.0 if wp.kind == DR else 1.0
-        for blk in wp.offers.blocks:
-            j = prog.add_variable(0.0, blk.p_max)
-            balance[j] = sign
-            objective[j] = sign * blk.price
-
-
-def read_wholesale(x: np.ndarray, wholesale: tuple[WholesaleParticipant, ...]
-                   ) -> tuple[dict[str, float], dict[str, tuple[float, ...]]]:
-    """Cleared MW and block fills per participant id, from the fills that end ``x``."""
-    fills = iter(x[len(x) - sum(len(wp.offers.blocks) for wp in wholesale):].tolist())
-    blocks = {wp.id: tuple(next(fills) for _ in wp.offers.blocks) for wp in wholesale}
-    return {wp_id: sum(values) for wp_id, values in blocks.items()}, blocks
 
 
 def clear(

@@ -34,9 +34,9 @@ import gridcoord.lp as lp
 from gridcoord.caseio import BUNDLED_CASES, parse_case, resolve_case_path
 from gridcoord.distflow import build_constraints, dispatch_cost_coeffs
 from gridcoord.dso import BidCurve, value_at
-from gridcoord.iso import add_wholesale
 from gridcoord.model import (
     DDGAG,
+    DR,
     DRAG,
     REAG,
     Block,
@@ -571,15 +571,20 @@ def probe_only_curve(scenario: Scenario, free_lp=full_free_lp) -> BidCurve:
 def lp_clearing(wholesale, curves, firm_load) -> lp.LpSolution:
     """The wholesale clearing as an LP, solved by HiGHS.
 
-    One balance row over the wholesale blocks (through ``iso.add_wholesale``)
-    and one bounded variable per curve segment at its price, with each
-    curve's minimum export taken off the rhs and its cost there added to the
-    solution's objective. The balance dual is a clearing price.
+    One balance row over one bounded variable per wholesale block (+1 supply,
+    -1 demand, each at its signed price) and per curve segment at its price,
+    with each curve's minimum export taken off the rhs and its cost there
+    added to the solution's objective. The balance dual is a clearing price.
     """
     prog = lp.LinearProgram()
     balance: dict[int, float] = {}
     objective: dict[int, float] = {}
-    add_wholesale(prog, tuple(wholesale), balance, objective)
+    for wp in wholesale:
+        sign = -1.0 if wp.kind == DR else 1.0
+        for blk in wp.offers.blocks:
+            j = prog.add_variable(0.0, blk.p_max)
+            balance[j] = sign
+            objective[j] = sign * blk.price
     for curve in curves:
         for seg in curve.segments:
             j = prog.add_variable(0.0, seg.q_hi - seg.q_lo)

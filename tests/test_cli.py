@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -304,3 +307,34 @@ def test_iso_clear_against_a_json_curve_with_a_non_number_exits_one(tmp_path, ca
     err = capsys.readouterr().err
     assert err.startswith("gridcoord: error: ") and message in err
     assert not (tmp_path / "iso_outcome.csv").exists()
+
+
+@pytest.mark.parametrize("top", [{"q_mw": 1}, None, math.nan], ids=["object", "null", "NaN"])
+def test_iso_clear_against_a_json_curve_that_is_not_a_list_exits_one(tmp_path, capsys, top):
+    path = tmp_path / "bid_curve.json"
+    path.write_text(json.dumps(top))
+    code = run(["iso-clear", "--case", "paper_reference", "--curve", str(path),
+                "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err == f"gridcoord: error: {path}: expected a list of records\n"
+    assert not (tmp_path / "iso_outcome.csv").exists()
+
+
+def test_coordinate_and_iso_clear_write_and_read_utf8_under_an_ascii_locale(tmp_path):
+    doc = json.loads(resolve_case_path("paper_reference").read_text(encoding="utf-8"))
+    doc["aggregators"][0]["id"] = "DDGAG-\u00e9"
+    case = tmp_path / "accented.json"
+    case.write_text(json.dumps(doc), encoding="utf-8")
+    env = {**os.environ, "PYTHONUTF8": "0", "LC_ALL": "C",
+           "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+
+    def gridcoord(*argv):
+        return subprocess.run([sys.executable, "-m", "gridcoord.cli", *argv, "--case", str(case),
+                               "--out", str(tmp_path / "out")],
+                              capture_output=True, text=True, env=env, timeout=60)
+
+    done = gridcoord("coordinate")
+    assert done.returncode == 0, done.stderr
+    assert b"\nDDGAG-\xc3\xa9," in (tmp_path / "out" / "dso_dispatch.csv").read_bytes()
+    done = gridcoord("iso-clear", "--curve", str(tmp_path / "out" / "bid_curve.csv"))
+    assert done.returncode == 0, done.stderr

@@ -11,7 +11,7 @@ import gridcoord.lp as lp
 import gridcoord.model as model
 from gridcoord.caseio import BUNDLED_CASES, parse_case
 from gridcoord.coordination import check_equivalence, run_coordinated, run_ideal
-from gridcoord.distflow import DistFlowSolution
+from gridcoord.distflow import DistFlowSolution, fragment_point, read_outcome
 from gridcoord.dso import build_bid_curve, compiled, feasible_range, value_at
 from gridcoord.iso import clear
 from gridcoord.model import (
@@ -31,6 +31,7 @@ from support import (
     answer,
     count_calls,
     count_compiles,
+    feeder_scenario,
     lp_clearing,
     named_scenario,
     random_scenario,
@@ -166,6 +167,18 @@ def test_joint_lp_cache_hit_answers_exactly_like_a_fresh_compile(which, monkeypa
     assert len(compiles) == 3 + 3 + 2
     assert hits == fresh
     assert repr(hits) == repr(fresh)  # bit for bit, signs of zero included
+
+
+@pytest.mark.parametrize("which", [*BUNDLED_CASES, *TRANSFORMED, "feeder_scenario(1)"])
+def test_fragment_point_gives_back_the_fragment_columns_read_outcome_read(which):
+    scenario = feeder_scenario(1) if which == "feeder_scenario(1)" else named_scenario(which)
+    prog, dvars, _ = coordination._joint_lp(scenario)
+    sol = lp.solve(prog)
+    assert sol.status == lp.OPTIMAL
+    outcome = read_outcome(DistFlowSolution, scenario.network, scenario.aggregators,
+                           sol.x[:dvars.tree.start], sol.x[dvars.tree], sol.y)
+    point = fragment_point(outcome, float(sol.x[dvars.p_exchange]))
+    assert repr(point.tolist()) == repr(sol.x[:dvars.p_exchange + 1].tolist())  # bit for bit
 
 
 def _assert_close(got, want, where):

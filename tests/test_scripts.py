@@ -111,3 +111,23 @@ def test_random_campaign_refuses_a_negative_seed(seed, capsys):
     assert exit.value.code == 2  # a usage error, not numpy's traceback
     err = capsys.readouterr().err
     assert f"argument --seed: must be an integer >= 0, got {seed}" in err
+
+
+def test_fingerprint_prints_one_line_per_scenario_and_the_same_lines_twice(capsys):
+    script = load("fingerprint")
+    assert script.main(["--small", "2", "--feeders", "0"]) == 0
+    first = capsys.readouterr().out
+    assert script.main(["--small", "2", "--feeders", "0"]) == 0
+    assert capsys.readouterr().out == first
+    lines = first.splitlines()
+    assert [line.split()[0] for line in lines] == [
+        "paper_reference", "paper_as_printed", "voltage_binding",
+        "small_scenario(0)", "small_scenario(1)"]
+    assert all(len(line.split()) == 3 for line in lines)
+
+
+def test_fingerprint_prints_what_a_call_raised_in_place_of_its_hash():
+    script = load("fingerprint")
+    infeasible = script._gen.small_scenario(3184)  # its firm load cannot clear
+    assert script.fingerprint(script.check_equivalence, infeasible) == (
+        "InfeasibleError: clearing infeasible: supply cannot meet the firm load")
