@@ -18,9 +18,10 @@ with no step to tune.
 
 Parse errors come in three distinct flavors: CaseSyntaxError (a file that
 is not JSON text, with line/column where the JSON is malformed; bytes that
-are not UTF-8, and an integer longer than Python converts, name the file
-alone), CaseSchemaError (wrong shape, with the JSON path), and
-model.ValidationError (structurally sound but invariant-breaking scenario).
+are not UTF-8, an integer longer than Python converts, and nesting deeper
+than Python's recursion limit name the file alone), CaseSchemaError (wrong
+shape, with the JSON path), and model.ValidationError (structurally sound
+but invariant-breaking scenario). A UTF-8 byte-order mark is skipped.
 """
 
 from __future__ import annotations
@@ -197,10 +198,10 @@ def parse_case(case: str | Path) -> Scenario:
     """Load, schema-check, and validate a case file (or bundled case name)."""
     path = resolve_case_path(case)
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(path.read_text(encoding="utf-8-sig"))
     except json.JSONDecodeError as exc:
         raise CaseSyntaxError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    except ValueError as exc:  # not UTF-8, or an integer past the int-to-str digit limit
+    except (ValueError, RecursionError) as exc:  # not UTF-8, too many digits, nested too deep
         raise CaseSyntaxError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise CaseSchemaError(f"{path}: top level must be an object")

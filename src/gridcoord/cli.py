@@ -19,7 +19,7 @@ import math
 import sys
 from pathlib import Path
 
-from .caseio import CaseFileError, _get, parse_case
+from .caseio import CaseFileError, CaseSyntaxError, _get, parse_case
 from .coordination import (CoordinationResult, EquivalenceReport, check_equivalence,
                            run_coordinated, run_ideal)
 from .dso import BidCurve, build_bid_curve
@@ -77,41 +77,41 @@ def _write_curve(curve: BidCurve, out: Path, fmt: str) -> None:
 
 
 def read_curve(path: str | Path) -> BidCurve:
-    """Reload a curve written by ``dso-bid``/``coordinate`` (CSV or JSON)."""
+    """Reload a written curve (CSV or JSON): each row's price but the last is its exact slope."""
     path = Path(path)
     if not path.exists():
         raise CaseFileError(f"curve file not found: {path}")
+    rows = {}  # where a row is, for messages: its (q_mw, total_cost, marginal_price)
     try:
         if path.suffix == ".json":
-            records = json.loads(path.read_text(encoding="utf-8"))
+            records = json.loads(path.read_text(encoding="utf-8-sig"))
             if not isinstance(records, list):
                 raise CaseFileError(f"{path}: expected a list of records")
-            rows = [tuple(_get(r, key, float, f"{path}[{i}]")
-                          for key in ("q_mw", "total_cost", "marginal_price"))
-                    for i, r in enumerate(records)]
+            for i, r in enumerate(records):
+                rows[f"{path}[{i}]"] = tuple(_get(r, key, float, f"{path}[{i}]")
+                                             for key in ("q_mw", "total_cost", "marginal_price"))
         else:
-            lines = path.read_text(encoding="utf-8").splitlines()
+            lines = path.read_text(encoding="utf-8-sig").splitlines()
             if not lines or lines[0].split(",") != ["q_mw", "total_cost", "marginal_price"]:
                 raise CaseFileError(f"{path}: expected header q_mw,total_cost,marginal_price")
-            rows = []
             for ln, line in enumerate(lines[1:], start=2):
+                if not line.strip():
+                    continue
                 cells = line.split(",")
                 if len(cells) != 3:
                     raise CaseFileError(f"{path}:{ln}: expected 3 columns")
-                rows.append(tuple(float(c) for c in cells))
-    except (ValueError, KeyError, TypeError) as exc:
+                rows[f"{path}:{ln}"] = tuple(float(c) for c in cells)
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         if isinstance(exc, CaseFileError):
             raise
-        raise CaseFileError(f"{path}: malformed curve file ({exc})") from exc
-    if not rows:
-        raise CaseFileError(f"{path}: curve file has no data rows")
-    curve = BidCurve(
-        breakpoints=tuple((q, c) for q, c, _ in rows),
-        prices=tuple(p for _, _, p in rows[:-1]),
-    )
+        raise CaseSyntaxError(f"{path}: malformed curve file ({exc})") from exc
+    curve = BidCurve(breakpoints=tuple((q, c) for q, c, _ in rows.values()))
     problems = curve.violations()
     if problems:
         raise CaseFileError(f"{path}: " + "; ".join(problems))
+    for (where, (_, _, price)), slope in zip(rows.items(), curve.prices):
+        if price != slope:
+            raise CaseFileError(f"{where}: marginal_price {price!r} is not the slope {slope!r}")
     return curve
 
 

@@ -51,7 +51,7 @@ import sys
 import threading
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -73,21 +73,24 @@ class Segment:
 
 @dataclass(frozen=True)
 class BidCurve:
-    """Convex piecewise-linear total cost of net export, plus marginal steps.
+    """Convex piecewise-linear total cost of net export, given by its breakpoints.
 
     ``breakpoints`` are (export MW, total cost $/h) with strictly increasing
-    export; ``prices`` holds one marginal price per segment between them.
-    A degenerate (single-point) feasible range has one breakpoint and no
+    export. ``prices`` is derived, one marginal price per segment: (c1 - c0) /
+    (q1 - q0) over its two breakpoints, NaN if they share an export. A
+    degenerate (single-point) feasible range has one breakpoint and no
     segments. ``segments`` and ``violations`` are worked out once per curve
     object, so clearing against one curve many times checks it once.
     """
 
     breakpoints: tuple[tuple[float, float], ...]
-    prices: tuple[float, ...]
+    prices: tuple[float, ...] = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "breakpoints", tuple(tuple(bp) for bp in self.breakpoints))
-        object.__setattr__(self, "prices", tuple(self.prices))
+        points = tuple(tuple(bp) for bp in self.breakpoints)
+        object.__setattr__(self, "breakpoints", points)
+        object.__setattr__(self, "prices", tuple((c1 - c0) / (q1 - q0) if q1 != q0 else math.nan
+                                                 for (q0, c0), (q1, c1) in zip(points, points[1:])))
 
     @property
     def q_min(self) -> float:
@@ -123,8 +126,6 @@ class BidCurve:
     def _violations(self) -> tuple[str, ...]:
         if not self.breakpoints:
             return ("curve has no breakpoints",)
-        if len(self.prices) != len(self.breakpoints) - 1:
-            return ("need exactly one price per breakpoint interval",)
         out = []
         for i, (q, cost) in enumerate(self.breakpoints):
             if not (math.isfinite(q) and math.isfinite(cost)):
@@ -138,10 +139,6 @@ class BidCurve:
         for i in range(1, len(self.prices)):
             if self.prices[i] < self.prices[i - 1] - 1e-7:
                 out.append(f"segment {i}: marginal prices must be nondecreasing (convexity)")
-        for i, seg in enumerate(self.segments):
-            dc = self.breakpoints[i + 1][1] - self.breakpoints[i][1]
-            if abs(dc - seg.price * (seg.q_hi - seg.q_lo)) > 1e-4 + 1e-6 * abs(dc):
-                out.append(f"segment {i}: stored cost increments disagree with the price")
         return tuple(out)
 
 
@@ -365,7 +362,7 @@ def _probe_curve(scenario: Scenario, prog: lpmod.LinearProgram, px: int,
     # lines at the point that the basis of its probe certifies.
     lo = (q_min, _pinned_solve(prog, px, q_min).objective, _UNSUPPORTED)
     if q_max - q_min <= max(1e-12, 1e-9 * max(abs(q_min), 1.0)):
-        return BidCurve(breakpoints=(lo[:2],), prices=())
+        return BidCurve(breakpoints=(lo[:2],))
     hi = (q_max, _pinned_solve(prog, px, q_max).objective, _UNSUPPORTED)
     tol = max(scenario.tolerance, 1e-9)
 
@@ -403,4 +400,4 @@ def _probe_curve(scenario: Scenario, prog: lpmod.LinearProgram, px: int,
         breakpoints.append(b)
         prices.append(slope)
 
-    return BidCurve(breakpoints=tuple(bp[:2] for bp in breakpoints), prices=tuple(prices))
+    return BidCurve(breakpoints=tuple(bp[:2] for bp in breakpoints))

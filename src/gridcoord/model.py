@@ -3,7 +3,9 @@
 All types are frozen dataclasses and safe to share across concurrent solves.
 ``validate`` collects every broken structural invariant instead of raising,
 so a caller can report all problems in one pass. Every number must be
-finite: Python's ``json`` reads ``NaN`` and ``Infinity``.
+finite, as Python's ``json`` reads ``NaN`` and ``Infinity``, and below
+``HIGHS_INFINITY`` in magnitude, as must a branch's voltage-drop
+coefficients 2 r / base_mva and 2 x / base_mva.
 
 Two derived values are kept, each worked out on first use once per object:
 ``NetworkModel.incidence``, the tree's branch orientation, and a scenario's
@@ -31,10 +33,16 @@ AGGREGATOR_KINDS = (DDGAG, DRAG, REAG)
 WHOLESALE_KINDS = (GEN, DR)
 
 
+# HiGHS reads a cost or bound of this magnitude as infinite (its ``infinite_cost`` and
+# ``infinite_bound``). Products of a few numbers below it stay far from float overflow.
+HIGHS_INFINITY = 1e20
+
+
 def _nonfinite(path: str, values: dict[str, float]) -> list[str]:
-    """One violation per NaN or infinite number among ``values``, each named ``path + key``."""
-    return [f"{path}{key}: must be finite, got {value}" for key, value in values.items()
-            if not math.isfinite(value)]
+    """One violation per NaN among ``values``, or number of magnitude ``HIGHS_INFINITY`` or more."""
+    return [f"{path}{key}: must be finite, got {value}" if not math.isfinite(value) else
+            f"{path}{key}: must be below {HIGHS_INFINITY:g} in magnitude, got {value}"
+            for key, value in values.items() if not abs(value) < HIGHS_INFINITY]
 
 
 class ValidationError(ValueError):
@@ -206,6 +214,10 @@ def _network_violations(net: NetworkModel) -> list[str]:
             out.append(f"network.branches[{j}]: endpoint outside 0..{n - 1}")
         if br.r < 0 or br.x < 0:
             out.append(f"network.branches[{j}]: r and x must be >= 0")
+        if net.base_mva > 0 and abs(br.r) < HIGHS_INFINITY and abs(br.x) < HIGHS_INFINITY:
+            out += _nonfinite(f"network.branches[{j}].",  # distflow's voltage-drop coefficients
+                              {"2r/base_mva": 2.0 * br.r / net.base_mva,
+                               "2x/base_mva": 2.0 * br.x / net.base_mva})
         if br.pl_max <= 0 or br.ql_max <= 0:
             out.append(f"network.branches[{j}]: pl_max and ql_max must be > 0")
 

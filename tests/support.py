@@ -537,7 +537,7 @@ def probe_only_curve(scenario: Scenario, free_lp=full_free_lp) -> BidCurve:
 
     lo = (q_min, pinned_cost(q_min))
     if q_max - q_min <= max(1e-12, 1e-9 * max(abs(q_min), 1.0)):
-        return BidCurve(breakpoints=(lo,), prices=())
+        return BidCurve(breakpoints=(lo,))
     hi = (q_max, pinned_cost(q_max))
     tol = max(scenario.tolerance, 1e-9)
 
@@ -560,7 +560,7 @@ def probe_only_curve(scenario: Scenario, free_lp=full_free_lp) -> BidCurve:
         q = float(sol.x[px])
         mid = (q, sol.objective + slope * q)
         stack += [(mid, b), (a, mid)]
-    return BidCurve(breakpoints=tuple(breakpoints), prices=tuple(prices))
+    return BidCurve(breakpoints=tuple(breakpoints))
 
 
 # ---------------------------------------------------------------------------

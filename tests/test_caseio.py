@@ -66,6 +66,30 @@ def test_a_file_that_is_not_json_text_is_a_syntax_error_naming_it(tmp_path, whic
     assert str(info.value).startswith(f"{path}: ")
 
 
+def test_a_case_file_with_a_utf8_byte_order_mark_reads_as_without_it(tmp_path):
+    path = tmp_path / "bom.json"
+    path.write_bytes(b"\xef\xbb\xbf" + resolve_case_path("paper_reference").read_bytes())
+    assert parse_case(path) == parse_case("paper_reference")
+
+
+def test_json_nested_too_deep_is_a_syntax_error_naming_the_file(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000 + "]" * 200000)
+    with pytest.raises(CaseSyntaxError) as info:
+        parse_case(path)
+    assert str(info.value).startswith(f"{path}: maximum recursion depth exceeded")
+
+
+@pytest.mark.parametrize("section", ["aggregators", "wholesale"])
+def test_an_unknown_participant_kind_is_a_schema_error_naming_the_field(tmp_path, section):
+    doc = json.loads(resolve_case_path("paper_reference").read_text())
+    doc[section][0]["kind"] = "XX"
+    path = tmp_path / "kind.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CaseSchemaError, match=rf"^{section}\[0\]\.kind: expected one of .*'XX'$"):
+        parse_case(path)
+
+
 def test_schema_error_names_the_offending_field(tmp_path):
     doc = json.loads(resolve_case_path("paper_reference").read_text())
     doc["aggregators"][0]["blocks"][0]["price"] = "twenty"

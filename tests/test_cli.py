@@ -258,7 +258,7 @@ def test_verify_on_a_case_with_an_integer_beyond_float_range_exits_one(tmp_path,
 
 
 @pytest.mark.parametrize("column, message", [
-    (2, "segment 2: price must be finite, got nan"),
+    (2, "bid_curve.csv:4: marginal_price nan is not the slope "),
     (0, "breakpoint 2: export and cost must be finite, got (nan, "),
 ])
 def test_iso_clear_against_a_curve_with_a_nan_exits_one(tmp_path, capsys, column, message):
@@ -275,6 +275,94 @@ def test_iso_clear_against_a_curve_with_a_nan_exits_one(tmp_path, capsys, column
     assert code == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "iso_outcome.csv").exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_iso_clear_against_a_curve_with_a_price_one_ulp_off_its_slope_exits_one(
+        tmp_path, capsys, fmt):
+    assert run(["dso-bid", "--case", "paper_reference", "--out", str(tmp_path),
+                "--format", fmt]) == 0
+    path = tmp_path / f"bid_curve.{fmt}"
+    slope = read_curve(path).prices[1]
+    off = repr(math.nextafter(slope, math.inf))
+    path.write_text(path.read_text().replace(repr(slope), off, 1))
+    capsys.readouterr()
+    code = run(["iso-clear", "--case", "paper_reference", "--curve", str(path),
+                "--out", str(tmp_path)])
+    assert code == 1
+    where = f"{path}:3" if fmt == "csv" else f"{path}[1]"
+    assert capsys.readouterr().err == (
+        f"gridcoord: error: {where}: marginal_price {off} is not the slope {slope!r}\n")
+    assert not (tmp_path / "iso_outcome.csv").exists()
+
+
+def test_verify_on_a_case_file_with_a_utf8_byte_order_mark(tmp_path, capsys):
+    case = tmp_path / "bom.json"
+    case.write_bytes(b"\xef\xbb\xbf" + resolve_case_path("paper_reference").read_bytes())
+    assert run(["verify", "--case", "paper_reference", "--out", str(tmp_path / "plain")]) == 0
+    plain = capsys.readouterr()
+    assert run(["verify", "--case", str(case), "--out", str(tmp_path / "bom")]) == 0
+    assert capsys.readouterr() == plain
+    assert read(tmp_path / "bom" / "equivalence_report.json") == read(
+        tmp_path / "plain" / "equivalence_report.json")
+
+
+@pytest.mark.parametrize("edit", [
+    lambda text: "\ufeff" + text,
+    lambda text: text + "\n",
+    lambda text: text.replace("\n", "\n\n  \n", 2),
+], ids=["byte-order-mark", "trailing-blank-line", "blank-lines-inside"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_iso_clear_reads_a_curve_with_a_bom_or_blank_lines_as_without(tmp_path, capsys, fmt, edit):
+    assert run(["dso-bid", "--case", "paper_reference", "--out", str(tmp_path),
+                "--format", fmt]) == 0
+    path = tmp_path / f"bid_curve.{fmt}"
+    edited = tmp_path / "edited" / path.name
+    edited.parent.mkdir()
+    edited.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
+    assert read_curve(edited) == read_curve(path)
+    capsys.readouterr()
+    for curve, out in ((path, "plain"), (edited, "edited")):
+        assert run(["iso-clear", "--case", "paper_reference", "--curve", str(curve),
+                    "--out", str(tmp_path / out)]) == 0
+    assert read(tmp_path / "edited" / "iso_outcome.csv") == read(
+        tmp_path / "plain" / "iso_outcome.csv")
+
+
+@pytest.mark.parametrize("which", ["case", "curve"])
+def test_json_nested_too_deep_exits_one_naming_the_file(tmp_path, capsys, which):
+    path = tmp_path / f"{which}.json"
+    path.write_text("[" * 200000 + "]" * 200000)
+    case, curve = (path, "nope.csv") if which == "case" else ("paper_reference", path)
+    command = ["verify"] if which == "case" else ["iso-clear", "--curve", str(curve)]
+    assert run([*command, "--case", str(case), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"gridcoord: error: {path}: ") and err.count("\n") == 1
+    assert "maximum recursion depth exceeded" in err
+
+
+@pytest.mark.parametrize("key", ["r", "x"])
+def test_a_branch_whose_voltage_drop_overflows_exits_one_naming_it(tmp_path, capsys, key):
+    doc = json.loads(resolve_case_path("paper_reference").read_text())
+    doc["network"]["branches"][0][key] = 1e308
+    case = tmp_path / "overflow.json"
+    case.write_text(json.dumps(doc))
+    for command in ("dso-bid", "coordinate", "ideal", "verify"):
+        assert run([command, "--case", str(case), "--out", str(tmp_path / "out")]) == 1, command
+        assert capsys.readouterr().err == (f"gridcoord: error: network.branches[0].{key}: must be "
+                                           f"below 1e+20 in magnitude, got 1e+308\n"), command
+
+
+@pytest.mark.parametrize("section", ["aggregators", "wholesale"])
+def test_a_case_with_an_unknown_participant_kind_exits_one_naming_it(tmp_path, capsys, section):
+    doc = json.loads(resolve_case_path("paper_reference").read_text())
+    doc[section][0]["kind"] = "XX"
+    case = tmp_path / "kind.json"
+    case.write_text(json.dumps(doc))
+    assert run(["verify", "--case", str(case), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"gridcoord: error: {section}[0].kind: expected one of ")
+    assert err.endswith(", got 'XX'\n") and err.count("\n") == 1
 
 
 def _string_q(records):

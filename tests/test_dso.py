@@ -534,26 +534,21 @@ def test_retail_prices_uniform_when_network_unconstrained(reference):
 
 
 def test_curve_validation_catches_bad_curves():
-    convex = BidCurve(breakpoints=((0.0, 0.0), (1.0, 10.0)), prices=(10.0,))
-    assert convex.violations() == []
-    assert BidCurve(breakpoints=((0.0, 0.0), (0.0, 1.0)), prices=(5.0,)).violations()
-    nonconvex = BidCurve(
-        breakpoints=((0.0, 0.0), (1.0, 20.0), (2.0, 30.0)), prices=(20.0, 10.0)
-    )
+    convex = BidCurve(breakpoints=((0.0, 0.0), (1.0, 10.0)))
+    assert (convex.violations(), convex.prices) == ([], (10.0,))  # a price is a derived slope
+    assert BidCurve(breakpoints=((0.0, 0.0), (0.0, 1.0))).violations()
+    nonconvex = BidCurve(breakpoints=((0.0, 0.0), (1.0, 20.0), (2.0, 30.0)))
     assert any("nondecreasing" in v for v in nonconvex.violations())
-    inconsistent = BidCurve(breakpoints=((0.0, 0.0), (1.0, 10.0)), prices=(99.0,))
-    assert any("disagree" in v for v in inconsistent.violations())
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_curve_validation_catches_nonfinite_numbers(bad):
-    def violations(q1=1.0, c1=10.0, price=10.0):
-        return BidCurve(breakpoints=((0.0, 0.0), (q1, c1)), prices=(price,)).violations()
+    def violations(q1=1.0, c1=10.0):
+        return BidCurve(breakpoints=((0.0, 0.0), (q1, c1))).violations()
 
     assert violations() == []
     assert f"breakpoint 1: export and cost must be finite, got ({bad}, 10.0)" in violations(q1=bad)
     assert f"breakpoint 1: export and cost must be finite, got (1.0, {bad})" in violations(c1=bad)
-    assert f"segment 0: price must be finite, got {bad}" in violations(price=bad)
 
 
 @pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf])

@@ -125,7 +125,7 @@ def test_award_sits_on_the_dso_best_response(reference, reference_curve):
 
 
 def test_two_curves_clear_side_by_side(reference_curve):
-    cheap = BidCurve(breakpoints=((0.0, 0.0), (3.0, 3.0)), prices=(1.0,))
+    cheap = BidCurve(breakpoints=((0.0, 0.0), (3.0, 3.0)))
     outcome = clear([dr("D", 5.0, 30.0)], [reference_curve, cheap], firm_load=0.0)
     assert len(outcome.dso_awards) == 2
     assert outcome.dso_awards[1] == pytest.approx(3.0, abs=1e-7)  # cheap one exhausted
@@ -134,18 +134,15 @@ def test_two_curves_clear_side_by_side(reference_curve):
 
 
 def test_nonconvex_curve_is_rejected():
-    bad = BidCurve(breakpoints=((0.0, 0.0), (1.0, 20.0), (2.0, 25.0)), prices=(20.0, 5.0))
+    bad = BidCurve(breakpoints=((0.0, 0.0), (1.0, 20.0), (2.0, 25.0)))
     with pytest.raises(ValueError, match="nondecreasing"):
         clear([gen("G", 10.0, 8.0)], [bad], firm_load=1.0)
 
 
 @pytest.mark.parametrize("bad, problem", [
-    (BidCurve(breakpoints=((0.0, 0.0), (1.0, 20.0), (2.0, 25.0)), prices=(20.0, 5.0)),
-     "nondecreasing"),
-    (BidCurve(breakpoints=((0.0, 0.0), (0.0, 20.0)), prices=(20.0,)), "strictly increasing"),
-    (BidCurve(breakpoints=((0.0, 0.0), (1.0, 30.0)), prices=(20.0,)), "disagree"),
-    (BidCurve(breakpoints=((0.0, 0.0), (1.0, 20.0)), prices=()), "one price per"),
-    (BidCurve(breakpoints=(), prices=()), "no breakpoints"),
+    (BidCurve(breakpoints=((0.0, 0.0), (1.0, 20.0), (2.0, 25.0))), "nondecreasing"),
+    (BidCurve(breakpoints=((0.0, 0.0), (0.0, 20.0))), "strictly increasing"),
+    (BidCurve(breakpoints=()), "no breakpoints"),
 ])
 def test_a_bad_curve_is_rejected_by_every_clear(bad, problem):
     for _ in range(3):  # the curve's checks are worked out once, then reused
@@ -219,7 +216,7 @@ def test_tied_offers_clear_the_same_whatever_was_cleared_before():
     # optimum is not unique, and the split must not depend on earlier calls.
     wholesale = (gen("G0", 2.0, 20.0), gen("G1", 2.0, 20.0), gen("G2", 1.0, 10.0),
                  dr("D0", 1.0, 20.0))
-    curve = BidCurve(breakpoints=((0.0, 0.0), (1.0, 20.0), (2.0, 50.0)), prices=(20.0, 30.0))
+    curve = BidCurve(breakpoints=((0.0, 0.0), (1.0, 20.0), (2.0, 50.0)))
     loads = [0.5 * k for k in range(1, 13)]
     random.Random(1).shuffle(loads)
     hits = [clear(wholesale, [curve], load) for load in loads]
@@ -229,7 +226,7 @@ def test_tied_offers_clear_the_same_whatever_was_cleared_before():
 
 def test_tied_blocks_fill_in_declaration_order_wholesale_first():
     wholesale = (gen("G0", 2.0, 20.0), gen("G1", 2.0, 20.0), gen("G2", 1.0, 10.0))
-    curve = BidCurve(breakpoints=((0.0, 0.0), (1.0, 20.0)), prices=(20.0,))
+    curve = BidCurve(breakpoints=((0.0, 0.0), (1.0, 20.0)))
     outcome = clear(wholesale, [curve], firm_load=3.5)
     assert outcome.blocks == {"G0": (2.0,), "G1": (0.5,), "G2": (1.0,)}
     assert outcome.dso_segment_fill == ((0.0,),)
@@ -277,7 +274,7 @@ def stacks(draw):
             width = draw(st.integers(1, 24)) / 8
             q, cost = q + width, cost + price * width
             breakpoints.append((q, cost))
-        curves.append(BidCurve(breakpoints=tuple(breakpoints), prices=tuple(prices)))
+        curves.append(BidCurve(breakpoints=tuple(breakpoints)))
     return wholesale, curves
 
 

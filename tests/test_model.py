@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -13,6 +14,7 @@ from gridcoord.model import (
     Branch,
     NetworkModel,
     Scenario,
+    WholesaleParticipant,
     derived_incidence,
     validate,
 )
@@ -116,6 +118,28 @@ def test_validate_reports_field_paths():
     assert any(v.startswith("aggregators[0].offers.blocks[0].p_max") for v in violations)
 
 
+def test_an_unknown_participant_kind_is_a_violation_naming_the_field():
+    net = small_network([Branch(0, 1, **BR)], n_nodes=2)
+    agg = Aggregator(id="g", kind="XX", node=1, offers=BlockOfferStack(()))
+    wp = WholesaleParticipant(id="w", kind="XX", offers=BlockOfferStack(()))
+    assert validate(scenario_with(net, [agg], [wp])) == [
+        "aggregators[0].kind: unknown kind 'XX'", "wholesale[0].kind: unknown kind 'XX'"]
+
+
+@pytest.mark.parametrize("r, x, base_mva, coefficient, value", [
+    (1e19, 0.001, 0.01, "2r/base_mva", 2e21),
+    (0.001, 0.001, 5e-324, "2r/base_mva", math.inf),
+    (0.001, 1e19, 0.01, "2x/base_mva", 2e21),
+], ids=["r", "base", "x"])
+def test_a_voltage_drop_coefficient_beyond_highs_infinity_is_a_violation(
+        r, x, base_mva, coefficient, value):
+    net = dataclasses.replace(small_network([Branch(0, 1, r, x, 10.0, 10.0)], n_nodes=2),
+                              base_mva=base_mva)
+    violations = validate(scenario_with(net))
+    suffix = "must be finite" if math.isinf(value) else "must be below 1e+20 in magnitude"
+    assert f"network.branches[0].{coefficient}: {suffix}, got {value}" in violations
+
+
 def test_incidence_two_node_line():
     net = small_network([Branch(0, 1, **BR)], n_nodes=2)
     inc = derived_incidence(net)
@@ -202,7 +226,8 @@ NUMBERS = {
 }
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+# 1e20 and beyond are finite floats, but HiGHS reads them as infinite.
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e20, -1e308])
 @pytest.mark.parametrize("where", NUMBERS, ids=NUMBERS.values())
 def test_every_nonfinite_number_is_a_violation(where, bad):
     doc = json.loads(resolve_case_path("paper_reference").read_text())
@@ -212,4 +237,5 @@ def test_every_nonfinite_number_is_a_violation(where, bad):
         node = node[step]
     node[key] = bad
     violations = validate(scenario_from_dict(doc))
-    assert f"{NUMBERS[where]}: must be finite, got {bad}" in violations
+    rule = "must be finite" if not math.isfinite(bad) else "must be below 1e+20 in magnitude"
+    assert f"{NUMBERS[where]}: {rule}, got {bad}" in violations
