@@ -408,22 +408,13 @@ class LpSolution:
     y: np.ndarray = field(default_factory=_empty, repr=False)
 
 
-# Running record of solve quality, so a test run can assert the duality gap
-# stayed within tolerance on every solve it triggered.
-_gap_stats = {"solves": 0, "max_gap": 0.0, "max_residual": 0.0}
-
-
-def solve_stats() -> dict[str, float]:
-    return dict(_gap_stats)
-
-
 def solve(lp: LinearProgram) -> LpSolution:
     """Solve ``lp``; Optimal solutions carry primal, duals, and the duality gap.
 
     Infeasible/unbounded come back as statuses; anything the backend cannot
-    classify raises SolverError. Not reentrant: each call updates the
-    process-wide ``solve_stats`` and ``lp``'s HiGHS instance, so one
-    LinearProgram must not be solved from two threads at once.
+    classify raises SolverError. Not reentrant: each call updates ``lp``'s
+    HiGHS instance, so one LinearProgram must not be solved from two
+    threads at once.
     """
     nvar = lp.n_cols
     if nvar == 0:  # every row is a constant 0 against its rhs
@@ -452,9 +443,6 @@ def solve(lp: LinearProgram) -> LpSolution:
     gap = abs(run.objective / scale - lp.dual_bound(y))
     max_residual = backend.row_violation(x)
 
-    _gap_stats["solves"] += 1
-    _gap_stats["max_gap"] = max(_gap_stats["max_gap"], gap)
-    _gap_stats["max_residual"] = max(_gap_stats["max_residual"], max_residual)
     if not max_residual <= SOLVE_BOUND:  # so a NaN fails too
         raise SolverError(f"optimal solution violates constraints by {max_residual:g}")
     if not gap <= SOLVE_BOUND:

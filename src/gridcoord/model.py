@@ -4,8 +4,10 @@ All types are frozen dataclasses and safe to share across concurrent solves.
 ``validate`` collects every broken structural invariant instead of raising,
 so a caller can report all problems in one pass. Every number must be
 finite, as Python's ``json`` reads ``NaN`` and ``Infinity``, and below
-``HIGHS_INFINITY`` in magnitude, as must a branch's voltage-drop
-coefficients 2 r / base_mva and 2 x / base_mva.
+``HIGHS_INFINITY`` in magnitude. The LP matrix coefficients read off a
+scenario, an aggregator's ``tan_phi`` and a branch's voltage-drop
+coefficients 2 r / base_mva and 2 x / base_mva, must be below
+``HIGHS_LARGE_MATRIX_VALUE``.
 
 Two derived values are kept, each worked out on first use once per object:
 ``NetworkModel.incidence``, the tree's branch orientation, and a scenario's
@@ -36,13 +38,16 @@ WHOLESALE_KINDS = (GEN, DR)
 # HiGHS reads a cost or bound of this magnitude as infinite (its ``infinite_cost`` and
 # ``infinite_bound``). Products of a few numbers below it stay far from float overflow.
 HIGHS_INFINITY = 1e20
+# HiGHS rejects a model with a matrix coefficient of this magnitude or more (its
+# ``large_matrix_value``).
+HIGHS_LARGE_MATRIX_VALUE = 1e15
 
 
-def _nonfinite(path: str, values: dict[str, float]) -> list[str]:
-    """One violation per NaN among ``values``, or number of magnitude ``HIGHS_INFINITY`` or more."""
+def _nonfinite(path: str, values: dict[str, float], limit: float = HIGHS_INFINITY) -> list[str]:
+    """One violation per NaN among ``values``, or number of magnitude ``limit`` or more."""
     return [f"{path}{key}: must be finite, got {value}" if not math.isfinite(value) else
-            f"{path}{key}: must be below {HIGHS_INFINITY:g} in magnitude, got {value}"
-            for key, value in values.items() if not abs(value) < HIGHS_INFINITY]
+            f"{path}{key}: must be below {limit:g} in magnitude, got {value}"
+            for key, value in values.items() if not abs(value) < limit]
 
 
 class ValidationError(ValueError):
@@ -217,7 +222,8 @@ def _network_violations(net: NetworkModel) -> list[str]:
         if net.base_mva > 0 and abs(br.r) < HIGHS_INFINITY and abs(br.x) < HIGHS_INFINITY:
             out += _nonfinite(f"network.branches[{j}].",  # distflow's voltage-drop coefficients
                               {"2r/base_mva": 2.0 * br.r / net.base_mva,
-                               "2x/base_mva": 2.0 * br.x / net.base_mva})
+                               "2x/base_mva": 2.0 * br.x / net.base_mva},
+                              HIGHS_LARGE_MATRIX_VALUE)
         if br.pl_max <= 0 or br.ql_max <= 0:
             out.append(f"network.branches[{j}]: pl_max and ql_max must be > 0")
 
@@ -287,7 +293,8 @@ def validate(scenario: Scenario) -> list[str]:
         if agg.id in seen_ids:
             out.append(f"{path}.id: duplicate participant id {agg.id!r}")
         seen_ids.add(agg.id)
-        out += _nonfinite(f"{path}.", {"tan_phi": agg.tan_phi, "fixed_output": agg.fixed_output})
+        out += _nonfinite(f"{path}.", {"tan_phi": agg.tan_phi}, HIGHS_LARGE_MATRIX_VALUE)
+        out += _nonfinite(f"{path}.", {"fixed_output": agg.fixed_output})
         if agg.kind not in AGGREGATOR_KINDS:
             out.append(f"{path}.kind: unknown kind {agg.kind!r}")
             continue

@@ -424,17 +424,17 @@ def unreadable_case(tmp_path, which: str) -> Path:
 
 
 def count_calls(monkeypatch, module, name: str) -> list:
-    """Count calls to ``module.name`` through every gridcoord module bound to it.
+    """Record calls to ``module.name`` through every gridcoord module bound to it.
 
-    Returns a list that grows by one entry per call, for as long as the
-    monkeypatch lasts.
+    Returns a list that grows by each call's return value, for as long as
+    the monkeypatch lasts.
     """
     original = getattr(module, name)
     calls = []
 
     def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+        calls.append(original(*args, **kwargs))
+        return calls[-1]
 
     for key, mod in list(sys.modules.items()):
         if mod is not None and (key == "gridcoord" or key.startswith("gridcoord.")):

@@ -2,8 +2,9 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines. The
 randomized campaign (criteria 4 and 5) is seeded and shared across tests via
-a module fixture; criterion 7's duality-gap accounting covers every solve
-of the test session up to that point.
+a module fixture. Criterion 7 reports its own probes; the duality gap and
+residual of every solve, in every test, are held to 1e-7 by the suite's
+``conftest.py``, so a solve beyond that fails the test that made it.
 """
 
 import filecmp
@@ -164,21 +165,22 @@ def test_criterion_6_distflow_correctness():
     )
 
 
-def test_criterion_7_lp_contract(reference, campaign):
-    stats = lp.solve_stats()  # covers every solve of the session so far
-    statuses = []
-    for q in (5.8, -1.6):
+def test_criterion_7_lp_contract(reference):
+    solutions = []
+    for q in (1.0, 5.8, -1.6):
         prog, dvars = build_constraints(reference.network, reference.aggregators)
         prog.set_bounds(dvars.p_exchange, q, q)
         prog.set_objective(dispatch_cost_coeffs(reference.aggregators))
-        statuses.append(lp.solve(prog).status)
-    ok = stats["max_gap"] <= 1e-7 and statuses == [lp.INFEASIBLE, lp.INFEASIBLE]
+        solutions.append(lp.solve(prog))  # past lp.SOLVE_BOUND it raises SolverError
+    statuses = [sol.status for sol in solutions]
+    ok = (lp.SOLVE_BOUND == 1e-7
+          and statuses == [lp.OPTIMAL, lp.INFEASIBLE, lp.INFEASIBLE])
     report(
         7,
         "LP duality and infeasibility contract",
         ok,
-        f"{stats['solves']} solves, max duality gap {stats['max_gap']:.2e}, "
-        f"probes {statuses}",
+        f"every solve of the suite held to gap and residual {lp.SOLVE_BOUND:g}; "
+        f"probes {statuses}, optimal one's gap {solutions[0].duality_gap:.2e}",
     )
 
 

@@ -120,20 +120,22 @@ def test_equivalence_reference_case(reference):
     assert report.objective_coordinated - report.dual_objective == report.duality_gap
 
 
-def test_equivalence_solves_nothing_beyond_the_pipeline(reference):
+def test_equivalence_solves_nothing_beyond_the_pipeline(reference, monkeypatch):
+    calls = count_calls(monkeypatch, lp, "solve")
+
     def solves(fn):
-        before = lp.solve_stats()["solves"]
+        before = len(calls)
         fn(reference)
-        return lp.solve_stats()["solves"] - before
+        return len(calls) - before
 
     assert solves(check_equivalence) == solves(run_coordinated)
 
 
-def test_equivalence_takes_nine_solves_on_the_reference_case(reference):
+def test_equivalence_takes_nine_solves_on_the_reference_case(reference, monkeypatch):
     # The 5-segment curve takes 5 + 3 and the re-dispatch one; clearing and the check none.
-    before = lp.solve_stats()["solves"]
+    calls = count_calls(monkeypatch, lp, "solve")
     check_equivalence(reference)
-    assert lp.solve_stats()["solves"] - before == 9
+    assert len(calls) == 9
 
 
 def test_the_check_scores_the_joint_lp_without_loading_it_and_compiles_it_once(monkeypatch):
@@ -604,12 +606,17 @@ def test_random_feeders_at_a_million_times_the_prices_pass(seed):
 
 
 def _assert_passes_at_ten_million_times_the_prices(seed, monkeypatch):
-    # At this scale the solves' absolute duality gaps can exceed conftest's
-    # session bound (ROADMAP item 5), so they are held to it here instead.
-    monkeypatch.setattr(lp, "_gap_stats", {"solves": 0, "max_gap": 0.0, "max_residual": 0.0})
+    # At this scale a solve's absolute duality gap can exceed the suite's
+    # 1e-7 (ROADMAP item 5). ``solve`` is given back its own bound, so that
+    # it returns every answer, and its gaps and residuals are held to 1e-7
+    # here instead, so that an excess fails as an AssertionError.
+    monkeypatch.setattr(lp, "SOLVE_BOUND", 1e-5)
+    sols = count_calls(monkeypatch, lp, "solve")
     scenario = random_scenario(seed)
     _assert_same_awards_and_passes(scenario, scale_prices(scenario, 1e7))
-    assert lp.solve_stats()["max_gap"] <= 1e-7
+    optimal = [sol for sol in sols if sol.status == lp.OPTIMAL]
+    assert max(sol.duality_gap for sol in optimal) <= 1e-7
+    assert max(sol.max_residual for sol in optimal) <= 1e-7
 
 
 # 69 failed while the check solved the joint LP, whose objective and duality

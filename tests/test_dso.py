@@ -25,6 +25,7 @@ from gridcoord.model import (
     Branch,
     NetworkModel,
     Scenario,
+    WholesaleParticipant,
 )
 
 from support import (
@@ -32,6 +33,7 @@ from support import (
     answer,
     block_free_lp,
     capacity_export_range,
+    count_calls,
     count_compiles,
     dso_cost_oracle,
     feeder_scenario,
@@ -244,23 +246,50 @@ def test_blocks_tied_at_the_chord_slope_give_one_segment():
     assert [q for q, _ in curve.breakpoints] == pytest.approx([-4.0, -2.0, 1.0, 3.0], abs=1e-9)
 
 
-@pytest.mark.parametrize("name", BUNDLED_CASES)
-def test_curve_takes_at_most_two_solves_per_segment_plus_three(name):
-    scenario = parse_case(name)
-    before = lp.solve_stats()["solves"]
+def test_a_segment_within_tolerance_of_its_neighbor_is_merged_into_it():
+    # Backing off the DRAG's 20.0 blocks takes the export from 0 to 1, and the
+    # DDGAG's 20.0000003 block takes it on to 4. The two prices are within the
+    # 1e-6 tolerance, so the kink at 1 is merged away: [0, 4] is one segment
+    # at their blended price.
+    branch = dict(r=1e-4, x=1e-4, pl_max=50.0, ql_max=50.0)
+    network = NetworkModel(n_nodes=3, load_p=(0.0,) * 3, load_q=(0.0,) * 3,
+                           branches=(Branch(0, 1, **branch), Branch(1, 2, **branch)),
+                           substation=0, u_min=0.81, u_max=1.21, u_sub=1.0)
+    scenario = Scenario(
+        network=network,
+        aggregators=(
+            Aggregator(id="d", kind="DRAG", node=1, offers=BlockOfferStack(
+                (Block(0.5, 20.0), Block(0.5, 20.0), Block(0.5, 15.0)))),
+            Aggregator(id="g", kind="DDGAG", node=2, offers=BlockOfferStack(
+                (Block(0.5, 10.0), Block(0.5, 15.0), Block(3.0, 20.0000003), Block(1.0, 30.0)))),
+        ),
+        wholesale=(WholesaleParticipant("G", "Gen", BlockOfferStack((Block(100.0, 25.0),))),),
+        firm_wholesale_load=1.0,
+        tolerance=1e-6,
+    )
     curve = build_bid_curve(scenario)
-    solves = lp.solve_stats()["solves"] - before
-    assert solves <= 2 * len(curve.prices) + 3
+    assert curve.breakpoints == ((-1.5, -27.5), (-1.0, -22.5), (0.0, -7.5),
+                                 (4.0, 72.5000009), (5.0, 102.5000009))
+    assert curve.prices == (10.0, 15.0, 20.000000225, 30.0)
+    assert check_equivalence(scenario).equivalence.passed
+
+
+@pytest.mark.parametrize("name", BUNDLED_CASES)
+def test_curve_takes_at_most_two_solves_per_segment_plus_three(name, monkeypatch):
+    scenario = parse_case(name)
+    calls = count_calls(monkeypatch, lp, "solve")
+    curve = build_bid_curve(scenario)
+    assert len(calls) <= 2 * len(curve.prices) + 3
 
 
 @pytest.mark.parametrize("name, solves", [("paper_reference", 8), ("voltage_binding", 5)])
-def test_curve_takes_one_solve_per_segment_plus_three(name, solves):
+def test_curve_takes_one_solve_per_segment_plus_three(name, solves, monkeypatch):
     # The range (2), the end costs (2) and one probe per interior breakpoint;
     # each split probe's basis certifies the segments on both sides of it.
     scenario = parse_case(name)
-    before = lp.solve_stats()["solves"]
+    calls = count_calls(monkeypatch, lp, "solve")
     curve = build_bid_curve(scenario)
-    assert lp.solve_stats()["solves"] - before == solves == len(curve.prices) + 3
+    assert len(calls) == solves == len(curve.prices) + 3
 
 
 @pytest.mark.parametrize("which", [*BUNDLED_CASES, "tied"])
@@ -460,15 +489,15 @@ def test_every_redispatch_publishes_optimal_duals_on_random_feeders(seed):
 # price: the priced solve's optimum is that whole segment, and HiGHS ends at
 # one of its ends.
 @pytest.mark.parametrize("seed", [4, 13, 29])
-def test_an_award_inside_a_segment_at_its_price_is_re_solved_pinned(seed):
+def test_an_award_inside_a_segment_at_its_price_is_re_solved_pinned(seed, monkeypatch):
     scenario = random_scenario(seed)
     curve = build_bid_curve(scenario)
     outcome = clear(scenario.wholesale, [curve], scenario.firm_wholesale_load)
     award, price = outcome.dso_awards[0], outcome.clearing_price
     assert any(seg.q_lo < award < seg.q_hi and seg.price == price for seg in curve.segments)
-    before = lp.solve_stats()["solves"]
+    calls = count_calls(monkeypatch, lp, "solve")
     dispatch, duals = redispatch_with_duals(scenario, award, price)
-    assert lp.solve_stats()["solves"] - before == 2
+    assert len(calls) == 2
     assert redispatch_dual_violations(scenario, dispatch, duals) == []
     assert dispatch.retail_prices[scenario.network.substation] == price
     assert dispatch.cost == pytest.approx(value_at(scenario, award).cost, abs=1e-9)
@@ -562,12 +591,12 @@ def test_a_nonfinite_export_is_a_value_error_that_leaves_the_model_as_it_was(q):
 
 
 @pytest.mark.parametrize("price", [math.nan, math.inf, -math.inf])
-def test_a_nonfinite_price_is_a_value_error_before_any_solve(price):
+def test_a_nonfinite_price_is_a_value_error_before_any_solve(price, monkeypatch):
     scenario = parse_case("paper_reference")
-    before = lp.solve_stats()["solves"]
+    calls = count_calls(monkeypatch, lp, "solve")
     with pytest.raises(ValueError, match=f"must be finite, got 1.0 and {price}"):
         value_at(scenario, 1.0, price)
-    assert lp.solve_stats()["solves"] == before
+    assert calls == []
 
 
 @settings(max_examples=15, deadline=None)

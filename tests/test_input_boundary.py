@@ -40,6 +40,14 @@ VALUES = {  # a mutation by name -> the value it writes at its path
     "string": "x", "null": None, "list": [], "object": {}, "boolean": True, "zero": 0,
     "negative": -1, "dangling-node": 99, "tiny": 5e-324, "huge": 1e308, "-huge": -1e308,
     "nan": math.nan, "401-digits": 10**400,
+    "1e16": 1e16,  # finite for HiGHS, but past its large_matrix_value as a coefficient
+}
+
+# Inputs that every subcommand must refuse with exit 1, naming the field: HiGHS
+# would reject the LP they make.
+REFUSED = {
+    ("case", ("aggregators", 3, "tan_phi"), "1e16"),
+    ("case", ("network", "branches", 0, "r"), "1e16"),
 }
 
 
@@ -113,13 +121,16 @@ def written(tmp_path_factory):
     return out
 
 
-def _run(argv, named):
-    """Run the CLI: a documented exit code and, on exit 1, one line naming ``named`` or a field."""
+def _run(argv, named, refused):
+    """Run the CLI: a documented exit code and, on exit 1, one line naming ``named`` or a field.
+
+    A ``refused`` input must exit 1.
+    """
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(argv)
     err = err.getvalue()
-    assert code in (0, 1, 2, 3, 4), (code, err)
+    assert code in ((1,) if refused else (0, 1, 2, 3, 4)), (code, err)
     if code == 1:
         assert err.startswith("gridcoord: error: ") and err.count("\n") == 1, err
         assert str(named) in err or FIELD.match(err), err
@@ -147,6 +158,8 @@ TARGETS = st.one_of(
 @example(target=("case", ("network", "branches", 0, "x"), "huge"))
 @example(target=("case", ("aggregators", 3, "tan_phi"), "huge"))
 @example(target=("case", ("aggregators", 5, "tan_phi"), "-huge"))
+@example(target=("case", ("aggregators", 3, "tan_phi"), "1e16"))
+@example(target=("case", ("network", "branches", 0, "r"), "1e16"))
 @example(target=("case", ("aggregators", 5, "blocks", 0, "price"), "huge"))
 @example(target=("case", ("aggregators", 3, "blocks", 0, "price"), "-huge"))
 @example(target=("case", ("network", "base_mva"), "tiny"))
@@ -181,4 +194,4 @@ def test_malformed_input_ends_in_a_documented_exit_code_naming_the_file_or_field
     for command in commands:
         extra = ["--curve", str(curve)] if command == "iso-clear" else []
         _run([command, "--case", str(case), *extra, "--out", str(tmp / "out")],
-             case if kind == "case" else curve)
+             case if kind == "case" else curve, target in REFUSED)

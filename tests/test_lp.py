@@ -233,26 +233,25 @@ def test_solve_measures_its_gap_by_the_dual_bound_of_its_duals(monkeypatch):
     x = prog.add_variable(0.0, 1.0)
     prog.add_constraint({x: 1.0, prog.add_variable(0.0): 1.0}, 1.0)
     prog.set_objective({x: 1.0})  # optimum 0 at x = 0
-    # The made-up gaps go to a record of this test's own, not the session's.
-    monkeypatch.setattr(lp, "_gap_stats", {"solves": 0, "max_gap": 0.0, "max_residual": 0.0})
     monkeypatch.setattr(lp.LinearProgram, "dual_bound", lambda self, y: -1e-6)
+    # The suite holds every solve to 1e-7 (conftest.py), so this gap fails it.
+    with pytest.raises(lp.SolverError, match="duality gap 1e-06 exceeds tolerance"):
+        lp.solve(prog)
+    monkeypatch.setattr(lp, "SOLVE_BOUND", 1e-5)
     assert lp.solve(prog).duality_gap == 1e-6
     monkeypatch.setattr(lp.LinearProgram, "dual_bound", lambda self, y: -1.0)
     with pytest.raises(lp.SolverError, match="duality gap 1 exceeds tolerance"):
         lp.solve(prog)
 
 
-def test_solve_stats_track_gap():
-    before = lp.solve_stats()
-    prog = lp.LinearProgram()
-    x = prog.add_variable(0.0, 1.0)
-    prog.set_objective({x: 1.0})
-    sol = lp.solve(prog)
-    after = lp.solve_stats()
-    assert after["solves"] - before["solves"] == 1
-    assert after["max_gap"] == max(before["max_gap"], sol.duality_gap)
-    assert after["max_residual"] == max(before["max_residual"], sol.max_residual)
-    assert after["max_gap"] <= 1e-7
+@pytest.fixture(scope="module")
+def bound_in_a_module_fixture():
+    return lp.SOLVE_BOUND
+
+
+def test_the_suites_hold_is_in_force_in_module_fixtures(bound_in_a_module_fixture):
+    # Module fixtures solve before any test's own fixtures are set up.
+    assert bound_in_a_module_fixture == 1e-7
 
 
 LEQ, EQ, GEQ = "<=", "==", ">="

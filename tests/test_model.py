@@ -130,14 +130,25 @@ def test_an_unknown_participant_kind_is_a_violation_naming_the_field():
     (1e19, 0.001, 0.01, "2r/base_mva", 2e21),
     (0.001, 0.001, 5e-324, "2r/base_mva", math.inf),
     (0.001, 1e19, 0.01, "2x/base_mva", 2e21),
-], ids=["r", "base", "x"])
+    (5e14, 0.001, 1.0, "2r/base_mva", 1e15),  # HiGHS's large_matrix_value: it rejects the LP
+    (0.001, 5e14, 1.0, "2x/base_mva", 1e15),
+], ids=["r", "base", "x", "r-large-matrix-value", "x-large-matrix-value"])
 def test_a_voltage_drop_coefficient_beyond_highs_infinity_is_a_violation(
         r, x, base_mva, coefficient, value):
     net = dataclasses.replace(small_network([Branch(0, 1, r, x, 10.0, 10.0)], n_nodes=2),
                               base_mva=base_mva)
     violations = validate(scenario_with(net))
-    suffix = "must be finite" if math.isinf(value) else "must be below 1e+20 in magnitude"
+    suffix = "must be finite" if math.isinf(value) else "must be below 1e+15 in magnitude"
     assert f"network.branches[0].{coefficient}: {suffix}, got {value}" in violations
+
+
+@pytest.mark.parametrize("tan_phi, refused", [(1e15, True), (-1e16, True), (9.9e14, False)])
+def test_a_tan_phi_highs_would_reject_as_a_coefficient_is_a_violation(tan_phi, refused):
+    net = small_network([Branch(0, 1, **BR)], n_nodes=2)
+    agg = Aggregator(id="g", kind="DDGAG", node=1, tan_phi=tan_phi,
+                     offers=BlockOfferStack((Block(1.0, 10.0),)))
+    violation = f"aggregators[0].tan_phi: must be below 1e+15 in magnitude, got {tan_phi}"
+    assert validate(scenario_with(net, [agg])) == ([violation] if refused else [])
 
 
 def test_incidence_two_node_line():
@@ -226,7 +237,8 @@ NUMBERS = {
 }
 
 
-# 1e20 and beyond are finite floats, but HiGHS reads them as infinite.
+# 1e20 and beyond are finite floats, but HiGHS reads them as infinite. tan_phi,
+# an LP matrix coefficient, is held below HiGHS's large_matrix_value instead.
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e20, -1e308])
 @pytest.mark.parametrize("where", NUMBERS, ids=NUMBERS.values())
 def test_every_nonfinite_number_is_a_violation(where, bad):
@@ -237,5 +249,6 @@ def test_every_nonfinite_number_is_a_violation(where, bad):
         node = node[step]
     node[key] = bad
     violations = validate(scenario_from_dict(doc))
-    rule = "must be finite" if not math.isfinite(bad) else "must be below 1e+20 in magnitude"
+    limit = "1e+15" if key == "tan_phi" else "1e+20"
+    rule = "must be finite" if not math.isfinite(bad) else f"must be below {limit} in magnitude"
     assert f"{NUMBERS[where]}: {rule}, got {bad}" in violations

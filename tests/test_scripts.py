@@ -8,6 +8,8 @@ import pytest
 import gridcoord.lp as lp
 from gridcoord.cli import main as cli_main
 
+from support import count_calls
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -27,13 +29,15 @@ def test_run_paper_case_prints_and_writes_the_artifacts(tmp_path, capsys):
     assert (tmp_path / "equivalence_report.json").exists()
 
 
-def test_run_paper_case_writes_the_cli_files_without_solving_again(tmp_path, capsys):
+def test_run_paper_case_writes_the_cli_files_without_solving_again(tmp_path, capsys,
+                                                                   monkeypatch):
     script = load("run_paper_case")
+    calls = count_calls(monkeypatch, lp, "solve")
 
     def solves(*argv):
-        before = lp.solve_stats()["solves"]
+        before = len(calls)
         assert script.main(["--case", "paper_reference", *argv]) == 0
-        return lp.solve_stats()["solves"] - before
+        return len(calls) - before
 
     assert solves("--out", str(tmp_path / "script")) == solves() == 10
     for command in ("coordinate", "verify"):
