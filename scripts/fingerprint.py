@@ -2,14 +2,17 @@
 """Fingerprint the pipeline's outputs, so two versions of the code can be compared.
 
 Usage:
-    python scripts/fingerprint.py [--small 300] [--feeders 8]
+    python scripts/fingerprint.py [--small 300] [--feeders 8] [--binding 200]
 
 Runs ``check_equivalence`` and ``run_ideal`` on the bundled cases, on the
-benchmark's ``small_scenario`` seeds 0..small-1 and on its
-``feeder_scenario`` seeds 0..feeders-1, and prints one line per scenario:
-its name, then the sha256 of the ``repr`` of each call's result, or in its
-place the type and message of the exception the call raised. A change meant
-to leave every output bit-identical prints the same lines as its parent.
+benchmark's ``small_scenario`` seeds 0..small-1, on its ``feeder_scenario``
+seeds 0..feeders-1, and on seeds 0..binding-1 of each of the tests' binding
+families (``BINDING`` in ``tests/support.py``: ``small_scenario`` with tight
+limits, which its own feeders never reach). It prints one line per
+scenario: its name, then the sha256 of the ``repr`` of each call's result,
+or in its place the type and message of the exception the call raised. A
+change meant to leave every output bit-identical prints the same lines as
+its parent; the defaults print 711.
 """
 
 import argparse
@@ -21,10 +24,15 @@ from pathlib import Path
 from gridcoord import check_equivalence, parse_case, run_ideal
 from gridcoord.caseio import BUNDLED_CASES
 
-_GEN = importlib.util.spec_from_file_location(
-    "bench_gen", Path(__file__).resolve().parents[1] / "bench" / "gen.py")
-_gen = importlib.util.module_from_spec(_GEN)
-_GEN.loader.exec_module(_gen)
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, Path(__file__).resolve().parents[1] / path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_gen = _load("bench_gen", "bench/gen.py")
+_support = _load("tests_support", "tests/support.py")
 
 
 def _count(text):
@@ -43,23 +51,29 @@ def fingerprint(call, scenario):
         return f"{type(exc).__name__}: {exc}"
 
 
-def scenarios(small, feeders):
-    """(name, scenario) for the bundled cases, then the small and the feeder seeds."""
+def scenarios(small, feeders, binding):
+    """(name, scenario) for the bundled cases, then the small, feeder and binding seeds."""
     for name in BUNDLED_CASES:
         yield name, parse_case(name)
     for seed in range(small):
         yield f"small_scenario({seed})", _gen.small_scenario(seed)
     for seed in range(feeders):
         yield f"feeder_scenario({seed})", _gen.feeder_scenario(seed)
+    for family, limits in _support.BINDING.items():
+        for seed in range(binding):
+            yield (f"binding_{family}:small_scenario({seed})",
+                   _support.bind(_gen.small_scenario(seed), **limits))
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--small", type=_count, default=300, help="small_scenario seeds to run")
     parser.add_argument("--feeders", type=_count, default=8, help="feeder_scenario seeds to run")
+    parser.add_argument("--binding", type=_count, default=200,
+                        help="seeds to run of each binding family")
     args = parser.parse_args(argv)
 
-    for name, scenario in scenarios(args.small, args.feeders):
+    for name, scenario in scenarios(args.small, args.feeders, args.binding):
         print(name, fingerprint(check_equivalence, scenario), fingerprint(run_ideal, scenario))
     return 0
 

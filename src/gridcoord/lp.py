@@ -29,9 +29,12 @@ that came before (a warm re-solve can land on another optimal vertex or
 dual where the optimum is not unique). Pricing is Devex (see ``_Backend``).
 
 ``dual_bound``, the Lagrangian bound of row duals, is the one optimality
-certificate. ``solve`` holds an optimal answer to ``SOLVE_BOUND`` by its
-residual and by its duality gap, its objective's distance from the
-``dual_bound`` of its own duals. Any other verdict is taken from a run on
+certificate. ``solve`` holds an optimal answer to one bound, worked out for
+each solve, and nothing sets it: its residual to 1e-7, HiGHS's own primal
+feasibility tolerance, and its duality gap, its objective's distance from
+the ``dual_bound`` of its own duals, to 1e-7 plus 1e-12 of the magnitudes
+that gap is summed from (the rounding they allow, after Neumaier and
+Shcherbina's safe dual bounds). Any other verdict is taken from a run on
 a freshly loaded model (see ``linprog``), so a re-solve and a fresh solve
 of an LP agree on it. ``evaluate`` measures a point found some other way
 against the rows and the variable bounds, and scores it; ``dual_bound``
@@ -126,7 +129,8 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
-SOLVE_BOUND = 1e-5  # absolute, on an optimal solve's constraint residual and duality gap
+_FLOOR = 1e-7  # HiGHS's primal and dual feasibility tolerance: a solve is no closer than this
+_ROUNDING = 1e-12  # relative rounding of a sum, against the magnitudes it is summed from
 
 
 class SolverError(RuntimeError):
@@ -281,6 +285,14 @@ class LinearProgram:
         counterpart of ``evaluate``: a point that meets every row and bound
         and scores the bound is optimal (weak duality).
         """
+        return self._dual_terms(y)[0]
+
+    def _dual_terms(self, y: np.ndarray) -> tuple[float, tuple[np.ndarray, ...]]:
+        """``dual_bound(y)`` and the arrays it is summed from.
+
+        They are y and b on the priced rows, then d and the side it presses
+        on for the kept columns: the bound is y.b + d.side over them.
+        """
         y = np.asarray(y, dtype=float)
         if y.shape != (len(self._rhs),):
             raise ValueError(f"duals have shape {y.shape}, not the program's ({len(self._rhs)},)")
@@ -292,13 +304,16 @@ class LinearProgram:
         priced = y != 0.0  # zero terms would still regroup the dot product's rounding
         side = np.where(reduced > 0.0, b.lower, b.upper)
         keep = reduced != 0.0
-        bound = float(reduced[keep] @ side[keep])
+        d, s = reduced[keep], side[keep]
+        bound = float(d @ s)
         if not math.isfinite(bound):  # a reduced cost met an infinite side: is it noise?
-            noise = 1e-12 * (np.abs(cost) + np.bincount(b.cols, weights=np.abs(terms),
-                                                        minlength=self.n_cols))
+            noise = _ROUNDING * (np.abs(cost) + np.bincount(b.cols, weights=np.abs(terms),
+                                                            minlength=self.n_cols))
             keep &= np.isfinite(side) | (np.abs(reduced) > noise)
-            bound = float(reduced[keep] @ side[keep])
-        return float(y[priced] @ b.rhs[priced]) + bound
+            d, s = reduced[keep], side[keep]
+            bound = float(d @ s)
+        yp, bp = y[priced], b.rhs[priced]
+        return float(yp @ bp) + bound, (yp, bp, d, s)
 
 
 class _Backend:
@@ -412,7 +427,11 @@ def solve(lp: LinearProgram) -> LpSolution:
     """Solve ``lp``; Optimal solutions carry primal, duals, and the duality gap.
 
     Infeasible/unbounded come back as statuses; anything the backend cannot
-    classify raises SolverError. Not reentrant: each call updates ``lp``'s
+    classify raises SolverError. So does an optimal answer whose residual
+    exceeds 1e-7, or whose duality gap exceeds 1e-7 plus 1e-12 of
+    sum |c_j x_j| + sum |y_i b_i| + sum |d_j side_j|, the magnitudes the
+    objective and ``dual_bound(y)`` are summed from; they are worked out
+    only for a gap above 1e-7. Not reentrant: each call updates ``lp``'s
     HiGHS instance, so one LinearProgram must not be solved from two
     threads at once.
     """
@@ -440,13 +459,18 @@ def solve(lp: LinearProgram) -> LpSolution:
     solution = highs.getSolution()
     x = np.array(solution.col_value)
     y = np.array(solution.row_dual) / scale
-    gap = abs(run.objective / scale - lp.dual_bound(y))
+    bound, terms = lp._dual_terms(y)
+    gap = abs(run.objective / scale - bound)
     max_residual = backend.row_violation(x)
 
-    if not max_residual <= SOLVE_BOUND:  # so a NaN fails too
+    if not max_residual <= _FLOOR:  # so a NaN fails too
         raise SolverError(f"optimal solution violates constraints by {max_residual:g}")
-    if not gap <= SOLVE_BOUND:
-        raise SolverError(f"duality gap {gap:g} exceeds tolerance")
+    if not gap <= _FLOOR:
+        yp, bp, d, s = terms
+        size = np.abs(cost) @ np.abs(x) / scale + np.abs(yp) @ np.abs(bp) + np.abs(d) @ np.abs(s)
+        allowed = _FLOOR + _ROUNDING * float(size)
+        if not gap <= allowed < math.inf:  # an infinite term allows no gap beyond the floor
+            raise SolverError(f"duality gap {gap:g} exceeds tolerance {allowed:g}")
 
     return LpSolution(
         status=OPTIMAL,

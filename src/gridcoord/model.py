@@ -4,10 +4,13 @@ All types are frozen dataclasses and safe to share across concurrent solves.
 ``validate`` collects every broken structural invariant instead of raising,
 so a caller can report all problems in one pass. Every number must be
 finite, as Python's ``json`` reads ``NaN`` and ``Infinity``, and below
-``HIGHS_INFINITY`` in magnitude. The LP matrix coefficients read off a
-scenario, an aggregator's ``tan_phi`` and a branch's voltage-drop
-coefficients 2 r / base_mva and 2 x / base_mva, must be below
-``HIGHS_LARGE_MATRIX_VALUE``.
+``HIGHS_INFINITY`` in magnitude, as must a REAG's reactive output
+``fixed_output * tan_phi``, a balance row's rhs. The LP matrix coefficients
+read off a scenario, an aggregator's ``tan_phi``, a branch's voltage-drop
+coefficients 2 r / base_mva and 2 x / base_mva, and, once the network is
+radial, an aggregator's drop 2 (r + x |tan_phi|) / base_mva summed along
+the path from the substation to its node (a coefficient of the DSO's block
+LP), must be below ``HIGHS_LARGE_MATRIX_VALUE``.
 
 Two derived values are kept, each worked out on first use once per object:
 ``NetworkModel.incidence``, the tree's branch orientation, and a scenario's
@@ -279,6 +282,19 @@ def derived_incidence(network: NetworkModel) -> Incidence:
     return Incidence(parent=tuple(parent), child=tuple(child), order=tuple(order))
 
 
+def _path_drops(net: NetworkModel) -> tuple[list[float], list[float]]:
+    """Per node, 2 r / base_mva and 2 x / base_mva summed along its path from the substation."""
+    inc = net.incidence
+    into = dict(zip(inc.child, range(len(net.branches))))
+    r_sum, x_sum = [0.0] * net.n_nodes, [0.0] * net.n_nodes
+    for node in inc.order[1:]:
+        j = into[node]
+        up, br = inc.parent[j], net.branches[j]
+        r_sum[node] = r_sum[up] + 2.0 * br.r / net.base_mva
+        x_sum[node] = x_sum[up] + 2.0 * br.x / net.base_mva
+    return r_sum, x_sum
+
+
 def validate(scenario: Scenario) -> list[str]:
     """Collect every violated structural invariant; empty list = valid.
 
@@ -286,6 +302,8 @@ def validate(scenario: Scenario) -> list[str]:
     """
     out = _network_violations(scenario.network)
     n = scenario.network.n_nodes
+    # Only a radial network has paths; its r and x are then finite, and so are the sums.
+    drops = _path_drops(scenario.network) if not out and scenario.aggregators else None
 
     seen_ids: set[str] = set()
     for i, agg in enumerate(scenario.aggregators):
@@ -300,9 +318,19 @@ def validate(scenario: Scenario) -> list[str]:
             continue
         if not (0 <= agg.node < n):
             out.append(f"{path}.node: node {agg.node} not in network")
+        elif drops and agg.offers.blocks and abs(agg.tan_phi) < HIGHS_LARGE_MATRIX_VALUE:
+            drop = drops[0][agg.node] + drops[1][agg.node] * abs(agg.tan_phi)
+            if not drop < HIGHS_LARGE_MATRIX_VALUE:
+                out.append(f"{path} ({agg.id}): its voltage drop to node {agg.node}, "
+                           f"2 (r + x |tan_phi|) / base_mva summed from the substation, "
+                           f"must be below {HIGHS_LARGE_MATRIX_VALUE:g}, got {drop:g}")
         if agg.kind == REAG:
             if agg.fixed_output < 0:
                 out.append(f"{path}.fixed_output: must be >= 0")
+            if abs(agg.tan_phi) < HIGHS_LARGE_MATRIX_VALUE and abs(
+                    agg.fixed_output) < HIGHS_INFINITY:  # else refused above
+                out += _nonfinite(f"{path}.", {"fixed_output*tan_phi":  # a balance row's rhs
+                                               agg.fixed_output * agg.tan_phi})
             if agg.offers.blocks:
                 out.append(f"{path}.offers: REAG output is fixed, offer stack must be empty")
         else:

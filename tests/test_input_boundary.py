@@ -48,6 +48,8 @@ VALUES = {  # a mutation by name -> the value it writes at its path
 REFUSED = {
     ("case", ("aggregators", 3, "tan_phi"), "1e16"),
     ("case", ("network", "branches", 0, "r"), "1e16"),
+    ("case", (), "reag-reactive-1e21"),
+    ("case", (), "every-r-4e14"),
 }
 
 
@@ -59,7 +61,20 @@ def _extra_branch(doc):  # one branch too many for a tree: 3 -> 0 closes a loop
     doc["network"]["branches"].append({**doc["network"]["branches"][0], "from": 3, "to": 0})
 
 
-DOCUMENT_EDITS = {"cycle": _cycle, "extra-branch": _extra_branch}
+def _reag_reactive(doc):  # tan_phi 1e10 and fixed_output 1e11: a balance rhs of 1e21
+    doc["aggregators"][4].update(tan_phi=1e10, fixed_output=1e11)
+
+
+def _every_r(r):  # each branch below 1e15 alone; their sum along a path is not, from 1.7e14
+    def edit(doc):
+        for branch in doc["network"]["branches"]:
+            branch["r"] = r
+    return edit
+
+
+DOCUMENT_EDITS = {"cycle": _cycle, "extra-branch": _extra_branch,
+                  "reag-reactive-1e21": _reag_reactive,
+                  "every-r-4e14": _every_r(4e14), "every-r-1.2e14": _every_r(1.2e14)}
 
 TEXT_EDITS = {  # a mutation of the file's text by name -> the bytes it writes
     "bom": lambda text: codecs.BOM_UTF8 + text.encode(),
@@ -167,6 +182,9 @@ TARGETS = st.one_of(
 @example(target=("case", ("aggregators", 0, "node"), "dangling-node"))
 @example(target=("case", (), "cycle"))
 @example(target=("case", (), "extra-branch"))
+@example(target=("case", (), "reag-reactive-1e21"))
+@example(target=("case", (), "every-r-4e14"))
+@example(target=("case", (), "every-r-1.2e14"))
 @example(target=("curve.csv", (), "bom"))
 @example(target=("curve.csv", (), "blank-line"))
 @example(target=("curve.csv", (), "utf-16"))
@@ -195,3 +213,19 @@ def test_malformed_input_ends_in_a_documented_exit_code_naming_the_file_or_field
         extra = ["--curve", str(curve)] if command == "iso-clear" else []
         _run([command, "--case", str(case), *extra, "--out", str(tmp / "out")],
              case if kind == "case" else curve, target in REFUSED)
+
+
+@pytest.mark.parametrize("edit, code", [("every-r-4e14", 1), ("every-r-1.2e14", 3)])
+def test_a_voltage_drop_summed_past_highs_large_matrix_value_is_refused(tmp_path, edit, code):
+    # At 4e14 the drop summed to node 3 is 2.4e15, which HiGHS rejects in the
+    # DSO's LP (exit 4 before validate summed it); at 1.2e14 it is 7.2e14,
+    # and the feeder cannot hold its voltages.
+    case = tmp_path / "case.json"
+    case.write_bytes(_edited_json(CASE, (), edit))
+    for command in ("dso-bid", "ideal", "verify"):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert main([command, "--case", str(case), "--out", str(tmp_path)]) == code
+        expected = ("gridcoord: error: aggregators[1] (DDGAG2): its voltage drop to node 2"
+                    if code == 1 else "gridcoord: infeasible: ")
+        assert err.getvalue().startswith(expected), err.getvalue()

@@ -228,30 +228,60 @@ def test_a_nan_residual_or_gap_is_a_solver_error(monkeypatch, bad):
         lp.solve(prog)
 
 
+_DUAL_TERMS = lp.LinearProgram._dual_terms
+
+
+def _with_made_up_gap(monkeypatch, gap):
+    """Make ``solve`` read a dual bound ``gap`` below its own duals' bound."""
+    def lowered(self, y):
+        bound, terms = _DUAL_TERMS(self, y)
+        return bound - gap, terms
+
+    monkeypatch.setattr(lp.LinearProgram, "_dual_terms", lowered)
+
+
 def test_solve_measures_its_gap_by_the_dual_bound_of_its_duals(monkeypatch):
+    unit = lp.LinearProgram()
+    x = unit.add_variable(0.0, 1.0)
+    unit.add_constraint({x: 1.0, unit.add_variable(0.0): 1.0}, 1.0)
+    unit.set_objective({x: 1.0})  # optimum 0 at x = 0, and every term is 0
+    _with_made_up_gap(monkeypatch, 1e-6)
+    with pytest.raises(lp.SolverError, match="duality gap 1e-06 exceeds tolerance 1e-07"):
+        lp.solve(unit)
+    _with_made_up_gap(monkeypatch, 1e-8)
+    assert lp.solve(unit).duality_gap == 1e-8
+
+    # Objective 1e9 and y.b 1e9: the gap may reach 1e-7 + 1e-12 * 2e9.
+    large = lp.LinearProgram()
+    x = large.add_variable(0.0, 2e3)
+    large.add_constraint({x: 1.0}, 1e3)
+    large.set_objective({x: 1e6})
+    _with_made_up_gap(monkeypatch, 1e-4)
+    assert lp.solve(large).duality_gap == pytest.approx(1e-4, rel=1e-2)
+    _with_made_up_gap(monkeypatch, 1e-2)
+    with pytest.raises(lp.SolverError, match="duality gap 0.00999.* exceeds tolerance 0.002"):
+        lp.solve(large)
+
+
+def test_a_dual_bound_of_minus_infinity_is_a_solver_error(monkeypatch):
+    # A reduced cost that presses on an infinite bound makes one of the
+    # magnitudes infinite as well; the gap may not reach infinity with it.
     prog = lp.LinearProgram()
     x = prog.add_variable(0.0, 1.0)
     prog.add_constraint({x: 1.0, prog.add_variable(0.0): 1.0}, 1.0)
-    prog.set_objective({x: 1.0})  # optimum 0 at x = 0
-    monkeypatch.setattr(lp.LinearProgram, "dual_bound", lambda self, y: -1e-6)
-    # The suite holds every solve to 1e-7 (conftest.py), so this gap fails it.
-    with pytest.raises(lp.SolverError, match="duality gap 1e-06 exceeds tolerance"):
-        lp.solve(prog)
-    monkeypatch.setattr(lp, "SOLVE_BOUND", 1e-5)
-    assert lp.solve(prog).duality_gap == 1e-6
-    monkeypatch.setattr(lp.LinearProgram, "dual_bound", lambda self, y: -1.0)
-    with pytest.raises(lp.SolverError, match="duality gap 1 exceeds tolerance"):
+    prog.set_objective({x: 1.0})
+    none = np.zeros(0)
+    monkeypatch.setattr(lp.LinearProgram, "_dual_terms", lambda self, y: (
+        -math.inf, (none, none, np.ones(1), np.array([-math.inf]))))
+    with pytest.raises(lp.SolverError, match="duality gap inf exceeds tolerance inf"):
         lp.solve(prog)
 
 
-@pytest.fixture(scope="module")
-def bound_in_a_module_fixture():
-    return lp.SOLVE_BOUND
-
-
-def test_the_suites_hold_is_in_force_in_module_fixtures(bound_in_a_module_fixture):
-    # Module fixtures solve before any test's own fixtures are set up.
-    assert bound_in_a_module_fixture == 1e-7
+def test_the_solve_floor_is_highs_feasibility_tolerance():
+    # A HiGHS whose tolerances move makes this floor wrong; it fails here first.
+    highs = lp._Highs()
+    for option in ("primal_feasibility_tolerance", "dual_feasibility_tolerance"):
+        assert highs.getOptionValue(option)[1] == lp._FLOOR
 
 
 LEQ, EQ, GEQ = "<=", "==", ">="

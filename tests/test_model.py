@@ -151,6 +151,46 @@ def test_a_tan_phi_highs_would_reject_as_a_coefficient_is_a_violation(tan_phi, r
     assert validate(scenario_with(net, [agg])) == ([violation] if refused else [])
 
 
+@pytest.mark.parametrize("tan_phi, refused", [(1e10, True), (-1e10, True), (9.9e8, False)])
+def test_a_reag_reactive_output_highs_would_read_as_infinite_is_a_violation(tan_phi, refused):
+    # fixed_output * tan_phi is a balance row's rhs; each factor is below its own limit.
+    net = small_network([Branch(0, 1, **BR)], n_nodes=2)
+    reag = Aggregator(id="sun", kind="REAG", node=1, tan_phi=tan_phi, fixed_output=1e11,
+                      offers=BlockOfferStack(()))
+    violation = (f"aggregators[0].fixed_output*tan_phi: must be below 1e+20 in magnitude, "
+                 f"got {1e11 * tan_phi}")
+    assert validate(scenario_with(net, [reag])) == ([violation] if refused else [])
+
+
+@pytest.mark.parametrize("r, x, tan_phi, drop", [
+    (2e14, 0.001, 0.0, 1.2e15),  # three branches of 2 r = 4e14 each
+    (0.001, 1e14, -2.0, 1.2e15),  # x |tan_phi| counts whatever tan_phi's sign
+    (1.6e14, 0.001, 0.0, None),  # 9.6e14: below HiGHS's large_matrix_value
+])
+def test_a_voltage_drop_summed_to_an_aggregator_past_highs_large_matrix_value_is_a_violation(
+        r, x, tan_phi, drop):
+    # On a line 0-1-2-3 every branch passes 1e15 alone; the DSO's LP sums them per block.
+    net = small_network([Branch(k, k + 1, r, x, 10.0, 10.0) for k in range(3)], n_nodes=4)
+    far = Aggregator(id="far", kind="DDGAG", node=3, tan_phi=tan_phi,
+                     offers=BlockOfferStack((Block(1.0, 10.0),)))
+    reag = Aggregator(id="sun", kind="REAG", node=3, fixed_output=1.0,  # no block column
+                      offers=BlockOfferStack(()))
+    violations = validate(scenario_with(net, [far, reag]))
+    assert violations == ([] if drop is None else [
+        "aggregators[0] (far): its voltage drop to node 3, 2 (r + x |tan_phi|) / base_mva "
+        f"summed from the substation, must be below 1e+15, got {drop:g}"])
+
+
+def test_the_summed_voltage_drop_is_checked_only_on_a_radial_network():
+    # Three branches for four nodes, but node 3 is cut off: it has no path.
+    net = small_network([Branch(0, 1, 4e14, 0.001, 10.0, 10.0),
+                         Branch(1, 2, 4e14, 0.001, 10.0, 10.0),
+                         Branch(2, 1, 4e14, 0.001, 10.0, 10.0)], n_nodes=4)
+    far = Aggregator(id="far", kind="DDGAG", node=3, offers=BlockOfferStack((Block(1.0, 10.0),)))
+    assert validate(scenario_with(net, [far])) == [
+        "network.branches: not a tree (cycle reachable from the substation)"]
+
+
 def test_incidence_two_node_line():
     net = small_network([Branch(0, 1, **BR)], n_nodes=2)
     inc = derived_incidence(net)

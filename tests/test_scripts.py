@@ -119,15 +119,29 @@ def test_random_campaign_refuses_a_negative_seed(seed, capsys):
 
 def test_fingerprint_prints_one_line_per_scenario_and_the_same_lines_twice(capsys):
     script = load("fingerprint")
-    assert script.main(["--small", "2", "--feeders", "0"]) == 0
+    argv = ["--small", "2", "--feeders", "0", "--binding", "2"]
+    assert script.main(argv) == 0
     first = capsys.readouterr().out
-    assert script.main(["--small", "2", "--feeders", "0"]) == 0
+    assert script.main(argv) == 0
     assert capsys.readouterr().out == first
     lines = first.splitlines()
     assert [line.split()[0] for line in lines] == [
         "paper_reference", "paper_as_printed", "voltage_binding",
-        "small_scenario(0)", "small_scenario(1)"]
-    assert all(len(line.split()) == 3 for line in lines)
+        "small_scenario(0)", "small_scenario(1)",
+        "binding_A:small_scenario(0)", "binding_A:small_scenario(1)",
+        "binding_B:small_scenario(0)", "binding_B:small_scenario(1)"]
+    assert all(len(line.split()) == 3 for line in lines[:5])
+    # Binding seed 0 has no feasible dispatch; what both calls raised is its fingerprint.
+    assert lines[5].split(maxsplit=1)[1] == (
+        "InfeasibleError: distribution dispatch polytope is infeasible "
+        "InfeasibleError: joint dispatch is infeasible")
+
+
+def test_fingerprint_prints_711_lines_by_default(monkeypatch, capsys):
+    script = load("fingerprint")
+    monkeypatch.setattr(script, "fingerprint", lambda call, scenario: "-")
+    assert script.main([]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 711
 
 
 def test_fingerprint_prints_what_a_call_raised_in_place_of_its_hash():
