@@ -2,20 +2,21 @@
 """Fingerprint the pipeline's outputs, so two versions of the code can be compared.
 
 Usage:
-    python scripts/fingerprint.py [--small 300] [--feeders 8] [--binding 200]
+    python scripts/fingerprint.py [--small 300] [--feeders 8]
 
 Runs ``check_equivalence`` and ``run_ideal`` on the bundled cases, on the
 benchmark's ``small_scenario`` seeds 0..small-1, on its ``feeder_scenario``
-seeds 0..feeders-1, and on seeds 0..binding-1 of each of the tests' binding
-families (``BINDING`` in ``tests/support.py``: ``small_scenario`` with tight
-limits, which its own feeders never reach). It prints one line per
-scenario: its name, then the sha256 of the ``repr`` of each call's result,
-or in its place the type and message of the exception the call raised. A
-change meant to leave every output bit-identical prints the same lines as
-its parent; the defaults print 711.
+seeds 0..feeders-1, and on the same small seeds in each of the binding
+families (``BINDING``: ``small_scenario`` with tight limits, which its own
+feeders never reach). It prints one line per scenario: its name, then the
+sha256 of the ``repr`` of each call's result, or in its place the type and
+message of the exception the call raised. A change meant to leave every
+output bit-identical prints the same lines as its parent; the defaults
+print 911.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import importlib.util
 import sys
@@ -24,15 +25,33 @@ from pathlib import Path
 from gridcoord import check_equivalence, parse_case, run_ideal
 from gridcoord.caseio import BUNDLED_CASES
 
-def _load(name, path):
-    spec = importlib.util.spec_from_file_location(name, Path(__file__).resolve().parents[1] / path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+_GEN = importlib.util.spec_from_file_location(
+    "bench_gen", Path(__file__).resolve().parents[1] / "bench" / "gen.py")
+_gen = importlib.util.module_from_spec(_GEN)
+_GEN.loader.exec_module(_gen)
 
 
-_gen = _load("bench_gen", "bench/gen.py")
-_support = _load("tests_support", "tests/support.py")
+def bind(scenario, limit, impedance=None, u_min=None):
+    """Every branch's ``pl_max`` and ``ql_max`` set to ``limit``, and r, x and u_min when given.
+
+    ``small_scenario``'s feeders keep no network limit in the DSO's LP;
+    tight flow limits, and larger impedances against a higher voltage
+    floor, make some of them bind.
+    """
+    net = scenario.network
+    branches = tuple(
+        dataclasses.replace(br, pl_max=limit, ql_max=limit) if impedance is None else
+        dataclasses.replace(br, pl_max=limit, ql_max=limit, r=impedance, x=impedance)
+        for br in net.branches)
+    network = dataclasses.replace(net, branches=branches,
+                                  u_min=net.u_min if u_min is None else u_min)
+    return dataclasses.replace(scenario, network=network)
+
+
+# ``bind``'s arguments for the two binding families of ``small_scenario``:
+# A tightens the flow limits alone, B also makes the voltage limits bind.
+# Of seeds 0-199, 126 of A's and 124 of B's keep a limit in the DSO's LP.
+BINDING = {"A": dict(limit=1.0), "B": dict(limit=1.0, impedance=0.01, u_min=0.97)}
 
 
 def _count(text):
@@ -51,7 +70,7 @@ def fingerprint(call, scenario):
         return f"{type(exc).__name__}: {exc}"
 
 
-def scenarios(small, feeders, binding):
+def scenarios(small, feeders):
     """(name, scenario) for the bundled cases, then the small, feeder and binding seeds."""
     for name in BUNDLED_CASES:
         yield name, parse_case(name)
@@ -59,21 +78,18 @@ def scenarios(small, feeders, binding):
         yield f"small_scenario({seed})", _gen.small_scenario(seed)
     for seed in range(feeders):
         yield f"feeder_scenario({seed})", _gen.feeder_scenario(seed)
-    for family, limits in _support.BINDING.items():
-        for seed in range(binding):
-            yield (f"binding_{family}:small_scenario({seed})",
-                   _support.bind(_gen.small_scenario(seed), **limits))
+    for family, limits in BINDING.items():
+        for seed in range(small):
+            yield f"binding_{family}:small_scenario({seed})", bind(_gen.small_scenario(seed), **limits)
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--small", type=_count, default=300, help="small_scenario seeds to run")
     parser.add_argument("--feeders", type=_count, default=8, help="feeder_scenario seeds to run")
-    parser.add_argument("--binding", type=_count, default=200,
-                        help="seeds to run of each binding family")
     args = parser.parse_args(argv)
 
-    for name, scenario in scenarios(args.small, args.feeders, args.binding):
+    for name, scenario in scenarios(args.small, args.feeders):
         print(name, fingerprint(check_equivalence, scenario), fingerprint(run_ideal, scenario))
     return 0
 

@@ -4,13 +4,15 @@ All types are frozen dataclasses and safe to share across concurrent solves.
 ``validate`` collects every broken structural invariant instead of raising,
 so a caller can report all problems in one pass. Every number must be
 finite, as Python's ``json`` reads ``NaN`` and ``Infinity``, and below
-``HIGHS_INFINITY`` in magnitude, as must a REAG's reactive output
-``fixed_output * tan_phi``, a balance row's rhs. The LP matrix coefficients
-read off a scenario, an aggregator's ``tan_phi``, a branch's voltage-drop
-coefficients 2 r / base_mva and 2 x / base_mva, and, once the network is
-radial, an aggregator's drop 2 (r + x |tan_phi|) / base_mva summed along
-the path from the substation to its node (a coefficient of the DSO's block
-LP), must be below ``HIGHS_LARGE_MATRIX_VALUE``.
+``HIGHS_INFINITY`` in magnitude, as must, once the network is radial, a
+node's firm load less its REAGs' output, active and reactive, at the node
+(a balance row's rhs) and summed over its subtree (the DSO's block LP reads
+the sum). The LP matrix coefficients read off a scenario, an aggregator's
+``tan_phi``, a branch's voltage-drop coefficients 2 r / base_mva and
+2 x / base_mva, and, once the network is radial, an aggregator's drop
+|2 (r + x tan_phi) / base_mva| summed from the substation to each node on
+its path (the voltage coefficients of its blocks in the DSO's block LP),
+must be below ``HIGHS_LARGE_MATRIX_VALUE``.
 
 Two derived values are kept, each worked out on first use once per object:
 ``NetworkModel.incidence``, the tree's branch orientation, and a scenario's
@@ -282,17 +284,54 @@ def derived_incidence(network: NetworkModel) -> Incidence:
     return Incidence(parent=tuple(parent), child=tuple(child), order=tuple(order))
 
 
-def _path_drops(net: NetworkModel) -> tuple[list[float], list[float]]:
-    """Per node, 2 r / base_mva and 2 x / base_mva summed along its path from the substation."""
+def _tree(net: NetworkModel) -> tuple[list[int], list[float], list[float]]:
+    """Per node, its parent, and 2 r / base_mva and 2 x / base_mva summed from the substation."""
     inc = net.incidence
     into = dict(zip(inc.child, range(len(net.branches))))
+    up = [net.substation] * net.n_nodes
     r_sum, x_sum = [0.0] * net.n_nodes, [0.0] * net.n_nodes
     for node in inc.order[1:]:
         j = into[node]
-        up, br = inc.parent[j], net.branches[j]
-        r_sum[node] = r_sum[up] + 2.0 * br.r / net.base_mva
-        x_sum[node] = x_sum[up] + 2.0 * br.x / net.base_mva
-    return r_sum, x_sum
+        up[node], br = inc.parent[j], net.branches[j]
+        r_sum[node] = r_sum[up[node]] + 2.0 * br.r / net.base_mva
+        x_sum[node] = x_sum[up[node]] + 2.0 * br.x / net.base_mva
+    return up, r_sum, x_sum
+
+
+def _voltage_coefficient(tree: tuple[list[int], list[float], list[float]], node: NodeId,
+                         tan_phi: float) -> float:
+    """The largest voltage coefficient of a block at ``node`` in the DSO's block LP.
+
+    At each node on its path the coefficient is 2 (r + x tan_phi) / base_mva
+    summed from the substation; with tan_phi < 0 the largest can lie above
+    ``node``.
+    """
+    up, r_sum, x_sum = tree
+    worst = 0.0
+    while node != up[node]:
+        worst = max(worst, abs(r_sum[node] + x_sum[node] * tan_phi))
+        node = up[node]
+    return worst
+
+
+def _balance_violations(net: NetworkModel, up: list[int], rhs: list[list[float]]) -> list[str]:
+    """One violation per node whose firm load less REAG output reaches ``HIGHS_INFINITY``.
+
+    Active or reactive, ``rhs`` is a balance row's rhs, and the DSO's block
+    LP sums it over each subtree.
+    """
+    below = [list(pq) for pq in rhs]  # per node, summed over its subtree
+    for node in reversed(net.incidence.order[1:]):
+        below[up[node]][0] += below[node][0]
+        below[up[node]][1] += below[node][1]
+    out = []
+    for i in range(net.n_nodes):
+        worst = max(abs(v) for v in (*rhs[i], *below[i]))
+        if not worst < HIGHS_INFINITY:
+            out.append(f"network.nodes[{i}]: its firm load less REAG output, at the node or "
+                       f"summed over its subtree, must be below {HIGHS_INFINITY:g} in magnitude, "
+                       f"got {worst:g}")
+    return out
 
 
 def validate(scenario: Scenario) -> list[str]:
@@ -300,10 +339,12 @@ def validate(scenario: Scenario) -> list[str]:
 
     Pure and idempotent: violations are data, not failures.
     """
-    out = _network_violations(scenario.network)
-    n = scenario.network.n_nodes
-    # Only a radial network has paths; its r and x are then finite, and so are the sums.
-    drops = _path_drops(scenario.network) if not out and scenario.aggregators else None
+    net = scenario.network
+    out = _network_violations(net)
+    n = net.n_nodes
+    # Only a radial network has a tree; its numbers are then finite, and so are their sums.
+    tree = _tree(net) if not out else None
+    rhs = [[p, q] for p, q in zip(net.load_p, net.load_q)]  # per node; REAG output comes off
 
     seen_ids: set[str] = set()
     for i, agg in enumerate(scenario.aggregators):
@@ -318,25 +359,28 @@ def validate(scenario: Scenario) -> list[str]:
             continue
         if not (0 <= agg.node < n):
             out.append(f"{path}.node: node {agg.node} not in network")
-        elif drops and agg.offers.blocks and abs(agg.tan_phi) < HIGHS_LARGE_MATRIX_VALUE:
-            drop = drops[0][agg.node] + drops[1][agg.node] * abs(agg.tan_phi)
+        elif tree and abs(agg.tan_phi) < HIGHS_LARGE_MATRIX_VALUE:  # else refused above
+            drop = _voltage_coefficient(tree, agg.node, agg.tan_phi) if agg.offers.blocks else 0
             if not drop < HIGHS_LARGE_MATRIX_VALUE:
                 out.append(f"{path} ({agg.id}): its voltage drop to node {agg.node}, "
-                           f"2 (r + x |tan_phi|) / base_mva summed from the substation, "
-                           f"must be below {HIGHS_LARGE_MATRIX_VALUE:g}, got {drop:g}")
+                           f"|2 (r + x tan_phi) / base_mva| summed from the substation to "
+                           f"a node on its path, must be below {HIGHS_LARGE_MATRIX_VALUE:g}, "
+                           f"got {drop:g}")
+            if agg.kind == REAG and abs(agg.fixed_output) < HIGHS_INFINITY:
+                rhs[agg.node][0] -= agg.fixed_output
+                rhs[agg.node][1] -= agg.fixed_output * agg.tan_phi
         if agg.kind == REAG:
             if agg.fixed_output < 0:
                 out.append(f"{path}.fixed_output: must be >= 0")
-            if abs(agg.tan_phi) < HIGHS_LARGE_MATRIX_VALUE and abs(
-                    agg.fixed_output) < HIGHS_INFINITY:  # else refused above
-                out += _nonfinite(f"{path}.", {"fixed_output*tan_phi":  # a balance row's rhs
-                                               agg.fixed_output * agg.tan_phi})
             if agg.offers.blocks:
                 out.append(f"{path}.offers: REAG output is fixed, offer stack must be empty")
         else:
             if agg.fixed_output:
                 out.append(f"{path}.fixed_output: only REAG carries a fixed output")
             out.extend(agg.offers.violations(f"{path}.offers", demand_side=agg.kind == DRAG))
+
+    if tree:
+        out += _balance_violations(net, tree[0], rhs)
 
     for i, wp in enumerate(scenario.wholesale):
         path = f"wholesale[{i}]"

@@ -1,6 +1,5 @@
 """Shared test machinery: random scenarios, brute-force oracles, residual checks,
-a dual-optimality check of the re-dispatch, unit rescaling, binding network
-limits, metamorphic network transforms, a forced equivalence
+a dual-optimality check of the re-dispatch, unit rescaling, metamorphic network transforms, a forced equivalence
 failure and unreadable case files for the CLI, call counters for the compiled-model caches, the
 probe-only bid curve (on the DSO's block LP, which the certified curve must
 reproduce exactly, or on the full DistFlow LP, which it must match within
@@ -14,7 +13,8 @@ equations are re-evaluated from primal values with a fresh tree walk.
 
 ``random_scenario`` is the benchmark's ``small_scenario`` (``bench/gen.py``):
 a radial tree of at most 12 nodes, convex stacks and loose voltages, drawn
-from its seed alone. ``feeder_scenario`` is its 120-node feeder.
+from its seed alone. ``feeder_scenario`` is its 120-node feeder. ``bind``
+and ``BINDING``, the binding families, are ``scripts/fingerprint.py``'s.
 """
 
 from __future__ import annotations
@@ -47,14 +47,23 @@ from gridcoord.model import (
     Scenario,
 )
 
-# Loaded by file path: putting bench/ on sys.path would let its modules
-# shadow same-named ones for the whole session.
-_GEN = importlib.util.spec_from_file_location(
-    "bench_gen", Path(__file__).resolve().parents[1] / "bench" / "gen.py")
-_gen = importlib.util.module_from_spec(_GEN)
-_GEN.loader.exec_module(_gen)
+
+# Loaded by file path: putting bench/ or scripts/ on sys.path would let their
+# modules shadow same-named ones for the whole session.
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, Path(__file__).resolve().parents[1] / path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_gen = _load("bench_gen", "bench/gen.py")
 random_scenario = _gen.small_scenario
 feeder_scenario = _gen.feeder_scenario
+# The binding families that scripts/fingerprint.py also runs.
+_fingerprint = _load("fingerprint", "scripts/fingerprint.py")
+bind, BINDING = _fingerprint.bind, _fingerprint.BINDING
+
 
 # ---------------------------------------------------------------------------
 # Brute-force dispatch oracle
@@ -346,30 +355,6 @@ def scale_prices(scenario: Scenario, factor: float) -> Scenario:
         wholesale=tuple(dataclasses.replace(wp, offers=blocks(wp.offers))
                         for wp in scenario.wholesale),
     )
-
-
-def bind(scenario: Scenario, limit: float, impedance: float | None = None,
-         u_min: float | None = None) -> Scenario:
-    """Every branch's ``pl_max`` and ``ql_max`` set to ``limit``, and r, x and u_min when given.
-
-    ``random_scenario``'s feeders keep no network limit in the DSO's LP;
-    tight flow limits, and larger impedances against a higher voltage
-    floor, make some of them bind.
-    """
-    net = scenario.network
-    branches = tuple(
-        dataclasses.replace(br, pl_max=limit, ql_max=limit) if impedance is None else
-        dataclasses.replace(br, pl_max=limit, ql_max=limit, r=impedance, x=impedance)
-        for br in net.branches)
-    network = dataclasses.replace(net, branches=branches,
-                                  u_min=net.u_min if u_min is None else u_min)
-    return dataclasses.replace(scenario, network=network)
-
-
-# ``bind``'s arguments for the two binding families of ``random_scenario``:
-# A tightens the flow limits alone, B also makes the voltage limits bind.
-# Of seeds 0-199, 126 of A's and 124 of B's keep a limit in the DSO's LP.
-BINDING = {"A": dict(limit=1.0), "B": dict(limit=1.0, impedance=0.01, u_min=0.97)}
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,7 @@ REFUSED = {
     ("case", ("aggregators", 3, "tan_phi"), "1e16"),
     ("case", ("network", "branches", 0, "r"), "1e16"),
     ("case", (), "reag-reactive-1e21"),
+    ("case", (), "two-reags-1.2e20"),
     ("case", (), "every-r-4e14"),
 }
 
@@ -65,6 +66,11 @@ def _reag_reactive(doc):  # tan_phi 1e10 and fixed_output 1e11: a balance rhs of
     doc["aggregators"][4].update(tan_phi=1e10, fixed_output=1e11)
 
 
+def _two_reags(doc):  # two REAGs of 6e19 MVAr each at node 6: a balance rhs of -1.2e20
+    doc["aggregators"][4].update(tan_phi=1e9, fixed_output=6e10)
+    doc["aggregators"].append({**doc["aggregators"][4], "id": "REAG2"})
+
+
 def _every_r(r):  # each branch below 1e15 alone; their sum along a path is not, from 1.7e14
     def edit(doc):
         for branch in doc["network"]["branches"]:
@@ -73,7 +79,7 @@ def _every_r(r):  # each branch below 1e15 alone; their sum along a path is not,
 
 
 DOCUMENT_EDITS = {"cycle": _cycle, "extra-branch": _extra_branch,
-                  "reag-reactive-1e21": _reag_reactive,
+                  "reag-reactive-1e21": _reag_reactive, "two-reags-1.2e20": _two_reags,
                   "every-r-4e14": _every_r(4e14), "every-r-1.2e14": _every_r(1.2e14)}
 
 TEXT_EDITS = {  # a mutation of the file's text by name -> the bytes it writes
@@ -183,6 +189,7 @@ TARGETS = st.one_of(
 @example(target=("case", (), "cycle"))
 @example(target=("case", (), "extra-branch"))
 @example(target=("case", (), "reag-reactive-1e21"))
+@example(target=("case", (), "two-reags-1.2e20"))
 @example(target=("case", (), "every-r-4e14"))
 @example(target=("case", (), "every-r-1.2e14"))
 @example(target=("curve.csv", (), "bom"))

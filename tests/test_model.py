@@ -151,21 +151,38 @@ def test_a_tan_phi_highs_would_reject_as_a_coefficient_is_a_violation(tan_phi, r
     assert validate(scenario_with(net, [agg])) == ([violation] if refused else [])
 
 
-@pytest.mark.parametrize("tan_phi, refused", [(1e10, True), (-1e10, True), (9.9e8, False)])
-def test_a_reag_reactive_output_highs_would_read_as_infinite_is_a_violation(tan_phi, refused):
-    # fixed_output * tan_phi is a balance row's rhs; each factor is below its own limit.
-    net = small_network([Branch(0, 1, **BR)], n_nodes=2)
-    reag = Aggregator(id="sun", kind="REAG", node=1, tan_phi=tan_phi, fixed_output=1e11,
-                      offers=BlockOfferStack(()))
-    violation = (f"aggregators[0].fixed_output*tan_phi: must be below 1e+20 in magnitude, "
-                 f"got {1e11 * tan_phi}")
-    assert validate(scenario_with(net, [reag])) == ([violation] if refused else [])
+@pytest.mark.parametrize("load_q, reags, refused, worst", [
+    ((0.0, 0.0, 0.0), [(1e10, 1e11)], [0, 1, 2], 1e21),  # (tan_phi, fixed_output) per REAG
+    ((0.0, 0.0, 0.0), [(-1e10, 1e11)], [0, 1, 2], 1e21),
+    ((0.0, 0.0, 9e19), [(-1e9, 9e10)], [0, 1, 2], 1.8e20),  # the load and the REAG add up
+    ((0.0, 0.0, 0.0), [(1e9, 6e10), (1e9, 6e10)], [0, 1, 2], 1.2e20),  # two REAGs at a node
+    ((0.0, 0.0, 0.0), [(0.0, 9e19), (0.0, 9e19)], [0, 1, 2], 1.8e20),  # active output
+    ((0.0, 9e19, 9e19), [], [0, 1], 1.8e20),  # node 2's own is below; node 1's subtree is not
+    ((0.0, 0.0, 0.0), [(9.9e8, 1e11)], [], None),
+    ((0.0, 9e19, -9e19), [], [], None),
+])
+def test_a_net_load_highs_would_read_as_infinite_is_a_violation(load_q, reags, refused, worst):
+    # Firm load less REAG output is a balance row's rhs, and the DSO's block LP
+    # sums it over each subtree; every number here is below its own limit.
+    net = dataclasses.replace(small_network([Branch(0, 1, **BR), Branch(1, 2, **BR)], n_nodes=3),
+                              load_q=load_q)
+    aggs = [Aggregator(id=f"sun{k}", kind="REAG", node=2, tan_phi=tan_phi, fixed_output=output,
+                       offers=BlockOfferStack(())) for k, (tan_phi, output) in enumerate(reags)]
+    assert validate(scenario_with(net, aggs)) == [
+        f"network.nodes[{i}]: its firm load less REAG output, at the node or summed over its "
+        f"subtree, must be below 1e+20 in magnitude, got {worst:g}" for i in refused]
+
+
+def _drop_violation(drop):
+    return ("aggregators[0] (far): its voltage drop to node 3, |2 (r + x tan_phi) / base_mva| "
+            f"summed from the substation to a node on its path, must be below 1e+15, got {drop:g}")
 
 
 @pytest.mark.parametrize("r, x, tan_phi, drop", [
     (2e14, 0.001, 0.0, 1.2e15),  # three branches of 2 r = 4e14 each
-    (0.001, 1e14, -2.0, 1.2e15),  # x |tan_phi| counts whatever tan_phi's sign
+    (0.001, 1e14, -2.0, 1.2e15),  # its magnitude counts, whatever its sign
     (1.6e14, 0.001, 0.0, None),  # 9.6e14: below HiGHS's large_matrix_value
+    (1.5e14, 1.5e14, -0.5, None),  # 9e14 - 0.5 * 9e14: x tan_phi offsets r
 ])
 def test_a_voltage_drop_summed_to_an_aggregator_past_highs_large_matrix_value_is_a_violation(
         r, x, tan_phi, drop):
@@ -176,9 +193,18 @@ def test_a_voltage_drop_summed_to_an_aggregator_past_highs_large_matrix_value_is
     reag = Aggregator(id="sun", kind="REAG", node=3, fixed_output=1.0,  # no block column
                       offers=BlockOfferStack(()))
     violations = validate(scenario_with(net, [far, reag]))
-    assert violations == ([] if drop is None else [
-        "aggregators[0] (far): its voltage drop to node 3, 2 (r + x |tan_phi|) / base_mva "
-        f"summed from the substation, must be below 1e+15, got {drop:g}"])
+    assert violations == ([] if drop is None else [_drop_violation(drop)])
+
+
+def test_a_voltage_drop_past_highs_large_matrix_value_above_the_aggregator_is_a_violation():
+    # 2 r = 8e14 on branches 0-1 and 1-2, then 2 x tan_phi = -1.6e15 on 2-3: the
+    # block's coefficient is 1.6e15 at node 2 and about 0 at its own node 3.
+    net = small_network([Branch(0, 1, 4e14, 0.001, 10.0, 10.0),
+                         Branch(1, 2, 4e14, 0.001, 10.0, 10.0),
+                         Branch(2, 3, 0.001, 4e14, 10.0, 10.0)], n_nodes=4)
+    far = Aggregator(id="far", kind="DDGAG", node=3, tan_phi=-2.0,
+                     offers=BlockOfferStack((Block(1.0, 10.0),)))
+    assert validate(scenario_with(net, [far])) == [_drop_violation(1.6e15)]
 
 
 def test_the_summed_voltage_drop_is_checked_only_on_a_radial_network():
